@@ -5,7 +5,15 @@ a circuit of length 1 and a pair of parallel edges as one of length 2.
 Enumeration backtracks over paths anchored at each cycle's minimum vertex,
 which visits every circuit exactly twice (once per direction); keeping the
 direction whose first edge id is smaller makes the output duplicate-free
-without any hashing.
+without any hashing.  The backtracking keeps an explicit stack of
+neighbour iterators, so path length is not limited by Python's recursion
+depth.
+
+Disjoint pairs are listed through vertex bitsets: bit i of ``holds[v]`` is
+set when circuit i passes through v, so the circuits disjoint from c_i are
+``all & ~OR(holds[v] for v in c_i)``.  Listing costs one big-integer OR per
+circuit vertex plus one step per pair found, instead of a set test for
+each of the C(C-1)/2 circuit pairs.
 """
 
 from __future__ import annotations
@@ -96,40 +104,43 @@ def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Ci
     """Every simple cycle of ``g`` exactly once, sorted deterministically."""
     out: list[Circuit] = []
 
-    def emit(vs: list[int], es: list[int]) -> None:
-        out.append(Circuit(tuple(vs), tuple(es)))
+    def emit(vs: tuple[int, ...], es: tuple[int, ...]) -> None:
+        out.append(Circuit(vs, es))
         if len(out) > cap:
             raise CircuitCapExceeded(
                 f"more than {cap} circuits; graph too large for this analysis")
 
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.is_loop:
-            emit([e.u], [e.id])
+            emit((e.u,), (e.id,))
 
-    incident = {v: g.incident(v) for v in g.vertices}
+    # (neighbour, edge id) in incidence order, loops removed
+    adjacent = {
+        v: [(e.other(v), e.id) for e in g.incident(v) if not e.is_loop]
+        for v in g.vertices
+    }
     for start in sorted(g.vertices):
         path_v = [start]
         path_e: list[int] = []
         on_path = {start}
-
-        def extend(current: int) -> None:
-            for e in incident[current]:
-                if e.is_loop:
-                    continue
-                w = e.other(current)
+        # one iterator per path vertex; the top one resumes where it left off
+        stack = [iter(adjacent[start])]
+        while stack:
+            for w, eid in stack[-1]:
                 if w == start:
-                    if path_e and e.id != path_e[0] and e.id > path_e[0]:
-                        emit(path_v, path_e + [e.id])
+                    if path_e and eid > path_e[0]:
+                        emit(tuple(path_v), tuple(path_e) + (eid,))
                 elif w > start and w not in on_path:
                     path_v.append(w)
-                    path_e.append(e.id)
+                    path_e.append(eid)
                     on_path.add(w)
-                    extend(w)
-                    on_path.discard(w)
+                    stack.append(iter(adjacent[w]))
+                    break
+            else:
+                stack.pop()
+                if path_e:
+                    on_path.discard(path_v.pop())
                     path_e.pop()
-                    path_v.pop()
-
-        extend(start)
 
     out.sort(key=lambda c: c.sort_key)
     return out
@@ -138,14 +149,28 @@ def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Ci
 def disjoint_circuit_pairs(
     g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP
 ) -> list[tuple[Circuit, Circuit]]:
-    """All unordered pairs of vertex-disjoint circuits, each listed once."""
+    """All unordered pairs of vertex-disjoint circuits, each listed once.
+
+    Pairs come in enumeration order: (c_i, c_j) with i < j, sorted by i
+    and then j.
+    """
     circuits = enumerate_circuits(g, cap=cap)
+    holds = dict.fromkeys(g.vertices, 0)  # vertex -> bitset of circuits through it
+    for i, c in enumerate(circuits):
+        for v in c.vertex_seq:
+            holds[v] |= 1 << i
+    everything = (1 << len(circuits)) - 1
     pairs: list[tuple[Circuit, Circuit]] = []
     for i, c1 in enumerate(circuits):
-        for c2 in circuits[i + 1:]:
-            if c1.is_disjoint_from(c2):
-                pairs.append((c1, c2))
-                if len(pairs) > cap:
-                    raise CircuitCapExceeded(
-                        f"more than {cap} disjoint circuit pairs")
+        meets = 0
+        for v in c1.vertex_seq:
+            meets |= holds[v]
+        later = (everything & ~meets) >> (i + 1) << (i + 1)  # disjoint, after c_i
+        while later:
+            lowest = later & -later
+            pairs.append((c1, circuits[lowest.bit_length() - 1]))
+            later ^= lowest
+            if len(pairs) > cap:
+                raise CircuitCapExceeded(
+                    f"more than {cap} disjoint circuit pairs")
     return pairs

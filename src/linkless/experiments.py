@@ -22,7 +22,9 @@ from .canonical import canonical_form
 from .circuits import disjoint_circuit_pairs
 from .embedding import (
     COORDINATE_BOUND,
+    RETRY_LIMIT,
     EmbeddingError,
+    RetryLimitExceeded,
     SpatialEmbedding,
     random_embedding,
     reroute_edge,
@@ -185,7 +187,8 @@ def edge_swap_check(
     even number of times) shows up as sum_i omega(K_i, D) = 0 mod 2.
 
     Given a graph (or name), every trial embeds it afresh; given an
-    embedding, all trials reroute that fixed embedding.
+    embedding, all trials reroute that fixed embedding.  A trial that
+    finds no valid midpoint in RETRY_LIMIT draws raises RetryLimitExceeded.
     """
     base: SpatialEmbedding | None = None
     if isinstance(graph, SpatialEmbedding):
@@ -214,8 +217,7 @@ def edge_swap_check(
         old_path = emb.edge_paths[e.id]
 
         emb2 = None
-        midpoint = None
-        while emb2 is None:
+        for _ in range(RETRY_LIMIT):
             midpoint = (
                 rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
                 rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
@@ -228,8 +230,13 @@ def edge_swap_check(
                 continue
             try:
                 emb2 = reroute_edge(emb, e.id, (pu, midpoint, pv))
+                break
             except EmbeddingError:
                 retries += 1
+        if emb2 is None:
+            raise RetryLimitExceeded(
+                f"no valid reroute of edge {e.id} in trial {t} "
+                f"after {RETRY_LIMIT} midpoints")
 
         before = _omega_with_pairs(emb, pairs, seed=trial_seed)
         after = _omega_with_pairs(emb2, pairs, seed=trial_seed)

@@ -6,6 +6,11 @@ projection and revalidated against a second, independent one; any
 disagreement would mean a bug in the exact kernel, so it raises instead
 of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
+
+Each projection is computed once and carries its edge-pair crossing
+matrix, so every per-pair lk, its parity and its check against the
+second projection are O(|J| |K|) table lookups; the pair list comes from
+the bitset listing in ``circuits``.
 """
 
 from __future__ import annotations

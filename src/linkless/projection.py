@@ -12,26 +12,34 @@ Crossing signs follow the right-hand convention: positive when the
 over-strand's image tangent followed by the under-strand's is a positively
 oriented plane basis.  Signs are stored for the strands' own path
 directions; circuit orientations flip them per traversed edge.
+
+The crossing kernel works in integers only.  Rational inputs have their
+denominators cleared once per call: points and direction are each scaled
+by a positive integer, an orientation-preserving affine change that keeps
+every crossing, its segment parameters, over/under and sign.  Each
+distinct point is projected once.  Depth order is decided by integer
+cross-multiplication, and triple points are found by hashing crossing
+images in gcd-reduced homogeneous coordinates.  The exact rationals
+``StrandRef.t`` and ``Crossing.point`` are formed only when read.
+
+Each diagram builds, on first use, an edge-pair crossing matrix: for every
+edge e and every edge f it passes over, the signed sum and the number of
+those crossings.  lk(J, K) is then the sum of s_J(e) s_K(f) L[e][f] over
+the |J| |K| edge pairs, with s the traversal signs, instead of a scan of
+the whole crossing list for every circuit pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
-from .geometry import (
-    Point2,
-    Point3,
-    Rat,
-    _overlap_1d,
-    dot3,
-    orient2d,
-    point_on_segment2,
-    projection_frame,
-)
+from .geometry import Point2, Point3, _overlap_1d, projection_frame
 from .multigraph import GraphError
 
 
@@ -43,7 +51,12 @@ class NonRegularProjection(RuntimeError):
 class StrandRef:
     strand: object  # edge id for graph diagrams, loop index for loop pairs
     segment: int
-    t: Rat  # parameter along the segment, strictly between 0 and 1
+    t_num: int  # the parameter along the segment is t_num / t_den,
+    t_den: int  # strictly between 0 and 1; t_den > 0
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.t_num, self.t_den)
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,12 @@ class Crossing:
     second: StrandRef
     over: int  # 0 when `first` is nearer the viewer, 1 when `second` is
     sign: int  # right-handed sign for the strands' stored directions
-    point: Point2
+    image: tuple[int, int, int, int]  # the point is (image[0]/image[1], image[2]/image[3])
+
+    @property
+    def point(self) -> Point2:
+        x, wx, y, wy = self.image
+        return (Fraction(x, wx), Fraction(y, wy))
 
     @property
     def over_strand(self):
@@ -63,18 +81,11 @@ class Crossing:
         return (self.second if self.over == 0 else self.first).strand
 
 
-class _Seg:
-    __slots__ = ("key", "idx", "a3", "b3", "a2", "b2", "ha", "hb")
-
-    def __init__(self, key, idx, a3, b3, a2, b2, ha, hb):
-        self.key = key
-        self.idx = idx
-        self.a3 = a3
-        self.b3 = b3
-        self.a2 = a2
-        self.b2 = b2
-        self.ha = ha
-        self.hb = hb
+def _clear_denominators(points: Iterable[Point3]) -> tuple[int, list[tuple[int, int, int]]]:
+    """(q, [p * q]) for the least positive integer q making every point integral."""
+    points = list(points)
+    q = math.lcm(*{c.denominator for p in points for c in p})
+    return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
 def strand_crossings(
@@ -89,102 +100,117 @@ def strand_crossings(
     (vertex locations) that must not land on any segment image they are
     not an endpoint of.
     """
-    u, v = projection_frame(direction)
+    marker_list = list(markers)
+    # every distinct point once, numbered in order of first appearance
+    ids: dict[Point3, int] = {}
+    for _, pts, _ in strands:
+        for p in pts:
+            ids.setdefault(p, len(ids))
+    for m in marker_list:
+        ids.setdefault(m, len(ids))
+    scale, cleared = _clear_denominators(ids)
+    dscale, (d,) = _clear_denominators([direction])
+    (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
+    dx, dy, dz = d
+    xs, ys, hs = [], [], []
+    for x, y, z in cleared:
+        xs.append(ux * x + uy * y + uz * z)
+        ys.append(vx * x + vy * y + vz * z)
+        hs.append(dx * x + dy * y + dz * z)
 
-    def proj(p: Point3) -> Point2:
-        return (dot3(u, p), dot3(v, p))
-
-    def depth(p: Point3) -> Rat:
-        return dot3(direction, p)
-
-    segs: list[_Seg] = []
+    # (key, index, a, b, ax, ay, ah, bx, by, bh) with point ids a, b
+    segs = []
     for key, pts, closed in strands:
-        pairs = list(zip(pts, pts[1:]))
+        chain = [ids[p] for p in pts]
         if closed:
-            pairs.append((pts[-1], pts[0]))
-        for idx, (a, b) in enumerate(pairs):
-            a2, b2 = proj(a), proj(b)
-            if a2 == b2:
+            chain.append(chain[0])
+        for idx, (a, b) in enumerate(zip(chain, chain[1:])):
+            if xs[a] == xs[b] and ys[a] == ys[b]:
                 raise NonRegularProjection(
                     f"segment {idx} of strand {key} is seen end-on")
-            segs.append(_Seg(key, idx, a, b, a2, b2, depth(a), depth(b)))
+            segs.append((key, idx, a, b, xs[a], ys[a], hs[a], xs[b], ys[b], hs[b]))
 
-    marker_list = list(markers)
-    images: dict[Point2, Point3] = {}
-    for m in marker_list:
-        m2 = proj(m)
-        if m2 in images and images[m2] != m:
+    marker_ids = [ids[m] for m in marker_list]
+    images: dict[tuple[int, int], int] = {}
+    for m in marker_ids:
+        if images.setdefault((xs[m], ys[m]), m) != m:
             raise NonRegularProjection("two vertices project to the same point")
-        images[m2] = m
-    for m in marker_list:
-        m2 = proj(m)
-        for s in segs:
-            if m == s.a3 or m == s.b3:
+    for m in marker_ids:
+        mx, my = xs[m], ys[m]
+        for _, _, a, b, ax, ay, _, bx, by, _ in segs:
+            if m == a or m == b:
                 continue
-            if point_on_segment2(m2, s.a2, s.b2):
+            if (bx - ax) * (my - ay) == (by - ay) * (mx - ax) and \
+                    min(ax, bx) <= mx <= max(ax, bx) and min(ay, by) <= my <= max(ay, by):
                 raise NonRegularProjection("a vertex projects onto an edge")
 
+    # a crossing image at (X/W, Y/W) in the cleared frame is the point
+    # (X/(W kq), Y/(W k^2 q)) in the frame of `direction`, where q is the
+    # point scale and the frame vectors u, v scale by k and k^2
+    x_unit, y_unit = dscale * scale, dscale * dscale * scale
     crossings: list[Crossing] = []
-    seen_points: set[Point2] = set()
-    for i, s in enumerate(segs):
-        for t in segs[i + 1:]:
-            common = {s.a3, s.b3} & {t.a3, t.b3}
-            if len(common) >= 2:
-                raise NonRegularProjection("coincident segments")
-            if len(common) == 1:
-                c = next(iter(common))
-                c2 = proj(c)
-                o1 = s.b3 if s.a3 == c else s.a3
-                o2 = t.b3 if t.a3 == c else t.a3
-                p1, p2 = proj(o1), proj(o2)
-                if orient2d(c2, p1, p2) == 0 and \
-                        (p1[0] - c2[0]) * (p2[0] - c2[0]) + (p1[1] - c2[1]) * (p2[1] - c2[1]) > 0:
+    seen_points: set[tuple[int, int, int]] = set()
+    for i, (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh) in enumerate(segs):
+        ex, ey = bx - ax, by - ay
+        for key_t, idx_t, ta, tb, cx, cy, ch, fx, fy, fh in segs[i + 1:]:
+            if sa == ta or sa == tb or sb == ta or sb == tb:
+                if (sa == ta or sa == tb) and (sb == ta or sb == tb):
+                    raise NonRegularProjection("coincident segments")
+                # image-collinear and on the same side of the shared point
+                if sa == ta or sa == tb:
+                    px, py, qx, qy = ax, ay, bx, by
+                else:
+                    px, py, qx, qy = bx, by, ax, ay
+                rx, ry = (fx, fy) if sa == ta or sb == ta else (cx, cy)
+                if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
+                        (qx - px) * (rx - px) + (qy - py) * (ry - py) > 0:
                     raise NonRegularProjection(
                         "segments sharing an endpoint overlap in projection")
                 continue
-            o1 = orient2d(s.a2, s.b2, t.a2)
-            o2 = orient2d(s.a2, s.b2, t.b2)
-            o3 = orient2d(t.a2, t.b2, s.a2)
-            o4 = orient2d(t.a2, t.b2, s.b2)
+            o1 = ex * (cy - ay) - ey * (cx - ax)
+            o2 = ex * (fy - ay) - ey * (fx - ax)
             if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
                 continue
+            gx, gy = fx - cx, fy - cy
+            o3 = gx * (ay - cy) - gy * (ax - cx)
+            o4 = gx * (by - cy) - gy * (bx - cx)
             if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
                 continue
             if o1 == 0 and o2 == 0:
                 # collinear images: regular only if the ranges are disjoint,
                 # which the strict-separation tests above could not see
-                axis = 0 if abs(s.b2[0] - s.a2[0]) + abs(t.b2[0] - t.a2[0]) >= \
-                    abs(s.b2[1] - s.a2[1]) + abs(t.b2[1] - t.a2[1]) else 1
-                if _overlap_1d(s.a2[axis], s.b2[axis], t.a2[axis], t.b2[axis]):
+                if abs(ex) + abs(gx) >= abs(ey) + abs(gy):
+                    overlap = _overlap_1d(ax, bx, cx, fx)
+                else:
+                    overlap = _overlap_1d(ay, by, cy, fy)
+                if overlap:
                     raise NonRegularProjection("collinear overlapping segments")
                 continue
             if not (o1 * o2 < 0 and o3 * o4 < 0):
                 raise NonRegularProjection("tangential contact between segments")
-            t_on_s = Fraction(o3) / Fraction(o3 - o4)
-            t_on_t = Fraction(o1) / Fraction(o1 - o2)
-            point = (
-                s.a2[0] + t_on_s * (s.b2[0] - s.a2[0]),
-                s.a2[1] + t_on_s * (s.b2[1] - s.a2[1]),
-            )
+            # parameters n/w with w > 0: o3/(o3 - o4) along s, o1/(o1 - o2) along t
+            n_s, w_s = (o3, o3 - o4) if o3 > 0 else (-o3, o4 - o3)
+            n_t, w_t = (o1, o1 - o2) if o1 > 0 else (-o1, o2 - o1)
+            px = ax * w_s + n_s * ex
+            py = ay * w_s + n_s * ey
+            g = math.gcd(px, py, w_s)
+            point = (px // g, py // g, w_s // g)
             if point in seen_points:
                 raise NonRegularProjection("triple point")
             seen_points.add(point)
-            h_s = s.ha + t_on_s * (s.hb - s.ha)
-            h_t = t.ha + t_on_t * (t.hb - t.ha)
-            if h_s == h_t:
+            depth_s = (ah * w_s + n_s * (bh - ah)) * w_t
+            depth_t = (ch * w_t + n_t * (fh - ch)) * w_s
+            if depth_s == depth_t:
                 raise EmbeddingError("strand segments intersect in space")
-            over = 0 if h_s > h_t else 1
-            tan_s = (s.b2[0] - s.a2[0], s.b2[1] - s.a2[1])
-            tan_t = (t.b2[0] - t.a2[0], t.b2[1] - t.a2[1])
-            tan_over, tan_under = (tan_s, tan_t) if over == 0 else (tan_t, tan_s)
-            cr = tan_over[0] * tan_under[1] - tan_over[1] * tan_under[0]
-            assert cr != 0
+            over = 0 if depth_s > depth_t else 1
+            # o2 - o1 is the image cross product of the s and t tangents
+            positive = (o2 > o1) == (over == 0)
             crossings.append(Crossing(
-                StrandRef(s.key, s.idx, t_on_s),
-                StrandRef(t.key, t.idx, t_on_t),
+                StrandRef(key_s, idx_s, n_s, w_s),
+                StrandRef(key_t, idx_t, n_t, w_t),
                 over,
-                1 if cr > 0 else -1,
-                point,
+                1 if positive else -1,
+                (point[0], point[2] * x_unit, point[1], point[2] * y_unit),
             ))
     return tuple(crossings)
 
@@ -196,6 +222,19 @@ class ProjectedDiagram:
     direction: Point3
     edge_endpoints: Mapping[int, tuple[int, int]]
     crossings: tuple[Crossing, ...]
+
+    @cached_property
+    def crossing_matrix(self) -> dict[int, dict[int, tuple[int, int]]]:
+        """L[e][f] = (signed sum, count) of the crossings where e passes over f.
+
+        Edge pairs with no such crossing are absent.
+        """
+        matrix: dict[int, dict[int, tuple[int, int]]] = {}
+        for c in self.crossings:
+            row = matrix.setdefault(c.over_strand, {})
+            signed, count = row.get(c.under_strand, (0, 0))
+            row[c.under_strand] = (signed + c.sign, count + 1)
+        return matrix
 
     def crossings_between(self, edges_a: frozenset[int], edges_b: frozenset[int]):
         """Crossings with one strand in each edge set, in diagram order."""
@@ -222,12 +261,11 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
 def _traversal_signs(diagram: ProjectedDiagram, circuit: Circuit) -> dict[int, int]:
     # +1 where the circuit walks an edge in its stored path direction (u to v)
     out: dict[int, int] = {}
-    k = len(circuit.edge_ids)
-    for i, eid in enumerate(circuit.edge_ids):
-        if eid not in diagram.edge_endpoints:
+    for v, eid in zip(circuit.vertex_seq, circuit.edge_ids):
+        ends = diagram.edge_endpoints.get(eid)
+        if ends is None:
             raise GraphError(f"circuit edge {eid} is not in the diagram")
-        u, _ = diagram.edge_endpoints[eid]
-        out[eid] = 1 if circuit.vertex_seq[i] == u else -1
+        out[eid] = 1 if v == ends[0] else -1
     return out
 
 
@@ -246,11 +284,15 @@ def linking_number(
     _check_disjoint(j, k)
     sig_j = _traversal_signs(diagram, j)
     sig_k = _traversal_signs(diagram, k)
+    matrix = diagram.crossing_matrix
     total = 0
-    for c in diagram.crossings:
-        over, under = c.over_strand, c.under_strand
-        if over in sig_j and under in sig_k:
-            total += c.sign * sig_j[over] * sig_k[under]
+    for e, sign_e in sig_j.items():
+        row = matrix.get(e)
+        if row:
+            for f, sign_f in sig_k.items():
+                cell = row.get(f)
+                if cell:
+                    total += cell[0] * sign_e * sign_f
     return total * orientations[0] * orientations[1]
 
 
@@ -259,12 +301,15 @@ def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     _check_disjoint(j, k)
     _traversal_signs(diagram, j)  # validates circuit edges exist in the diagram
     _traversal_signs(diagram, k)
-    j_edges = set(j.edge_ids)
-    k_edges = set(k.edge_ids)
+    matrix = diagram.crossing_matrix
     count = 0
-    for c in diagram.crossings:
-        if c.over_strand in j_edges and c.under_strand in k_edges:
-            count += 1
+    for e in j.edge_ids:
+        row = matrix.get(e)
+        if row:
+            for f in k.edge_ids:
+                cell = row.get(f)
+                if cell:
+                    count += cell[1]
     return count & 1
 
 

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: circuits
 are found by checking every vertex subset for Hamiltonian cycles,
 isomorphism keys come from trying all vertex permutations, minors from
-exhaustive delete/contract search, and linking numbers from the numeric
-Gauss integral.
+exhaustive delete/contract search, crossings from solving each segment
+pair in Fractions, and linking numbers from the numeric Gauss integral.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from linkless.multigraph import MultiGraph
@@ -174,3 +175,53 @@ def gauss_linking_number(loop_a, loop_b) -> float:
             d2 = an * dn * cn + dot(a, d) * cn + dot(d, c) * an + dot(c, a) * dn
             total += math.atan2(p, d1) + math.atan2(p, d2)
     return total / (2.0 * math.pi)
+
+
+def crossing_oracle(segments, direction) -> set[tuple]:
+    """Crossings of the images of 3D segments projected along ``direction``.
+
+    ``segments`` holds (key, index, a, b) with 3D endpoints a, b.  Each pair
+    of segments is intersected in the plane by Cramer's rule in Fractions,
+    using a frame built here (any right-handed (u, v, direction)).  Returns
+    (key, index, t, key', index', t', over, sign) tuples, where over is 0
+    when the first segment is nearer the viewer.  Assumes the projection
+    is regular, so every proper image intersection is a crossing.
+    """
+    d = [Fraction(c) for c in direction]
+
+    def cross(p, q):
+        return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+    axis = min(range(3), key=lambda i: abs(d[i]))
+    u = cross(d, [1 if i == axis else 0 for i in range(3)])
+    v = cross(d, u)
+
+    def image(p):
+        return (dot(u, p), dot(v, p))
+
+    def cross2(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    found = set()
+    for i, (k1, i1, a, b) in enumerate(segments):
+        a2, b2 = image(a), image(b)
+        e = (b2[0] - a2[0], b2[1] - a2[1])
+        for k2, i2, c, f in segments[i + 1:]:
+            c2, f2 = image(c), image(f)
+            g = (f2[0] - c2[0], f2[1] - c2[1])
+            den = cross2(e, g)
+            if den == 0:
+                continue
+            ac = (c2[0] - a2[0], c2[1] - a2[1])
+            s, t = cross2(ac, g) / den, cross2(ac, e) / den
+            if not (0 < s < 1 and 0 < t < 1):
+                continue
+            depth_s = dot(d, a) + s * (dot(d, b) - dot(d, a))
+            depth_t = dot(d, c) + t * (dot(d, f) - dot(d, c))
+            over = 0 if depth_s > depth_t else 1
+            sign = 1 if (den > 0) == (over == 0) else -1
+            found.add((k1, i1, s, k2, i2, t, over, sign))
+    return found

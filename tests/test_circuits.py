@@ -124,3 +124,58 @@ def test_k5_has_no_disjoint_pairs():
 def test_cap_enforced():
     with pytest.raises(CircuitCapExceeded):
         enumerate_circuits(complete_graph(7), cap=100)
+
+
+def test_pair_cap_enforced():
+    # ten disjoint triangles: 10 circuits but 45 disjoint pairs
+    g = graph_from_pairs([(3 * i + a, 3 * i + b)
+                          for i in range(10) for a, b in ((1, 2), (2, 3), (3, 1))])
+    assert len(disjoint_circuit_pairs(g, cap=45)) == 45
+    with pytest.raises(CircuitCapExceeded, match="disjoint circuit pairs"):
+        disjoint_circuit_pairs(g, cap=44)
+
+
+def test_long_cycle_is_one_circuit():
+    n = 1200  # deeper than the default recursion limit
+    g = graph_from_pairs([(i, i % n + 1) for i in range(1, n + 1)])
+    circuits = enumerate_circuits(g)
+    assert len(circuits) == 1
+    assert circuits[0].vertex_seq == tuple(range(1, n + 1))
+    assert disjoint_circuit_pairs(g) == []
+
+
+def brute_force_pairs(g):
+    """Disjoint pairs of oracle circuits, as unordered pairs of edge sets."""
+    def vertices(edges):
+        return {x for eid in edges for x in (g.edge(eid).u, g.edge(eid).v)}
+
+    circuits = sorted(circuit_edge_sets(g), key=sorted)
+    return [frozenset((a, b)) for i, a in enumerate(circuits) for b in circuits[i + 1:]
+            if vertices(a).isdisjoint(vertices(b))]
+
+
+def assert_pairs_match_oracle(g):
+    pairs = disjoint_circuit_pairs(g)
+    circuits = enumerate_circuits(g)
+    # the listing order is enumeration order, i < j
+    assert pairs == [(a, b) for i, a in enumerate(circuits) for b in circuits[i + 1:]
+                     if a.vertices.isdisjoint(b.vertices)]
+    expected = brute_force_pairs(g)
+    ours = [frozenset((frozenset(a.edge_ids), frozenset(b.edge_ids))) for a, b in pairs]
+    assert len(ours) == len(expected)
+    assert set(ours) == set(expected)
+
+
+def test_disjoint_pairs_match_oracle_on_random_multigraphs():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        verts = list(range(1, n + 1))
+        pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(0, 12))]
+        assert_pairs_match_oracle(graph_from_pairs(pairs, vertices=verts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=12))
+def test_disjoint_pairs_match_oracle_on_arbitrary_multigraphs(pairs):
+    assert_pairs_match_oracle(graph_from_pairs(pairs, vertices=range(1, 8)))

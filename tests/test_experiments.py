@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import pytest
 
+from linkless import cli, experiments
+from linkless.embedding import EmbeddingError, RetryLimitExceeded
 from linkless.experiments import (
     conway_gordon_experiment,
     edge_swap_check,
@@ -86,3 +91,22 @@ def test_edge_swap_deterministic():
     a = edge_swap_check("k331", trials=10, seed=4).to_json_dict()
     b = edge_swap_check("k331", trials=10, seed=4).to_json_dict()
     assert a == b
+
+
+def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
+    def no_valid_midpoint(*args):
+        raise EmbeddingError("forced failure")
+
+    monkeypatch.setattr(experiments, "reroute_edge", no_valid_midpoint)
+    with pytest.raises(RetryLimitExceeded):
+        edge_swap_check("k6", trials=1, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "_arc_clears_old_path", lambda *args: False)
+    with pytest.raises(RetryLimitExceeded):
+        edge_swap_check("k331", trials=1, seed=0)
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["reroute-check", "K6", "--trials", "1"])
+    assert code == 2
+    assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()

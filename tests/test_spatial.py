@@ -8,6 +8,7 @@ Gauss integral oracle.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,13 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
-from linkless.multigraph import GraphError, complete_graph, graph_from_pairs, k331_graph
+from linkless.multigraph import (
+    GraphError,
+    complete_graph,
+    graph_from_pairs,
+    k331_graph,
+    parse_graph,
+)
 from linkless.omega import (
     loop_pair_link,
     omega_graph,
@@ -32,7 +39,7 @@ from linkless.projection import (
     omega_pair,
     project,
 )
-from oracles import gauss_linking_number
+from oracles import crossing_oracle, gauss_linking_number
 
 TWO_TRIANGLES = graph_from_pairs(
     [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)], name="two-triangles")
@@ -287,3 +294,99 @@ def test_reroute_preserves_omega_k6_sample():
     ))
     after = omega_graph(rerouted, seed=4)
     assert before.total == after.total == 1
+
+
+def scanned_lk(diagram, j, k):
+    """(lk, omega) of J over K by a direct scan of the crossing list."""
+    def signs(c):
+        out = {}
+        for i, eid in enumerate(c.edge_ids):
+            u, _ = diagram.edge_endpoints[eid]
+            out[eid] = 1 if c.vertex_seq[i] == u else -1
+        return out
+
+    sig_j, sig_k = signs(j), signs(k)
+    lk = count = 0
+    for c in diagram.crossings:
+        if c.over_strand in sig_j and c.under_strand in sig_k:
+            lk += c.sign * sig_j[c.over_strand] * sig_k[c.under_strand]
+            count += 1
+    return lk, count & 1
+
+
+def variants(emb, seed):
+    """The embedding, a copy with bent edges, and a rational rescaling.
+
+    Bent edges can cross one edge several times, and rational points
+    exercise denominator clearing.
+    """
+    rng = random.Random(seed)
+    bent = emb
+    for eid in sorted(emb.edge_paths):
+        a, b = emb.path(eid)
+        mid = tuple(Fraction(x + y, 2) + rng.randint(-400000, 400000) for x, y in zip(a, b))
+        try:
+            bent = reroute_edge(bent, eid, (a, mid, b))
+        except EmbeddingError:
+            pass
+    scaled = straight_line_embedding(
+        emb.graph, {v: tuple(c * Fraction(3, 7) for c in p) for v, p in emb.vertex_points.items()})
+    return [emb, bent, scaled]
+
+
+@pytest.mark.parametrize("name,seeds", [("K6", range(4)), ("K3,3,1", range(4)), ("K7", range(2))])
+def test_crossing_matrix_matches_crossing_scan(name, seeds):
+    g = parse_graph(name)
+    pairs = disjoint_circuit_pairs(g)
+    for seed in seeds:
+        for emb in variants(random_embedding(g, seed), seed):
+            for diagram in (regular_projection(emb, seed=seed),
+                            regular_projection(emb, seed=seed + 1)):
+                for j, k in pairs:
+                    for a, b in ((j, k), (k, j)):
+                        lk, om = scanned_lk(diagram, a, b)
+                        assert linking_number(diagram, a, b) == lk
+                        assert omega_pair(diagram, a, b) == om
+
+
+def test_rational_scaling_keeps_crossings_and_lk():
+    # integer and rational coordinates, integer and rational directions:
+    # the kernel clears denominators, which must not move any crossing
+    g = complete_graph(6)
+    pairs = disjoint_circuit_pairs(g)
+    direction = (3, -2, 7)
+    rational_direction = (Fraction(3, 4), Fraction(-1, 2), Fraction(7, 4))
+    for seed in range(4):
+        emb = random_embedding(g, seed)
+        for factor in (Fraction(2, 3), Fraction(7, 5)):
+            scaled = straight_line_embedding(
+                g, {v: tuple(c * factor for c in p) for v, p in emb.vertex_points.items()})
+            da = project(emb, direction)
+            db = project(scaled, rational_direction)
+            assert len(da.crossings) > 0
+            for ca, cb in zip(da.crossings, db.crossings, strict=True):
+                assert (ca.first.strand, ca.first.segment, ca.second.strand,
+                        ca.second.segment, ca.over, ca.sign) == \
+                    (cb.first.strand, cb.first.segment, cb.second.strand,
+                     cb.second.segment, cb.over, cb.sign)
+                assert (ca.first.t, ca.second.t) == (cb.first.t, cb.second.t)
+                # the frame of d/4 is (u/4, v/16), and points scale by factor
+                assert cb.point == (ca.point[0] * factor / 4, ca.point[1] * factor / 16)
+            for j, k in pairs:
+                assert linking_number(da, j, k) == linking_number(db, j, k)
+                assert omega_pair(da, j, k) == omega_pair(db, j, k)
+
+
+@pytest.mark.parametrize("name", ["K6", "K3,3,1", "K7"])
+def test_crossings_match_fraction_oracle(name):
+    g = parse_graph(name)
+    for seed in range(3):
+        for emb in variants(random_embedding(g, seed), seed):
+            diagram = regular_projection(emb, seed=seed)
+            segments = [(eid, i, p, q) for eid, path in sorted(emb.edge_paths.items())
+                        for i, (p, q) in enumerate(zip(path, path[1:]))]
+            ours = {(c.first.strand, c.first.segment, c.first.t,
+                     c.second.strand, c.second.segment, c.second.t, c.over, c.sign)
+                    for c in diagram.crossings}
+            assert len(ours) == len(diagram.crossings)
+            assert ours == crossing_oracle(segments, diagram.direction)
