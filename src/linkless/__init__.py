@@ -3,7 +3,8 @@
 Three coordinated toolsets:
 
 * graph machinery: multigraphs, circuit enumeration, minors with
-  certificates, canonical forms for small graphs;
+  certificates, planarity with certificates, canonical forms for small
+  graphs;
 * the Delta-Y engine generating the seven-graph Petersen family, whose
   members are exactly the minor-minimal intrinsically linked graphs;
 * exact rational PL embeddings with regular projections, diagrammatic
@@ -73,6 +74,7 @@ from .multigraph import (
     petersen_graph,
 )
 from .omega import OmegaReport, omega_graph, regular_projection
+from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
 from .projection import (
     Crossing,
     NonRegularProjection,
@@ -105,6 +107,7 @@ __all__ = [
     "NonRegularProjection",
     "OmegaReport",
     "PetersenFamily",
+    "PlanarCertificate",
     "ProjectedDiagram",
     "RerouteReport",
     "RetryLimitExceeded",
@@ -141,6 +144,8 @@ __all__ = [
     "petersen_closure",
     "petersen_family",
     "petersen_graph",
+    "planar_certificate_errors",
+    "planar_rotation",
     "project",
     "random_embedding",
     "regular_projection",

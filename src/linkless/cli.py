@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .acceptance import run_acceptance
@@ -76,7 +77,9 @@ def _parse_direction(text: str):
         raise UsageError(str(exc)) from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="linkless",
         description="Intrinsic linking: Petersen-family minors and the spatial "

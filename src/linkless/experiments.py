@@ -37,12 +37,6 @@ from .geometry import (
 from .multigraph import GraphError, MultiGraph, complete_graph, k331_graph
 from .omega import _omega_with_pairs, loop_pair_link
 
-EXPERIMENT_GRAPHS = {
-    "k6": complete_graph,
-    "k331": k331_graph,
-}
-
-
 def resolve_experiment_graph(graph: str | MultiGraph) -> MultiGraph:
     if isinstance(graph, MultiGraph):
         return graph

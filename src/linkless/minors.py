@@ -9,20 +9,35 @@ Search effort is metered in nodes; running out of budget raises instead of
 masquerading as a definitive "no".
 
 A graph is intrinsically linked exactly when it has a Petersen-family
-minor, so the classifier runs the seven member searches in a fixed order
-and returns the first witness, a definitive "unlinked", or "unknown" when
-some member search ran out of budget.
+minor.  The classifier works per connected component.  Before any search
+it tries three routes to "unlinked": a size prefilter (fewer than 15
+edges or 6 vertices), a planar host, and an apex host, one with a vertex
+whose deletion leaves it planar, which has a linkless embedding (Sachs
+1983).  The planar and apex routes return a ``PlanarCertificate`` on the
+simplified host, and it is checked with ``planar_certificate_errors``
+before the verdict is returned.  Otherwise it runs the seven member
+searches in a fixed order and returns the first witness, a definitive
+"unlinked", or "unknown" when some member search ran out of budget.
+``LinkVerdict.decided_by`` names the route.
+
+Every member has minimum degree >= 3 and at least 6 vertices, so the host
+reduction is the same for all seven: the classifier simplifies and
+reduces the host once per call, and computes the reduced host's canonical
+form (the failure-cache key) at most once, taking the members' keys from
+the family.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .canonical import VertexLimitExceeded, canonical_form
 from .moves import petersen_family
 from .multigraph import GraphError, MultiGraph
+from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -366,6 +381,69 @@ def clear_minor_cache() -> None:
     _failure_cache.clear()
 
 
+class _ReducedHost:
+    """A host simplified and reduced once, for every target a call searches.
+
+    ``work`` and ``origin`` are ``_reduce_host``'s output for targets of
+    minimum degree >= ``h_min_deg`` with >= ``h_n`` vertices.  The
+    canonical form of ``work`` keys the failure cache; it is computed on
+    the first search that reaches the cache.
+    """
+
+    def __init__(self, g: MultiGraph, gs: MultiGraph, h_min_deg: int, h_n: int):
+        self.g = g
+        self.work, self.origin = _reduce_host(gs, h_min_deg, h_n)
+
+    @cached_property
+    def key(self) -> bytes | None:
+        """canonical_form(work), or None past the canonical-form vertex limit."""
+        try:
+            return canonical_form(self.work)
+        except VertexLimitExceeded:
+            return None
+
+
+def _search_reduced(host: _ReducedHost, hs: MultiGraph, h_key: bytes | None,
+                    budget_limit: int):
+    """Search the reduced host for the simple target hs.
+
+    ``h_key`` is canonical_form(hs) when the caller has it, else None.
+    Returns (model or None, nodes spent).  Raises SearchBudgetExceeded.
+    """
+    work = host.work
+    if hs.n > work.n or hs.m > work.m:
+        return None, 0
+
+    cache_key = None
+    if host.key is not None:
+        cache_key = (host.key, canonical_form(hs) if h_key is None else h_key)
+        if _failure_cache.get(cache_key):
+            return None, 0
+
+    budget = _Budget(budget_limit)
+    sets = _search_branch_sets(work, hs, budget)
+    if sets is None:
+        if cache_key is not None:
+            _failure_cache[cache_key] = True
+        return None, budget.nodes
+
+    g = host.g
+    lifted = {hv: frozenset().union(*(host.origin[w] for w in ws)) for hv, ws in sets.items()}
+    edge_map = {}
+    for he in hs.edges:
+        a, b = lifted[he.u], lifted[he.v]
+        witness = min(
+            (e.id for e in g.edges
+             if not e.is_loop and ((e.u in a and e.v in b) or (e.u in b and e.v in a))),
+        )
+        edge_map[he.id] = witness
+    model = MinorModel(lifted, edge_map)
+    problems = minor_model_errors(g, hs, model)
+    if problems:
+        raise AssertionError(f"search produced an invalid minor model: {problems}")
+    return model, budget.nodes
+
+
 def _has_minor_impl(g: MultiGraph, h: MultiGraph, budget_limit: int):
     """Returns (model or None, nodes spent).  Raises SearchBudgetExceeded."""
     gs = g.simplified()
@@ -382,39 +460,7 @@ def _has_minor_impl(g: MultiGraph, h: MultiGraph, budget_limit: int):
         return MinorModel({min(hs.vertices): frozenset({v})}, {}), 0
 
     h_min_deg = min(hs.degree(v) for v in hs.vertices)
-    work, origin = _reduce_host(gs, h_min_deg, hs.n)
-    if hs.n > work.n or hs.m > work.m:
-        return None, 0
-
-    cache_key = None
-    try:
-        cache_key = (canonical_form(work), canonical_form(hs))
-    except VertexLimitExceeded:
-        pass
-    if cache_key is not None and _failure_cache.get(cache_key):
-        return None, 0
-
-    budget = _Budget(budget_limit)
-    sets = _search_branch_sets(work, hs, budget)
-    if sets is None:
-        if cache_key is not None:
-            _failure_cache[cache_key] = True
-        return None, budget.nodes
-
-    lifted = {hv: frozenset().union(*(origin[w] for w in ws)) for hv, ws in sets.items()}
-    edge_map = {}
-    for he in hs.edges:
-        a, b = lifted[he.u], lifted[he.v]
-        witness = min(
-            (e.id for e in g.edges
-             if not e.is_loop and ((e.u in a and e.v in b) or (e.u in b and e.v in a))),
-        )
-        edge_map[he.id] = witness
-    model = MinorModel(lifted, edge_map)
-    problems = minor_model_errors(g, hs, model)
-    if problems:
-        raise AssertionError(f"search produced an invalid minor model: {problems}")
-    return model, budget.nodes
+    return _search_reduced(_ReducedHost(g, gs, h_min_deg, hs.n), hs, None, budget_limit)
 
 
 def has_minor(g: MultiGraph, h: MultiGraph, budget: int = DEFAULT_BUDGET):
@@ -438,6 +484,8 @@ class LinkVerdict:
     nodes: int
     elapsed: float
     per_member: Mapping[str, str]
+    decided_by: str  # "prefilter" | "planar" | "apex" | "search" | "components"
+    certificate: PlanarCertificate | None = None  # set by the planar and apex routes
 
     @property
     def intrinsically_linked(self) -> bool | None:
@@ -455,8 +503,40 @@ class LinkVerdict:
         return {
             "verdict": self.verdict,
             "witness": witness,
-            "stats": {"nodes": self.nodes, "per_member": dict(self.per_member)},
+            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
+            "stats": {"nodes": self.nodes, "per_member": dict(self.per_member),
+                      "decided_by": self.decided_by},
         }
+
+
+def _planar_or_apex(gs: MultiGraph, host: _ReducedHost) -> PlanarCertificate | None:
+    """A planar or apex certificate for the simple host gs, or None.
+
+    Apex candidates are screened and tested on the reduced host, where
+    degree-1 and degree-2 vertices no longer loosen the edge bound.
+    """
+    rotation = planar_rotation(gs)
+    if rotation is not None:
+        return PlanarCertificate(None, rotation)
+    work = host.work
+    n, m = work.n, work.m
+    for v in sorted(work.vertices, key=lambda v: (-work.degree(v), v)):
+        # a planar graph on n - 1 >= 3 vertices has at most 3(n - 1) - 6 edges
+        if m - work.degree(v) > 3 * (n - 1) - 6 or planar_rotation(work.delete_vertex(v)) is None:
+            continue
+        # Undoing one reduction step keeps an apex among the preimages of an
+        # apex u: a deleted leaf or isolated vertex returns as a pendant or
+        # isolated one, a suppressed degree-2 vertex away from u returns
+        # inside an edge, and when u absorbed a degree-2 vertex, deleting
+        # the endpoint of that edge that is not the degree-2 vertex leaves
+        # it pendant.  So some vertex of gs that v stands for is an apex.
+        for x in sorted(host.origin[v], key=lambda x: (-gs.degree(x), x)):
+            rotation = planar_rotation(gs.delete_vertex(x))
+            if rotation is not None:
+                return PlanarCertificate(x, rotation)
+        raise AssertionError(f"reduced host minus {v} is planar, but no host vertex it "
+                             "stands for is an apex")
+    return None
 
 
 def is_intrinsically_linked(
@@ -464,11 +544,13 @@ def is_intrinsically_linked(
     budget: int = DEFAULT_BUDGET,
     prefilter: bool = True,
 ) -> LinkVerdict:
-    """Decide intrinsic linkedness by Petersen-family minor search.
+    """Decide intrinsic linkedness by certificates, then Petersen-family minor search.
 
-    "linked" comes with a verified witness; "unlinked" means every member
-    search completed with no minor found; "unknown" is reported when some
-    search ran out of budget, never silently.
+    "linked" comes with a verified witness; "unlinked" comes from the size
+    prefilter, a verified planar or apex certificate, or member searches
+    that all completed with no minor found; "unknown" is reported when
+    some search ran out of budget, never silently.  ``prefilter=False``
+    skips the prefilter and the certificates and runs every search.
     """
     start = time.perf_counter()
     components = g.connected_components()
@@ -485,23 +567,43 @@ def is_intrinsically_linked(
                     merged[name] = res
             if sub.verdict == "linked":
                 return LinkVerdict("linked", sub.witness_member, sub.witness_model,
-                                   total_nodes, time.perf_counter() - start, merged)
+                                   total_nodes, time.perf_counter() - start, merged,
+                                   "components")
             if sub.verdict == "unknown":
                 outcome = "unknown"
         return LinkVerdict(outcome, None, None, total_nodes,
-                           time.perf_counter() - start, merged)
+                           time.perf_counter() - start, merged, "components")
 
     gs = g.simplified()
     if prefilter and (gs.m < 15 or gs.n < 6):
-        return LinkVerdict("unlinked", None, None, 0,
-                           time.perf_counter() - start, {"prefilter": "below-threshold"})
+        return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
+                           {"prefilter": "below-threshold"}, "prefilter")
+
+    # Every member has minimum degree >= 3 and >= 6 vertices, so one
+    # reduction of the host serves all seven searches.
+    family = petersen_family()
+    host = _ReducedHost(
+        g, gs,
+        min(min(m.graph.degree(v) for v in m.graph.vertices) for m in family),
+        min(m.graph.n for m in family),
+    )
+    if prefilter:
+        certificate = _planar_or_apex(gs, host)
+        if certificate is not None:
+            route = "planar" if certificate.apex is None else "apex"
+            problems = planar_certificate_errors(g, certificate)
+            if problems:
+                raise AssertionError(f"{route} route produced an invalid certificate: {problems}")
+            return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
+                               {}, route, certificate)
 
     nodes = 0
     per_member: dict[str, str] = {}
     exhausted = False
-    for member in petersen_family():
+    for member in family:
         try:
-            model, spent = _has_minor_impl(g, member.graph, budget)
+            model, spent = _search_reduced(host, member.graph.simplified(), member.canonical,
+                                           budget)
         except SearchBudgetExceeded as exc:
             nodes += exc.nodes
             per_member[member.name] = "budget-exhausted"
@@ -511,11 +613,11 @@ def is_intrinsically_linked(
         if model is not None:
             per_member[member.name] = "found"
             return LinkVerdict("linked", member.name, model, nodes,
-                               time.perf_counter() - start, per_member)
+                               time.perf_counter() - start, per_member, "search")
         per_member[member.name] = "none"
     verdict = "unknown" if exhausted else "unlinked"
     return LinkVerdict(verdict, None, None, nodes,
-                       time.perf_counter() - start, per_member)
+                       time.perf_counter() - start, per_member, "search")
 
 
 @dataclass(frozen=True)

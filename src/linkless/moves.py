@@ -110,13 +110,6 @@ class PetersenFamily:
                 return m
         raise KeyError(name)
 
-    def find(self, g: MultiGraph) -> FamilyMember | None:
-        key = canonical_form(g)
-        for m in self.members:
-            if m.canonical == key:
-                return m
-        return None
-
 
 def petersen_closure(
     seeds: list[MultiGraph],

@@ -94,9 +94,6 @@ class MultiGraph:
         except KeyError:
             raise GraphError(f"unknown edge id {eid}") from None
 
-    def has_edge_id(self, eid: int) -> bool:
-        return eid in self._edge_by_id
-
     def incident(self, v: int) -> tuple[Edge, ...]:
         if v not in self.vertices:
             raise GraphError(f"unknown vertex {v}")

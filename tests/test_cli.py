@@ -1,6 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import linkless
 from linkless.cli import main
+from linkless.multigraph import builtin_graph, format_edge_list, graph_from_pairs
+from linkless.planarity import PlanarCertificate, planar_certificate_errors
+
+SRC = str(Path(linkless.__file__).resolve().parents[1])
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def certificate_from_json(doc):
+    return PlanarCertificate(doc["apex"], {int(v): tuple(order)
+                                           for v, order in doc["rotation"].items()})
 
 
 def run_cli(capsys, *argv):
@@ -167,12 +187,90 @@ def test_reroute_check_subcommand(capsys):
 
 
 def test_classify_unknown_on_tiny_budget(capsys):
-    code, out, _ = run_cli(capsys, "classify", "grid4x4", "--budget", "10")
+    code, out, _ = run_cli(capsys, "classify", "petersen", "--budget", "10")
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "unknown"
     assert doc["witness"] is None
     assert all(v == "budget-exhausted" for v in doc["stats"]["per_member"].values())
+
+
+def test_classify_planar_host_on_tiny_budget(capsys):
+    code, out, _ = run_cli(capsys, "classify", "grid4x4", "--budget", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "unlinked"
+    assert doc["stats"] == {"decided_by": "planar", "nodes": 0, "per_member": {}}
+    certificate = certificate_from_json(doc["certificate"])
+    assert certificate.apex is None
+    assert planar_certificate_errors(builtin_graph("grid4x4"), certificate) == []
+
+
+def test_classify_searched_host_reports_route(capsys):
+    _, out, _ = run_cli(capsys, "classify", "K6")
+    doc = json.loads(out)
+    assert doc["stats"]["decided_by"] == "search"
+    assert doc["certificate"] is None
+
+
+def test_classify_large_wheel(tmp_path, capsys):
+    # 1101 vertices: far past any recursion limit, decided before any search
+    n = 1100
+    wheel = graph_from_pairs([(0, i) for i in range(1, n + 1)]
+                             + [(i, i % n + 1) for i in range(1, n + 1)])
+    path = tmp_path / "wheel.graph"
+    path.write_text(format_edge_list(wheel))
+    code, out, err = run_cli(capsys, "classify", str(path), "--budget", "100000")
+    assert code == 0
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["verdict"] == "unlinked"
+    assert doc["stats"]["decided_by"] == "planar"
+    assert planar_certificate_errors(wheel, certificate_from_json(doc["certificate"])) == []
+
+
+def test_successive_calls_match_first_calls():
+    # one process serves several commands, including a usage error and
+    # --help; each must behave as it does as the first call of a process
+    commands = [
+        ["classify", "K5"],
+        ["classify"],
+        ["omega", "--help"],
+        ["petersen", "list"],
+        ["deltay", "K6", "--triangle", "1,2,3"],
+        ["nonsense"],
+        ["classify", "K3,3,1", "--budget", "100"],
+        ["classify", "K5"],
+    ]
+    driver = """
+import contextlib, io, json, sys
+from linkless.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+    successive = json.loads(run_python(driver, json.dumps(commands)).stdout)
+    for argv, (code, out) in zip(commands, successive):
+        first = json.loads(run_python(driver, json.dumps([argv])).stdout)[0]
+        assert [code, out] == first, argv
+    assert [code for code, _ in successive] == [0, 2, 0, 0, 0, 2, 0, 0]
+
+
+def test_runtime_does_not_import_networkx():
+    probe = """
+import sys
+import linkless
+from linkless.minors import is_intrinsically_linked
+assert is_intrinsically_linked(linkless.builtin_graph("grid4x4")).decided_by == "planar"
+print("networkx" in sys.modules)
+"""
+    result = run_python(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_2(capsys):

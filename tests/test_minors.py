@@ -3,9 +3,12 @@ from itertools import combinations
 
 import pytest
 
+import linkless.minors as minors
+from linkless.canonical import canonical_form
 from linkless.minors import (
     MinorModel,
     SearchBudgetExceeded,
+    _has_minor_impl,
     clear_minor_cache,
     has_minor,
     is_intrinsically_linked,
@@ -19,9 +22,11 @@ from linkless.multigraph import (
     complete_bipartite,
     complete_graph,
     graph_from_pairs,
+    grid_graph,
     parse_graph,
     petersen_graph,
 )
+from linkless.planarity import planar_certificate_errors
 from oracles import has_minor_oracle
 
 
@@ -226,6 +231,119 @@ def test_prefilter_consistency():
         fast = is_intrinsically_linked(g, prefilter=True).verdict
         slow = is_intrinsically_linked(g, prefilter=False).verdict
         assert fast == slow
+
+
+def cone(g):
+    """g plus a new vertex joined to every vertex: an apex graph when g is planar."""
+    top = max(g.vertices) + 1
+    out = g.add_vertex(top)
+    for v in sorted(g.vertices):
+        out = out.add_edge(top, v)
+    return out
+
+
+def test_certified_hosts_have_no_family_minor():
+    # every host of <= 9 vertices certified planar or apex comes back
+    # unlinked from the full search too
+    rng = random.Random(77)
+    wheel = graph_from_pairs([(i, i % 6 + 1) for i in range(1, 7)] + [(7, i) for i in range(1, 7)])
+    bipyramid = wheel.add_vertex(8)
+    for i in range(1, 7):
+        bipyramid = bipyramid.add_edge(8, i)
+    graphs = [bipyramid, cone(wheel), cone(grid_graph(2, 4))]
+    graphs += [random_graph(rng.randint(6, 9), rng.choice([0.45, 0.6, 0.75]), rng)
+               for _ in range(80)]
+    routes = {"planar": 0, "apex": 0}
+    for g in graphs:
+        verdict = is_intrinsically_linked(g)
+        if verdict.decided_by not in routes:
+            continue
+        routes[verdict.decided_by] += 1
+        assert verdict.verdict == "unlinked"
+        assert verdict.per_member == {} and verdict.nodes == 0
+        assert planar_certificate_errors(g, verdict.certificate) == []
+        assert is_intrinsically_linked(g, prefilter=False).verdict == "unlinked"
+    assert routes["planar"] and routes["apex"]
+
+
+def test_decided_by_and_certificate():
+    k5 = is_intrinsically_linked(parse_graph("K5"))
+    assert (k5.decided_by, k5.certificate) == ("prefilter", None)
+    k6 = is_intrinsically_linked(parse_graph("K6"))
+    assert (k6.decided_by, k6.certificate) == ("search", None)
+    grid = parse_graph("grid4x4")
+    planar = is_intrinsically_linked(grid)
+    assert planar.decided_by == "planar" and planar.certificate.apex is None
+    assert planar_certificate_errors(grid, planar.certificate) == []
+    doc = planar.to_json_dict()
+    assert doc["stats"] == {"nodes": 0, "per_member": {}, "decided_by": "planar"}
+    assert doc["certificate"]["apex"] is None
+    assert set(doc["certificate"]["rotation"]) == {str(v) for v in grid.vertices}
+
+    # K3,3,1 minus an edge is apex at its degree-6 vertex 7; with one edge
+    # subdivided it clears the size prefilter
+    near = parse_graph("K3,3,1").delete_edge(0)
+    split = near.edges_between(2, 5)[0]
+    near = near.delete_edge(split.id).add_vertex(8).add_edge(2, 8).add_edge(8, 5)
+    # in a cone over grid3x3 with a spoke subdivided by vertex 0, the
+    # reduction merges apex 100 into vertex 0, which is not an apex itself
+    grid = grid_graph(3, 3)
+    coned = graph_from_pairs([(0, 100), (0, 1)] + [(100, v) for v in range(2, 10)]
+                             + [(e.u, e.v) for e in grid.edges])
+    for g, apex in ((near, 7), (coned, 100)):
+        verdict = is_intrinsically_linked(g)
+        assert verdict.decided_by == "apex" and verdict.verdict == "unlinked"
+        assert verdict.certificate.apex == apex
+        assert planar_certificate_errors(g, verdict.certificate) == []
+        assert verdict.to_json_dict()["certificate"]["apex"] == apex
+
+    two = is_intrinsically_linked(graph_from_pairs([(1, 2), (3, 4)]))
+    assert (two.decided_by, two.certificate) == ("components", None)
+
+
+def test_one_reduction_and_one_host_key_per_call(monkeypatch):
+    # the family members share one reduced host; its canonical form is
+    # computed once and the members' keys come from the family
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(minors, "canonical_form", counting)
+    clear_minor_cache()
+    verdict = is_intrinsically_linked(petersen_graph())
+    assert verdict.witness_member == "petersen"
+    assert calls == [10]
+
+
+def test_shared_host_matches_per_member_search():
+    # node counts, witnesses and cache entries equal those of the seven
+    # member searches run one by one
+    rng = random.Random(9)
+    hosts = [petersen_graph(), parse_graph("K4,4"), grid_graph(3, 4)]
+    hosts += [random_graph(rng.randint(7, 10), 0.55, rng) for _ in range(8)]
+    for g in hosts:
+        clear_minor_cache()
+        verdict = is_intrinsically_linked(g, budget=20_000, prefilter=False)
+        shared_cache = dict(minors._failure_cache)
+        clear_minor_cache()
+        nodes, outcome = 0, {}
+        for member in petersen_family():
+            try:
+                model, spent = _has_minor_impl(g, member.graph, 20_000)
+            except SearchBudgetExceeded as exc:
+                nodes += exc.nodes
+                outcome[member.name] = "budget-exhausted"
+                continue
+            nodes += spent
+            outcome[member.name] = "none" if model is None else "found"
+            if model is not None:
+                assert verdict.witness_model == model
+                break
+        assert verdict.nodes == nodes
+        assert dict(verdict.per_member) == outcome
+        assert shared_cache == minors._failure_cache
 
 
 def test_monotone_under_edge_addition():
