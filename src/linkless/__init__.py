@@ -80,8 +80,6 @@ from .projection import (
     NonRegularProjection,
     ProjectedDiagram,
     linking_number,
-    loop_linking_number,
-    loop_omega,
     omega_pair,
     project,
 )
@@ -133,8 +131,6 @@ __all__ = [
     "is_intrinsically_linked",
     "k331_graph",
     "linking_number",
-    "loop_linking_number",
-    "loop_omega",
     "minor_minimality_report",
     "minor_model_errors",
     "omega_graph",

@@ -53,7 +53,7 @@ def _load_graph(arg: str) -> MultiGraph:
         return parse_graph(arg)
     except GraphParseError as exc:
         raise UsageError(str(exc)) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {arg}: {exc}") from exc
 
 
@@ -227,7 +227,7 @@ def _cmd_omega(args) -> int:
         raise UsageError(f"no such embedding file: {args.embedding}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"embedding file is not valid JSON: {exc}")
     emb = embedding_from_json_dict(doc)
     direction = _parse_direction(args.direction) if args.direction else None
@@ -285,9 +285,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    from .minors import clear_minor_cache
-
-    clear_minor_cache()  # node counts in reports stay invocation-deterministic
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

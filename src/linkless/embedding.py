@@ -250,6 +250,10 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
         edge_doc = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise EmbeddingError(f"embedding document missing field: {exc}") from None
+    if not (isinstance(graph_text, str) and isinstance(vertex_doc, dict)
+            and isinstance(edge_doc, list)):
+        raise EmbeddingError("embedding document needs a graph string, a vertices "
+                             "object and an edges list")
     g = parse_graph(graph_text)
     try:
         points = {int(v): parse_point(p) for v, p in vertex_doc.items()}
@@ -260,9 +264,9 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
         try:
             u, v = entry["u"], entry["v"]
             waypoints = tuple(parse_point(p) for p in entry.get("waypoints", []))
+            candidates = [e for e in g.edges_between(u, v) if e.id not in paths]
         except (KeyError, TypeError) as exc:
             raise EmbeddingError(f"bad edge entry {entry!r}: {exc}") from None
-        candidates = [e for e in g.edges_between(u, v) if e.id not in paths]
         if not candidates:
             raise EmbeddingError(f"edge {u}-{v} not present (or repeated) in graph")
         e = candidates[0]

@@ -26,14 +26,11 @@ from .embedding import (
     EmbeddingError,
     RetryLimitExceeded,
     SpatialEmbedding,
+    _check_paths_disjoint,
     random_embedding,
     reroute_edge,
 )
-from .geometry import (
-    format_point,
-    segments3_intersect,
-    shared_endpoint_segments_overlap,
-)
+from .geometry import format_point
 from .multigraph import GraphError, MultiGraph, complete_graph, k331_graph
 from .omega import _omega_with_pairs, loop_pair_link
 
@@ -138,24 +135,6 @@ class RerouteReport:
         }
 
 
-def _arc_clears_old_path(old_path, pu, midpoint, pv) -> bool:
-    """Whether the detour pu-midpoint-pv meets the old edge path only at
-    the endpoints, so that old path + detour is an embedded closed loop."""
-    new_segs = [(pu, midpoint), (midpoint, pv)]
-    for a, b in zip(old_path, old_path[1:]):
-        for c, d in new_segs:
-            common = {a, b} & {c, d}
-            if common:
-                for s in common:
-                    o1 = b if s == a else a
-                    o2 = d if s == c else c
-                    if shared_endpoint_segments_overlap(s, o1, o2):
-                        return False
-            elif segments3_intersect(a, b, c, d):
-                return False
-    return True
-
-
 _SWAP_GRAPHS = None
 
 
@@ -217,12 +196,10 @@ def edge_swap_check(
                 rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
                 rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
             )
-            # the new arc must also avoid the old path except at the edge
-            # endpoints, otherwise the loop D below is not embedded
-            if not _arc_clears_old_path(old_path, pu, midpoint, pv):
-                retries += 1
-                continue
             try:
+                # the new arc must also meet the old path only at the edge
+                # endpoints, otherwise the loop D below is not embedded
+                _check_paths_disjoint(e, old_path, e, (pu, midpoint, pv), emb.vertex_points)
                 emb2 = reroute_edge(emb, e.id, (pu, midpoint, pv))
                 break
             except EmbeddingError:

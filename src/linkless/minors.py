@@ -21,20 +21,18 @@ searches in a fixed order and returns the first witness, a definitive
 ``LinkVerdict.decided_by`` names the route.
 
 Every member has minimum degree >= 3 and at least 6 vertices, so the host
-reduction is the same for all seven: the classifier simplifies and
-reduces the host once per call, and computes the reduced host's canonical
-form (the failure-cache key) at most once, taking the members' keys from
-the family.
+reduction is the same for all seven: the classifier simplifies the host
+once per call and, unless it is planar, reduces it once for the apex
+route and every member search.  Nothing is remembered between calls, so
+a verdict and its node count depend only on the input.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
-from .canonical import VertexLimitExceeded, canonical_form
 from .moves import petersen_family
 from .multigraph import GraphError, MultiGraph
 from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
@@ -374,61 +372,23 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_failure_cache: dict[tuple[bytes, bytes], bool] = {}
-
-
-def clear_minor_cache() -> None:
-    _failure_cache.clear()
-
-
-class _ReducedHost:
-    """A host simplified and reduced once, for every target a call searches.
-
-    ``work`` and ``origin`` are ``_reduce_host``'s output for targets of
-    minimum degree >= ``h_min_deg`` with >= ``h_n`` vertices.  The
-    canonical form of ``work`` keys the failure cache; it is computed on
-    the first search that reaches the cache.
-    """
-
-    def __init__(self, g: MultiGraph, gs: MultiGraph, h_min_deg: int, h_n: int):
-        self.g = g
-        self.work, self.origin = _reduce_host(gs, h_min_deg, h_n)
-
-    @cached_property
-    def key(self) -> bytes | None:
-        """canonical_form(work), or None past the canonical-form vertex limit."""
-        try:
-            return canonical_form(self.work)
-        except VertexLimitExceeded:
-            return None
-
-
-def _search_reduced(host: _ReducedHost, hs: MultiGraph, h_key: bytes | None,
-                    budget_limit: int):
+def _search_reduced(g: MultiGraph, work: MultiGraph, origin: Mapping[int, frozenset[int]],
+                    hs: MultiGraph, budget_limit: int):
     """Search the reduced host for the simple target hs.
 
-    ``h_key`` is canonical_form(hs) when the caller has it, else None.
-    Returns (model or None, nodes spent).  Raises SearchBudgetExceeded.
+    ``work`` and ``origin`` are ``_reduce_host``'s output for the host g;
+    a found model is lifted back to g and checked there.  Returns
+    (model or None, nodes spent).  Raises SearchBudgetExceeded.
     """
-    work = host.work
     if hs.n > work.n or hs.m > work.m:
         return None, 0
-
-    cache_key = None
-    if host.key is not None:
-        cache_key = (host.key, canonical_form(hs) if h_key is None else h_key)
-        if _failure_cache.get(cache_key):
-            return None, 0
 
     budget = _Budget(budget_limit)
     sets = _search_branch_sets(work, hs, budget)
     if sets is None:
-        if cache_key is not None:
-            _failure_cache[cache_key] = True
         return None, budget.nodes
 
-    g = host.g
-    lifted = {hv: frozenset().union(*(host.origin[w] for w in ws)) for hv, ws in sets.items()}
+    lifted = {hv: frozenset().union(*(origin[w] for w in ws)) for hv, ws in sets.items()}
     edge_map = {}
     for he in hs.edges:
         a, b = lifted[he.u], lifted[he.v]
@@ -460,7 +420,8 @@ def _has_minor_impl(g: MultiGraph, h: MultiGraph, budget_limit: int):
         return MinorModel({min(hs.vertices): frozenset({v})}, {}), 0
 
     h_min_deg = min(hs.degree(v) for v in hs.vertices)
-    return _search_reduced(_ReducedHost(g, gs, h_min_deg, hs.n), hs, None, budget_limit)
+    work, origin = _reduce_host(gs, h_min_deg, hs.n)
+    return _search_reduced(g, work, origin, hs, budget_limit)
 
 
 def has_minor(g: MultiGraph, h: MultiGraph, budget: int = DEFAULT_BUDGET):
@@ -509,16 +470,14 @@ class LinkVerdict:
         }
 
 
-def _planar_or_apex(gs: MultiGraph, host: _ReducedHost) -> PlanarCertificate | None:
-    """A planar or apex certificate for the simple host gs, or None.
+def _apex_certificate(gs: MultiGraph, work: MultiGraph,
+                      origin: Mapping[int, frozenset[int]]) -> PlanarCertificate | None:
+    """An apex certificate for the simple, non-planar host gs, or None.
 
-    Apex candidates are screened and tested on the reduced host, where
-    degree-1 and degree-2 vertices no longer loosen the edge bound.
+    Apex candidates are screened and tested on the reduced host ``work``
+    (with ``origin`` from ``_reduce_host``), where degree-1 and degree-2
+    vertices no longer loosen the edge bound.
     """
-    rotation = planar_rotation(gs)
-    if rotation is not None:
-        return PlanarCertificate(None, rotation)
-    work = host.work
     n, m = work.n, work.m
     for v in sorted(work.vertices, key=lambda v: (-work.degree(v), v)):
         # a planar graph on n - 1 >= 3 vertices has at most 3(n - 1) - 6 edges
@@ -530,13 +489,23 @@ def _planar_or_apex(gs: MultiGraph, host: _ReducedHost) -> PlanarCertificate | N
         # inside an edge, and when u absorbed a degree-2 vertex, deleting
         # the endpoint of that edge that is not the degree-2 vertex leaves
         # it pendant.  So some vertex of gs that v stands for is an apex.
-        for x in sorted(host.origin[v], key=lambda x: (-gs.degree(x), x)):
+        for x in sorted(origin[v], key=lambda x: (-gs.degree(x), x)):
             rotation = planar_rotation(gs.delete_vertex(x))
             if rotation is not None:
                 return PlanarCertificate(x, rotation)
         raise AssertionError(f"reduced host minus {v} is planar, but no host vertex it "
                              "stands for is an apex")
     return None
+
+
+def _certified(g: MultiGraph, certificate: PlanarCertificate, start: float) -> LinkVerdict:
+    """The "unlinked" verdict of a planar or apex certificate, checked against g."""
+    route = "planar" if certificate.apex is None else "apex"
+    problems = planar_certificate_errors(g, certificate)
+    if problems:
+        raise AssertionError(f"{route} route produced an invalid certificate: {problems}")
+    return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
+                       {}, route, certificate)
 
 
 def is_intrinsically_linked(
@@ -579,31 +548,30 @@ def is_intrinsically_linked(
         return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
                            {"prefilter": "below-threshold"}, "prefilter")
 
+    if prefilter:
+        rotation = planar_rotation(gs)
+        if rotation is not None:
+            return _certified(g, PlanarCertificate(None, rotation), start)
+
     # Every member has minimum degree >= 3 and >= 6 vertices, so one
-    # reduction of the host serves all seven searches.
+    # reduction of the host serves the apex route and all seven searches.
     family = petersen_family()
-    host = _ReducedHost(
-        g, gs,
+    work, origin = _reduce_host(
+        gs,
         min(min(m.graph.degree(v) for v in m.graph.vertices) for m in family),
         min(m.graph.n for m in family),
     )
     if prefilter:
-        certificate = _planar_or_apex(gs, host)
+        certificate = _apex_certificate(gs, work, origin)
         if certificate is not None:
-            route = "planar" if certificate.apex is None else "apex"
-            problems = planar_certificate_errors(g, certificate)
-            if problems:
-                raise AssertionError(f"{route} route produced an invalid certificate: {problems}")
-            return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
-                               {}, route, certificate)
+            return _certified(g, certificate, start)
 
     nodes = 0
     per_member: dict[str, str] = {}
     exhausted = False
     for member in family:
         try:
-            model, spent = _search_reduced(host, member.graph.simplified(), member.canonical,
-                                           budget)
+            model, spent = _search_reduced(g, work, origin, member.graph.simplified(), budget)
         except SearchBudgetExceeded as exc:
             nodes += exc.nodes
             per_member[member.name] = "budget-exhausted"

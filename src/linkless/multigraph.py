@@ -356,7 +356,7 @@ def parse_edge_list(text: str, name: str | None = None) -> MultiGraph:
             f"{len(mentioned)} distinct vertices in edges but header says {n}")
     if len(mentioned) == n:
         vertices: set[int] = set(mentioned)
-    elif mentioned <= set(range(1, n + 1)):
+    elif all(1 <= u <= n for u in mentioned):
         vertices = set(range(1, n + 1))
     else:
         raise GraphParseError(

@@ -30,9 +30,9 @@ from .projection import (
     NonRegularProjection,
     ProjectedDiagram,
     linking_number,
-    loop_crossings,
     omega_pair,
     project,
+    strand_crossings,
 )
 
 DEFAULT_DIRECTION: Point3 = (0, 0, 1)
@@ -164,13 +164,14 @@ def loop_pair_link(
         if tried > attempts:
             break
         try:
-            crossings = loop_crossings(loop_a, loop_b, d)
+            crossings = strand_crossings([(0, loop_a, True), (1, loop_b, True)], d)
         except NonRegularProjection:
             continue
-        lk = sum(c.sign for c in crossings
-                 if c.over_strand == 0 and c.under_strand == 1)
-        om = sum(1 for c in crossings
-                 if c.over_strand == 0 and c.under_strand == 1) & 1
-        return lk, om
+        lk = count = 0
+        for c in crossings:
+            if c.over_strand == 0 and c.under_strand == 1:
+                lk += c.sign
+                count += 1
+        return lk, count & 1
     raise RetryLimitExceeded(
         f"no regular projection for the loop pair in {attempts} attempts")

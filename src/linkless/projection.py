@@ -236,15 +236,6 @@ class ProjectedDiagram:
             row[c.under_strand] = (signed + c.sign, count + 1)
         return matrix
 
-    def crossings_between(self, edges_a: frozenset[int], edges_b: frozenset[int]):
-        """Crossings with one strand in each edge set, in diagram order."""
-        out = []
-        for c in self.crossings:
-            ka, kb = c.first.strand, c.second.strand
-            if (ka in edges_a and kb in edges_b) or (ka in edges_b and kb in edges_a):
-                out.append(c)
-        return out
-
 
 def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
     """Project an embedding along a direction; the projection must be regular."""
@@ -312,28 +303,3 @@ def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
                     count += cell[1]
     return count & 1
 
-
-def loop_crossings(
-    loop_a: Sequence[Point3],
-    loop_b: Sequence[Point3],
-    direction: Point3,
-) -> tuple[Crossing, ...]:
-    """Crossings between two disjoint closed polylines (strands 0 and 1)."""
-    return strand_crossings([(0, loop_a, True), (1, loop_b, True)], direction)
-
-
-def loop_linking_number(loop_a, loop_b, direction) -> int:
-    """lk of two closed polylines, oriented by their point order."""
-    total = 0
-    for c in loop_crossings(loop_a, loop_b, direction):
-        if c.over_strand == 0 and c.under_strand == 1:
-            total += c.sign
-    return total
-
-
-def loop_omega(loop_a, loop_b, direction) -> int:
-    count = 0
-    for c in loop_crossings(loop_a, loop_b, direction):
-        if c.over_strand == 0 and c.under_strand == 1:
-            count += 1
-    return count & 1

@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from functools import cache
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkless
 from linkless.cli import main
+from linkless.embedding import embedding_to_json_dict, random_embedding
 from linkless.multigraph import builtin_graph, format_edge_list, graph_from_pairs
 from linkless.planarity import PlanarCertificate, planar_certificate_errors
 
@@ -308,3 +317,140 @@ def test_acceptance_reduced_scale(capsys):
     assert doc["pass"] is True
     assert len(doc["criteria"]) == 8
     assert err.count("PASS") == 8
+
+
+# -- fuzzing: any document gives exit 0, 1 or 2 and never an exception -------
+
+_COUNTS = st.integers(0, 40)
+_HEADERS = st.one_of(
+    st.tuples(_COUNTS, _COUNTS).map(lambda nm: f"{nm[0]} {nm[1]}"),
+    st.sampled_from(["", "3", "x 2", "3 y", "-1 0", "2 -1", "1 2 3", "2.5 1",
+                     "0x3 1", "# 3 2", "3,2", "K4", "petersen 2"]),
+)
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(-2, 42), st.integers(-2, 42)).map(lambda uv: f"{uv[0]} {uv[1]}"),
+    st.sampled_from(["", "1", "1 2 3", "a b", "# note", "1 x", "  7   8  ", "2\t3"]),
+)
+
+
+@st.composite
+def _edge_list_documents(draw):
+    if draw(st.booleans()):
+        # a well-formed document, so that the commands get past parsing
+        n = draw(st.integers(1, 12))
+        vertex = st.integers(1, n)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+        lines = [f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs]
+    else:
+        lines = [draw(_HEADERS)] + draw(st.lists(_EDGE_LINES, max_size=40))
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _base_embedding_bytes() -> bytes:
+    # an unnamed K6, so that its graph is stored as an edge-list document
+    k6 = graph_from_pairs([(u, v) for u in range(1, 7) for v in range(u + 1, 7)])
+    emb = random_embedding(k6, 1)
+    return json.dumps(embedding_to_json_dict(emb), sort_keys=True, indent=2).encode()
+
+
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(0, 10**6), st.integers(0, 255)),
+    min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for kind, where, byte in mutations:
+        i = where % (len(buf) + 1)
+        if kind == "insert":
+            buf.insert(i, byte)
+        elif i < len(buf):
+            if kind == "replace":
+                buf[i] = byte
+            else:
+                del buf[i]
+    return bytes(buf)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.text("0123456789/- Kx\n", max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["u", "v", "waypoints", "1", "x"]), inner, max_size=3),
+    max_leaves=5)
+
+
+def _replace_value(doc, slot: int, value):
+    """A copy of the JSON document whose slot-th value (pre-order, wrapping) is value."""
+    doc = copy.deepcopy(doc)
+    slots = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, list):
+            children = enumerate(node)
+        else:
+            return
+        for key, child in children:
+            slots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    node, key = slots[slot % len(slots)]
+    node[key] = value
+    return doc
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_edge_list_documents(), budget=st.integers(0, 200),
+       command=st.sampled_from(["classify", "minor-host", "minor-target", "deltay"]))
+def test_cli_survives_edge_list_documents(doc, budget, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.graph")
+        with open(path, "w") as fh:
+            fh.write(doc)
+        argv = {
+            "classify": ["classify", path, "--budget", str(budget)],
+            "minor-host": ["minor", path, "K4", "--budget", str(budget)],
+            "minor-target": ["minor", "K6", path, "--budget", str(budget)],
+            "deltay": ["deltay", path, "--triangle", "1,2,3"],
+        }[command]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=_MUTATIONS)
+def test_cli_survives_mutated_embedding_json(mutations):
+    data = _mutate(_base_embedding_bytes(), mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _quiet_main(["omega", path]) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot=st.integers(0, 10**4), value=_JSON_VALUES)
+def test_cli_survives_retyped_embedding_json(slot, value):
+    doc = _replace_value(json.loads(_base_embedding_bytes()), slot, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert _quiet_main(["omega", path]) in (0, 1, 2)
+
+
+def test_non_utf8_files_are_input_errors(tmp_path, capsys):
+    for name, argv in (("g.graph", ["classify"]), ("e.json", ["omega"])):
+        path = tmp_path / name
+        path.write_bytes(b"\x80\xff 3 2\n")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")

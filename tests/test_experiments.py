@@ -1,10 +1,11 @@
 import contextlib
 import io
+import types
 
 import pytest
 
 from linkless import cli, experiments
-from linkless.embedding import EmbeddingError, RetryLimitExceeded
+from linkless.embedding import EmbeddingError, RetryLimitExceeded, SpatialEmbedding
 from linkless.experiments import (
     conway_gordon_experiment,
     edge_swap_check,
@@ -101,7 +102,7 @@ def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check("k6", trials=1, seed=0)
     monkeypatch.undo()
-    monkeypatch.setattr(experiments, "_arc_clears_old_path", lambda *args: False)
+    monkeypatch.setattr(experiments, "_check_paths_disjoint", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check("k331", trials=1, seed=0)
 
@@ -110,3 +111,33 @@ def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
         code = cli.main(["reroute-check", "K6", "--trials", "1"])
     assert code == 2
     assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+class _ScriptedRandom:
+    """Stands in for random.Random: edge index 0, then the given coordinates."""
+
+    def __init__(self, coords):
+        self._coords = iter(coords)
+
+    def randrange(self, n):
+        return 0
+
+    def randint(self, lo, hi):
+        return next(self._coords)
+
+
+def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
+    # the detour through an interior waypoint of the old path would make the
+    # loop D = old path + detour pass through that point twice
+    g = complete_graph(6)
+    points = {1: (0, 0, 0), 2: (10, 0, 0), 3: (3, -20, 7), 4: (-9, 13, -11),
+              5: (17, 4, 23), 6: (6, -8, -31)}
+    paths = {e.id: (points[e.u], points[e.v]) for e in g.edges}
+    paths[0] = ((0, 0, 0), (2, 5, 0), (5, 7, 1), (8, 5, 0), (10, 0, 0))
+    emb = SpatialEmbedding(g, points, paths)
+    coords = [5, 7, 1, 5, -3, 40]
+    monkeypatch.setattr(experiments, "random",
+                        types.SimpleNamespace(Random=lambda seed: _ScriptedRandom(coords)))
+    report = edge_swap_check(emb, trials=1, seed=0)
+    assert report.reroute_retries == 1
+    assert report.passed

@@ -1,15 +1,14 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-import linkless.minors as minors
-from linkless.canonical import canonical_form
+import linkless.canonical as canonical
 from linkless.minors import (
     MinorModel,
     SearchBudgetExceeded,
     _has_minor_impl,
-    clear_minor_cache,
     has_minor,
     is_intrinsically_linked,
     minor_minimality_report,
@@ -84,16 +83,40 @@ def test_disconnected_target_rejected():
 
 
 def test_budget_exhaustion_is_loud():
-    clear_minor_cache()  # a cached definitive failure would short-circuit
     with pytest.raises(SearchBudgetExceeded):
         has_minor(parse_graph("grid4x4"), complete_graph(6), budget=50)
 
 
-def test_definitive_failures_are_cached():
-    clear_minor_cache()
+def test_budget_holds_after_a_definitive_failure():
+    # an exhaustive "no" is not remembered: the same search under a tiny
+    # budget runs out again instead of answering from an earlier call
     assert has_minor(parse_graph("grid4x4"), complete_graph(6)) is None
-    # the cached verdict now answers instantly, even under a tiny budget
-    assert has_minor(parse_graph("grid4x4"), complete_graph(6), budget=1) is None
+    with pytest.raises(SearchBudgetExceeded):
+        has_minor(parse_graph("grid4x4"), complete_graph(6), budget=1)
+
+
+def _k5_bridge_k5(offset=0):
+    # two K5s joined by one edge: neither planar nor apex, so it is searched
+    pairs = [(u, v) for side in (0, 5) for u, v in combinations(range(1 + side, 6 + side), 2)]
+    pairs.append((5, 6))
+    return [(u + offset, v + offset) for u, v in pairs]
+
+
+def test_node_counts_do_not_depend_on_earlier_calls():
+    g = graph_from_pairs(_k5_bridge_k5())
+    assert (g.n, g.m) == (10, 21)
+    first = is_intrinsically_linked(g)
+    second = is_intrinsically_linked(g)
+    assert (first.verdict, first.decided_by, first.nodes) == ("unlinked", "search", 15572)
+    assert second.to_json_dict() == first.to_json_dict()
+
+
+def test_repeated_components_each_pay_their_own_search():
+    one = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5()))
+    twins = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5() + _k5_bridge_k5(10)))
+    assert (twins.verdict, twins.decided_by) == ("unlinked", "components")
+    assert twins.nodes == 2 * one.nodes == 31144
+    assert twins.per_member == one.per_member
 
 
 def test_verify_rejects_bad_models():
@@ -301,33 +324,33 @@ def test_decided_by_and_certificate():
     assert (two.decided_by, two.certificate) == ("components", None)
 
 
-def test_one_reduction_and_one_host_key_per_call(monkeypatch):
-    # the family members share one reduced host; its canonical form is
-    # computed once and the members' keys come from the family
+def test_classify_computes_no_canonical_form(monkeypatch):
+    # the family members share one reduced host and nothing is keyed on
+    # it; the family itself is built (and keyed) once, before counting
+    petersen_family()
     calls = []
 
     def counting(g):
         calls.append(g.n)
-        return canonical_form(g)
+        return original(g)
 
-    monkeypatch.setattr(minors, "canonical_form", counting)
-    clear_minor_cache()
+    original = canonical.canonical_form
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linkless") and getattr(module, "canonical_form", None) is original:
+            monkeypatch.setattr(module, "canonical_form", counting)
     verdict = is_intrinsically_linked(petersen_graph())
     assert verdict.witness_member == "petersen"
-    assert calls == [10]
+    assert calls == []
 
 
 def test_shared_host_matches_per_member_search():
-    # node counts, witnesses and cache entries equal those of the seven
-    # member searches run one by one
+    # node counts and witnesses equal those of the seven member searches
+    # run one by one
     rng = random.Random(9)
     hosts = [petersen_graph(), parse_graph("K4,4"), grid_graph(3, 4)]
     hosts += [random_graph(rng.randint(7, 10), 0.55, rng) for _ in range(8)]
     for g in hosts:
-        clear_minor_cache()
         verdict = is_intrinsically_linked(g, budget=20_000, prefilter=False)
-        shared_cache = dict(minors._failure_cache)
-        clear_minor_cache()
         nodes, outcome = 0, {}
         for member in petersen_family():
             try:
@@ -343,7 +366,6 @@ def test_shared_host_matches_per_member_search():
                 break
         assert verdict.nodes == nodes
         assert dict(verdict.per_member) == outcome
-        assert shared_cache == minors._failure_cache
 
 
 def test_monotone_under_edge_addition():

@@ -1,5 +1,6 @@
 import pytest
 
+import linkless.multigraph as multigraph
 from linkless.multigraph import (
     Edge,
     GraphError,
@@ -66,6 +67,18 @@ def test_parse_edge_list_isolated_inference():
     assert g.vertices == frozenset({1, 2, 3, 4})
     with pytest.raises(GraphParseError):
         parse_edge_list("4 1\n10 20")  # cannot tell which isolated ids exist
+
+
+def test_rejected_huge_header_builds_no_vertex_range(monkeypatch):
+    # the ids are checked against 1..n without materializing 1..n
+    def small_range(*args):
+        r = range(*args)
+        assert len(r) <= 1000, "parser materialized a range of the header's size"
+        return r
+
+    monkeypatch.setattr(multigraph, "range", small_range, raising=False)
+    with pytest.raises(GraphParseError, match="not all in 1..n"):
+        parse_edge_list("1000000000000 1\n0 5\n")
 
 
 @pytest.mark.parametrize("doc", ["", "x y", "2 1\n1", "2 1\n1 2\n2 1", "2 a\n1 2"])
