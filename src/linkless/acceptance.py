@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 from .canonical import canonical_form
 from .experiments import conway_gordon_experiment, edge_swap_check
@@ -158,57 +159,47 @@ def criterion_6_minor_minimality() -> CriterionResult:
 
 def _brute_iso_key(g: MultiGraph) -> tuple:
     """Isomorphism key by brute force over all permutations; isolated
-    vertices are ignored so the key matches the minor notion."""
-    from itertools import permutations
+    vertices are ignored so the key matches the minor notion.
 
-    gs = g.simplified()
-    verts = sorted(v for v in gs.vertices if gs.degree(v) > 0)
-    n = len(verts)
-    edges = [(e.u, e.v) for e in gs.edges]
+    The key is (active vertex count, smallest relabelled edge list).
+    """
+    return _brute_iso_key_of_pairs(tuple(sorted(e.pair() for e in g.simplified().edges)))
+
+
+@cache
+def _brute_iso_key_of_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple:
+    # Remembered for the life of the process: the oracle meets the same
+    # labelled graphs again within one search and across searches.
+    verts = sorted({v for pair in pairs for v in pair})
     best = None
-    for perm in permutations(range(n)):
-        pos = {v: perm[i] for i, v in enumerate(verts)}
-        key = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in edges))
+    for perm in permutations(range(len(verts))):
+        pos = dict(zip(verts, perm))
+        key = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in pairs))
         if best is None or key < best:
             best = key
-    return (n, best if best is not None else ())
-
-
-_iso_key_cache: dict[tuple, tuple] = {}
-
-
-def _cached_iso_key(g: MultiGraph) -> tuple:
-    label = (frozenset(v for v in g.vertices if g.degree(v) > 0),
-             tuple(sorted(e.pair() for e in g.simplified().edges)))
-    key = _iso_key_cache.get(label)
-    if key is None:
-        key = _brute_iso_key(g)
-        _iso_key_cache[label] = key
-    return key
+    return (len(verts), best)
 
 
 def _delete_contract_oracle(g: MultiGraph, h: MultiGraph) -> bool:
     """Exhaustive minor check by applying all delete/contract sequences.
 
-    Independent of the branch-set engine: plain breadth search over
-    intermediate graphs, deduplicated by the brute-force key above.
+    Independent of the branch-set engine: plain search over intermediate
+    graphs, deduplicated by the brute-force key above, pruning graphs with
+    fewer edges or active vertices than h.
     """
-    target = _cached_iso_key(h)
-    hs = h.simplified()
-    h_active = len([v for v in hs.vertices if hs.degree(v) > 0])
+    target = _brute_iso_key(h)
+    h_active, h_edges = target[0], len(target[1])
     seen = set()
     stack = [g.simplified()]
     while stack:
         cur = stack.pop()
-        key = _cached_iso_key(cur)
+        key = _brute_iso_key(cur)
         if key in seen:
             continue
         seen.add(key)
         if key == target:
             return True
-        if cur.m < hs.m:
-            continue
-        if len([v for v in cur.vertices if cur.degree(v) > 0]) < h_active:
+        if len(key[1]) < h_edges or key[0] < h_active:
             continue
         for e in cur.edges:
             stack.append(cur.delete_edge(e.id))

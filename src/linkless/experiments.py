@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .canonical import canonical_form
 from .circuits import disjoint_circuit_pairs
@@ -135,15 +136,10 @@ class RerouteReport:
         }
 
 
-_SWAP_GRAPHS = None
-
-
-def _swap_graph_keys():
-    global _SWAP_GRAPHS
-    if _SWAP_GRAPHS is None:
-        _SWAP_GRAPHS = {canonical_form(complete_graph(6)),
-                        canonical_form(k331_graph())}
-    return _SWAP_GRAPHS
+@cache
+def _swap_graph_keys() -> frozenset:
+    """Canonical forms of K6 and K3,3,1, computed once per process."""
+    return frozenset({canonical_form(complete_graph(6)), canonical_form(k331_graph())})
 
 
 def edge_swap_check(

@@ -93,30 +93,20 @@ def orient2d(a: Point2, b: Point2, c: Point2) -> Rat:
 # -- 3D incidence predicates ---------------------------------------------------
 
 
-def point_on_segment3(x: Point3, a: Point3, b: Point3, interior_only: bool = False) -> bool:
-    """Whether x lies on segment ab (optionally excluding the endpoints)."""
+def point_on_segment3(x: Point3, a: Point3, b: Point3) -> bool:
+    """Whether x lies on the closed segment ab."""
     ab = sub3(b, a)
     ax = sub3(x, a)
     if not is_zero3(cross3(ab, ax)):
         return False
     t = dot3(ax, ab)
-    length = dot3(ab, ab)
-    if interior_only:
-        return 0 < t < length
-    return 0 <= t <= length
+    return 0 <= t <= dot3(ab, ab)
 
 
 def _overlap_1d(a1: Rat, a2: Rat, b1: Rat, b2: Rat) -> bool:
     lo1, hi1 = (a1, a2) if a1 <= a2 else (a2, a1)
     lo2, hi2 = (b1, b2) if b1 <= b2 else (b2, b1)
     return max(lo1, lo2) <= min(hi1, hi2)
-
-
-def point_on_segment2(m: Point2, a: Point2, b: Point2) -> bool:
-    """Whether m lies on the closed 2D segment ab."""
-    if orient2d(a, b, m) != 0:
-        return False
-    return _overlap_1d(a[0], b[0], m[0], m[0]) and _overlap_1d(a[1], b[1], m[1], m[1])
 
 
 def segments2_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:

@@ -448,14 +448,6 @@ class LinkVerdict:
     decided_by: str  # "prefilter" | "planar" | "apex" | "search" | "components"
     certificate: PlanarCertificate | None = None  # set by the planar and apex routes
 
-    @property
-    def intrinsically_linked(self) -> bool | None:
-        if self.verdict == "linked":
-            return True
-        if self.verdict == "unlinked":
-            return False
-        return None
-
     def to_json_dict(self) -> dict:
         witness = None
         if self.witness_model is not None:

@@ -22,6 +22,20 @@ class GraphParseError(GraphError):
     """A graph document or builtin name could not be parsed."""
 
 
+# Largest n + m that an edge-list document or a builtin family (complete,
+# complete bipartite, grid) may ask for.  Their sizes come from outside the
+# program, and a few bytes ("1000000000 0", "K100000") would otherwise ask
+# for billions of vertices or edges.
+MAX_GRAPH_SIZE = 10**6
+
+
+def _check_size(n: int, m: int, what: str) -> None:
+    if n + m > MAX_GRAPH_SIZE:
+        raise GraphParseError(
+            f"{what} would have {n} vertices and {m} edges; "
+            f"n + m may be at most {MAX_GRAPH_SIZE}")
+
+
 class Edge(NamedTuple):
     id: int
     u: int
@@ -251,6 +265,7 @@ def complete_graph(n: int) -> MultiGraph:
     """K_n on vertices 1..n."""
     if n < 0:
         raise GraphParseError("complete graph needs n >= 0")
+    _check_size(n, n * (n - 1) // 2, f"K{n}")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return graph_from_pairs(pairs, vertices=range(1, n + 1), name=f"K{n}")
 
@@ -259,6 +274,7 @@ def complete_bipartite(a: int, b: int) -> MultiGraph:
     """K_{a,b} with parts 1..a and a+1..a+b."""
     if a < 0 or b < 0:
         raise GraphParseError("complete bipartite graph needs a, b >= 0")
+    _check_size(a + b, a * b, f"K{a},{b}")
     pairs = [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)]
     return graph_from_pairs(pairs, vertices=range(1, a + b + 1), name=f"K{a},{b}")
 
@@ -282,6 +298,7 @@ def grid_graph(rows: int, cols: int) -> MultiGraph:
     """Rows x cols planar grid, vertices numbered row-major from 1."""
     if rows < 1 or cols < 1:
         raise GraphParseError("grid needs positive dimensions")
+    _check_size(rows * cols, rows * (cols - 1) + (rows - 1) * cols, f"grid{rows}x{cols}")
 
     def vid(r: int, c: int) -> int:
         return r * cols + c + 1
@@ -324,7 +341,8 @@ def parse_edge_list(text: str, name: str | None = None) -> MultiGraph:
 
     Vertex ids are arbitrary integers.  If fewer than n distinct ids appear
     in the edge lines, the missing (isolated) vertices can only be inferred
-    when all ids lie in 1..n; otherwise the document is rejected.
+    when all ids lie in 1..n; otherwise the document is rejected.  So is a
+    header whose n + m exceeds MAX_GRAPH_SIZE, before the graph is built.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -354,13 +372,11 @@ def parse_edge_list(text: str, name: str | None = None) -> MultiGraph:
     if len(mentioned) > n:
         raise GraphParseError(
             f"{len(mentioned)} distinct vertices in edges but header says {n}")
-    if len(mentioned) == n:
-        vertices: set[int] = set(mentioned)
-    elif all(1 <= u <= n for u in mentioned):
-        vertices = set(range(1, n + 1))
-    else:
+    if len(mentioned) < n and not all(1 <= u <= n for u in mentioned):
         raise GraphParseError(
             "cannot infer isolated vertex ids: ids are not all in 1..n")
+    _check_size(n, m, "the graph document")
+    vertices = mentioned if len(mentioned) == n else range(1, n + 1)
     return graph_from_pairs(pairs, vertices=vertices, name=name)
 
 

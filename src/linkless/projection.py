@@ -265,12 +265,7 @@ def _check_disjoint(j: Circuit, k: Circuit) -> None:
         raise GraphError("circuits share a vertex; linking is undefined")
 
 
-def linking_number(
-    diagram: ProjectedDiagram,
-    j: Circuit,
-    k: Circuit,
-    orientations: tuple[int, int] = (1, 1),
-) -> int:
+def linking_number(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K): signed count of crossings where J passes over K."""
     _check_disjoint(j, k)
     sig_j = _traversal_signs(diagram, j)
@@ -284,7 +279,7 @@ def linking_number(
                 cell = row.get(f)
                 if cell:
                     total += cell[0] * sign_e * sign_f
-    return total * orientations[0] * orientations[1]
+    return total
 
 
 def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:

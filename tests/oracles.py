@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: circuits
 are found by checking every vertex subset for Hamiltonian cycles,
-isomorphism keys come from trying all vertex permutations, minors from
-exhaustive delete/contract search, crossings from solving each segment
-pair in Fractions, and linking numbers from the numeric Gauss integral.
+crossings from solving each segment pair in Fractions, and linking numbers
+from the numeric Gauss integral.  The exhaustive delete/contract minor
+oracle and its all-permutations isomorphism key ship with acceptance
+criterion 7 in ``linkless.acceptance``; tests import them from there.
 """
 
 from __future__ import annotations
@@ -65,71 +66,6 @@ def circuit_edge_sets(g: MultiGraph) -> set[frozenset[int]]:
 
                 expand(0, [])
     return found
-
-
-def brute_canonical(g: MultiGraph) -> tuple:
-    """Isomorphism key by minimizing the edge set over all permutations.
-
-    Isolated vertices are dropped first, so graphs that differ only by
-    isolated vertices compare equal (the natural notion for minors).
-    """
-    gs = g.simplified()
-    verts = sorted(v for v in gs.vertices if gs.degree(v) > 0)
-    n = len(verts)
-    edges = [(e.u, e.v) for e in gs.edges]
-    best = None
-    for perm in permutations(range(n)):
-        pos = {v: perm[i] for i, v in enumerate(verts)}
-        key = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in edges))
-        if best is None or key < best:
-            best = key
-    return (n, best if best is not None else ())
-
-
-_oracle_canon_cache: dict[tuple, tuple] = {}
-
-
-def _cached_canon(g: MultiGraph) -> tuple:
-    label = (frozenset(v for v in g.vertices if g.degree(v) > 0),
-             tuple(sorted(e.pair() for e in g.simplified().edges)))
-    key = _oracle_canon_cache.get(label)
-    if key is None:
-        key = brute_canonical(g)
-        _oracle_canon_cache[label] = key
-    return key
-
-
-def has_minor_oracle(g: MultiGraph, h: MultiGraph) -> bool:
-    """Exhaustive minor test: apply all delete/contract sequences.
-
-    Deduplicates intermediate graphs by the brute-force isomorphism key;
-    prunes branches that have too few edges or active vertices left.
-    """
-    target = _cached_canon(h)
-    hs = h.simplified()
-    h_active = len([v for v in hs.vertices if hs.degree(v) > 0])
-    h_edges = hs.m
-
-    seen = set()
-    stack = [g.simplified()]
-    while stack:
-        cur = stack.pop()
-        key = _cached_canon(cur)
-        if key in seen:
-            continue
-        seen.add(key)
-        if key == target:
-            return True
-        if cur.m < h_edges:
-            continue
-        active = len([v for v in cur.vertices if cur.degree(v) > 0])
-        if active < h_active:
-            continue
-        for e in cur.edges:
-            stack.append(cur.delete_edge(e.id))
-            if not e.is_loop:
-                stack.append(cur.contract_edge(e.id, simplify=True))
-    return False
 
 
 def gauss_linking_number(loop_a, loop_b) -> float:

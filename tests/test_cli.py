@@ -289,6 +289,20 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
 
 
+def test_oversized_graphs_exit_2_at_once(tmp_path, capsys):
+    import time
+
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000 0\n")
+    for graph in ("K100000", str(path)):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "classify", graph)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "n + m may be at most" in err
+        assert "Traceback" not in err
+
+
 def test_unknown_flags_rejected(capsys):
     assert run_cli(capsys, "classify", "K6", "--frobnicate")[0] == 2
 

@@ -11,7 +11,6 @@ from linkless.geometry import (
     orient3d,
     parse_point,
     parse_rational,
-    point_on_segment2,
     point_on_segment3,
     projection_frame,
     segments2_intersect,
@@ -77,7 +76,6 @@ def test_segments3_rational_coordinates():
 def test_point_on_segment3():
     assert point_on_segment3((1, 1, 1), (0, 0, 0), (2, 2, 2))
     assert point_on_segment3((0, 0, 0), (0, 0, 0), (2, 2, 2))
-    assert not point_on_segment3((0, 0, 0), (0, 0, 0), (2, 2, 2), interior_only=True)
     assert not point_on_segment3((3, 3, 3), (0, 0, 0), (2, 2, 2))
     assert not point_on_segment3((1, 1, 0), (0, 0, 0), (2, 2, 2))
 
@@ -94,13 +92,6 @@ def test_segments2_basic():
     assert not segments2_intersect((0, 0), (1, 0), (0, 1), (1, 1))
     assert segments2_intersect((0, 0), (2, 0), (1, 0), (1, 1))  # T-touch
     assert not segments2_intersect((0, 0), (1, 0), (2, 0), (3, 0))
-
-
-def test_point_on_segment2():
-    assert point_on_segment2((1, 1), (0, 0), (2, 2))
-    assert point_on_segment2((0, 0), (0, 0), (2, 2))
-    assert not point_on_segment2((3, 3), (0, 0), (2, 2))
-    assert not point_on_segment2((1, 0), (0, 0), (2, 2))
 
 
 @pytest.mark.parametrize("direction", [

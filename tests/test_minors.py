@@ -1,10 +1,14 @@
+import inspect
 import random
 import sys
+import types
 from itertools import combinations
 
 import pytest
 
+import linkless.acceptance as acceptance
 import linkless.canonical as canonical
+from linkless.acceptance import _delete_contract_oracle
 from linkless.minors import (
     MinorModel,
     SearchBudgetExceeded,
@@ -26,7 +30,6 @@ from linkless.multigraph import (
     petersen_graph,
 )
 from linkless.planarity import planar_certificate_errors
-from oracles import has_minor_oracle
 
 
 def random_graph(n, p, rng, base=1):
@@ -174,7 +177,7 @@ def test_oracle_agreement_on_random_small_graphs(target):
     rng = random.Random(sum(target.degree_sequence()))
     for _ in range(60):
         g = random_graph(rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]), rng)
-        assert (has_minor(g, target) is not None) == has_minor_oracle(g, target)
+        assert (has_minor(g, target) is not None) == _delete_contract_oracle(g, target)
 
 
 def test_oracle_agreement_on_7_vertex_hosts():
@@ -195,7 +198,7 @@ def test_oracle_agreement_on_7_vertex_hosts():
             continue
         done += 1
         for h in targets:
-            assert (has_minor(g, h) is not None) == has_minor_oracle(g, h)
+            assert (has_minor(g, h) is not None) == _delete_contract_oracle(g, h)
 
 
 def test_oracle_agreement_exhaustive_on_5_vertices():
@@ -204,7 +207,32 @@ def test_oracle_agreement_exhaustive_on_5_vertices():
     for bits in range(1 << len(all_pairs)):
         pairs = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
         g = graph_from_pairs(pairs, vertices=range(1, 6))
-        assert (has_minor(g, target) is not None) == has_minor_oracle(g, target)
+        assert (has_minor(g, target) is not None) == _delete_contract_oracle(g, target)
+
+
+def test_oracle_stays_independent_of_the_library():
+    # the oracle is the reference for has_minor, so neither it nor any
+    # function of its module that it reaches may call the engine
+    forbidden = {"canonical_form", "has_minor", "is_intrinsically_linked",
+                 "_reduce_host", "planar_rotation"}
+    names, todo, walked = set(), [_delete_contract_oracle], set()
+    while todo:
+        fn = inspect.unwrap(todo.pop())
+        if fn in walked:
+            continue
+        walked.add(fn)
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in names:
+            obj = inspect.unwrap(getattr(acceptance, name, None))
+            if inspect.isfunction(obj) and obj.__module__ == acceptance.__name__:
+                todo.append(obj)
+    assert {f.__name__ for f in walked} == {
+        "_delete_contract_oracle", "_brute_iso_key", "_brute_iso_key_of_pairs"}
+    assert not names & forbidden
 
 
 def test_classifier_table():
@@ -388,6 +416,23 @@ def test_monotone_under_edge_addition():
             continue
         u, v = nonedges[rng.randrange(len(nonedges))]
         assert is_intrinsically_linked(g.add_edge(u, v)).verdict == "linked"
+
+
+def test_mader_dense_graphs_have_k6_minors():
+    # Mader (1968): every graph with n >= 6 and m >= 4n - 9 has a K6 minor
+    rng = random.Random(1968)
+    k6 = complete_graph(6)
+    for n in range(6, 11):
+        all_pairs = list(combinations(range(1, n + 1), 2))
+        for _ in range(15):
+            m = rng.randint(4 * n - 9, len(all_pairs))
+            g = graph_from_pairs(rng.sample(all_pairs, m), vertices=range(1, n + 1))
+            model = has_minor(g, k6)
+            assert model is not None and verify_minor_model(g, k6, model)
+            verdict = is_intrinsically_linked(g)
+            assert verdict.verdict == "linked"
+            member = petersen_family().member_named(verdict.witness_member)
+            assert verify_minor_model(g, member.graph, verdict.witness_model)
 
 
 def test_minors_of_unlinked_graphs_stay_unlinked():

@@ -81,6 +81,20 @@ def test_rejected_huge_header_builds_no_vertex_range(monkeypatch):
         parse_edge_list("1000000000000 1\n0 5\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["1000000000 0", "999999 2\n1 2\n2 3", "K100000", "K1000,1000", "grid1000x1000"])
+def test_oversized_graphs_are_rejected_before_building(monkeypatch, text):
+    # n + m is bounded before any vertex or edge list of that size exists
+    def small_range(*args):
+        r = range(*args)
+        assert len(r) <= 1000, "a range of the requested graph's size was built"
+        return r
+
+    monkeypatch.setattr(multigraph, "range", small_range, raising=False)
+    with pytest.raises(GraphParseError, match="n \\+ m may be at most 1000000"):
+        parse_graph(text)
+
+
 @pytest.mark.parametrize("doc", ["", "x y", "2 1\n1", "2 1\n1 2\n2 1", "2 a\n1 2"])
 def test_parse_rejects_malformed(doc):
     with pytest.raises(GraphParseError):

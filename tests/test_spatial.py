@@ -91,16 +91,6 @@ def test_intersecting_triangles_rejected_as_embedding():
         straight_line_embedding(TWO_TRIANGLES, points)
 
 
-def test_orientation_reversal_negates_lk():
-    emb = hopf_embedding()
-    j, k = triangle_circuits(emb)
-    d = project(emb, (1, 2, 9))
-    lk = linking_number(d, j, k)
-    assert linking_number(d, j, k, orientations=(-1, 1)) == -lk
-    assert linking_number(d, j, k, orientations=(1, -1)) == -lk
-    assert linking_number(d, j, k, orientations=(-1, -1)) == lk
-
-
 def test_lk_symmetric():
     emb = hopf_embedding()
     j, k = triangle_circuits(emb)
