@@ -36,16 +36,13 @@ class CriterionResult:
     details: dict
     elapsed: float
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "criterion": self.number,
             "name": self.name,
             "pass": self.passed,
             "details": self.details,
         }
-        if include_elapsed:
-            doc["elapsed_seconds"] = round(self.elapsed, 3)
-        return doc
 
 
 def _timed(number: int, name: str, fn) -> CriterionResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .multigraph import GraphError, MultiGraph
+from .multigraph import MultiGraph
 
 DEFAULT_CIRCUIT_CAP = 1_000_000
 
@@ -43,30 +43,6 @@ class Circuit:
     vertex_seq: tuple[int, ...]
     edge_ids: tuple[int, ...]
 
-    @classmethod
-    def from_walk(
-        cls,
-        vertex_seq: tuple[int, ...] | list[int],
-        edge_ids: tuple[int, ...] | list[int],
-        graph: MultiGraph | None = None,
-    ) -> "Circuit":
-        vs = tuple(vertex_seq)
-        es = tuple(edge_ids)
-        if len(vs) != len(es) or not vs:
-            raise GraphError("circuit needs equal, nonzero vertex and edge counts")
-        if len(set(vs)) != len(vs):
-            raise GraphError("circuit repeats a vertex")
-        if len(set(es)) != len(es):
-            raise GraphError("circuit repeats an edge")
-        if graph is not None:
-            k = len(vs)
-            for i, eid in enumerate(es):
-                e = graph.edge(eid)
-                a, b = vs[i], vs[(i + 1) % k]
-                if {e.u, e.v} != ({a, b} if a != b else {a}):
-                    raise GraphError(f"edge {eid} does not join {a} and {b}")
-        return cls(*_normalize(vs, es))
-
     @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(self.vertex_seq)
@@ -83,21 +59,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit{self.vertex_seq}"
-
-
-def _normalize(vs: tuple[int, ...], es: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = len(vs)
-    if k == 1:
-        return vs, es
-    i0 = vs.index(min(vs))
-    fv = vs[i0:] + vs[:i0]
-    fe = es[i0:] + es[:i0]
-    if fe[0] <= fe[-1]:
-        return fv, fe
-    # reversed direction: same start, walk the other way
-    rv = (fv[0],) + tuple(reversed(fv[1:]))
-    re_ = tuple(reversed(fe))
-    return rv, re_
 
 
 def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:

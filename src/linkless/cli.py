@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -57,14 +56,17 @@ def _load_graph(arg: str) -> MultiGraph:
         raise UsageError(f"cannot read {arg}: {exc}") from exc
 
 
-def _default_budget() -> int:
-    env = os.environ.get("LINKLESS_BUDGET")
-    if env:
+def _at_least(low: int):
+    """An argparse ``type`` for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
         try:
-            return int(env)
+            value = int(text)
         except ValueError:
-            raise UsageError(f"LINKLESS_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _parse_direction(text: str):
@@ -89,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide whether a graph is intrinsically linked")
     p.add_argument("graph", help="builtin name (K6, K3,3,1, petersen, ...) or edge-list file")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                    help="search nodes per family member (default 10^7)")
 
     p = sub.add_parser("minor", help="search for H as a minor of G")
     p.add_argument("g", help="host graph (builtin or file)")
     p.add_argument("h", help="target graph (builtin or file)")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("petersen", help="the Petersen family")
     p.add_argument("action", choices=["list"])
@@ -118,17 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reroute-check", help="omega invariance under random edge reroutes")
     p.add_argument("graph", help="K6 or K3,3,1")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("experiment", help="omega over many random embeddings")
     p.add_argument("graph", choices=["k6", "k331"])
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")
-    p.add_argument("--trials", type=int, default=None,
-                   help="scale down the Monte Carlo criteria")
+    p.add_argument("--trials", type=_at_least(1), default=None,
+                   help="scale down criteria 1-3 and 8 (criterion 7 always runs in full)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -136,11 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
-    budget = args.budget if args.budget is not None else _default_budget()
-    verdict = is_intrinsically_linked(g, budget=budget)
+    verdict = is_intrinsically_linked(g, budget=args.budget)
     doc = {"command": "classify",
            "graph": {"name": g.name, "vertices": g.n, "edges": g.m},
-           "budget": budget}
+           "budget": args.budget}
     doc.update(verdict.to_json_dict())
     _emit(doc)
     print(f"{args.graph}: {verdict.verdict}"
@@ -152,13 +153,12 @@ def _cmd_classify(args) -> int:
 def _cmd_minor(args) -> int:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    budget = args.budget if args.budget is not None else _default_budget()
     doc = {"command": "minor",
            "g": {"name": g.name, "vertices": g.n, "edges": g.m},
            "h": {"name": h.name, "vertices": h.n, "edges": h.m},
-           "budget": budget}
+           "budget": args.budget}
     try:
-        model = has_minor(g, h, budget=budget)
+        model = has_minor(g, h, budget=args.budget)
     except SearchBudgetExceeded:
         doc.update({"found": None, "reason": "budget exhausted"})
         _emit(doc)
@@ -213,7 +213,10 @@ def _cmd_embed(args) -> int:
     emb = random_embedding(g, args.seed)
     doc = embedding_to_json_dict(emb)
     if args.output:
-        Path(args.output).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        try:
+            Path(args.output).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
         _emit({"command": "embed", "graph": args.graph, "seed": args.seed,
                "written": args.output})
     else:
@@ -227,6 +230,8 @@ def _cmd_omega(args) -> int:
         raise UsageError(f"no such embedding file: {args.embedding}")
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.embedding}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"embedding file is not valid JSON: {exc}")
     emb = embedding_from_json_dict(doc)

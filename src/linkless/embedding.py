@@ -81,11 +81,6 @@ class SpatialEmbedding:
             loop.extend(path[:-1])
         return loop
 
-    def with_edge_path(self, eid: int, path: Iterable[Point3]) -> "SpatialEmbedding":
-        new_paths = dict(self.edge_paths)
-        new_paths[eid] = tuple(path)
-        return SpatialEmbedding(self.graph, self.vertex_points, new_paths)
-
 
 def _validate(graph: MultiGraph, points: dict[int, Point3],
               paths: dict[int, tuple[Point3, ...]]) -> None:
@@ -115,18 +110,15 @@ def _validate(graph: MultiGraph, points: dict[int, Point3],
                 raise EmbeddingError(f"edge {e.id} has a zero-length segment")
         _check_path_simple(e.id, path)
 
-    # vertex points may appear on a path only as its own endpoints
-    for e in graph.edges:
-        path = paths[e.id]
-        for v, p in points.items():
-            for i, (a, b) in enumerate(zip(path, path[1:])):
-                if p == a or p == b:
-                    terminal = (i == 0 and p == path[0]) or \
-                        (i == len(path) - 2 and p == path[-1])
-                    if not (terminal and v in (e.u, e.v)):
-                        raise EmbeddingError(
-                            f"vertex {v} lies on edge {e.id} at a waypoint")
-                elif point_on_segment3(p, a, b):
+    # A vertex with an edge ends that edge's path, so _check_path_simple
+    # and _check_paths_disjoint already reject it anywhere else on a path;
+    # only isolated vertices need a scan of their own.
+    for v in sorted(graph.vertices):
+        if not graph.incident(v):
+            for e in graph.edges:
+                path = paths[e.id]
+                if any(point_on_segment3(points[v], a, b)
+                       for a, b in zip(path, path[1:])):
                     raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
 
     edge_list = sorted(graph.edges, key=lambda e: e.id)
@@ -177,7 +169,7 @@ def straight_line_embedding(g: MultiGraph, points: Mapping[int, Point3]) -> Spat
     return SpatialEmbedding(g, dict(points), paths)
 
 
-def random_embedding(g: MultiGraph, seed: int, retry_limit: int = RETRY_LIMIT) -> SpatialEmbedding:
+def random_embedding(g: MultiGraph, seed: int) -> SpatialEmbedding:
     """Straight-line embedding on random integer points, deterministic per seed.
 
     Vertices are drawn uniformly from the integer cube [-10^6, 10^6]^3.
@@ -186,7 +178,7 @@ def random_embedding(g: MultiGraph, seed: int, retry_limit: int = RETRY_LIMIT) -
     """
     if not g.is_simple:
         raise EmbeddingError("random embeddings need a simple graph")
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         rng = random.Random(seed + attempt)
         points = {
             v: (
@@ -201,7 +193,7 @@ def random_embedding(g: MultiGraph, seed: int, retry_limit: int = RETRY_LIMIT) -
         except EmbeddingError:
             continue
     raise RetryLimitExceeded(
-        f"no valid random embedding after {retry_limit} attempts from seed {seed}")
+        f"no valid random embedding after {RETRY_LIMIT} attempts from seed {seed}")
 
 
 def reroute_edge(emb: SpatialEmbedding, eid: int,
@@ -212,14 +204,10 @@ def reroute_edge(emb: SpatialEmbedding, eid: int,
     remainder of the embedding nowhere else; the replacement embedding is
     fully re-validated.  Rerouting onto the identical path is allowed.
     """
-    e = emb.graph.edge(eid)
-    path = tuple(_norm_point(p) for p in new_path)
-    if len(path) < 2:
-        raise EmbeddingError("a reroute path needs at least two points")
-    if path[0] != emb.vertex_points[e.u] or path[-1] != emb.vertex_points[e.v]:
-        raise EmbeddingError(
-            f"reroute of edge {eid} must run from vertex {e.u} to vertex {e.v}")
-    return emb.with_edge_path(eid, path)
+    emb.graph.edge(eid)  # an unknown id raises GraphError
+    paths = dict(emb.edge_paths)
+    paths[eid] = tuple(new_path)
+    return SpatialEmbedding(emb.graph, emb.vertex_points, paths)
 
 
 # -- JSON serialization --------------------------------------------------------

@@ -29,7 +29,6 @@ a verdict and its node count depend only on the input.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -443,7 +442,6 @@ class LinkVerdict:
     witness_member: str | None
     witness_model: MinorModel | None
     nodes: int
-    elapsed: float
     per_member: Mapping[str, str]
     decided_by: str  # "prefilter" | "planar" | "apex" | "search" | "components"
     certificate: PlanarCertificate | None = None  # set by the planar and apex routes
@@ -490,14 +488,13 @@ def _apex_certificate(gs: MultiGraph, work: MultiGraph,
     return None
 
 
-def _certified(g: MultiGraph, certificate: PlanarCertificate, start: float) -> LinkVerdict:
+def _certified(g: MultiGraph, certificate: PlanarCertificate) -> LinkVerdict:
     """The "unlinked" verdict of a planar or apex certificate, checked against g."""
     route = "planar" if certificate.apex is None else "apex"
     problems = planar_certificate_errors(g, certificate)
     if problems:
         raise AssertionError(f"{route} route produced an invalid certificate: {problems}")
-    return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
-                       {}, route, certificate)
+    return LinkVerdict("unlinked", None, None, 0, {}, route, certificate)
 
 
 def is_intrinsically_linked(
@@ -513,7 +510,6 @@ def is_intrinsically_linked(
     some search ran out of budget, never silently.  ``prefilter=False``
     skips the prefilter and the certificates and runs every search.
     """
-    start = time.perf_counter()
     components = g.connected_components()
     if len(components) > 1:
         total_nodes = 0
@@ -528,22 +524,20 @@ def is_intrinsically_linked(
                     merged[name] = res
             if sub.verdict == "linked":
                 return LinkVerdict("linked", sub.witness_member, sub.witness_model,
-                                   total_nodes, time.perf_counter() - start, merged,
-                                   "components")
+                                   total_nodes, merged, "components")
             if sub.verdict == "unknown":
                 outcome = "unknown"
-        return LinkVerdict(outcome, None, None, total_nodes,
-                           time.perf_counter() - start, merged, "components")
+        return LinkVerdict(outcome, None, None, total_nodes, merged, "components")
 
     gs = g.simplified()
     if prefilter and (gs.m < 15 or gs.n < 6):
-        return LinkVerdict("unlinked", None, None, 0, time.perf_counter() - start,
+        return LinkVerdict("unlinked", None, None, 0,
                            {"prefilter": "below-threshold"}, "prefilter")
 
     if prefilter:
         rotation = planar_rotation(gs)
         if rotation is not None:
-            return _certified(g, PlanarCertificate(None, rotation), start)
+            return _certified(g, PlanarCertificate(None, rotation))
 
     # Every member has minimum degree >= 3 and >= 6 vertices, so one
     # reduction of the host serves the apex route and all seven searches.
@@ -556,7 +550,7 @@ def is_intrinsically_linked(
     if prefilter:
         certificate = _apex_certificate(gs, work, origin)
         if certificate is not None:
-            return _certified(g, certificate, start)
+            return _certified(g, certificate)
 
     nodes = 0
     per_member: dict[str, str] = {}
@@ -572,12 +566,10 @@ def is_intrinsically_linked(
         nodes += spent
         if model is not None:
             per_member[member.name] = "found"
-            return LinkVerdict("linked", member.name, model, nodes,
-                               time.perf_counter() - start, per_member, "search")
+            return LinkVerdict("linked", member.name, model, nodes, per_member, "search")
         per_member[member.name] = "none"
     verdict = "unknown" if exhausted else "unlinked"
-    return LinkVerdict(verdict, None, None, nodes,
-                       time.perf_counter() - start, per_member, "search")
+    return LinkVerdict(verdict, None, None, nodes, per_member, "search")
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,7 @@ class PetersenFamily:
         raise KeyError(name)
 
 
-def petersen_closure(
-    seeds: list[MultiGraph],
-    bound: int = DEFAULT_CLOSURE_BOUND,
-) -> PetersenFamily:
+def petersen_closure(seeds: list[MultiGraph]) -> PetersenFamily:
     """Breadth-first Delta-Y closure of the seeds, one member per iso class.
 
     Seeds reached later in the search never replace an earlier-found
@@ -142,9 +139,9 @@ def petersen_closure(
             key = canonical_form(child)
             if key in seen:
                 continue
-            if len(seen) >= bound:
+            if len(seen) >= DEFAULT_CLOSURE_BOUND:
                 raise ClosureSizeExceeded(
-                    f"Delta-Y closure exceeded {bound} isomorphism classes")
+                    f"Delta-Y closure exceeded {DEFAULT_CLOSURE_BOUND} isomorphism classes")
             seen.add(key)
             step = derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",)
             queue.append((child, step))
@@ -196,10 +193,9 @@ def petersen_family() -> PetersenFamily:
     family = petersen_closure([complete_graph(6), k331_graph()])
     if len(family) != 7:
         raise AssertionError(f"Petersen family closure found {len(family)} classes")
-    if EXPECTED_FAMILY_KEYS:
-        got = sorted(m.canonical.hex() for m in family.members)
-        if got != sorted(EXPECTED_FAMILY_KEYS):
-            raise AssertionError("Petersen family keys changed; canonical form drifted")
+    got = sorted(m.canonical.hex() for m in family.members)
+    if got != sorted(EXPECTED_FAMILY_KEYS):
+        raise AssertionError("Petersen family keys changed; canonical form drifted")
     return family
 
 

@@ -19,11 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .circuits import (
-    DEFAULT_CIRCUIT_CAP,
-    Circuit,
-    disjoint_circuit_pairs,
-)
+from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
 from .geometry import Point3, cross3, format_point, is_zero3
 from .projection import (
@@ -53,7 +49,6 @@ def regular_projection(
     emb: SpatialEmbedding,
     seed: int = 0,
     avoid: Point3 | None = None,
-    attempts: int = DIRECTION_ATTEMPTS,
 ) -> ProjectedDiagram:
     """Project along the first regular direction from the seeded stream."""
     tried = 0
@@ -61,14 +56,14 @@ def regular_projection(
         if avoid is not None and is_zero3(cross3(d, avoid)):
             continue  # parallel directions give the same picture
         tried += 1
-        if tried > attempts:
+        if tried > DIRECTION_ATTEMPTS:
             break
         try:
             return project(emb, d)
         except NonRegularProjection:
             continue
     raise RetryLimitExceeded(
-        f"no regular projection direction found in {attempts} attempts")
+        f"no regular projection direction found in {DIRECTION_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -115,10 +110,9 @@ def omega_graph(
     emb: SpatialEmbedding,
     direction: Point3 | None = None,
     seed: int = 0,
-    circuit_cap: int = DEFAULT_CIRCUIT_CAP,
 ) -> OmegaReport:
     """Per-pair lk/omega table and the mod-2 total for an embedding."""
-    pairs = disjoint_circuit_pairs(emb.graph, cap=circuit_cap)
+    pairs = disjoint_circuit_pairs(emb.graph)
     return _omega_with_pairs(emb, pairs, direction=direction, seed=seed)
 
 
@@ -155,13 +149,12 @@ def loop_pair_link(
     loop_a: Sequence[Point3],
     loop_b: Sequence[Point3],
     seed: int = 0,
-    attempts: int = DIRECTION_ATTEMPTS,
 ) -> tuple[int, int]:
     """(lk, omega) for two disjoint closed polylines, retrying directions."""
     tried = 0
     for d in direction_stream(seed):
         tried += 1
-        if tried > attempts:
+        if tried > DIRECTION_ATTEMPTS:
             break
         try:
             crossings = strand_crossings([(0, loop_a, True), (1, loop_b, True)], d)
@@ -174,4 +167,4 @@ def loop_pair_link(
                 count += 1
         return lk, count & 1
     raise RetryLimitExceeded(
-        f"no regular projection for the loop pair in {attempts} attempts")
+        f"no regular projection for the loop pair in {DIRECTION_ATTEMPTS} attempts")

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkless.circuits import (
-    Circuit,
     CircuitCapExceeded,
     disjoint_circuit_pairs,
     enumerate_circuits,
@@ -86,17 +85,24 @@ def test_matches_oracle_on_every_5_vertex_graph():
         assert ours == circuit_edge_sets(g)
 
 
-def test_circuit_normalization_equality():
-    g = complete_graph(4)
-    # same triangle entered from different rotations/directions
-    e12 = g.edges_between(1, 2)[0].id
-    e23 = g.edges_between(2, 3)[0].id
-    e13 = g.edges_between(1, 3)[0].id
-    a = Circuit.from_walk((1, 2, 3), (e12, e23, e13), graph=g)
-    b = Circuit.from_walk((2, 3, 1), (e23, e13, e12), graph=g)
-    c = Circuit.from_walk((3, 2, 1), (e23, e12, e13), graph=g)
-    assert a == b == c
-    assert a.vertices == frozenset({1, 2, 3})
+def test_enumerated_circuits_are_in_normal_form():
+    # the form the Circuit docstring promises: the walk starts at the
+    # minimum vertex and its first edge id is at most its last
+    rng = random.Random(11)
+    graphs = [complete_graph(4), complete_graph(5)]
+    for _ in range(8):
+        verts = list(range(1, rng.randint(3, 7) + 1))
+        graphs.append(graph_from_pairs(
+            [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(4, 12))],
+            vertices=verts))
+    for g in graphs:
+        for c in enumerate_circuits(g):
+            k = len(c)
+            assert c.vertex_seq[0] == min(c.vertex_seq)
+            assert c.edge_ids[0] <= c.edge_ids[-1]
+            for i, eid in enumerate(c.edge_ids):
+                e = g.edge(eid)
+                assert {e.u, e.v} == {c.vertex_seq[i], c.vertex_seq[(i + 1) % k]}
 
 
 def test_k6_disjoint_pairs():

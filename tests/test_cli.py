@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -9,6 +10,7 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -315,13 +317,59 @@ def test_help_available_everywhere(capsys):
         assert "usage" in (out + err).lower()
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LINKLESS_BUDGET", "10")
-    code, out, _ = run_cli(capsys, "minor", "grid4x4", "K6")
+def test_no_module_reads_the_environment():
+    # every setting is a command-line argument; none comes from os.environ
+    for path in sorted(Path(SRC, "linkless").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            assert name not in ("environ", "environb", "getenv"), (
+                f"{path.name}:{node.lineno} reads the environment")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reroute-check", "K6", "--trials", "-3"],
+    ["reroute-check", "K6", "--trials", "0"],
+    ["experiment", "k6", "--trials", "0"],
+    ["acceptance", "--trials", "-1"],
+    ["acceptance", "--trials", "0"],
+    ["acceptance", "--trials", "three"],
+    ["classify", "K6", "--budget", "-1"],
+    ["minor", "K7", "K6", "--budget", "-1"],
+], ids=" ".join)
+def test_out_of_range_counts_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "must be at least" in err or "not an integer" in err
+
+
+def test_zero_budget_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "classify", "K6", "--budget", "0")
     assert code == 0
-    assert json.loads(out)["found"] is None
-    monkeypatch.setenv("LINKLESS_BUDGET", "oops")
-    assert run_cli(capsys, "minor", "grid4x4", "K6")[0] == 2
+    assert json.loads(out)["budget"] == 0
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "embed", "K4", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_unreadable_embedding_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e.json"
+    path.write_text("{}")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run_cli(capsys, "omega", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read")
+    assert "Traceback" not in err
 
 
 def test_acceptance_reduced_scale(capsys):

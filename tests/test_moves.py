@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from linkless import moves
 from linkless.canonical import are_isomorphic, canonical_form
 from linkless.moves import (
     ClosureSizeExceeded,
@@ -165,9 +166,10 @@ def test_closure_from_k6_alone_misses_k331():
     assert canonical_form(petersen_graph()) in sub.canonical_keys
 
 
-def test_closure_bound():
+def test_closure_bound(monkeypatch):
+    monkeypatch.setattr(moves, "DEFAULT_CLOSURE_BOUND", 3)
     with pytest.raises(ClosureSizeExceeded):
-        petersen_closure([complete_graph(6), k331_graph()], bound=3)
+        petersen_closure([complete_graph(6), k331_graph()])
 
 
 def test_derivations_replay():
