@@ -303,17 +303,21 @@ def criterion_8_projection_independence(
 
 
 def run_acceptance(trials: int | None = None, seed: int = 0) -> dict:
-    """Run all criteria; `trials` scales down the Monte Carlo criteria."""
+    """Run all criteria; `trials` (at least 1) scales down the Monte Carlo
+    criteria, and None runs them at full scale."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    full = trials is None
     results = [
-        criterion_1_k6_experiment(trials=trials or 1000, seed=seed),
-        criterion_2_k331_experiment(trials=trials or 500, seed=seed),
-        criterion_3_edge_reroutes(trials=trials or 200, seed=seed),
+        criterion_1_k6_experiment(trials=1000 if full else trials, seed=seed),
+        criterion_2_k331_experiment(trials=500 if full else trials, seed=seed),
+        criterion_3_edge_reroutes(trials=200 if full else trials, seed=seed),
         criterion_4_petersen_family(),
         criterion_5_classifier_table(),
         criterion_6_minor_minimality(),
         criterion_7_oracle_equivalence(),
         criterion_8_projection_independence(
-            embeddings=min(50, trials) if trials else 50, seed=seed),
+            embeddings=50 if full else min(50, trials), seed=seed),
     ]
     return {
         "schema_version": 1,

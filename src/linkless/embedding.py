@@ -5,12 +5,23 @@ endpoints are the vertex positions.  Construction validates the full set
 of embedding invariants exactly: distinct vertex locations, no polyline
 self-intersections, pairwise-disjoint open edge paths meeting only at
 shared endpoint vertices, and no vertex lying on a foreign edge.
+
+Beyond the whole-graph checks, one routine, `_check_edge`, checks one
+path: on its own, against the isolated vertices, and against a given set
+of other paths.  Construction runs it for each edge against the edges
+with smaller ids, so every pair of paths is checked once.  An embedding
+is immutable (its maps are read-only), so `reroute_edge` runs it only for
+the moved edge, against the other E - 1 paths.  Two segments whose
+bounding boxes are strictly apart on some axis share no point, so the
+pair check skips them before any exact test.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .circuits import Circuit
@@ -23,7 +34,7 @@ from .geometry import (
     segments3_intersect,
     shared_endpoint_segments_overlap,
 )
-from .multigraph import MultiGraph, format_edge_list, parse_graph
+from .multigraph import Edge, MultiGraph, format_edge_list, parse_graph
 
 COORDINATE_BOUND = 10**6  # random vertices live in a cube of side 2e6
 RETRY_LIMIT = 64
@@ -38,6 +49,9 @@ class RetryLimitExceeded(RuntimeError):
 
 
 def _norm_point(p) -> Point3:
+    if (type(p) is tuple and len(p) == 3
+            and type(p[0]) is int and type(p[1]) is int and type(p[2]) is int):
+        return p  # already exact and normal
     if not isinstance(p, tuple) or len(p) != 3:
         p = tuple(p)
         if len(p) != 3:
@@ -57,8 +71,8 @@ class SpatialEmbedding:
             eid: tuple(_norm_point(p) for p in path)
             for eid, path in self.edge_paths.items()
         }
-        object.__setattr__(self, "vertex_points", points)
-        object.__setattr__(self, "edge_paths", paths)
+        object.__setattr__(self, "vertex_points", MappingProxyType(points))
+        object.__setattr__(self, "edge_paths", MappingProxyType(paths))
         _validate(self.graph, points, paths)
 
     def point(self, v: int) -> Point3:
@@ -98,33 +112,41 @@ def _validate(graph: MultiGraph, points: dict[int, Point3],
             raise EmbeddingError(f"vertices {seen[p]} and {v} share a point")
         seen[p] = v
 
-    for e in graph.edges:
-        path = paths[e.id]
-        if len(path) < 2:
-            raise EmbeddingError(f"edge {e.id} path needs at least two points")
-        if path[0] != points[e.u] or path[-1] != points[e.v]:
-            raise EmbeddingError(
-                f"edge {e.id} path must run from vertex {e.u} to vertex {e.v}")
-        for a, b in zip(path, path[1:]):
-            if a == b:
-                raise EmbeddingError(f"edge {e.id} has a zero-length segment")
-        _check_path_simple(e.id, path)
+    checked: list[tuple[Edge, tuple[Point3, ...]]] = []
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        _check_edge(graph, points, e, paths[e.id], checked)
+        checked.append((e, paths[e.id]))
 
+
+def _check_edge(graph: MultiGraph, points: Mapping[int, Point3], e: Edge,
+                path: tuple[Point3, ...],
+                others: Iterable[tuple[Edge, tuple[Point3, ...]]]) -> None:
+    """Check edge e's path alone, then against each (edge, path) of `others`.
+
+    `others` must be in increasing id order and their paths already
+    checked, so the first failure is the one a check of the whole
+    embedding reports.
+    """
+    if len(path) < 2:
+        raise EmbeddingError(f"edge {e.id} path needs at least two points")
+    if path[0] != points[e.u] or path[-1] != points[e.v]:
+        raise EmbeddingError(
+            f"edge {e.id} path must run from vertex {e.u} to vertex {e.v}")
+    for a, b in zip(path, path[1:]):
+        if a == b:
+            raise EmbeddingError(f"edge {e.id} has a zero-length segment")
+    _check_path_simple(e.id, path)
     # A vertex with an edge ends that edge's path, so _check_path_simple
     # and _check_paths_disjoint already reject it anywhere else on a path;
     # only isolated vertices need a scan of their own.
-    for v in sorted(graph.vertices):
-        if not graph.incident(v):
-            for e in graph.edges:
-                path = paths[e.id]
-                if any(point_on_segment3(points[v], a, b)
-                       for a, b in zip(path, path[1:])):
-                    raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
-
-    edge_list = sorted(graph.edges, key=lambda e: e.id)
-    for i, e in enumerate(edge_list):
-        for f in edge_list[i + 1:]:
-            _check_paths_disjoint(e, paths[e.id], f, paths[f.id], points)
+    for v in graph.isolated_vertices:
+        if any(point_on_segment3(points[v], a, b) for a, b in zip(path, path[1:])):
+            raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
+    for f, path_f in others:
+        if f.id < e.id:
+            _check_paths_disjoint(f, path_f, e, path, points)
+        else:
+            _check_paths_disjoint(e, path, f, path_f, points)
 
 
 def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
@@ -142,13 +164,28 @@ def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
                 raise EmbeddingError(f"edge {eid} intersects itself")
 
 
+def _boxes_apart(p: Point3, q: Point3, r: Point3, s: Point3) -> bool:
+    """Whether the bounding boxes of segments pq and rs are strictly apart
+    on some axis; then the two segments share no point."""
+    return (p[0] < r[0] and p[0] < s[0] and q[0] < r[0] and q[0] < s[0]
+            or p[0] > r[0] and p[0] > s[0] and q[0] > r[0] and q[0] > s[0]
+            or p[1] < r[1] and p[1] < s[1] and q[1] < r[1] and q[1] < s[1]
+            or p[1] > r[1] and p[1] > s[1] and q[1] > r[1] and q[1] > s[1]
+            or p[2] < r[2] and p[2] < s[2] and q[2] < r[2] and q[2] < s[2]
+            or p[2] > r[2] and p[2] > s[2] and q[2] > r[2] and q[2] > s[2])
+
+
 def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
-    shared = {points[v] for v in (e.u, e.v)} & {points[v] for v in (f.u, f.v)}
+    shared = None
+    segs_f = list(zip(path_f, path_f[1:]))
     for a1, b1 in zip(path_e, path_e[1:]):
-        for a2, b2 in zip(path_f, path_f[1:]):
-            common = {a1, b1} & {a2, b2}
-            if common:
+        for a2, b2 in segs_f:
+            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
                 # only a shared graph vertex is a legitimate contact
+                if shared is None:
+                    shared = ({points[v] for v in (e.u, e.v)}
+                              & {points[v] for v in (f.u, f.v)})
+                common = {a1, b1} & {a2, b2}
                 if not common <= shared:
                     raise EmbeddingError(
                         f"edges {e.id} and {f.id} touch at a non-vertex point")
@@ -158,8 +195,8 @@ def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
                     if shared_endpoint_segments_overlap(s, other1, other2):
                         raise EmbeddingError(
                             f"edges {e.id} and {f.id} overlap at vertex")
-                continue
-            if segments3_intersect(a1, b1, a2, b2):
+            elif (not _boxes_apart(a1, b1, a2, b2)
+                    and segments3_intersect(a1, b1, a2, b2)):
                 raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
 
 
@@ -201,13 +238,23 @@ def reroute_edge(emb: SpatialEmbedding, eid: int,
     """Replace one edge path; the rest of the embedding must stay untouched.
 
     The new polyline must share exactly the old endpoints and meet the
-    remainder of the embedding nowhere else; the replacement embedding is
-    fully re-validated.  Rerouting onto the identical path is allowed.
+    remainder of the embedding nowhere else.  Only the new path is
+    checked, on its own and against the other E - 1 paths: the rest of
+    `emb` is already valid and cannot change.  A rejected path raises
+    the same `EmbeddingError` as building the new embedding from scratch
+    would.  Rerouting onto the identical path is allowed.
     """
-    emb.graph.edge(eid)  # an unknown id raises GraphError
+    g = emb.graph
+    e = g.edge(eid)  # an unknown id raises GraphError
+    path = tuple(_norm_point(p) for p in new_path)
+    others = [(f, emb.edge_paths[f.id])
+              for f in sorted(g.edges, key=lambda f: f.id) if f.id != eid]
+    _check_edge(g, emb.vertex_points, e, path, others)
     paths = dict(emb.edge_paths)
-    paths[eid] = tuple(new_path)
-    return SpatialEmbedding(emb.graph, emb.vertex_points, paths)
+    paths[eid] = path
+    moved = copy.copy(emb)  # same graph and vertex points, not re-validated
+    object.__setattr__(moved, "edge_paths", MappingProxyType(paths))
+    return moved
 
 
 # -- JSON serialization --------------------------------------------------------
@@ -243,18 +290,25 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
         raise EmbeddingError("embedding document needs a graph string, a vertices "
                              "object and an edges list")
     g = parse_graph(graph_text)
-    try:
-        points = {int(v): parse_point(p) for v, p in vertex_doc.items()}
-    except ValueError as exc:
-        raise EmbeddingError(f"bad vertex entry: {exc}") from None
+    points: dict[int, Point3] = {}
+    for key, p in vertex_doc.items():
+        try:
+            v, point = int(key), parse_point(p)
+        except ValueError as exc:
+            raise EmbeddingError(f"bad vertex entry: {exc}") from None
+        if v in points:  # keys such as "1" and "01"
+            raise EmbeddingError(f"two vertex keys name vertex {v}")
+        points[v] = point
     paths: dict[int, tuple[Point3, ...]] = {}
     for entry in edge_doc:
         try:
             u, v = entry["u"], entry["v"]
             waypoints = tuple(parse_point(p) for p in entry.get("waypoints", []))
-            candidates = [e for e in g.edges_between(u, v) if e.id not in paths]
         except (KeyError, TypeError) as exc:
             raise EmbeddingError(f"bad edge entry {entry!r}: {exc}") from None
+        if type(u) is not int or type(v) is not int:  # true would pass as 1
+            raise EmbeddingError(f"bad edge entry {entry!r}: u and v must be integers")
+        candidates = [e for e in g.edges_between(u, v) if e.id not in paths]
         if not candidates:
             raise EmbeddingError(f"edge {u}-{v} not present (or repeated) in graph")
         e = candidates[0]

@@ -96,6 +96,8 @@ def orient2d(a: Point2, b: Point2, c: Point2) -> Rat:
 def point_on_segment3(x: Point3, a: Point3, b: Point3) -> bool:
     """Whether x lies on the closed segment ab."""
     ab = sub3(b, a)
+    if is_zero3(ab):
+        return x == a
     ax = sub3(x, a)
     if not is_zero3(cross3(ab, ax)):
         return False

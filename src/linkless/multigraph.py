@@ -102,6 +102,11 @@ class MultiGraph:
                 inc[e.v].append(e)
         return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in inc.items()}
 
+    @cached_property
+    def isolated_vertices(self) -> tuple[int, ...]:
+        """The vertices with no edge, in increasing order."""
+        return tuple(sorted(v for v, es in self._incident.items() if not es))
+
     def edge(self, eid: int) -> Edge:
         try:
             return self._edge_by_id[eid]

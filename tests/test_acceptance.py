@@ -6,6 +6,10 @@ Everything here is exact: no tolerances anywhere, only equality of
 integers and booleans, except for wall-clock limits which are generous.
 """
 
+import argparse
+
+import pytest
+
 from linkless.acceptance import (
     criterion_1_k6_experiment,
     criterion_2_k331_experiment,
@@ -15,7 +19,9 @@ from linkless.acceptance import (
     criterion_6_minor_minimality,
     criterion_7_oracle_equivalence,
     criterion_8_projection_independence,
+    run_acceptance,
 )
+from linkless.cli import _at_least
 
 
 def report(result, budget_seconds):
@@ -80,3 +86,12 @@ def test_criterion_8_projection_independence():
     result = criterion_8_projection_independence(embeddings=50, directions=10, seed=0)
     report(result, 60)
     assert result.details["mismatches"] == []
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_out_of_range_trials_are_rejected(trials):
+    # the same range as the CLI's --trials, and before any criterion runs
+    with pytest.raises(argparse.ArgumentTypeError):
+        _at_least(1)(str(trials))
+    with pytest.raises(ValueError, match="at least 1"):
+        run_acceptance(trials=trials)

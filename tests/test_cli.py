@@ -372,6 +372,35 @@ def test_unreadable_embedding_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _k6_embedding_doc():
+    return embedding_to_json_dict(random_embedding(builtin_graph("K6"), 0))
+
+
+def _omega_on(tmp_path, capsys, doc):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, "omega", str(path))
+
+
+def test_colliding_vertex_keys_exit_2(tmp_path, capsys):
+    doc = _k6_embedding_doc()
+    doc["vertices"]["01"] = ["5", "0", "0"]  # would silently move vertex 1
+    code, out, err = _omega_on(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    assert "vertex 1" in err
+    assert "Traceback" not in err
+
+
+def test_boolean_edge_end_exits_2(tmp_path, capsys):
+    doc = _k6_embedding_doc()
+    edge = next(entry for entry in doc["edges"] if entry["u"] == 1)
+    edge["u"] = True  # JSON true, which compares equal to vertex 1
+    code, out, err = _omega_on(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    assert "integers" in err
+    assert "Traceback" not in err
+
+
 def test_acceptance_reduced_scale(capsys):
     code, out, err = run_cli(capsys, "acceptance", "--trials", "3")
     assert code == 0

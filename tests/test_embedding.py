@@ -1,9 +1,11 @@
 import itertools
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from linkless import embedding
@@ -18,8 +20,12 @@ from linkless.embedding import (
     straight_line_embedding,
 )
 from linkless.circuits import enumerate_circuits
-from linkless.geometry import point_on_segment3
-from linkless.multigraph import GraphError, complete_graph, graph_from_pairs, parse_graph
+from linkless.geometry import (
+    point_on_segment3,
+    segments3_intersect,
+    shared_endpoint_segments_overlap,
+)
+from linkless.multigraph import Edge, GraphError, complete_graph, graph_from_pairs, parse_graph
 
 TRI = graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")
 TRI_POINTS = {1: (0, 0, 0), 2: (4, 0, 0), 3: (0, 4, 0)}
@@ -261,3 +267,201 @@ def test_json_rejects_bad_documents():
     doc["edges"][0]["u"] = 9
     with pytest.raises(EmbeddingError):
         embedding_from_json_dict(doc)
+
+
+# -- incremental validation of reroutes ---------------------------------------
+
+
+def test_embedding_maps_are_read_only():
+    emb = straight_line_embedding(TRI, TRI_POINTS)
+    moved = reroute_edge(emb, 0, ((0, 0, 0), (2, -3, 5), (4, 0, 0)))
+    for e in (emb, moved):
+        with pytest.raises(TypeError):
+            e.vertex_points[1] = (9, 9, 9)
+        with pytest.raises(TypeError):
+            e.edge_paths[0] = ((0, 0, 0), (4, 0, 0))
+    assert emb.point(1) == (0, 0, 0) and emb.path(0) == ((0, 0, 0), (4, 0, 0))
+
+
+def _moment_embedding(g, params):
+    """Straight edges between points (t, t^2, t^3) of the moment curve: no
+    four such points are coplanar, so every graph embeds this way."""
+    points = {v: (t, t * t, t ** 3) for v, t in zip(sorted(g.vertices), params)}
+    return straight_line_embedding(g, points)
+
+
+def _lattice_points(a, b):
+    """The integer points of the closed segment ab, in order from a."""
+    d = tuple(q - p for p, q in zip(a, b))
+    step = math.gcd(*d)
+    return [tuple(p + k * c // step for p, c in zip(a, d)) for k in range(step + 1)]
+
+
+def _shifted(p, d, k=1):
+    return tuple(pc + k * dc for pc, dc in zip(p, d))
+
+
+_OFFSETS = st.tuples(*[st.integers(-3, 3)] * 3)
+_PLANTED = ("contact", "isolated", "self-crossing")
+
+
+@st.composite
+def _reroutes(draw):
+    """A straight embedding of a small graph and a new path for one edge:
+    free waypoints, ends swapped, or with a planted defect (a waypoint on
+    another edge's path or on an isolated vertex, or a detour whose third
+    segment crosses its first)."""
+    kind = draw(st.sampled_from(("free", "ends") + _PLANTED))
+    n = draw(st.integers(3, 6))
+    isolated = draw(st.integers(1 if kind == "isolated" else 0, 2))
+    vertices = range(1, n + isolated + 1)
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=2, max_size=8, unique=True))
+    g = graph_from_pairs(pairs, vertices=vertices)
+    base = _moment_embedding(g, draw(st.permutations(range(len(vertices)))))
+    e = draw(st.sampled_from(sorted(g.edges)))
+    u, v = base.point(e.u), base.point(e.v)
+    top = len(vertices)
+    waypoints = draw(st.lists(st.tuples(st.integers(-1, top), st.integers(-1, top ** 2),
+                                        st.integers(-1, top ** 3)), max_size=2))
+    if kind == "contact":
+        f = draw(st.sampled_from(sorted(f for f in g.edges if f.id != e.id)))
+        path_f = base.path(f.id)
+        spot = draw(st.sampled_from(_lattice_points(path_f[0], path_f[1])))
+        waypoints.insert(draw(st.integers(0, len(waypoints))), spot)
+    elif kind == "isolated":
+        spot = base.point(draw(st.sampled_from(g.isolated_vertices)))
+        waypoints.insert(draw(st.integers(0, len(waypoints))), spot)
+    elif kind == "self-crossing":
+        t = draw(_OFFSETS.filter(any))
+        s = draw(_OFFSETS)
+        # the segment from u + t + s to u + t - s crosses u -> u + 2t at u + t
+        waypoints = [_shifted(u, t, 2), _shifted(_shifted(u, t), s),
+                     _shifted(_shifted(u, t), s, -1)]
+    if kind == "ends":
+        u, v = v, u
+    return kind, base, e.id, (u, *waypoints, v)
+
+
+def _verdict(build):
+    try:
+        return "accepted", dict(build().edge_paths)
+    except EmbeddingError as exc:
+        return "rejected", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reroutes())
+def test_incremental_reroute_check_matches_full_validation(case):
+    kind, base, eid, path = case
+    full = _verdict(lambda: SpatialEmbedding(
+        base.graph, base.vertex_points, {**base.edge_paths, eid: path}))
+    incremental = _verdict(lambda: reroute_edge(base, eid, path))
+    event(f"{kind}: {full[0]}")
+    assert incremental == full
+    if kind in _PLANTED:
+        assert full[0] == "rejected"
+    pair = re.match(r"edges (\d+) and (\d+) ", full[1]) if full[0] == "rejected" else None
+    if pair:
+        assert int(pair[1]) < int(pair[2])  # a pair is named lower id first
+
+
+def test_reroute_checks_each_other_path_once(monkeypatch):
+    calls = []
+    attempts = []
+    check, draw = embedding._check_paths_disjoint, embedding.straight_line_embedding
+    monkeypatch.setattr(embedding, "_check_paths_disjoint",
+                        lambda *args: calls.append(args) or check(*args))
+    monkeypatch.setattr(embedding, "straight_line_embedding",
+                        lambda *args: attempts.append(args) or draw(*args))
+    g = complete_graph(6)
+    emb = random_embedding(g, 3)
+    assert 0 < len(calls) <= 105 * len(attempts)
+    for eid in (0, 7, 14):
+        calls.clear()
+        reroute_edge(emb, eid, emb.path(eid))
+        assert len(calls) == 14
+
+
+def _reference_paths_disjoint(e, path_e, f, path_f, points):
+    """_check_paths_disjoint as it was before its bounding-box reject."""
+    shared = {points[v] for v in (e.u, e.v)} & {points[v] for v in (f.u, f.v)}
+    for a1, b1 in zip(path_e, path_e[1:]):
+        for a2, b2 in zip(path_f, path_f[1:]):
+            common = {a1, b1} & {a2, b2}
+            if common:
+                # only a shared graph vertex is a legitimate contact
+                if not common <= shared:
+                    raise EmbeddingError(
+                        f"edges {e.id} and {f.id} touch at a non-vertex point")
+                for s in common:
+                    other1 = b1 if s == a1 else a1
+                    other2 = b2 if s == a2 else a2
+                    if shared_endpoint_segments_overlap(s, other1, other2):
+                        raise EmbeddingError(
+                            f"edges {e.id} and {f.id} overlap at vertex")
+                continue
+            if segments3_intersect(a1, b1, a2, b2):
+                raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
+
+
+def _pair_verdict(check, e, path_e, f, path_f, points):
+    try:
+        check(e, path_e, f, path_f, points)
+    except EmbeddingError as exc:
+        return str(exc)
+    return None
+
+
+# Paths whose first segments have bounding boxes that touch on exactly
+# one face, edge or corner, with and without a contact there: (path of
+# edge 1-2, path of the other edge, whether that edge shares vertex 2).
+TOUCHING_BOXES = {
+    "face, apart": (((0, 0, 0), (2, 2, 2)), ((2, 2, 0), (4, 0, 2)), False),
+    "face, contact": (((0, 0, 0), (2, 1, 1)), ((2, 0, 0), (2, 2, 2)), False),
+    "edge, apart": (((0, 0, 0), (2, 2, 2)), ((2, 2, 0), (4, 4, 1)), False),
+    "edge, contact": (((0, 0, 0), (2, 2, 2)), ((2, 2, 0), (2, 2, 4)), False),
+    "corner, apart": (((0, 2, 0), (2, 0, 2)), ((2, 2, 2), (4, 4, 4)), False),
+    "corner, contact at a waypoint": (((0, 0, 0), (2, 2, 2), (0, 2, 4)),
+                                      ((2, 2, 2), (4, 4, 4)), False),
+    "corner, shared vertex": (((0, 0, 0), (2, 2, 2)), ((2, 2, 2), (4, 4, 4)), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOUCHING_BOXES))
+def test_box_reject_keeps_touching_boxes(case):
+    # each case on every axis, mirrored, with either path reversed and in
+    # either argument order, so that every clause of the box test is hit
+    touching_e, touching_f, shares = TOUCHING_BOXES[case]
+    e, f = Edge(0, 1, 2), Edge(1, 2, 3) if shares else Edge(1, 3, 4)
+    for axes, sign, flip_e, flip_f, swap in itertools.product(
+            ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (1, -1), (1, -1), (1, -1), (False, True)):
+        def moved(path, flip):
+            return tuple(tuple(sign * p[i] for i in axes) for p in path[::flip])
+        path_e, path_f = moved(touching_e, 1), moved(touching_f, 1)
+        points = {1: path_e[0], 2: path_e[-1], f.u: path_f[0], f.v: path_f[-1]}
+        args = (e, moved(touching_e, flip_e), f, moved(touching_f, flip_f))
+        if swap:
+            args = args[2:] + args[:2]
+        expected = _pair_verdict(_reference_paths_disjoint, *args, points)
+        assert (expected is None) == case.endswith(("apart", "shared vertex"))
+        assert _pair_verdict(embedding._check_paths_disjoint, *args, points) == expected
+
+
+_GRID4 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corners=st.lists(_GRID4, min_size=4, max_size=4, unique=True),
+       shares=st.sampled_from(["none", "one", "same edge"]),
+       waypoints=st.lists(st.lists(_GRID4, max_size=2), min_size=2, max_size=2))
+@example(corners=[(0, 0, 0), (2, 2, 2), (2, 2, 0), (4, 0, 2)], shares="none",
+         waypoints=[[], []])
+def test_box_reject_agrees_with_reference(corners, shares, waypoints):
+    e = Edge(0, 1, 2)
+    f = {"none": Edge(1, 3, 4), "one": Edge(1, 2, 3), "same edge": e}[shares]
+    points = dict(zip((1, 2, 3, 4), corners))
+    path_e = (points[1], *waypoints[0], points[2])
+    path_f = (points[f.u], *waypoints[1], points[f.v])
+    assert (_pair_verdict(embedding._check_paths_disjoint, e, path_e, f, path_f, points)
+            == _pair_verdict(_reference_paths_disjoint, e, path_e, f, path_f, points))

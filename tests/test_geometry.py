@@ -78,6 +78,10 @@ def test_point_on_segment3():
     assert point_on_segment3((0, 0, 0), (0, 0, 0), (2, 2, 2))
     assert not point_on_segment3((3, 3, 3), (0, 0, 0), (2, 2, 2))
     assert not point_on_segment3((1, 1, 0), (0, 0, 0), (2, 2, 2))
+    # a zero-length segment holds its one point only
+    assert point_on_segment3((1, 0, 1), (1, 0, 1), (1, 0, 1))
+    assert not point_on_segment3((0, 0, 0), (1, 0, 1), (1, 0, 1))
+    assert not segments3_intersect((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1))
 
 
 def test_shared_endpoint_overlap():
