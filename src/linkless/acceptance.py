@@ -21,6 +21,7 @@ from .multigraph import (
     complete_bipartite,
     complete_graph,
     graph_from_pairs,
+    k331_graph,
     parse_graph,
 )
 from .projection import linking_number
@@ -53,7 +54,7 @@ def _timed(number: int, name: str, fn) -> CriterionResult:
 
 def criterion_1_k6_experiment(trials: int = 1000, seed: int = 0) -> CriterionResult:
     def run():
-        report = conway_gordon_experiment("k6", trials=trials, seed=seed)
+        report = conway_gordon_experiment(complete_graph(6), trials=trials, seed=seed)
         return report.all_omega_one, report.to_json_dict()
 
     return _timed(1, f"omega(K6)=1 over {trials} random embeddings", run)
@@ -61,7 +62,7 @@ def criterion_1_k6_experiment(trials: int = 1000, seed: int = 0) -> CriterionRes
 
 def criterion_2_k331_experiment(trials: int = 500, seed: int = 0) -> CriterionResult:
     def run():
-        report = conway_gordon_experiment("k331", trials=trials, seed=seed)
+        report = conway_gordon_experiment(k331_graph(), trials=trials, seed=seed)
         return report.all_omega_one, report.to_json_dict()
 
     return _timed(2, f"omega(K3,3,1)=1 over {trials} random embeddings", run)
@@ -71,8 +72,8 @@ def criterion_3_edge_reroutes(trials: int = 200, seed: int = 0) -> CriterionResu
     def run():
         details = {}
         ok = True
-        for name in ("k6", "k331"):
-            report = edge_swap_check(name, trials=trials, seed=seed)
+        for name, g in (("k6", complete_graph(6)), ("k331", k331_graph())):
+            report = edge_swap_check(g, trials=trials, seed=seed)
             details[name] = report.to_json_dict()
             ok = ok and report.passed
         return ok, details

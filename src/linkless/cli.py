@@ -56,6 +56,11 @@ def _load_graph(arg: str) -> MultiGraph:
         raise UsageError(f"cannot read {arg}: {exc}") from exc
 
 
+def _load_experiment_graph(arg: str) -> MultiGraph:
+    # `k331` stays K3,3,1 here, as before these commands took any graph
+    return _load_graph("K3,3,1" if arg.strip().lower() == "k331" else arg)
+
+
 def _at_least(low: int):
     """An argparse ``type`` for integers no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -119,12 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("reroute-check", help="omega invariance under random edge reroutes")
-    p.add_argument("graph", help="K6 or K3,3,1")
+    p.add_argument("graph", help="builtin name or edge-list file (k331 also names K3,3,1)")
     p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("experiment", help="omega over many random embeddings")
-    p.add_argument("graph", choices=["k6", "k331"])
+    p.add_argument("graph", help="builtin name or edge-list file (k331 also names K3,3,1)")
     p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
 
@@ -244,7 +249,8 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_reroute_check(args) -> int:
-    report = edge_swap_check(args.graph, trials=args.trials, seed=args.seed)
+    g = _load_experiment_graph(args.graph)
+    report = edge_swap_check(g, trials=args.trials, seed=args.seed)
     out = {"command": "reroute-check"}
     out.update(report.to_json_dict())
     _emit(out)
@@ -255,7 +261,8 @@ def _cmd_reroute_check(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    report = conway_gordon_experiment(args.graph, trials=args.trials, seed=args.seed)
+    g = _load_experiment_graph(args.graph)
+    report = conway_gordon_experiment(g, trials=args.trials, seed=args.seed)
     out = {"command": "experiment"}
     out.update(report.to_json_dict())
     _emit(out)

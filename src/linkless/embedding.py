@@ -296,8 +296,8 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
             v, point = int(key), parse_point(p)
         except ValueError as exc:
             raise EmbeddingError(f"bad vertex entry: {exc}") from None
-        if v in points:  # keys such as "1" and "01"
-            raise EmbeddingError(f"two vertex keys name vertex {v}")
+        if str(v) != key:  # "+2", " 2 ", "1_0" and "01" would all pass int()
+            raise EmbeddingError(f"vertex key {key!r} is not the decimal spelling of vertex {v}")
         points[v] = point
     paths: dict[int, tuple[Point3, ...]] = {}
     for entry in edge_doc:

@@ -29,11 +29,12 @@ a verdict and its node count depend only on the input.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .moves import petersen_family
-from .multigraph import GraphError, MultiGraph
+from .multigraph import Edge, GraphError, MultiGraph
 from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
 
 DEFAULT_BUDGET = 10_000_000
@@ -132,45 +133,54 @@ def _connected_in(g: MultiGraph, vs: frozenset[int]) -> bool:
 
 
 def _reduce_host(gs: MultiGraph, h_min_deg: int, h_n: int):
-    """Shrink the host graph without changing whether H embeds as a minor.
+    """Shrink the simple host graph without changing whether H embeds as a minor.
 
     Safe moves, gated on H's minimum degree: isolated vertices go whenever
     H is connected with >= 2 vertices, degree-1 vertices go when every
     H-vertex needs >= 2 edges, and degree-2 vertices are absorbed into a
-    neighbor when every H-vertex needs >= 3.  ``origin`` maps each
-    surviving vertex to the original vertices it stands for.
+    neighbor when every H-vertex needs >= 3.  Removals come first, and each
+    kind goes smallest id first; a degree-2 vertex merges across its
+    lowest-id edge into the smaller id, and parallel edges keep the smallest
+    id.  ``origin`` maps each surviving vertex to the original vertices it
+    stands for.  The moves run on one adjacency map with a heap of
+    candidates, so each costs only the edges it touches.
     """
-    work = gs
-    origin: dict[int, frozenset[int]] = {v: frozenset({v}) for v in work.vertices}
-    changed = True
-    while changed:
-        changed = False
-        if h_n >= 2:
-            isolated = [v for v in work.vertices if work.degree(v) == 0]
-            if isolated:
-                for v in isolated:
-                    work = work.delete_vertex(v)
-                    del origin[v]
-                changed = True
-                continue
-        if h_min_deg >= 2:
-            leaf = next((v for v in sorted(work.vertices) if work.degree(v) == 1), None)
-            if leaf is not None:
-                work = work.delete_vertex(leaf)
-                del origin[leaf]
-                changed = True
-                continue
-        if h_min_deg >= 3:
-            mid = next((v for v in sorted(work.vertices) if work.degree(v) == 2), None)
-            if mid is not None:
-                e = work.incident(mid)[0]
-                keep, gone = min(e.u, e.v), max(e.u, e.v)
-                merged = origin[keep] | origin[gone]
-                work = work.contract_edge(e.id, simplify=True)
-                del origin[gone]
-                origin[keep] = merged
-                changed = True
-    return work, origin
+    adj: dict[int, dict[int, int]] = {v: {} for v in gs.vertices}
+    for e in gs.edges:
+        adj[e.u][e.v] = adj[e.v][e.u] = e.id
+    origin = {v: {v} for v in gs.vertices}
+    allowed = (h_n >= 2, h_min_deg >= 2, h_min_deg >= 3)  # by degree 0, 1, 2
+    heap = [(len(nbrs) == 2, v) for v, nbrs in adj.items()]
+    heapq.heapify(heap)
+    while heap:
+        absorb, v = heapq.heappop(heap)
+        d = len(adj[v]) if v in adj else 3
+        if d > 2 or (d == 2) != absorb or not allowed[d]:
+            continue  # v is gone, has no allowed move, or changed degree since the push
+        if not absorb:
+            for w in adj.pop(v):
+                del adj[w][v]
+                heapq.heappush(heap, (len(adj[w]) == 2, w))
+            del origin[v]
+            continue
+        a = min(adj[v], key=adj[v].__getitem__)  # across the lowest-id edge
+        keep, gone = min(v, a), max(v, a)
+        del adj[keep][gone], adj[gone][keep]
+        for w, eid in adj.pop(gone).items():
+            del adj[w][gone]
+            if w in adj[keep]:  # parallel edges: w loses a neighbour
+                eid = min(eid, adj[keep][w])
+                heapq.heappush(heap, (len(adj[w]) == 2, w))
+            adj[keep][w] = adj[w][keep] = eid
+        small, large = sorted((origin.pop(gone), origin[keep]), key=len)
+        large |= small
+        origin[keep] = large
+        heapq.heappush(heap, (len(adj[keep]) == 2, keep))
+
+    rep = {x: v for v, xs in origin.items() for x in xs}
+    ids = sorted({eid for nbrs in adj.values() for eid in nbrs.values()})
+    edges = tuple(Edge(i, rep[gs.edge(i).u], rep[gs.edge(i).v]) for i in ids)
+    return MultiGraph(frozenset(adj), edges), {v: frozenset(xs) for v, xs in origin.items()}
 
 
 # -- branch-set search -------------------------------------------------------

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
@@ -34,6 +35,8 @@ from .projection import (
 DEFAULT_DIRECTION: Point3 = (0, 0, 1)
 DIRECTION_ATTEMPTS = 64
 
+T = TypeVar("T")
+
 
 def direction_stream(seed: int, start: Point3 = DEFAULT_DIRECTION) -> Iterator[Point3]:
     """Deterministic stream of candidate projection directions."""
@@ -45,25 +48,29 @@ def direction_stream(seed: int, start: Point3 = DEFAULT_DIRECTION) -> Iterator[P
             yield d
 
 
+def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
+                   avoid: Point3 | None = None) -> T:
+    """``attempt(d)`` for the first of DIRECTION_ATTEMPTS seeded directions d
+    where it does not raise NonRegularProjection.  Directions parallel to
+    ``avoid`` give the same picture, so they are skipped and not counted."""
+    directions = (d for d in direction_stream(seed)
+                  if avoid is None or not is_zero3(cross3(d, avoid)))
+    for d in islice(directions, DIRECTION_ATTEMPTS):
+        try:
+            return attempt(d)
+        except NonRegularProjection:
+            continue
+    raise RetryLimitExceeded(f"{failure} in {DIRECTION_ATTEMPTS} attempts")
+
+
 def regular_projection(
     emb: SpatialEmbedding,
     seed: int = 0,
     avoid: Point3 | None = None,
 ) -> ProjectedDiagram:
     """Project along the first regular direction from the seeded stream."""
-    tried = 0
-    for d in direction_stream(seed):
-        if avoid is not None and is_zero3(cross3(d, avoid)):
-            continue  # parallel directions give the same picture
-        tried += 1
-        if tried > DIRECTION_ATTEMPTS:
-            break
-        try:
-            return project(emb, d)
-        except NonRegularProjection:
-            continue
-    raise RetryLimitExceeded(
-        f"no regular projection direction found in {DIRECTION_ATTEMPTS} attempts")
+    return _first_regular(lambda d: project(emb, d), seed,
+                          "no regular projection direction found", avoid)
 
 
 @dataclass(frozen=True)
@@ -151,20 +158,12 @@ def loop_pair_link(
     seed: int = 0,
 ) -> tuple[int, int]:
     """(lk, omega) for two disjoint closed polylines, retrying directions."""
-    tried = 0
-    for d in direction_stream(seed):
-        tried += 1
-        if tried > DIRECTION_ATTEMPTS:
-            break
-        try:
-            crossings = strand_crossings([(0, loop_a, True), (1, loop_b, True)], d)
-        except NonRegularProjection:
-            continue
-        lk = count = 0
-        for c in crossings:
-            if c.over_strand == 0 and c.under_strand == 1:
-                lk += c.sign
-                count += 1
-        return lk, count & 1
-    raise RetryLimitExceeded(
-        f"no regular projection for the loop pair in {DIRECTION_ATTEMPTS} attempts")
+    crossings = _first_regular(
+        lambda d: strand_crossings([(0, loop_a, True), (1, loop_b, True)], d),
+        seed, "no regular projection for the loop pair")
+    lk = count = 0
+    for c in crossings:
+        if c.over_strand == 0 and c.under_strand == 1:
+            lk += c.sign
+            count += 1
+    return lk, count & 1

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkless
-from linkless.cli import main
+from linkless.cli import build_parser, main
 from linkless.embedding import embedding_to_json_dict, random_embedding
 from linkless.multigraph import builtin_graph, format_edge_list, graph_from_pairs
 from linkless.planarity import PlanarCertificate, planar_certificate_errors
@@ -197,6 +198,41 @@ def test_reroute_check_subcommand(capsys):
     assert doc["preserved"] == 5
 
 
+@pytest.mark.parametrize("command", ["experiment", "reroute-check"])
+def test_experiment_commands_take_an_edge_list_file(tmp_path, capsys, command):
+    path = tmp_path / "mygraph.txt"
+    path.write_text(format_edge_list(builtin_graph("K6")))
+    code, out, err = run_cli(capsys, command, str(path), "--trials", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["graph"] == "mygraph"
+    assert doc[{"experiment": "all_omega_one", "reroute-check": "pass"}[command]] is True
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["experiment", "reroute-check"])
+def test_k331_names_k331_in_experiment_commands(capsys, command):
+    outputs = set()
+    for name in ("k331", "K331", "K3,3,1"):
+        code, out, _ = run_cli(capsys, command, name, "--trials", "2", "--seed", "5")
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["graph"] == "K3,3,1"
+    for name in ("K3_3_1", "k3 3 1", "heawood"):
+        code, out, err = run_cli(capsys, command, name, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert "unknown builtin graph name" in err and "Traceback" not in err
+
+
+def test_reroute_check_on_edgeless_graph_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("3 0\n")
+    code, out, err = run_cli(capsys, "reroute-check", str(path), "--trials", "2")
+    assert (code, out) == (2, "")
+    assert "at least one edge" in err and "Traceback" not in err
+
+
 def test_classify_unknown_on_tiny_budget(capsys):
     code, out, _ = run_cli(capsys, "classify", "petersen", "--budget", "10")
     assert code == 0
@@ -255,7 +291,7 @@ def test_successive_calls_match_first_calls():
     ]
     driver = """
 import contextlib, io, json, sys
-from linkless.cli import main
+from linkless.cli import build_parser, main
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -286,7 +322,8 @@ print("networkx" in sys.modules)
 
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "classify", "heawood")[0] == 2
-    assert run_cli(capsys, "experiment", "k9", "--trials", "1")[0] == 2
+    assert run_cli(capsys, "experiment", "heawood", "--trials", "1")[0] == 2
+    assert run_cli(capsys, "reroute-check", "heawood", "--trials", "1")[0] == 2
     assert run_cli(capsys, "classify")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
 
@@ -315,6 +352,22 @@ def test_help_available_everywhere(capsys):
         code, out, err = run_cli(capsys, sub, "--help")
         assert code == 0
         assert "usage" in (out + err).lower()
+
+
+def test_readme_commands_parse():
+    # the command block under "Command line" in README.md; parsed, not run
+    readme = Path(SRC).parent.joinpath("README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "linkless"]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: linkless {shlex.join(argv)}")
 
 
 def test_no_module_reads_the_environment():
@@ -388,6 +441,18 @@ def test_colliding_vertex_keys_exit_2(tmp_path, capsys):
     code, out, err = _omega_on(tmp_path, capsys, doc)
     assert (code, out) == (2, "")
     assert "vertex 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["+2", " 2 ", "1_0", "01"])
+def test_non_canonical_vertex_keys_exit_2(tmp_path, capsys, key):
+    # the key replaces the decimal spelling of the vertex it names, so the
+    # document is otherwise a valid embedding of the Petersen graph
+    doc = embedding_to_json_dict(random_embedding(builtin_graph("petersen"), 0))
+    doc["vertices"][key] = doc["vertices"].pop(str(int(key)))
+    code, out, err = _omega_on(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    assert "decimal spelling" in err
     assert "Traceback" not in err
 
 

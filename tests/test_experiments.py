@@ -6,27 +6,13 @@ import pytest
 
 from linkless import cli, experiments
 from linkless.embedding import EmbeddingError, RetryLimitExceeded, SpatialEmbedding
-from linkless.experiments import (
-    conway_gordon_experiment,
-    edge_swap_check,
-    resolve_experiment_graph,
-)
-from linkless.multigraph import GraphError, complete_graph
-
-
-def test_resolve_names():
-    assert resolve_experiment_graph("k6").n == 6
-    assert resolve_experiment_graph("K6").n == 6
-    assert resolve_experiment_graph("k331").n == 7
-    assert resolve_experiment_graph("K3,3,1").n == 7
-    g = complete_graph(6)
-    assert resolve_experiment_graph(g) is g
-    with pytest.raises(GraphError):
-        resolve_experiment_graph("k9")
+from linkless.experiments import conway_gordon_experiment, edge_swap_check
+from linkless.moves import petersen_family
+from linkless.multigraph import complete_graph, k331_graph
 
 
 def test_k6_experiment_small():
-    report = conway_gordon_experiment("k6", trials=40, seed=0)
+    report = conway_gordon_experiment(complete_graph(6), trials=40, seed=0)
     assert report.all_omega_one
     assert report.omega_counts == {1: 40}
     # the number of linked pairs is odd in every trial
@@ -34,14 +20,14 @@ def test_k6_experiment_small():
 
 
 def test_k331_experiment_small():
-    report = conway_gordon_experiment("k331", trials=30, seed=0)
+    report = conway_gordon_experiment(k331_graph(), trials=30, seed=0)
     assert report.all_omega_one
     assert report.omega_counts == {1: 30}
 
 
 def test_experiment_reports_deterministic():
-    a = conway_gordon_experiment("k6", trials=15, seed=9).to_json_dict()
-    b = conway_gordon_experiment("k6", trials=15, seed=9).to_json_dict()
+    a = conway_gordon_experiment(complete_graph(6), trials=15, seed=9).to_json_dict()
+    b = conway_gordon_experiment(complete_graph(6), trials=15, seed=9).to_json_dict()
     assert a == b
 
 
@@ -55,7 +41,7 @@ def test_k6_minus_edge_sees_both_values():
 
 
 def test_edge_swap_k6():
-    report = edge_swap_check("k6", trials=25, seed=0)
+    report = edge_swap_check(complete_graph(6), trials=25, seed=0)
     assert report.passed
     assert report.preserved == 25
     # K6: exactly four complementary triangles avoid any given edge
@@ -65,7 +51,7 @@ def test_edge_swap_k6():
 
 
 def test_edge_swap_k331():
-    report = edge_swap_check("k331", trials=25, seed=0)
+    report = edge_swap_check(k331_graph(), trials=25, seed=0)
     assert report.passed
     assert report.preserved == 25
     # apex edges see 3 complementary squares, the others 3 squares + ... 5 pairs
@@ -73,9 +59,25 @@ def test_edge_swap_k331():
     assert 25 * 3 <= per_trial <= 25 * 5
 
 
-def test_edge_swap_rejects_other_graphs():
-    with pytest.raises(GraphError):
-        edge_swap_check(complete_graph(7), trials=1, seed=0)
+@pytest.mark.parametrize("member", petersen_family(), ids=lambda m: m.name)
+def test_every_family_member_passes_both_experiments(member):
+    report = conway_gordon_experiment(member.graph, trials=12, seed=0)
+    assert report.omega_counts == {1: 12}
+    swap = edge_swap_check(member.graph, trials=12, seed=0)
+    assert swap.passed
+    assert swap.preserved == 12
+    assert swap.violations == ()
+
+
+def test_edge_swap_on_graphs_outside_the_family():
+    # omega of K7 is a reroute invariant too, although K7 is not a member
+    assert edge_swap_check(complete_graph(7), trials=6, seed=0).passed
+    # on K6 - e omega is not a reroute invariant; the per-pair identity,
+    # which only uses the bilinearity of lk, must still hold every time
+    report = edge_swap_check(complete_graph(6).delete_edge(0), trials=40, seed=0)
+    kinds = {v.kind for v in report.violations}
+    assert kinds == {"even-cover", "omega-changed"}
+    assert not report.passed
 
 
 def test_edge_swap_on_fixed_embedding():
@@ -89,8 +91,8 @@ def test_edge_swap_on_fixed_embedding():
 
 
 def test_edge_swap_deterministic():
-    a = edge_swap_check("k331", trials=10, seed=4).to_json_dict()
-    b = edge_swap_check("k331", trials=10, seed=4).to_json_dict()
+    a = edge_swap_check(k331_graph(), trials=10, seed=4).to_json_dict()
+    b = edge_swap_check(k331_graph(), trials=10, seed=4).to_json_dict()
     assert a == b
 
 
@@ -100,11 +102,11 @@ def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
 
     monkeypatch.setattr(experiments, "reroute_edge", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
-        edge_swap_check("k6", trials=1, seed=0)
+        edge_swap_check(complete_graph(6), trials=1, seed=0)
     monkeypatch.undo()
     monkeypatch.setattr(experiments, "_check_paths_disjoint", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
-        edge_swap_check("k331", trials=1, seed=0)
+        edge_swap_check(k331_graph(), trials=1, seed=0)
 
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -5,6 +5,8 @@ import types
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkless.acceptance as acceptance
 import linkless.canonical as canonical
@@ -13,6 +15,7 @@ from linkless.minors import (
     MinorModel,
     SearchBudgetExceeded,
     _has_minor_impl,
+    _reduce_host,
     has_minor,
     is_intrinsically_linked,
     minor_minimality_report,
@@ -21,7 +24,9 @@ from linkless.minors import (
 )
 from linkless.moves import delta_y, petersen_family, triangles
 from linkless.multigraph import (
+    Edge,
     GraphError,
+    MultiGraph,
     complete_bipartite,
     complete_graph,
     graph_from_pairs,
@@ -394,6 +399,98 @@ def test_shared_host_matches_per_member_search():
                 break
         assert verdict.nodes == nodes
         assert dict(verdict.per_member) == outcome
+
+
+def _reduce_host_reference(gs, h_min_deg, h_n):
+    """The reduction as it was written before the heap version: one rebuilt
+    graph per move and a rescan of the sorted vertices every round."""
+    work = gs
+    origin = {v: frozenset({v}) for v in work.vertices}
+    changed = True
+    while changed:
+        changed = False
+        if h_n >= 2:
+            isolated = [v for v in work.vertices if work.degree(v) == 0]
+            if isolated:
+                for v in isolated:
+                    work = work.delete_vertex(v)
+                    del origin[v]
+                changed = True
+                continue
+        if h_min_deg >= 2:
+            leaf = next((v for v in sorted(work.vertices) if work.degree(v) == 1), None)
+            if leaf is not None:
+                work = work.delete_vertex(leaf)
+                del origin[leaf]
+                changed = True
+                continue
+        if h_min_deg >= 3:
+            mid = next((v for v in sorted(work.vertices) if work.degree(v) == 2), None)
+            if mid is not None:
+                e = work.incident(mid)[0]
+                keep, gone = min(e.u, e.v), max(e.u, e.v)
+                merged = origin[keep] | origin[gone]
+                work = work.contract_edge(e.id, simplify=True)
+                del origin[gone]
+                origin[keep] = merged
+                changed = True
+    return work, origin
+
+
+@st.composite
+def _sparse_hosts(draw):
+    """Simple graphs with arbitrary vertex and edge ids, built from a small
+    random core plus subdivided edges, pendant trees and isolated vertices."""
+    ids = iter(draw(st.permutations(range(-40, 60))))
+    core = [next(ids) for _ in range(draw(st.integers(1, 7)))]
+    vertices = list(core)
+    pairs = []
+    for u, v in combinations(core, 2):
+        if draw(st.booleans()):
+            path = [u] + [next(ids) for _ in range(draw(st.integers(0, 3)))] + [v]
+            vertices += path[1:-1]
+            pairs += zip(path, path[1:])
+    for _ in range(draw(st.integers(0, 6))):
+        leaf = next(ids)
+        pairs.append((draw(st.sampled_from(vertices)), leaf))
+        vertices.append(leaf)
+    vertices += [next(ids) for _ in range(draw(st.integers(0, 2)))]
+    edge_ids = draw(st.permutations(range(len(pairs))))
+    edges = tuple(Edge(i, u, v) for i, (u, v) in zip(edge_ids, pairs))
+    return MultiGraph(frozenset(vertices), edges).simplified()
+
+
+@settings(max_examples=300, deadline=None)
+@given(gs=_sparse_hosts(), h_min_deg=st.integers(0, 4), h_n=st.integers(0, 3))
+def test_reduce_host_matches_reference(gs, h_min_deg, h_n):
+    work, origin = _reduce_host(gs, h_min_deg, h_n)
+    ref_work, ref_origin = _reduce_host_reference(gs, h_min_deg, h_n)
+    assert work.vertices == ref_work.vertices
+    assert sorted(work.edges) == sorted(ref_work.edges)
+    assert origin == ref_origin
+
+
+def test_reduce_host_builds_one_graph(monkeypatch):
+    # K7 with every edge subdivided 5 times reduces back to K7; a graph
+    # rebuilt per removed vertex would make this hundreds of constructions
+    pairs, fresh = [], iter(range(100, 10_000))
+    for u, v in combinations(range(1, 8), 2):
+        path = [u] + [next(fresh) for _ in range(5)] + [v]
+        pairs += zip(path, path[1:])
+    gs = graph_from_pairs(pairs)
+    built = []
+    original = MultiGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(MultiGraph, "__post_init__", counting)
+    work, origin = _reduce_host(gs, 3, 6)
+    assert len(built) <= 1
+    monkeypatch.undo()
+    assert work.vertices == frozenset(range(1, 8)) and work.m == 21
+    assert sum(len(xs) for xs in origin.values()) == gs.n
 
 
 def test_monotone_under_edge_addition():

@@ -5,11 +5,14 @@ along z collapse in one specific way, so each test pins down one branch
 of the regularity checker.
 """
 
+from itertools import count, islice
+
 import pytest
 
-from linkless.embedding import SpatialEmbedding, straight_line_embedding
+import linkless.omega as omega
+from linkless.embedding import RetryLimitExceeded, SpatialEmbedding, straight_line_embedding
 from linkless.multigraph import graph_from_pairs
-from linkless.omega import regular_projection
+from linkless.omega import DIRECTION_ATTEMPTS, direction_stream, loop_pair_link, regular_projection
 from linkless.projection import NonRegularProjection, project
 
 THREE_EDGES = graph_from_pairs([(1, 2), (3, 4), (5, 6)])
@@ -111,3 +114,44 @@ def test_regular_projection_recovers():
         emb = straight_line_embedding(ONE_EDGE, points)
         diag = regular_projection(emb, seed=0)
         assert diag.crossings == ()
+
+
+@pytest.fixture
+def never_regular(monkeypatch):
+    """Every projection is degenerate; returns the directions tried."""
+    tried = []
+
+    def refuse(subject, direction):
+        tried.append(direction)
+        raise NonRegularProjection("forced")
+
+    monkeypatch.setattr(omega, "project", refuse)
+    monkeypatch.setattr(omega, "strand_crossings", refuse)
+    return tried
+
+
+def test_direction_search_gives_up_after_the_attempt_cap(never_regular):
+    assert DIRECTION_ATTEMPTS == 64
+    emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
+    with pytest.raises(RetryLimitExceeded, match="no regular projection direction found in 64"):
+        regular_projection(emb, seed=3)
+    assert never_regular == list(islice(direction_stream(3), 64))
+
+    never_regular.clear()
+    loop = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
+    with pytest.raises(RetryLimitExceeded, match="no regular projection for the loop pair in 64"):
+        loop_pair_link(loop, [(x, y, z + 9) for x, y, z in loop], seed=5)
+    assert never_regular == list(islice(direction_stream(5), 64))
+
+
+def test_directions_parallel_to_avoid_are_not_attempts(never_regular, monkeypatch):
+    def stream(seed):
+        for i in count(1):
+            yield (0, 0, i)
+            yield (i, 1, 0)
+
+    monkeypatch.setattr(omega, "direction_stream", stream)
+    emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
+    with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
+        regular_projection(emb, seed=0, avoid=(0, 0, -2))
+    assert never_regular == [(i, 1, 0) for i in range(1, 65)]
