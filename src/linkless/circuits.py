@@ -7,7 +7,15 @@ which visits every circuit exactly twice (once per direction); keeping the
 direction whose first edge id is smaller makes the output duplicate-free
 without any hashing.  The backtracking keeps an explicit stack of
 neighbour iterators, so path length is not limited by Python's recursion
-depth.
+depth.  ``max_length`` stops it from extending a path that already has that
+many vertices; the closing edges of such a path are still tried.
+
+Only a circuit c with |c| <= n - g can have a vertex-disjoint partner,
+where g is the fewest vertices any circuit can have (1 with a loop, 2 with
+parallel edges, 3 otherwise): the partner lies on the other n - |c|
+vertices.  Since the enumeration is sorted by length first, those short
+circuits are a prefix of the full list, so the pair listing enumerates only
+them and lists exactly the pairs it would find among all circuits.
 
 Disjoint pairs are listed through vertex bitsets: bit i of ``holds[v]`` is
 set when circuit i passes through v, so the circuits disjoint from c_i are
@@ -61,8 +69,15 @@ class Circuit:
         return f"Circuit{self.vertex_seq}"
 
 
-def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
-    """Every simple cycle of ``g`` exactly once, sorted deterministically."""
+def enumerate_circuits(
+    g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP, max_length: int | None = None
+) -> list[Circuit]:
+    """Every simple cycle of ``g`` with at most ``max_length`` vertices (no
+    bound if None) exactly once, sorted by (length, vertex_seq, edge_ids).
+
+    Raises CircuitCapExceeded once more than ``cap`` circuits are found.
+    """
+    limit = g.n if max_length is None else max_length
     out: list[Circuit] = []
 
     def emit(vs: tuple[int, ...], es: tuple[int, ...]) -> None:
@@ -72,7 +87,7 @@ def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Ci
                 f"more than {cap} circuits; graph too large for this analysis")
 
     for e in sorted(g.edges, key=lambda e: e.id):
-        if e.is_loop:
+        if e.is_loop and limit >= 1:
             emit((e.u,), (e.id,))
 
     # (neighbour, edge id) in incidence order, loops removed
@@ -91,7 +106,7 @@ def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Ci
                 if w == start:
                     if path_e and eid > path_e[0]:
                         emit(tuple(path_v), tuple(path_e) + (eid,))
-                elif w > start and w not in on_path:
+                elif w > start and w not in on_path and len(path_v) < limit:
                     path_v.append(w)
                     path_e.append(eid)
                     on_path.add(w)
@@ -107,15 +122,24 @@ def enumerate_circuits(g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Ci
     return out
 
 
+def _min_circuit_length(g: MultiGraph) -> int:
+    """A lower bound on the vertex count of every circuit of ``g``."""
+    if any(e.is_loop for e in g.edges):
+        return 1
+    return 3 if g.is_simple else 2
+
+
 def disjoint_circuit_pairs(
     g: MultiGraph, cap: int = DEFAULT_CIRCUIT_CAP
 ) -> list[tuple[Circuit, Circuit]]:
     """All unordered pairs of vertex-disjoint circuits, each listed once.
 
     Pairs come in enumeration order: (c_i, c_j) with i < j, sorted by i
-    and then j.
+    and then j.  Only circuits with at most n - g vertices are enumerated
+    (see the module docstring), and ``cap`` bounds both their number and
+    the number of pairs.
     """
-    circuits = enumerate_circuits(g, cap=cap)
+    circuits = enumerate_circuits(g, cap=cap, max_length=g.n - _min_circuit_length(g))
     holds = dict.fromkeys(g.vertices, 0)  # vertex -> bitset of circuits through it
     for i, c in enumerate(circuits):
         for v in c.vertex_seq:

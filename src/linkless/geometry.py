@@ -8,6 +8,7 @@ integer embeddings) fast.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rat = int | Fraction
@@ -19,6 +20,12 @@ class GeometryError(ValueError):
     pass
 
 
+# the spelling format_rational writes; Fraction alone would also take
+# "0.5", "1_000", "1E2" and exponents such as "1e10000000", which take
+# seconds to expand
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def normalize_rat(x: Rat) -> Rat:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
@@ -26,7 +33,10 @@ def normalize_rat(x: Rat) -> Rat:
 
 
 def parse_rational(obj) -> Rat:
-    """Parse "p/q" or an integer string/number into an exact rational."""
+    """Parse "p/q" or an integer string/number into an exact rational.
+
+    A string, once stripped, must fully match ``[+-]?[0-9]+(/[0-9]+)?``.
+    """
     if isinstance(obj, bool):
         raise GeometryError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
@@ -34,8 +44,11 @@ def parse_rational(obj) -> Rat:
     if isinstance(obj, Fraction):
         return normalize_rat(obj)
     if isinstance(obj, str):
+        text = obj.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise GeometryError(f"not a rational: {obj!r}")
         try:
-            return normalize_rat(Fraction(obj.strip()))
+            return normalize_rat(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise GeometryError(f"not a rational: {obj!r}") from None
     raise GeometryError(f"not a rational: {obj!r}")

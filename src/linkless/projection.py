@@ -285,8 +285,9 @@ def linking_number(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
 def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K) mod 2: parity of the crossings where J passes over K."""
     _check_disjoint(j, k)
-    _traversal_signs(diagram, j)  # validates circuit edges exist in the diagram
-    _traversal_signs(diagram, k)
+    for eid in j.edge_ids + k.edge_ids:
+        if eid not in diagram.edge_endpoints:
+            raise GraphError(f"circuit edge {eid} is not in the diagram")
     matrix = diagram.crossing_matrix
     count = 0
     for e in j.edge_ids:

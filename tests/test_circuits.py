@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkless import circuits as circuits_module
 from linkless.circuits import (
     CircuitCapExceeded,
     disjoint_circuit_pairs,
@@ -160,12 +161,17 @@ def brute_force_pairs(g):
             if vertices(a).isdisjoint(vertices(b))]
 
 
+def pairs_of_full_enumeration(g):
+    """The pairs, in listing order, found among every circuit of ``g``."""
+    circuits = enumerate_circuits(g)
+    return [(a, b) for i, a in enumerate(circuits) for b in circuits[i + 1:]
+            if a.vertices.isdisjoint(b.vertices)]
+
+
 def assert_pairs_match_oracle(g):
     pairs = disjoint_circuit_pairs(g)
-    circuits = enumerate_circuits(g)
     # the listing order is enumeration order, i < j
-    assert pairs == [(a, b) for i, a in enumerate(circuits) for b in circuits[i + 1:]
-                     if a.vertices.isdisjoint(b.vertices)]
+    assert pairs == pairs_of_full_enumeration(g)
     expected = brute_force_pairs(g)
     ours = [frozenset((frozenset(a.edge_ids), frozenset(b.edge_ids))) for a, b in pairs]
     assert len(ours) == len(expected)
@@ -185,3 +191,59 @@ def test_disjoint_pairs_match_oracle_on_random_multigraphs():
 @given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=12))
 def test_disjoint_pairs_match_oracle_on_arbitrary_multigraphs(pairs):
     assert_pairs_match_oracle(graph_from_pairs(pairs, vertices=range(1, 8)))
+
+
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("short", [
+    [(1, 1)],                   # a loop: every circuit has >= 1 vertex
+    [(1, 2), (2, 1)],           # a digon: >= 2 vertices
+    [(1, 2), (2, 3), (3, 1)],   # a triangle: >= 3 vertices
+])
+def test_partner_of_exactly_the_bound_length_is_listed(n, short):
+    # the short circuit's partner runs through all n - g other vertices,
+    # the longest circuit the pair listing still enumerates
+    g_min = len(short)
+    rest = list(range(g_min + 1, n + 1))
+    g = graph_from_pairs(short + [(v, rest[(i + 1) % len(rest)])
+                                  for i, v in enumerate(rest)])
+    pairs = disjoint_circuit_pairs(g)
+    assert [(len(a), len(b)) for a, b in pairs] == [(g_min, n - g_min)]
+    assert pairs == pairs_of_full_enumeration(g)
+
+
+def test_pair_listing_enumerates_only_circuits_with_room_for_a_partner(monkeypatch):
+    counts = []
+    full = circuits_module.enumerate_circuits
+
+    def spy(*args, **kwargs):
+        out = full(*args, **kwargs)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(circuits_module, "enumerate_circuits", spy)
+    disjoint_circuit_pairs(complete_graph(7))
+    disjoint_circuit_pairs(complete_graph(6))
+    # K7: 35 triangles and 105 squares of its 1172 circuits; K6: 20 triangles
+    assert counts == [140, 20]
+
+
+def test_cap_counts_the_enumerated_circuits():
+    # K7 has 1172 circuits but only 140 short enough to be in a pair
+    assert len(disjoint_circuit_pairs(complete_graph(7), cap=200)) == 175
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    loops = [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    copies = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    edges = draw(st.permutations(pairs + loops + copies))
+    return graph_from_pairs(edges, vertices=range(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loopy_multigraphs())
+def test_pair_listing_matches_full_enumeration(g):
+    assert disjoint_circuit_pairs(g) == pairs_of_full_enumeration(g)

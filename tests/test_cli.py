@@ -466,6 +466,26 @@ def test_boolean_edge_end_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["file", "direction"])
+def test_exponent_coordinates_exit_2_at_once(tmp_path, capsys, where):
+    import time
+
+    doc = _k6_embedding_doc()
+    args = []
+    if where == "file":
+        doc["vertices"]["1"][0] = "1e10000000"
+    else:
+        args = ["--direction", "1e10000000,0,1"]
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "omega", str(path), *args)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "not a rational" in err
+    assert "Traceback" not in err
+
+
 def test_acceptance_reduced_scale(capsys):
     code, out, err = run_cli(capsys, "acceptance", "--trials", "3")
     assert code == 0

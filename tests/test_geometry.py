@@ -31,6 +31,17 @@ def test_rational_parsing_roundtrip():
             parse_rational(bad)
 
 
+def test_rational_strings_need_the_documented_spelling():
+    assert parse_rational("3") == 3
+    assert parse_rational("-7/2") == Fraction(-7, 2)
+    assert parse_rational(" 7/3 ") == Fraction(7, 3)
+    assert parse_rational(12) == 12
+    # Fraction itself takes all of these
+    for bad in ["1e3", "0.5", "1_000", "\u0661\u0662", "1E2", "1e10000000"]:
+        with pytest.raises(GeometryError, match="not a rational"):
+            parse_rational(bad)
+
+
 def test_point_parsing():
     p = parse_point(["1/2", "3", "-2/5"])
     assert p == (Fraction(1, 2), 3, Fraction(-2, 5))

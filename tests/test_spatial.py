@@ -146,6 +146,19 @@ def test_linking_number_rejects_overlapping_circuits():
         omega_pair(d, tri, other)
 
 
+def test_circuit_edges_missing_from_the_diagram_are_named():
+    from linkless.circuits import Circuit
+
+    d = regular_projection(random_embedding(complete_graph(6), 0), seed=0)
+    j = Circuit((1, 2, 3), (1, 98, 99))  # edges 98 and 99 are not in K6
+    k = Circuit((4, 5, 6), (97, 13, 12))
+    for kernel in (linking_number, omega_pair):
+        with pytest.raises(GraphError, match="^circuit edge 98 is not in the diagram$"):
+            kernel(d, j, k)
+        with pytest.raises(GraphError, match="^circuit edge 97 is not in the diagram$"):
+            kernel(d, k, j)
+
+
 def test_lk_independent_of_rational_rotation():
     # (0,0,1) rotated by the 3-4-5 rotation about the x-axis gives (0,-4,3);
     # crossing counts differ (9 vs 12 here) but every per-pair lk agrees
