@@ -10,6 +10,13 @@ neighbour iterators, so path length is not limited by Python's recursion
 depth.  ``max_length`` stops it from extending a path that already has that
 many vertices; the closing edges of such a path are still tried.
 
+Enumeration work is bounded as well as its output: the backtracking may
+extend a path at most ``EXTENSIONS_PER_CIRCUIT * cap`` times.  On complete
+graphs it takes about two extensions per circuit, but on sparse graphs
+most paths never close (36 extensions per circuit on grid5x5), and on
+grid6x6 counting circuits alone would run for minutes before reaching the
+cap.
+
 Only a circuit c with |c| <= n - g can have a vertex-disjoint partner,
 where g is the fewest vertices any circuit can have (1 with a loop, 2 with
 parallel edges, 3 otherwise): the partner lies on the other n - |c|
@@ -32,6 +39,7 @@ from functools import cached_property
 from .multigraph import MultiGraph
 
 DEFAULT_CIRCUIT_CAP = 1_000_000
+EXTENSIONS_PER_CIRCUIT = 2  # path extensions allowed per circuit of the cap
 
 
 class CircuitCapExceeded(RuntimeError):
@@ -75,10 +83,14 @@ def enumerate_circuits(
     """Every simple cycle of ``g`` with at most ``max_length`` vertices (no
     bound if None) exactly once, sorted by (length, vertex_seq, edge_ids).
 
-    Raises CircuitCapExceeded once more than ``cap`` circuits are found.
+    Raises CircuitCapExceeded once more than ``cap`` circuits are found,
+    or once the backtracking has extended a path more than
+    ``EXTENSIONS_PER_CIRCUIT * cap`` times.
     """
     limit = g.n if max_length is None else max_length
     out: list[Circuit] = []
+    max_extensions = EXTENSIONS_PER_CIRCUIT * cap
+    extensions = 0
 
     def emit(vs: tuple[int, ...], es: tuple[int, ...]) -> None:
         out.append(Circuit(vs, es))
@@ -107,6 +119,11 @@ def enumerate_circuits(
                     if path_e and eid > path_e[0]:
                         emit(tuple(path_v), tuple(path_e) + (eid,))
                 elif w > start and w not in on_path and len(path_v) < limit:
+                    extensions += 1
+                    if extensions > max_extensions:
+                        raise CircuitCapExceeded(
+                            f"more than {max_extensions} path extensions while "
+                            "enumerating circuits; graph too large for this analysis")
                     path_v.append(w)
                     path_e.append(eid)
                     on_path.add(w)

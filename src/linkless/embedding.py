@@ -11,9 +11,17 @@ path: on its own, against the isolated vertices, and against a given set
 of other paths.  Construction runs it for each edge against the edges
 with smaller ids, so every pair of paths is checked once.  An embedding
 is immutable (its maps are read-only), so `reroute_edge` runs it only for
-the moved edge, against the other E - 1 paths.  Two segments whose
-bounding boxes are strictly apart on some axis share no point, so the
-pair check skips them before any exact test.
+the moved edge, against the other E - 1 paths.
+
+The pair check, `_check_paths_disjoint`, looks at every segment pair of
+the two paths and decides the common cases inline, without sets.  Two
+segments with exactly one common endpoint, at a vertex point of both
+edges, meet beyond it only when they leave it in the same direction (one
+cross product, one dot product).  Two segments whose bounding boxes are
+strictly apart on some axis share no point, nor do two that are not
+coplanar (one orientation determinant).  The remaining pairs, which touch
+elsewhere or lie in one plane, go to the general contact check and to
+`segments3_intersect`.
 """
 
 from __future__ import annotations
@@ -176,15 +184,36 @@ def _boxes_apart(p: Point3, q: Point3, r: Point3, s: Point3) -> bool:
 
 
 def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
-    shared = None
+    ends = None  # (points of e's ends, points of f's ends), read on first contact
     segs_f = list(zip(path_f, path_f[1:]))
     for a1, b1 in zip(path_e, path_e[1:]):
         for a2, b2 in segs_f:
             if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
                 # only a shared graph vertex is a legitimate contact
-                if shared is None:
-                    shared = ({points[v] for v in (e.u, e.v)}
-                              & {points[v] for v in (f.u, f.v)})
+                if ends is None:
+                    ends = (points[e.u], points[e.v], points[f.u], points[f.v])
+                if a1 == a2:
+                    s, o1, o2 = a1, b1, b2
+                elif a1 == b2:
+                    s, o1, o2 = a1, b1, a2
+                elif b1 == a2:
+                    s, o1, o2 = b1, a1, b2
+                else:
+                    s, o1, o2 = b1, a1, a2
+                # the common case: exactly one common point s (o1 != o2),
+                # a vertex point of both edges; the segments then meet
+                # beyond s only when s->o1 and s->o2 point the same way
+                if o1 != o2 and (s == ends[0] or s == ends[1]) \
+                        and (s == ends[2] or s == ends[3]):
+                    sx, sy, sz = s
+                    px, py, pz = o1[0] - sx, o1[1] - sy, o1[2] - sz
+                    qx, qy, qz = o2[0] - sx, o2[1] - sy, o2[2] - sz
+                    if (py * qz == pz * qy and pz * qx == px * qz and px * qy == py * qx
+                            and px * qx + py * qy + pz * qz > 0):
+                        raise EmbeddingError(
+                            f"edges {e.id} and {f.id} overlap at vertex")
+                    continue
+                shared = set(ends[:2]) & set(ends[2:])
                 common = {a1, b1} & {a2, b2}
                 if not common <= shared:
                     raise EmbeddingError(
@@ -195,9 +224,17 @@ def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
                     if shared_endpoint_segments_overlap(s, other1, other2):
                         raise EmbeddingError(
                             f"edges {e.id} and {f.id} overlap at vertex")
-            elif (not _boxes_apart(a1, b1, a2, b2)
-                    and segments3_intersect(a1, b1, a2, b2)):
-                raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
+            elif not _boxes_apart(a1, b1, a2, b2):
+                # segments that are not coplanar share no point
+                ax, ay, az = a1
+                ux, uy, uz = b1[0] - ax, b1[1] - ay, b1[2] - az
+                vx, vy, vz = a2[0] - ax, a2[1] - ay, a2[2] - az
+                wx, wy, wz = b2[0] - ax, b2[1] - ay, b2[2] - az
+                if ((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy
+                        + (ux * vy - uy * vx) * wz) != 0:
+                    continue
+                if segments3_intersect(a1, b1, a2, b2):
+                    raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
 
 
 def straight_line_embedding(g: MultiGraph, points: Mapping[int, Point3]) -> SpatialEmbedding:

@@ -132,7 +132,7 @@ class MultiGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return any(e.other(u) == v for e in self._incident.get(u, ()))
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
         pairs = set()
         for e in self.edges:

@@ -8,9 +8,9 @@ of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
 
 Each projection is computed once and carries its edge-pair crossing
-matrix, so every per-pair lk, its parity and its check against the
-second projection are O(|J| |K|) table lookups; the pair list comes from
-the bitset listing in ``circuits``.
+matrix.  The lk table, its parities and its check against the second
+projection come from one pass over the pairs (``projection.link_tables``);
+the pair list comes from the bitset listing in ``circuits``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .geometry import Point3, cross3, format_point, is_zero3
 from .projection import (
     NonRegularProjection,
     ProjectedDiagram,
-    linking_number,
-    omega_pair,
+    link_tables,
     project,
     strand_crossings,
 )
@@ -137,12 +136,10 @@ def _omega_with_pairs(
 
     entries = []
     total = 0
-    for j, k in pairs:
-        lk = linking_number(diag, j, k)
-        om = omega_pair(diag, j, k)
+    table, check_table = link_tables([diag, check], pairs)
+    for (j, k), (lk, om), (lk2, _) in zip(pairs, table, check_table):
         if om != lk % 2:
             raise AssertionError("omega parity disagrees with lk; kernel bug")
-        lk2 = linking_number(check, j, k)
         if lk2 != lk:
             raise AssertionError(
                 f"lk differs between projections ({lk} vs {lk2}); kernel bug")

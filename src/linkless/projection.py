@@ -19,23 +19,30 @@ by a positive integer, an orientation-preserving affine change that keeps
 every crossing, its segment parameters, over/under and sign.  Each
 distinct point is projected once.  Depth order is decided by integer
 cross-multiplication, and triple points are found by hashing crossing
-images in gcd-reduced homogeneous coordinates.  The exact rationals
-``StrandRef.t`` and ``Crossing.point`` are formed only when read.
+images in gcd-reduced homogeneous coordinates.
 
-Each diagram builds, on first use, an edge-pair crossing matrix: for every
-edge e and every edge f it passes over, the signed sum and the number of
-those crossings.  lk(J, K) is then the sum of s_J(e) s_K(f) L[e][f] over
-the |J| |K| edge pairs, with s the traversal signs, instead of a scan of
-the whole crossing list for every circuit pair.
+The kernel emits each crossing as a flat tuple of integers.  A
+`ProjectedDiagram` keeps those records and builds the `Crossing` and
+`StrandRef` objects only when ``crossings`` is read, and the exact
+rationals ``StrandRef.t`` and ``Crossing.point`` only when those are read;
+computing omega reads none of them.
+
+Each diagram builds, on first use, an edge-pair crossing matrix from the
+records: for every edge e and every edge f it passes over, the signed sum
+and the number of those crossings.  `link_tables` computes lk and the
+crossing parity of every circuit pair in one pass: each J gets one row,
+the sum of s_J(e) L[e][f] over the edges e of J (s the traversal signs),
+and lk(J, K) is the sum of s_K(f) row[f] over the edges f of K.
+`linking_number` and `omega_pair` are one-pair calls of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
@@ -47,8 +54,7 @@ class NonRegularProjection(RuntimeError):
     """The projection direction is degenerate for this configuration."""
 
 
-@dataclass(frozen=True)
-class StrandRef:
+class StrandRef(NamedTuple):
     strand: object  # edge id for graph diagrams, loop index for loop pairs
     segment: int
     t_num: int  # the parameter along the segment is t_num / t_den,
@@ -59,8 +65,7 @@ class StrandRef:
         return Fraction(self.t_num, self.t_den)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     first: StrandRef
     second: StrandRef
     over: int  # 0 when `first` is nearer the viewer, 1 when `second` is
@@ -88,18 +93,18 @@ def _clear_denominators(points: Iterable[Point3]) -> tuple[int, list[tuple[int, 
     return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
-def strand_crossings(
+# One crossing as plain integers: (strand_s, segment_s, t_num_s, t_den_s,
+# strand_t, segment_t, t_num_t, t_den_t, over, sign, x, y, w), with s
+# before t in segment order and the image at (x/(w x_unit), y/(w y_unit)).
+CrossingRecord = tuple
+
+
+def _crossing_records(
     strands: Sequence[tuple[object, Sequence[Point3], bool]],
     direction: Point3,
     markers: Iterable[Point3] = (),
-) -> tuple[Crossing, ...]:
-    """All transversal crossings between strand images, or NonRegularProjection.
-
-    Strands are (key, points, closed) triples; closed strands get a wrap
-    segment from their last point to their first.  Markers are points
-    (vertex locations) that must not land on any segment image they are
-    not an endpoint of.
-    """
+) -> tuple[list[CrossingRecord], int, int]:
+    """(records, x_unit, y_unit) of all crossings; see `strand_crossings`."""
     marker_list = list(markers)
     # every distinct point once, numbered in order of first appearance
     ids: dict[Point3, int] = {}
@@ -144,11 +149,7 @@ def strand_crossings(
                     min(ax, bx) <= mx <= max(ax, bx) and min(ay, by) <= my <= max(ay, by):
                 raise NonRegularProjection("a vertex projects onto an edge")
 
-    # a crossing image at (X/W, Y/W) in the cleared frame is the point
-    # (X/(W kq), Y/(W k^2 q)) in the frame of `direction`, where q is the
-    # point scale and the frame vectors u, v scale by k and k^2
-    x_unit, y_unit = dscale * scale, dscale * dscale * scale
-    crossings: list[Crossing] = []
+    records: list[CrossingRecord] = []
     seen_points: set[tuple[int, int, int]] = set()
     for i, (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh) in enumerate(segs):
         ex, ey = bx - ax, by - ay
@@ -205,23 +206,53 @@ def strand_crossings(
             over = 0 if depth_s > depth_t else 1
             # o2 - o1 is the image cross product of the s and t tangents
             positive = (o2 > o1) == (over == 0)
-            crossings.append(Crossing(
-                StrandRef(key_s, idx_s, n_s, w_s),
-                StrandRef(key_t, idx_t, n_t, w_t),
-                over,
-                1 if positive else -1,
-                (point[0], point[2] * x_unit, point[1], point[2] * y_unit),
-            ))
-    return tuple(crossings)
+            records.append((key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t,
+                            over, 1 if positive else -1, *point))
+    # a crossing image at (X/W, Y/W) in the cleared frame is the point
+    # (X/(W kq), Y/(W k^2 q)) in the frame of `direction`, where q is the
+    # point scale and the frame vectors u, v scale by k and k^2
+    return records, dscale * scale, dscale * dscale * scale
+
+
+def _crossing_objects(records: Iterable[CrossingRecord], x_unit: int,
+                      y_unit: int) -> tuple[Crossing, ...]:
+    return tuple(
+        Crossing(StrandRef(key_s, idx_s, n_s, w_s), StrandRef(key_t, idx_t, n_t, w_t),
+                 over, sign, (x, w * x_unit, y, w * y_unit))
+        for key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t, over, sign, x, y, w in records)
+
+
+def strand_crossings(
+    strands: Sequence[tuple[object, Sequence[Point3], bool]],
+    direction: Point3,
+    markers: Iterable[Point3] = (),
+) -> tuple[Crossing, ...]:
+    """All transversal crossings between strand images, or NonRegularProjection.
+
+    Strands are (key, points, closed) triples; closed strands get a wrap
+    segment from their last point to their first.  Markers are points
+    (vertex locations) that must not land on any segment image they are
+    not an endpoint of.
+    """
+    return _crossing_objects(*_crossing_records(strands, direction, markers))
 
 
 @dataclass(frozen=True)
 class ProjectedDiagram:
-    """Crossing data of one regular projection of an embedded graph."""
+    """Crossing data of one regular projection of an embedded graph.
+
+    The crossings are held as integer records (see `_crossing_records`);
+    the `Crossing` objects are built only when `crossings` is read.
+    """
 
     direction: Point3
     edge_endpoints: Mapping[int, tuple[int, int]]
-    crossings: tuple[Crossing, ...]
+    records: tuple[CrossingRecord, ...] = field(repr=False)
+    units: tuple[int, int] = field(repr=False)  # (x_unit, y_unit) of the images
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        return _crossing_objects(self.records, *self.units)
 
     @cached_property
     def crossing_matrix(self) -> dict[int, dict[int, tuple[int, int]]]:
@@ -230,10 +261,13 @@ class ProjectedDiagram:
         Edge pairs with no such crossing are absent.
         """
         matrix: dict[int, dict[int, tuple[int, int]]] = {}
-        for c in self.crossings:
-            row = matrix.setdefault(c.over_strand, {})
-            signed, count = row.get(c.under_strand, (0, 0))
-            row[c.under_strand] = (signed + c.sign, count + 1)
+        for key_s, _, _, _, key_t, _, _, _, over, sign, _, _, _ in self.records:
+            e, f = (key_s, key_t) if over == 0 else (key_t, key_s)
+            row = matrix.get(e)
+            if row is None:
+                row = matrix[e] = {}
+            cell = row.get(f)
+            row[f] = (sign, 1) if cell is None else (cell[0] + sign, cell[1] + 1)
         return matrix
 
 
@@ -244,58 +278,81 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
         for e in sorted(emb.graph.edges, key=lambda e: e.id)
     ]
     markers = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
-    crossings = strand_crossings(strands, direction, markers)
+    records, x_unit, y_unit = _crossing_records(strands, direction, markers)
     endpoints = {e.id: (e.u, e.v) for e in emb.graph.edges}
-    return ProjectedDiagram(direction, endpoints, crossings)
+    return ProjectedDiagram(direction, endpoints, tuple(records), (x_unit, y_unit))
 
 
-def _traversal_signs(diagram: ProjectedDiagram, circuit: Circuit) -> dict[int, int]:
-    # +1 where the circuit walks an edge in its stored path direction (u to v)
-    out: dict[int, int] = {}
+def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],
+                     circuit: Circuit) -> list[tuple[int, int]]:
+    # (edge id, +1 where the circuit walks the edge in its stored path direction (u to v))
+    out = []
     for v, eid in zip(circuit.vertex_seq, circuit.edge_ids):
-        ends = diagram.edge_endpoints.get(eid)
+        ends = endpoints.get(eid)
         if ends is None:
             raise GraphError(f"circuit edge {eid} is not in the diagram")
-        out[eid] = 1 if v == ends[0] else -1
+        out.append((eid, 1 if v == ends[0] else -1))
     return out
 
 
-def _check_disjoint(j: Circuit, k: Circuit) -> None:
-    if not j.is_disjoint_from(k):
-        raise GraphError("circuits share a vertex; linking is undefined")
+def link_tables(diagrams: Sequence[ProjectedDiagram],
+                pairs: Iterable[tuple[Circuit, Circuit]]) -> list[list[tuple[int, int]]]:
+    """Per diagram, (lk(J, K), parity of the crossings where J passes over K)
+    of every pair, in one pass.
+
+    The diagrams must be projections of one graph.  Each circuit's
+    traversal signs s are computed once, and each J gets one signed row
+    per diagram over the edges f it passes over: the sums of
+    s_J(e) L[e][f].signed and of L[e][f].count over the edges e of J.
+    lk(J, K) is then the sum of s_K(f) row[f].signed over the edges f of
+    K, and the parity that of the summed counts.
+    """
+    endpoints = diagrams[0].edge_endpoints
+    if any(d.edge_endpoints != endpoints for d in diagrams[1:]):
+        raise GraphError("the diagrams project different graphs")
+    pairs = list(pairs)  # keeps every circuit alive, so ids stay unique
+    matrices = [d.crossing_matrix for d in diagrams]
+    signs: dict[int, list[tuple[int, int]]] = {}  # by id of the circuit
+    rows: list[dict[int, dict[int, list[int]]]] = [{} for _ in diagrams]
+    tables: list[list[tuple[int, int]]] = [[] for _ in diagrams]
+    for j, k in pairs:
+        if not j.vertices.isdisjoint(k.vertices):
+            raise GraphError("circuits share a vertex; linking is undefined")
+        signs_j = signs.get(id(j))
+        if signs_j is None:
+            signs_j = signs[id(j)] = _traversal_signs(endpoints, j)
+        signs_k = signs.get(id(k))
+        if signs_k is None:
+            signs_k = signs[id(k)] = _traversal_signs(endpoints, k)
+        for matrix, rows_d, table in zip(matrices, rows, tables):
+            row = rows_d.get(id(j))
+            if row is None:
+                row = rows_d[id(j)] = {}
+                for e, sign_e in signs_j:
+                    cells = matrix.get(e)
+                    if cells:
+                        for f, (signed, count) in cells.items():
+                            acc = row.get(f)
+                            if acc is None:
+                                row[f] = [sign_e * signed, count]
+                            else:
+                                acc[0] += sign_e * signed
+                                acc[1] += count
+            lk = count = 0
+            for f, sign_f in signs_k:
+                acc = row.get(f)
+                if acc is not None:
+                    lk += sign_f * acc[0]
+                    count += acc[1]
+            table.append((lk, count & 1))
+    return tables
 
 
 def linking_number(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K): signed count of crossings where J passes over K."""
-    _check_disjoint(j, k)
-    sig_j = _traversal_signs(diagram, j)
-    sig_k = _traversal_signs(diagram, k)
-    matrix = diagram.crossing_matrix
-    total = 0
-    for e, sign_e in sig_j.items():
-        row = matrix.get(e)
-        if row:
-            for f, sign_f in sig_k.items():
-                cell = row.get(f)
-                if cell:
-                    total += cell[0] * sign_e * sign_f
-    return total
+    return link_tables([diagram], [(j, k)])[0][0][0]
 
 
 def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K) mod 2: parity of the crossings where J passes over K."""
-    _check_disjoint(j, k)
-    for eid in j.edge_ids + k.edge_ids:
-        if eid not in diagram.edge_endpoints:
-            raise GraphError(f"circuit edge {eid} is not in the diagram")
-    matrix = diagram.crossing_matrix
-    count = 0
-    for e in j.edge_ids:
-        row = matrix.get(e)
-        if row:
-            for f in k.edge_ids:
-                cell = row.get(f)
-                if cell:
-                    count += cell[1]
-    return count & 1
-
+    return link_tables([diagram], [(j, k)])[0][0][1]

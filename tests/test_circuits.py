@@ -232,6 +232,18 @@ def test_cap_counts_the_enumerated_circuits():
     assert len(disjoint_circuit_pairs(complete_graph(7), cap=200)) == 175
 
 
+def test_enumeration_work_is_bounded_by_the_cap():
+    # grid5x5 has 9349 circuits but takes 340564 path extensions
+    g = parse_graph("grid5x5")
+    with pytest.raises(CircuitCapExceeded, match="more than 20000 path extensions"):
+        enumerate_circuits(g, cap=10_000)
+    assert len(enumerate_circuits(g, cap=200_000)) == 9349
+    # complete graphs take about two extensions per circuit: 2365 for K7
+    assert len(enumerate_circuits(complete_graph(7), cap=1183)) == 1172
+    with pytest.raises(CircuitCapExceeded, match="path extensions"):
+        enumerate_circuits(complete_graph(7), cap=1182)
+
+
 @st.composite
 def loopy_multigraphs(draw):
     n = draw(st.integers(1, 9))

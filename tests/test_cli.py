@@ -342,6 +342,20 @@ def test_oversized_graphs_exit_2_at_once(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("graph", ["grid6x6", "grid20x20"])
+def test_circuit_enumeration_work_is_bounded(capsys, graph):
+    # their self-avoiding paths rarely close, so counting circuits alone
+    # would run for minutes before reaching the circuit cap
+    import time
+
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "experiment", graph, "--trials", "1")
+    assert time.process_time() - start < 20.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "path extensions" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flags_rejected(capsys):
     assert run_cli(capsys, "classify", "K6", "--frobnicate")[0] == 2
 

@@ -465,3 +465,92 @@ def test_box_reject_agrees_with_reference(corners, shares, waypoints):
     path_f = (points[f.u], *waypoints[1], points[f.v])
     assert (_pair_verdict(embedding._check_paths_disjoint, e, path_e, f, path_f, points)
             == _pair_verdict(_reference_paths_disjoint, e, path_e, f, path_f, points))
+
+
+def _sets_reference_paths_disjoint(e, path_e, f, path_f, points):
+    """_check_paths_disjoint as it was before its inline contact and
+    coplanarity tests: sets and the geometry predicates on every pair."""
+    shared = None
+    segs_f = list(zip(path_f, path_f[1:]))
+    for a1, b1 in zip(path_e, path_e[1:]):
+        for a2, b2 in segs_f:
+            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                if shared is None:
+                    shared = ({points[v] for v in (e.u, e.v)}
+                              & {points[v] for v in (f.u, f.v)})
+                common = {a1, b1} & {a2, b2}
+                if not common <= shared:
+                    raise EmbeddingError(
+                        f"edges {e.id} and {f.id} touch at a non-vertex point")
+                for s in common:
+                    other1 = b1 if s == a1 else a1
+                    other2 = b2 if s == a2 else a2
+                    if shared_endpoint_segments_overlap(s, other1, other2):
+                        raise EmbeddingError(
+                            f"edges {e.id} and {f.id} overlap at vertex")
+            elif (not embedding._boxes_apart(a1, b1, a2, b2)
+                    and segments3_intersect(a1, b1, a2, b2)):
+                raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
+
+
+# lattice coordinates in steps of 1/2, kept in normal form (ints when whole)
+_HALVES = st.integers(0, 6).map(lambda k: k // 2 if k % 2 == 0 else Fraction(k, 2))
+_POINT = st.tuples(_HALVES, _HALVES, _HALVES)
+_CONTACTS = ("collinear at vertex", "non-vertex contact", "coplanar crossing")
+
+
+def _towards(s, p, k):
+    return tuple(a + k * (b - a) for a, b in zip(s, p))
+
+
+@st.composite
+def _path_pairs(draw):
+    """Two paths of edges e = 1-2 and f, free or with a planted contact:
+    f leaving the vertex it shares with e along e's last segment, f passing
+    through a point of e that is no shared vertex, or f crossing a segment
+    of e in a plane they share."""
+    kind = draw(st.sampled_from(("free",) + _CONTACTS))
+    shares = draw(st.sampled_from(["one", "same edge"] if kind == "collinear at vertex"
+                                  else ["none", "one", "same edge"]))
+    e = Edge(0, 1, 2)
+    f = {"none": Edge(1, 3, 4), "one": Edge(1, 2, 3), "same edge": e}[shares]
+    points = dict(zip((1, 2, 3, 4), draw(st.lists(_POINT, min_size=4, max_size=4))))
+    path_e = (points[1], *draw(st.lists(_POINT, max_size=2)), points[2])
+    waypoints = draw(st.lists(_POINT, max_size=2))
+    if kind == "collinear at vertex":
+        # f leaves vertex 2 along e's last segment, which ends there; vertex
+        # 2 is where f = 2-3 starts, and where f = e ends
+        k = draw(st.sampled_from([Fraction(1, 2), 1, 2]))
+        planted = _towards(points[2], path_e[-2], k)
+        if shares == "one":
+            path_f = (points[2], planted, *waypoints, points[3])
+        else:
+            path_f = (points[1], *waypoints, planted, points[2])
+        return kind, (e, path_e, f, path_f, points), draw(st.booleans())
+    i = draw(st.integers(0, len(path_e) - 2))
+    a, b = path_e[i], path_e[i + 1]
+    spot = draw(st.sampled_from([a, b, _towards(a, b, Fraction(1, 2))]))
+    if kind == "non-vertex contact":
+        waypoints.insert(draw(st.integers(0, len(waypoints))), spot)
+    elif kind == "coplanar crossing":
+        d = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        if not any(d):
+            d = (1, 0, 0)
+        at = draw(st.integers(0, len(waypoints)))
+        waypoints[at:at] = [_towards(spot, tuple(c + x for c, x in zip(spot, d)), 1),
+                            _towards(spot, tuple(c - x for c, x in zip(spot, d)), 1)]
+    path_f = (points[f.u], *waypoints, points[f.v])
+    return kind, (e, path_e, f, path_f, points), draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_path_pairs())
+def test_inline_contact_tests_agree_with_reference(case):
+    kind, (e, path_e, f, path_f, points), swap = case
+    args = (f, path_f, e, path_e) if swap else (e, path_e, f, path_f)
+    expected = _pair_verdict(_sets_reference_paths_disjoint, *args, points)
+    event(f"{kind}: {expected and expected.split(' ', 4)[-1]}")
+    assert _pair_verdict(embedding._check_paths_disjoint, *args, points) == expected
+    assert _pair_verdict(_reference_paths_disjoint, *args, points) == expected
+    if kind == "collinear at vertex" and path_e[-2] != path_e[-1]:
+        assert expected is not None

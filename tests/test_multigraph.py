@@ -115,6 +115,7 @@ def test_loops_and_parallels():
     g = graph_from_pairs([(1, 1), (1, 2), (1, 2)])
     assert g.degree(1) == 4  # loop counts twice
     assert not g.is_simple
+    assert "is_simple" in vars(g)  # computed once per (immutable) graph
     s = g.simplified()
     assert s.m == 1 and s.edge(1).pair() == (1, 2)
 

@@ -7,11 +7,15 @@ are frozen from exact computation and double-checked against the numeric
 Gauss integral oracle.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkless import projection
 from linkless.circuits import disjoint_circuit_pairs, enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
@@ -19,6 +23,7 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
+from linkless.experiments import conway_gordon_experiment
 from linkless.multigraph import (
     GraphError,
     complete_graph,
@@ -33,6 +38,7 @@ from linkless.omega import (
 )
 from linkless.projection import (
     NonRegularProjection,
+    link_tables,
     linking_number,
     omega_pair,
     project,
@@ -390,3 +396,66 @@ def test_crossings_match_fraction_oracle(name):
                     for c in diagram.crossings}
             assert len(ours) == len(diagram.crossings)
             assert ours == crossing_oracle(segments, diagram.direction)
+
+
+@st.composite
+def _small_embeddings(draw):
+    """A random straight embedding of a graph on 5-8 vertices, with some
+    edges bent through a rational waypoint (bends that would meet another
+    edge are skipped)."""
+    n = draw(st.integers(5, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=6, max_size=20, unique=True))
+    g = graph_from_pairs(pairs)
+    emb = random_embedding(g, draw(st.integers(0, 10**6)))
+    for eid in draw(st.lists(st.sampled_from(sorted(emb.edge_paths)), max_size=6, unique=True)):
+        a, b = emb.path(eid)
+        offset = draw(st.tuples(*[st.integers(-400000, 400000)] * 3))
+        den = draw(st.integers(1, 7))
+        mid = tuple(Fraction(x + y, 2) + Fraction(o, den) for x, y, o in zip(a, b, offset))
+        try:
+            emb = reroute_edge(emb, eid, (a, mid, b))
+        except EmbeddingError:
+            pass
+    return emb, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_embeddings())
+def test_one_pass_table_matches_per_pair_calls(case):
+    emb, seed = case
+    pairs = disjoint_circuit_pairs(emb.graph)
+    # also in any order and orientation: rows are kept per circuit
+    rng = random.Random(seed)
+    pairs += rng.sample([(k, j) if rng.random() < 0.5 else (j, k) for j, k in pairs],
+                        len(pairs))
+    diagram = regular_projection(emb, seed=seed)
+    check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
+    tables = link_tables([diagram, check], pairs)
+    assert tables[0] == link_tables([diagram], pairs)[0]
+    for d, table in zip((diagram, check), tables, strict=True):
+        assert len(table) == len(pairs)
+        for (j, k), row in zip(pairs, table):
+            assert row == (linking_number(d, j, k), omega_pair(d, j, k)) == scanned_lk(d, j, k)
+    # lk is a topological invariant: the two projections agree
+    assert [lk for lk, _ in tables[0]] == [lk for lk, _ in tables[1]]
+
+
+def test_link_tables_reject_diagrams_of_different_graphs():
+    a = project(random_embedding(complete_graph(6), 1), (3, -2, 7))
+    b = project(random_embedding(k331_graph(), 1), (3, -2, 7))
+    with pytest.raises(GraphError, match="different graphs"):
+        link_tables([a, b], [])
+
+
+def test_omega_builds_no_crossing_objects(monkeypatch):
+    built = []
+    real = projection.Crossing
+    monkeypatch.setattr(projection, "Crossing", lambda *args: built.append(args) or real(*args))
+    report = omega_graph(random_embedding(complete_graph(7), 2), seed=2)
+    assert len(report.pairs) == 175
+    conway_gordon_experiment(complete_graph(6), trials=8, seed=3)
+    assert built == []
+    # reading .crossings is what builds them
+    diagram = regular_projection(random_embedding(complete_graph(6), 3), seed=3)
+    assert len(diagram.crossings) == len(diagram.records) == len(built) > 0
