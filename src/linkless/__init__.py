@@ -76,7 +76,6 @@ from .multigraph import (
 from .omega import OmegaReport, omega_graph, regular_projection
 from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
 from .projection import (
-    Crossing,
     NonRegularProjection,
     ProjectedDiagram,
     linking_number,
@@ -90,7 +89,6 @@ __all__ = [
     "Circuit",
     "CircuitCapExceeded",
     "ClosureSizeExceeded",
-    "Crossing",
     "DEFAULT_BUDGET",
     "Edge",
     "EmbeddingError",

@@ -24,7 +24,7 @@ from .multigraph import (
     k331_graph,
     parse_graph,
 )
-from .projection import linking_number
+from .projection import link_tables
 from .circuits import disjoint_circuit_pairs
 from .embedding import random_embedding
 
@@ -288,10 +288,7 @@ def criterion_8_projection_independence(
         for i in range(embeddings):
             emb = random_embedding(g, seed ^ i)
             diagrams = distinct_regular_diagrams(emb, 1000 + i, directions)
-            tables = [
-                [linking_number(diag, j, k) for j, k in pairs]
-                for diag in diagrams
-            ]
+            tables = [[lk for lk, _ in table] for table in link_tables(diagrams, pairs)]
             if any(t != tables[0] for t in tables[1:]):
                 mismatches.append({"embedding_seed": seed ^ i, "tables": tables})
         return not mismatches, {

@@ -26,6 +26,7 @@ from .geometry import Point3, cross3, format_point, is_zero3
 from .projection import (
     NonRegularProjection,
     ProjectedDiagram,
+    crossing_matrix,
     link_tables,
     project,
     strand_crossings,
@@ -154,13 +155,11 @@ def loop_pair_link(
     loop_b: Sequence[Point3],
     seed: int = 0,
 ) -> tuple[int, int]:
-    """(lk, omega) for two disjoint closed polylines, retrying directions."""
+    """(lk, omega) for two disjoint closed polylines, retrying directions:
+    the signed sum and the parity of the crossings where loop A passes over
+    loop B."""
     crossings = _first_regular(
         lambda d: strand_crossings([(0, loop_a, True), (1, loop_b, True)], d),
         seed, "no regular projection for the loop pair")
-    lk = count = 0
-    for c in crossings:
-        if c.over_strand == 0 and c.under_strand == 1:
-            lk += c.sign
-            count += 1
+    lk, count = crossing_matrix(crossings).get(0, {}).get(1, (0, 0))
     return lk, count & 1

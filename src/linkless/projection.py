@@ -21,32 +21,34 @@ distinct point is projected once.  Depth order is decided by integer
 cross-multiplication, and triple points are found by hashing crossing
 images in gcd-reduced homogeneous coordinates.
 
-The kernel emits each crossing as a flat tuple of integers.  A
-`ProjectedDiagram` keeps those records and builds the `Crossing` and
-`StrandRef` objects only when ``crossings`` is read, and the exact
-rationals ``StrandRef.t`` and ``Crossing.point`` only when those are read;
-computing omega reads none of them.
+`strand_crossings` emits each crossing as one record of ten integers,
+(strand_s, segment_s, t_num_s, t_den_s, strand_t, segment_t, t_num_t,
+t_den_t, over, sign): the two segments in segment order, the parameter
+t_num/t_den along each, which of them passes over, and the sign.  The
+image point is used to find triple points and is not kept.  A
+`ProjectedDiagram` holds the records as they are, with edge ids as strand
+keys.
 
-Each diagram builds, on first use, an edge-pair crossing matrix from the
-records: for every edge e and every edge f it passes over, the signed sum
-and the number of those crossings.  `link_tables` computes lk and the
-crossing parity of every circuit pair in one pass: each J gets one row,
-the sum of s_J(e) L[e][f] over the edges e of J (s the traversal signs),
-and lk(J, K) is the sum of s_K(f) row[f] over the edges f of K.
-`linking_number` and `omega_pair` are one-pair calls of it.
+Over/under is read in one place, `crossing_matrix`: for every strand e
+and every strand f it passes over, the signed sum and the number of those
+crossings.  Each diagram builds that matrix on first use.  `link_tables`
+computes lk and the crossing parity of every circuit pair in one pass:
+each J gets one row, the sum of s_J(e) L[e][f] over the edges e of J (s
+the traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the
+edges f of K.  `linking_number` and `omega_pair` are one-pair calls of
+it, and ``omega.loop_pair_link`` reads cell L[0][1] of two loops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
-from .geometry import Point2, Point3, _overlap_1d, projection_frame
+from .geometry import Point3, _overlap_1d, projection_frame
 from .multigraph import GraphError
 
 
@@ -54,57 +56,35 @@ class NonRegularProjection(RuntimeError):
     """The projection direction is degenerate for this configuration."""
 
 
-class StrandRef(NamedTuple):
-    strand: object  # edge id for graph diagrams, loop index for loop pairs
-    segment: int
-    t_num: int  # the parameter along the segment is t_num / t_den,
-    t_den: int  # strictly between 0 and 1; t_den > 0
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.t_num, self.t_den)
-
-
-class Crossing(NamedTuple):
-    first: StrandRef
-    second: StrandRef
-    over: int  # 0 when `first` is nearer the viewer, 1 when `second` is
-    sign: int  # right-handed sign for the strands' stored directions
-    image: tuple[int, int, int, int]  # the point is (image[0]/image[1], image[2]/image[3])
-
-    @property
-    def point(self) -> Point2:
-        x, wx, y, wy = self.image
-        return (Fraction(x, wx), Fraction(y, wy))
-
-    @property
-    def over_strand(self):
-        return (self.first if self.over == 0 else self.second).strand
-
-    @property
-    def under_strand(self):
-        return (self.second if self.over == 0 else self.first).strand
-
-
-def _clear_denominators(points: Iterable[Point3]) -> tuple[int, list[tuple[int, int, int]]]:
-    """(q, [p * q]) for the least positive integer q making every point integral."""
+def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
+    """[p * q] for the least positive integer q making every point integral."""
     points = list(points)
     q = math.lcm(*{c.denominator for p in points for c in p})
-    return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
+    return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
-# One crossing as plain integers: (strand_s, segment_s, t_num_s, t_den_s,
-# strand_t, segment_t, t_num_t, t_den_t, over, sign, x, y, w), with s
-# before t in segment order and the image at (x/(w x_unit), y/(w y_unit)).
+# One crossing as ten integers; see `strand_crossings`.
 CrossingRecord = tuple
 
 
-def _crossing_records(
+def strand_crossings(
     strands: Sequence[tuple[object, Sequence[Point3], bool]],
     direction: Point3,
     markers: Iterable[Point3] = (),
-) -> tuple[list[CrossingRecord], int, int]:
-    """(records, x_unit, y_unit) of all crossings; see `strand_crossings`."""
+) -> tuple[CrossingRecord, ...]:
+    """All transversal crossings between strand images, or NonRegularProjection.
+
+    Strands are (key, points, closed) triples; closed strands get a wrap
+    segment from their last point to their first.  Markers are points
+    (vertex locations) that must not land on any segment image they are
+    not an endpoint of.  Each crossing is a record (strand_s, segment_s,
+    t_num_s, t_den_s, strand_t, segment_t, t_num_t, t_den_t, over, sign):
+    segment s of strand_s meets segment t of strand_t at the parameters
+    t_num/t_den along each (strictly between 0 and 1, t_den > 0), with s
+    before t in segment order.  over is 0 when s is nearer the viewer and
+    1 when t is, and sign is the right-handed sign for the strands'
+    stored directions.
+    """
     marker_list = list(markers)
     # every distinct point once, numbered in order of first appearance
     ids: dict[Point3, int] = {}
@@ -113,8 +93,8 @@ def _crossing_records(
             ids.setdefault(p, len(ids))
     for m in marker_list:
         ids.setdefault(m, len(ids))
-    scale, cleared = _clear_denominators(ids)
-    dscale, (d,) = _clear_denominators([direction])
+    cleared = _clear_denominators(ids)
+    (d,) = _clear_denominators([direction])
     (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
     dx, dy, dz = d
     xs, ys, hs = [], [], []
@@ -207,68 +187,45 @@ def _crossing_records(
             # o2 - o1 is the image cross product of the s and t tangents
             positive = (o2 > o1) == (over == 0)
             records.append((key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t,
-                            over, 1 if positive else -1, *point))
-    # a crossing image at (X/W, Y/W) in the cleared frame is the point
-    # (X/(W kq), Y/(W k^2 q)) in the frame of `direction`, where q is the
-    # point scale and the frame vectors u, v scale by k and k^2
-    return records, dscale * scale, dscale * dscale * scale
+                            over, 1 if positive else -1))
+    return tuple(records)
 
 
-def _crossing_objects(records: Iterable[CrossingRecord], x_unit: int,
-                      y_unit: int) -> tuple[Crossing, ...]:
-    return tuple(
-        Crossing(StrandRef(key_s, idx_s, n_s, w_s), StrandRef(key_t, idx_t, n_t, w_t),
-                 over, sign, (x, w * x_unit, y, w * y_unit))
-        for key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t, over, sign, x, y, w in records)
+def crossing_matrix(
+    records: Iterable[CrossingRecord],
+) -> dict[object, dict[object, tuple[int, int]]]:
+    """L[e][f] = (signed sum, count) of the crossings where strand e passes over f.
 
-
-def strand_crossings(
-    strands: Sequence[tuple[object, Sequence[Point3], bool]],
-    direction: Point3,
-    markers: Iterable[Point3] = (),
-) -> tuple[Crossing, ...]:
-    """All transversal crossings between strand images, or NonRegularProjection.
-
-    Strands are (key, points, closed) triples; closed strands get a wrap
-    segment from their last point to their first.  Markers are points
-    (vertex locations) that must not land on any segment image they are
-    not an endpoint of.
+    This is the one place that reads over/under.  Strand pairs with no
+    such crossing are absent.
     """
-    return _crossing_objects(*_crossing_records(strands, direction, markers))
+    matrix: dict[object, dict[object, tuple[int, int]]] = {}
+    for key_s, _, _, _, key_t, _, _, _, over, sign in records:
+        e, f = (key_s, key_t) if over == 0 else (key_t, key_s)
+        row = matrix.get(e)
+        if row is None:
+            row = matrix[e] = {}
+        cell = row.get(f)
+        row[f] = (sign, 1) if cell is None else (cell[0] + sign, cell[1] + 1)
+    return matrix
 
 
 @dataclass(frozen=True)
 class ProjectedDiagram:
     """Crossing data of one regular projection of an embedded graph.
 
-    The crossings are held as integer records (see `_crossing_records`);
-    the `Crossing` objects are built only when `crossings` is read.
+    ``crossings`` holds the integer records of `strand_crossings`, with
+    edge ids as strand keys.
     """
 
     direction: Point3
     edge_endpoints: Mapping[int, tuple[int, int]]
-    records: tuple[CrossingRecord, ...] = field(repr=False)
-    units: tuple[int, int] = field(repr=False)  # (x_unit, y_unit) of the images
-
-    @cached_property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return _crossing_objects(self.records, *self.units)
+    crossings: tuple[CrossingRecord, ...]
 
     @cached_property
     def crossing_matrix(self) -> dict[int, dict[int, tuple[int, int]]]:
-        """L[e][f] = (signed sum, count) of the crossings where e passes over f.
-
-        Edge pairs with no such crossing are absent.
-        """
-        matrix: dict[int, dict[int, tuple[int, int]]] = {}
-        for key_s, _, _, _, key_t, _, _, _, over, sign, _, _, _ in self.records:
-            e, f = (key_s, key_t) if over == 0 else (key_t, key_s)
-            row = matrix.get(e)
-            if row is None:
-                row = matrix[e] = {}
-            cell = row.get(f)
-            row[f] = (sign, 1) if cell is None else (cell[0] + sign, cell[1] + 1)
-        return matrix
+        """`crossing_matrix` of the crossings, built on first use."""
+        return crossing_matrix(self.crossings)
 
 
 def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
@@ -278,9 +235,9 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
         for e in sorted(emb.graph.edges, key=lambda e: e.id)
     ]
     markers = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
-    records, x_unit, y_unit = _crossing_records(strands, direction, markers)
     endpoints = {e.id: (e.u, e.v) for e in emb.graph.edges}
-    return ProjectedDiagram(direction, endpoints, tuple(records), (x_unit, y_unit))
+    crossings = strand_crossings(strands, direction, markers)
+    return ProjectedDiagram(direction, endpoints, crossings)
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],

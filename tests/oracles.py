@@ -161,3 +161,10 @@ def crossing_oracle(segments, direction) -> set[tuple]:
             sign = 1 if (den > 0) == (over == 0) else -1
             found.add((k1, i1, s, k2, i2, t, over, sign))
     return found
+
+
+def decode(record) -> tuple:
+    """A `strand_crossings` record as the (key, index, t, key', index', t',
+    over, sign) tuple of `crossing_oracle`, with t and t' as Fractions."""
+    key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t, over, sign = record
+    return (key_s, idx_s, Fraction(n_s, w_s), key_t, idx_t, Fraction(n_t, w_t), over, sign)

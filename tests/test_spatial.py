@@ -12,10 +12,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkless import projection
 from linkless.circuits import disjoint_circuit_pairs, enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
@@ -23,7 +22,7 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
-from linkless.experiments import conway_gordon_experiment
+from linkless.geometry import cross3, is_zero3, segments3_intersect, sub3
 from linkless.multigraph import (
     GraphError,
     complete_graph,
@@ -43,7 +42,7 @@ from linkless.projection import (
     omega_pair,
     project,
 )
-from oracles import crossing_oracle, gauss_linking_number
+from oracles import crossing_oracle, decode, gauss_linking_number
 
 TWO_TRIANGLES = graph_from_pairs(
     [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)], name="two-triangles")
@@ -132,11 +131,13 @@ def test_stacked_overlapping_triangles_have_six_crossings():
 def test_crossings_carry_over_under_and_sign():
     emb = hopf_embedding()
     d = project(emb, (1, 2, 9))
-    for c in d.crossings:
-        assert c.over in (0, 1)
-        assert c.sign in (-1, 1)
-        assert 0 < c.first.t < 1
-        assert 0 < c.second.t < 1
+    for record in d.crossings:
+        assert len(record) == 10 and all(type(x) is int for x in record)
+        _, _, t_s, _, _, t_t, over, sign = decode(record)
+        assert over in (0, 1)
+        assert sign in (-1, 1)
+        assert 0 < t_s < 1
+        assert 0 < t_t < 1
 
 
 def test_linking_number_rejects_overlapping_circuits():
@@ -313,9 +314,11 @@ def scanned_lk(diagram, j, k):
 
     sig_j, sig_k = signs(j), signs(k)
     lk = count = 0
-    for c in diagram.crossings:
-        if c.over_strand in sig_j and c.under_strand in sig_k:
-            lk += c.sign * sig_j[c.over_strand] * sig_k[c.under_strand]
+    for record in diagram.crossings:
+        first, _, _, second, _, _, over, sign = decode(record)
+        upper, lower = (first, second) if over == 0 else (second, first)
+        if upper in sig_j and lower in sig_k:
+            lk += sign * sig_j[upper] * sig_k[lower]
             count += 1
     return lk, count & 1
 
@@ -370,14 +373,8 @@ def test_rational_scaling_keeps_crossings_and_lk():
             da = project(emb, direction)
             db = project(scaled, rational_direction)
             assert len(da.crossings) > 0
-            for ca, cb in zip(da.crossings, db.crossings, strict=True):
-                assert (ca.first.strand, ca.first.segment, ca.second.strand,
-                        ca.second.segment, ca.over, ca.sign) == \
-                    (cb.first.strand, cb.first.segment, cb.second.strand,
-                     cb.second.segment, cb.over, cb.sign)
-                assert (ca.first.t, ca.second.t) == (cb.first.t, cb.second.t)
-                # the frame of d/4 is (u/4, v/16), and points scale by factor
-                assert cb.point == (ca.point[0] * factor / 4, ca.point[1] * factor / 16)
+            # strands, segments, parameters, over/under and signs, in order
+            assert [decode(r) for r in da.crossings] == [decode(r) for r in db.crossings]
             for j, k in pairs:
                 assert linking_number(da, j, k) == linking_number(db, j, k)
                 assert omega_pair(da, j, k) == omega_pair(db, j, k)
@@ -391,9 +388,7 @@ def test_crossings_match_fraction_oracle(name):
             diagram = regular_projection(emb, seed=seed)
             segments = [(eid, i, p, q) for eid, path in sorted(emb.edge_paths.items())
                         for i, (p, q) in enumerate(zip(path, path[1:]))]
-            ours = {(c.first.strand, c.first.segment, c.first.t,
-                     c.second.strand, c.second.segment, c.second.t, c.over, c.sign)
-                    for c in diagram.crossings}
+            ours = {decode(r) for r in diagram.crossings}
             assert len(ours) == len(diagram.crossings)
             assert ours == crossing_oracle(segments, diagram.direction)
 
@@ -448,14 +443,35 @@ def test_link_tables_reject_diagrams_of_different_graphs():
         link_tables([a, b], [])
 
 
-def test_omega_builds_no_crossing_objects(monkeypatch):
-    built = []
-    real = projection.Crossing
-    monkeypatch.setattr(projection, "Crossing", lambda *args: built.append(args) or real(*args))
-    report = omega_graph(random_embedding(complete_graph(7), 2), seed=2)
-    assert len(report.pairs) == 175
-    conway_gordon_experiment(complete_graph(6), trials=8, seed=3)
-    assert built == []
-    # reading .crossings is what builds them
-    diagram = regular_projection(random_embedding(complete_graph(6), 3), seed=3)
-    assert len(diagram.crossings) == len(diagram.records) == len(built) > 0
+def _closed_segments(loop):
+    return [(p, loop[(i + 1) % len(loop)]) for i, p in enumerate(loop)]
+
+
+def _is_simple_loop(loop):
+    """No two consecutive segments are collinear, and no two others meet."""
+    segs = _closed_segments(loop)
+    n = len(segs)
+    for i, (p, q) in enumerate(segs):
+        if is_zero3(cross3(sub3(q, p), sub3(segs[(i + 1) % n][1], q))):
+            return False
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if segments3_intersect(p, q, *segs[j]):
+                return False
+    return True
+
+
+_loop_points = st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=3, max_size=6,
+                        unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_points, _loop_points, st.integers(0, 1000))
+def test_loop_pair_link_matches_gauss_and_symmetries(loop_a, loop_b, seed):
+    assume(_is_simple_loop(loop_a) and _is_simple_loop(loop_b))
+    assume(not any(segments3_intersect(*s, *t)
+                   for s in _closed_segments(loop_a) for t in _closed_segments(loop_b)))
+    lk, parity = loop_pair_link(loop_a, loop_b, seed=seed)
+    assert abs(gauss_linking_number(loop_a, loop_b) - lk) < 1e-6
+    assert parity == lk % 2
+    assert loop_pair_link(loop_b, loop_a, seed=seed) == (lk, parity)
+    assert loop_pair_link(loop_a[::-1], loop_b, seed=seed) == (-lk, parity)
