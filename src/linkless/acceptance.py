@@ -10,9 +10,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 
-from .canonical import canonical_form
 from .experiments import conway_gordon_experiment, edge_swap_check
 from .minors import has_minor, is_intrinsically_linked, minor_minimality_report
 from .moves import family_closed_under_delta_y, petersen_family
@@ -239,20 +238,18 @@ def criterion_7_oracle_equivalence() -> CriterionResult:
 
 
 def _graphs_up_to_6_vertices() -> list[MultiGraph]:
-    """One representative per isomorphism class of simple graphs on <= 6 vertices."""
-    reps = []
-    seen = set()
-    for n in range(0, 7):
-        verts = list(range(1, n + 1))
-        all_pairs = list(combinations(verts, 2))
-        for bits in range(1 << len(all_pairs)):
-            pairs = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
-            g = graph_from_pairs(pairs, vertices=verts)
-            key = canonical_form(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append(g)
+    """One representative per isomorphism class of simple graphs on <= 6
+    vertices: each class on n - 1 vertices gets vertex n with every
+    neighbourhood, deduplicated by the brute-force key (complete for fixed n)."""
+    reps, classes = [graph_from_pairs(())], [()]
+    for n in range(1, 7):
+        grown = {}
+        for pairs in classes:
+            for bits in range(1 << (n - 1)):
+                new = pairs + tuple((v, n) for v in range(1, n) if bits >> (v - 1) & 1)
+                grown.setdefault(_brute_iso_key_of_pairs(tuple(sorted(new))), new)
+        classes = list(grown.values())
+        reps += (graph_from_pairs(p, vertices=range(1, n + 1)) for p in classes)
     return reps
 
 

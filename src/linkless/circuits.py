@@ -66,9 +66,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.edge_ids)
 
-    def is_disjoint_from(self, other: "Circuit") -> bool:
-        return self.vertices.isdisjoint(other.vertices)
-
     @property
     def sort_key(self) -> tuple:
         return (len(self.edge_ids), self.vertex_seq, self.edge_ids)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .circuits import Circuit
 from .geometry import (
     Point3,
     format_point,
@@ -88,20 +87,6 @@ class SpatialEmbedding:
 
     def path(self, eid: int) -> tuple[Point3, ...]:
         return self.edge_paths[eid]
-
-    def circuit_loop(self, circuit: Circuit) -> list[Point3]:
-        """The circuit's closed polyline (the first point is not repeated)."""
-        loop: list[Point3] = []
-        for i, eid in enumerate(circuit.edge_ids):
-            start = self.vertex_points[circuit.vertex_seq[i]]
-            path = self.edge_paths[eid]
-            if path[0] != start:
-                if path[-1] != start:
-                    raise EmbeddingError(
-                        f"edge {eid} does not pass through circuit vertex")
-                path = tuple(reversed(path))
-            loop.extend(path[:-1])
-        return loop
 
 
 def _validate(graph: MultiGraph, points: dict[int, Point3],

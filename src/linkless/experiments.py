@@ -8,7 +8,8 @@ the per-pair bookkeeping identity
     omega(J', K) = omega(J, K) + omega(D, K)  (mod 2)
 
 where J' is the circuit J with edge e replaced by the new arc e', and D
-is the closed loop e + e'.  The identity follows from the bilinearity of
+is the closed loop e + e'; lk(D, K) for all K comes from one projection of
+D and those circuits.  The identity follows from the bilinearity of
 lk, so it holds on every graph and a violation means a kernel bug.  Summed
 over the pairs through e, omega changes by the sum of omega(D, K), which
 is even on the family; an odd sum on another graph is reported as
@@ -35,7 +36,7 @@ from .embedding import (
 )
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _omega_with_pairs, loop_pair_link
+from .omega import _detour_links, _omega_with_pairs
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,8 @@ def edge_swap_check(
 ) -> RerouteReport:
     """Check that random single-edge reroutes leave omega unchanged.
 
-    Each trial replaces one straight edge by a two-segment detour through
-    a random midpoint and checks both the omega total and the per-pair
+    Each trial replaces one edge path by a two-segment detour through a
+    random midpoint and checks both the omega total and the per-pair
     identity against omega(D, K) for the loop D = old edge + new arc.
     The even-cover check asks sum_i omega(K_i, D) = 0 mod 2 over the pairs
     (J_i, K_i) whose J_i uses the edge, which holds on the family.
@@ -205,16 +206,14 @@ def edge_swap_check(
                 f"omega went {before.total} -> {after.total} rerouting edge {e.id}",
                 (e.u, e.v), coords()))
 
-        # D traversed as: old edge path u->v, then the new arc back v->u
-        d_loop = list(old_path) + [midpoint]
+        opposite = [k if e.id in j.edge_ids else j if e.id in k.edge_ids else None
+                    for j, k in pairs]  # the circuit facing the one through e, if any
+        links = iter(_detour_links(emb, e.id, (pu, midpoint, pv),
+                                   [c for c in opposite if c is not None], trial_seed))
         cover_parity = 0
-        for entry_before, entry_after in zip(before.pairs, after.pairs):
+        for complementary, entry_before, entry_after in zip(opposite, before.pairs, after.pairs):
             j, k = entry_before.j, entry_before.k
-            if e.id in j.edge_ids:
-                complementary = k
-            elif e.id in k.edge_ids:
-                complementary = j
-            else:
+            if complementary is None:
                 if entry_before.omega != entry_after.omega:
                     violations.append(RerouteViolation(
                         t, "pair-identity",
@@ -222,8 +221,7 @@ def edge_swap_check(
                         "but its omega changed",
                         (e.u, e.v), coords()))
                 continue
-            k_loop = emb.circuit_loop(complementary)
-            _, om_dk = loop_pair_link(d_loop, k_loop, seed=trial_seed)
+            om_dk = next(links) % 2
             cover_parity ^= om_dk
             identities += 1
             if (entry_after.omega - entry_before.omega) % 2 != om_dk:

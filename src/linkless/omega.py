@@ -10,7 +10,8 @@ linked; a zero total is inconclusive.
 Each projection is computed once and carries its edge-pair crossing
 matrix.  The lk table, its parities and its check against the second
 projection come from one pass over the pairs (``projection.link_tables``);
-the pair list comes from the bitset listing in ``circuits``.
+the pair list comes from the bitset listing in ``circuits``.  A reroute's
+lk(D, K), for all circuits K, comes from one diagram of D and the K's too.
 """
 
 from __future__ import annotations
@@ -61,6 +62,28 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
         except NonRegularProjection:
             continue
     raise RetryLimitExceeded(f"{failure} in {DIRECTION_ATTEMPTS} attempts")
+
+
+def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
+                  circuits: Sequence[Circuit], seed: int) -> list[int]:
+    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, where
+    D runs along the edge from u to v and back along ``arc`` (a u-v path), from
+    one regular projection; AssertionError if a parity differs from lk mod 2."""
+    arc_id = max(emb.edge_paths) + 1
+    endpoints = {e.id: (e.u, e.v) for e in emb.graph.edges}
+    endpoints[arc_id] = endpoints[eid]
+    paths = {**emb.edge_paths, arc_id: arc}
+    loop = Circuit(endpoints[eid], (eid, arc_id))
+    drawn = [loop, *circuits]
+    strands = [(f, paths[f], False) for f in sorted({f for c in drawn for f in c.edge_ids})]
+    markers = [emb.vertex_points[v] for v in sorted({v for c in drawn for v in c.vertex_seq})]
+    diagram = _first_regular(
+        lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d, markers)),
+        seed, "no regular projection of the reroute loop")
+    table = link_tables([diagram], [(loop, k) for k in circuits])[0]
+    if any(parity != lk % 2 for lk, parity in table):
+        raise AssertionError("omega parity disagrees with lk; kernel bug")
+    return [lk for lk, _ in table]
 
 
 def regular_projection(

@@ -68,6 +68,19 @@ def circuit_edge_sets(g: MultiGraph) -> set[frozenset[int]]:
     return found
 
 
+def circuit_polyline(emb, circuit) -> list:
+    """The closed polyline of a circuit of an embedding, walked from
+    ``vertex_seq[0]`` along ``edge_ids`` (the first point is not repeated)."""
+    loop = []
+    for v, eid in zip(circuit.vertex_seq, circuit.edge_ids):
+        path = list(emb.edge_paths[eid])
+        if path[0] != emb.vertex_points[v]:
+            path.reverse()
+        assert path[0] == emb.vertex_points[v]
+        loop.extend(path[:-1])
+    return loop
+
+
 def gauss_linking_number(loop_a, loop_b) -> float:
     """Numeric Gauss-integral linking number of two closed 3D polylines.
 

@@ -19,7 +19,6 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
-from linkless.circuits import enumerate_circuits
 from linkless.geometry import (
     point_on_segment3,
     segments3_intersect,
@@ -198,14 +197,6 @@ def test_random_embedding_retry_limit(monkeypatch):
     monkeypatch.setattr(embedding, "RETRY_LIMIT", 0)
     with pytest.raises(RetryLimitExceeded):
         random_embedding(g, 0)
-
-
-def test_circuit_loop_orientation():
-    emb = straight_line_embedding(TRI, TRI_POINTS)
-    circuit = enumerate_circuits(TRI)[0]
-    loop = emb.circuit_loop(circuit)
-    assert len(loop) == 3
-    assert set(loop) == set(TRI_POINTS.values())
 
 
 def test_reroute_identity_allowed():

@@ -1,14 +1,28 @@
 import contextlib
 import io
+import random
 import types
+from collections import Counter
 
 import pytest
 
-from linkless import cli, experiments
-from linkless.embedding import EmbeddingError, RetryLimitExceeded, SpatialEmbedding
+from linkless import cli, experiments, omega, projection
+from linkless.circuits import enumerate_circuits
+from linkless.embedding import (
+    COORDINATE_BOUND,
+    EmbeddingError,
+    RetryLimitExceeded,
+    SpatialEmbedding,
+    _check_paths_disjoint,
+    random_embedding,
+    reroute_edge,
+)
 from linkless.experiments import conway_gordon_experiment, edge_swap_check
 from linkless.moves import petersen_family
 from linkless.multigraph import complete_graph, k331_graph
+from linkless.omega import DIRECTION_ATTEMPTS, loop_pair_link
+from linkless.projection import NonRegularProjection
+from oracles import circuit_polyline, gauss_linking_number
 
 
 def test_k6_experiment_small():
@@ -128,18 +142,151 @@ class _ScriptedRandom:
         return next(self._coords)
 
 
-def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
-    # the detour through an interior waypoint of the old path would make the
-    # loop D = old path + detour pass through that point twice
+def _waypoint_embedding():
+    """K6 with straight edges, except edge 0 (1-2), which has three waypoints."""
     g = complete_graph(6)
     points = {1: (0, 0, 0), 2: (10, 0, 0), 3: (3, -20, 7), 4: (-9, 13, -11),
               5: (17, 4, 23), 6: (6, -8, -31)}
     paths = {e.id: (points[e.u], points[e.v]) for e in g.edges}
     paths[0] = ((0, 0, 0), (2, 5, 0), (5, 7, 1), (8, 5, 0), (10, 0, 0))
-    emb = SpatialEmbedding(g, points, paths)
+    return SpatialEmbedding(g, points, paths)
+
+
+def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
+    # the detour through an interior waypoint of the old path would make the
+    # loop D = old path + detour pass through that point twice
+    emb = _waypoint_embedding()
     coords = [5, 7, 1, 5, -3, 40]
     monkeypatch.setattr(experiments, "random",
                         types.SimpleNamespace(Random=lambda seed: _ScriptedRandom(coords)))
     report = edge_swap_check(emb, trials=1, seed=0)
     assert report.reroute_retries == 1
     assert report.passed
+
+
+# -- lk(D, K) of a reroute, read from one diagram ------------------------------
+
+def _random_detour(emb, rng, edge=None, bound=COORDINATE_BOUND):
+    """(edge, arc): a valid two-segment detour of ``edge`` (default: a random
+    edge) through a random midpoint, drawn as ``edge_swap_check`` draws it."""
+    edges = sorted(emb.graph.edges, key=lambda e: e.id)
+    e = edge if edge is not None else edges[rng.randrange(len(edges))]
+    while True:
+        mid = tuple(rng.randint(-bound, bound) for _ in range(3))
+        arc = (emb.point(e.u), mid, emb.point(e.v))
+        try:
+            _check_paths_disjoint(e, emb.path(e.id), e, arc, emb.vertex_points)
+            reroute_edge(emb, e.id, arc)
+        except EmbeddingError:
+            continue
+        return e, arc
+
+
+def _detour_links_against_oracles(emb, e, arc, seed):
+    """lk(D, K) from the one diagram for every circuit K avoiding e's ends,
+    checked against one `loop_pair_link` projection per K and the Gauss
+    integral of the polylines, D = old path out, arc back."""
+    circuits = [c for c in enumerate_circuits(emb.graph) if not c.vertices & {e.u, e.v}]
+    links = omega._detour_links(emb, e.id, arc, circuits, seed)
+    assert len(links) == len(circuits) > 0
+    d_loop = [*emb.path(e.id), *arc[-2:0:-1]]
+    for k, lk in zip(circuits, links):
+        k_loop = circuit_polyline(emb, k)
+        assert lk == loop_pair_link(d_loop, k_loop, seed=seed)[0], (e, arc, k)
+        assert abs(gauss_linking_number(d_loop, k_loop) - lk) < 1e-6, (e, arc, k)
+    return links
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
+def test_detour_links_match_per_pair_projections_and_gauss(graph):
+    rng = random.Random(f"detour:{graph.name}")
+    links = []
+    for seed in range(40):
+        emb = random_embedding(graph, seed)
+        e, arc = _random_detour(emb, rng)
+        links += _detour_links_against_oracles(emb, e, arc, seed)
+    assert any(lk != 0 for lk in links)
+
+
+def test_detour_links_of_an_edge_with_waypoints():
+    emb = _waypoint_embedding()
+    edge = next(e for e in emb.graph.edges if e.id == 0)
+    rng = random.Random(12)
+    links = []
+    for seed in range(40):
+        e, arc = _random_detour(emb, rng, edge, bound=40)
+        links += _detour_links_against_oracles(emb, e, arc, seed)
+    assert any(lk != 0 for lk in links)
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
+def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
+    # per trial: main and check projections before and after, plus one
+    # diagram for all (D, K)
+    strands = []
+    real = projection.strand_crossings
+
+    def counted(strand_list, direction, markers=()):
+        result = real(strand_list, direction, markers)
+        strands.append(len(strand_list))
+        return result
+
+    monkeypatch.setattr(projection, "strand_crossings", counted)
+    monkeypatch.setattr(omega, "strand_crossings", counted)
+    report = edge_swap_check(graph, trials=10, seed=0)
+    assert report.passed
+    assert len(strands) == 10 * 5
+    if graph.name == "K6":
+        # D's two strands and the K4 on the other four vertices
+        assert Counter(strands) == {15: 40, 8: 10}
+
+
+def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
+    real = experiments._detour_links
+
+    def first_off_by_one(*args):
+        links = real(*args)
+        return [links[0] + 1, *links[1:]]
+
+    monkeypatch.setattr(experiments, "_detour_links", first_off_by_one)
+    report = edge_swap_check(complete_graph(6), trials=5, seed=0)
+    assert [v.kind for v in report.violations] == ["pair-identity", "even-cover"] * 5
+    assert [v.trial for v in report.violations] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert report.preserved == 5
+    assert not report.passed
+
+
+def test_detour_table_checks_its_parities_against_lk(monkeypatch):
+    real = omega.link_tables
+
+    def odd_detour_parity(diagrams, pairs):
+        pairs = list(pairs)
+        tables = real(diagrams, pairs)
+        if len(pairs[0][0]) == 2:  # the reroute loop D, a two-edge circuit
+            lk, parity = tables[0][0]
+            tables[0][0] = (lk, 1 - parity)
+        return tables
+
+    monkeypatch.setattr(omega, "link_tables", odd_detour_parity)
+    with pytest.raises(AssertionError, match="kernel bug"):
+        edge_swap_check(complete_graph(6), trials=1, seed=0)
+
+
+def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypatch, capsys):
+    attempts = []
+
+    def never_regular(*args):
+        attempts.append(args[1])
+        raise NonRegularProjection("forced")
+
+    monkeypatch.setattr(omega, "strand_crossings", never_regular)
+    with pytest.raises(RetryLimitExceeded, match=f"in {DIRECTION_ATTEMPTS} attempts"):
+        edge_swap_check(complete_graph(6), trials=1, seed=0)
+    assert len(attempts) == len(set(attempts)) == DIRECTION_ATTEMPTS
+    capsys.readouterr()
+    code = cli.main(["reroute-check", "K6", "--trials", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: no regular projection of the reroute loop" in err
+    assert "Traceback" not in err

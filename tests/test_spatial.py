@@ -42,7 +42,7 @@ from linkless.projection import (
     omega_pair,
     project,
 )
-from oracles import crossing_oracle, decode, gauss_linking_number
+from oracles import circuit_polyline, crossing_oracle, decode, gauss_linking_number
 
 TWO_TRIANGLES = graph_from_pairs(
     [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)], name="two-triangles")
@@ -285,7 +285,7 @@ def test_loop_pair_helpers_agree_with_diagram():
     d = project(emb, (1, 2, 9))
     # lk does not depend on the projection, so the loop pair may be read
     # along another direction than the diagram's
-    lk_loop, om_loop = loop_pair_link(emb.circuit_loop(j), emb.circuit_loop(k), seed=0)
+    lk_loop, om_loop = loop_pair_link(circuit_polyline(emb, j), circuit_polyline(emb, k), seed=0)
     assert abs(lk_loop) == abs(linking_number(d, j, k))
     assert om_loop == omega_pair(d, j, k)
 
