@@ -5,37 +5,47 @@ A graph H is a minor of G exactly when G carries disjoint connected
 every H-edge.  The search assigns branch sets one H-vertex at a time over
 bitmask-encoded vertex subsets, pruning by adjacency requirements,
 boundary capacity, remaining-vertex counts, and component feasibility.
-Search effort is metered in nodes; running out of budget raises instead of
-masquerading as a definitive "no".
+Search effort is metered in nodes, one per candidate subset visited;
+running out of budget raises instead of masquerading as a definitive "no".
+
+The cost of a node does not grow with the host.  Candidate subsets are
+enumerated with an explicit stack, and each carries the union of its
+vertices' neighbourhoods and the number of host edges touching the
+vertices still free, both updated as one vertex joins.  Only the
+assignment of branch sets recurses, once per H-vertex.
 
 A graph is intrinsically linked exactly when it has a Petersen-family
 minor.  The classifier works per connected component.  Before any search
 it tries three routes to "unlinked": a size prefilter (fewer than 15
 edges or 6 vertices), a planar host, and an apex host, one with a vertex
 whose deletion leaves it planar, which has a linkless embedding (Sachs
-1983).  The planar and apex routes return a ``PlanarCertificate`` on the
-simplified host, and it is checked with ``planar_certificate_errors``
-before the verdict is returned.  Otherwise it runs the seven member
-searches in a fixed order and returns the first witness, a definitive
-"unlinked", or "unknown" when some member search ran out of budget.
-``LinkVerdict.decided_by`` names the route.
+1983).  The apex route tests each candidate on an adjacency map of the
+host minus it, without building a graph.  The planar and apex routes
+return a ``PlanarCertificate`` on the simplified host, and it is checked
+with ``planar_certificate_errors`` before the verdict is returned.
+Otherwise it runs the seven member searches in a fixed order and returns
+the first witness, a definitive "unlinked", or "unknown" when some member
+search ran out of budget.  ``LinkVerdict.decided_by`` names the route.
 
 Every member has minimum degree >= 3 and at least 6 vertices, so the host
 reduction is the same for all seven: the classifier simplifies the host
 once per call and, unless it is planar, reduces it once for the apex
-route and every member search.  Nothing is remembered between calls, so
-a verdict and its node count depend only on the input.
+route and every member search.  The members' search tables (assignment
+order, adjacency requirements, demand counts) are built once per process,
+from the cached family; nothing about a host is remembered between calls,
+so a verdict and its node count depend only on the input.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Mapping
 
 from .moves import petersen_family
 from .multigraph import Edge, GraphError, MultiGraph
-from .planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
+from .planarity import PlanarCertificate, apex_rotation, planar_certificate_errors, planar_rotation
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -199,6 +209,46 @@ class _Budget:
             raise SearchBudgetExceeded(self.nodes)
 
 
+class _Member:
+    """The search tables of one simple, connected target graph H.
+
+    They depend only on H, so the classifier builds them once per family
+    member.  Levels count the H-vertices placed so far, in ``order``.
+    """
+
+    __slots__ = ("graph", "order", "required", "future_deg", "demand", "unrealized_after",
+                 "pending")
+
+    def __init__(self, hs: MultiGraph):
+        order = _h_assignment_order(hs)
+        k = len(order)
+        pos = {hv: i for i, hv in enumerate(order)}
+        h_nbrs = [[pos[w] for w in sorted(hs.neighbors(hv))] for hv in order]
+        self.graph = hs
+        self.order = order
+        self.required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
+        self.future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
+        # demand[level]: (j, d) for each placed order[j] with d > 0 H-neighbours
+        # still unassigned once levels 0..level-1 are placed
+        self.demand = [
+            [(j, d) for j in range(level) if (d := sum(1 for i in h_nbrs[j] if i >= level))]
+            for level in range(k + 1)
+        ]
+        # H-edges still missing a witness once levels 0..level-1 are placed;
+        # each needs a distinct G-edge with an endpoint in the free region
+        self.unrealized_after = [
+            sum(1 for i in range(k) for j in h_nbrs[i]
+                if i < j and (i >= level or j >= level))
+            for level in range(k + 1)
+        ]
+        # pending[level]: for each unplaced H-vertex with a placed neighbour,
+        # the levels of its placed neighbours
+        self.pending = [
+            [req for i in range(level, k) if (req := [j for j in self.required[i] if j < level])]
+            for level in range(k + 1)
+        ]
+
+
 def _h_assignment_order(h: MultiGraph) -> list[int]:
     # max degree first, then greedily keep the prefix connected so that
     # every later vertex arrives with at least one adjacency constraint
@@ -215,8 +265,15 @@ def _h_assignment_order(h: MultiGraph) -> list[int]:
     return order
 
 
-def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
-    """Find branch sets for hs inside work, or None after exhaustive search."""
+def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
+    """Find branch sets for member.graph inside the simple host work.
+
+    Returns None after an exhaustive search.  Vertex subsets are bitmasks.
+    Each candidate branch set is carried with the union of its vertices'
+    neighbourhoods and with the number of host edges that touch the
+    vertices still free once it is placed, both updated per added vertex,
+    so a search node costs a fixed number of big-int operations.
+    """
     verts = sorted(work.vertices)
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -226,146 +283,126 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
             nbr[index[e.u]] |= 1 << index[e.v]
             nbr[index[e.v]] |= 1 << index[e.u]
 
-    order = _h_assignment_order(hs)
+    order, required, future_deg = member.order, member.required, member.future_deg
+    demand, unrealized_after, pending = member.demand, member.unrealized_after, member.pending
     k = len(order)
-    pos = {hv: i for i, hv in enumerate(order)}
-    h_nbrs = [
-        [pos[w] for w in sorted(hs.neighbors(hv))]
-        for hv in order
-    ]
-    required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
-    future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
-    # demand_after[j][level]: how many H-neighbors of order[j] are still
-    # unassigned once levels 0..level-1 are placed
-    demand_after = [
-        [sum(1 for i in h_nbrs[j] if i >= level) for level in range(k + 1)]
-        for j in range(k)
-    ]
-    edge_masks = [
-        (1 << index[e.u]) | (1 << index[e.v])
-        for e in work.edges if not e.is_loop
-    ]
-    # H-edges still missing a witness once levels 0..level-1 are placed;
-    # each needs a distinct G-edge with an endpoint in the free region
-    unrealized_after = [
-        sum(1 for i in range(k) for j in h_nbrs[i]
-            if i < j and (i >= level or j >= level))
-        for level in range(k + 1)
-    ]
-
     full = (1 << n) - 1
     branch: list[int] = [0] * k
     branch_nbr: list[int] = [0] * k
-
-    def neighbors_of(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= nbr[low.bit_length() - 1]
-            m ^= low
-        return out & ~mask
 
     def components(mask: int) -> list[int]:
         comps = []
         left = mask
         while left:
-            seed = left & -left
-            comp = seed
-            frontier = seed
+            comp = frontier = left & -left
             while frontier:
-                grown = neighbors_of(comp) & mask & ~comp
-                comp |= grown
-                frontier = grown
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grown & mask & ~comp
+                comp |= frontier
             comps.append(comp)
             left &= ~comp
         return comps
 
-    def feasible(avail: int, level: int) -> bool:
+    def feasible(avail: int, level: int, touching: int) -> bool:
         # each placed branch set must keep one free attachment vertex per
         # still-unplaced H-neighbor (future branch sets are disjoint, so
         # they attach at distinct vertices)
-        for j in range(level):
-            need = demand_after[j][level]
-            if need and (branch_nbr[j] & avail).bit_count() < need:
+        for j, need in demand[level]:
+            if (branch_nbr[j] & avail).bit_count() < need:
                 return False
-        needed_edges = unrealized_after[level]
-        if needed_edges:
-            touching = sum(1 for em in edge_masks if em & avail)
-            if touching < needed_edges:
-                return False
-        comps = None
-        for i in range(level, k):
-            req = [j for j in required[i] if j < level]
-            if not req:
-                continue
-            if comps is None:
-                comps = components(avail)
-            if not any(
-                all(comp & branch_nbr[j] for j in req) for comp in comps
-            ):
-                return False
+        # touching: how many host edges have an endpoint in avail
+        if touching < unrealized_after[level]:
+            return False
+        if pending[level]:
+            # each unplaced H-vertex with placed neighbours needs one free
+            # component that touches all of their branch sets
+            comps = components(avail)
+            for req in pending[level]:
+                for comp in comps:
+                    for j in req:
+                        if not comp & branch_nbr[j]:
+                            break
+                    else:
+                        break
+                else:
+                    return False
         return True
 
-    def candidates(avail: int, level: int) -> Iterator[int]:
+    def candidates(avail: int, level: int, touching: int) -> Iterator[tuple[int, int, int]]:
+        """Connected subsets of avail, each with its neighbourhood union and
+        the count of host edges touching avail minus the subset.
+
+        Subsets grow from their lowest seed by frontier vertices, lowest
+        bit first; a vertex skipped at one branch is banned below it, so
+        each subset is reached once.  One budget node per subset visited.
+        """
         req_masks = [branch_nbr[j] & avail for j in required[level]]
-        if any(rm == 0 for rm in req_masks):
-            return
         max_size = avail.bit_count() - (k - level - 1)
         if max_size < 1:
             return
         need_boundary = future_deg[level]
-
-        def ok(subset: int) -> bool:
-            for rm in req_masks:
-                if not subset & rm:
-                    return False
-            if need_boundary:
-                if (neighbors_of(subset) & avail & ~subset).bit_count() < need_boundary:
-                    return False
-            return True
-
-        def grow(subset: int, frontier: int, banned: int) -> Iterator[int]:
-            budget.spend()
-            if ok(subset):
-                yield subset
-            if subset.bit_count() >= max_size:
-                return
-            local = banned
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                if low & local:
-                    continue
-                sub2 = subset | low
-                frontier2 = (frontier | nbr[low.bit_length() - 1]) & avail & ~sub2 & ~local
-                yield from grow(sub2, frontier2, local)
-                local |= low
-
-        seeds = avail
+        outside = full & ~avail
         banned_seeds = 0
+        seeds = avail
         while seeds:
             seed = seeds & -seeds
             seeds ^= seed
-            yield from grow(seed, nbr[seed.bit_length() - 1] & avail & ~banned_seeds & ~seed,
-                            banned_seeds)
+            union = nbr[seed.bit_length() - 1]
+            # the next subset to visit: subset, union, frontier, banned, touch
+            visit = (seed, union, union & avail & ~(seed | banned_seeds), banned_seeds,
+                     touching - (union & outside).bit_count())
+            stack: list[list[int]] = []
+            while True:
+                if visit is not None:
+                    subset, union, frontier, banned, touch = visit
+                    visit = None
+                    budget.spend()
+                    for rm in req_masks:
+                        if not subset & rm:
+                            break
+                    else:
+                        if (not need_boundary
+                                or (union & avail & ~subset).bit_count() >= need_boundary):
+                            yield subset, union, touch
+                    if subset.bit_count() < max_size:
+                        stack.append([subset, union, frontier, banned, touch])
+                    continue
+                if not stack:
+                    break
+                top = stack[-1]
+                subset, union, frontier, banned, touch = top
+                if not frontier:
+                    stack.pop()
+                    continue
+                low = frontier & -frontier
+                x = nbr[low.bit_length() - 1]
+                top[2] = frontier ^ low
+                top[3] = banned | low
+                grown = subset | low
+                union |= x
+                # x's edges into the subset or outside avail stop touching it
+                visit = (grown, union, union & avail & ~(grown | banned), banned,
+                         touch - (x & (subset | outside)).bit_count())
             banned_seeds |= seed
 
-    def assign(level: int, avail: int):
+    def assign(level: int, avail: int, touching: int):
         if level == k:
             return list(branch)
-        for subset in candidates(avail, level):
+        for subset, union, touch in candidates(avail, level, touching):
             branch[level] = subset
-            branch_nbr[level] = neighbors_of(subset)
+            branch_nbr[level] = union & ~subset
             rest = avail & ~subset
-            if feasible(rest, level + 1):
-                found = assign(level + 1, rest)
+            if feasible(rest, level + 1, touch):
+                found = assign(level + 1, rest, touch)
                 if found is not None:
                     return found
         return None
 
-    masks = assign(0, full)
+    masks = assign(0, full, sum(b.bit_count() for b in nbr) // 2)
     if masks is None:
         return None
     sets = {}
@@ -382,18 +419,19 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _search_reduced(g: MultiGraph, work: MultiGraph, origin: Mapping[int, frozenset[int]],
-                    hs: MultiGraph, budget_limit: int):
-    """Search the reduced host for the simple target hs.
+                    member: _Member, budget_limit: int):
+    """Search the reduced host for the simple target member.graph.
 
     ``work`` and ``origin`` are ``_reduce_host``'s output for the host g;
     a found model is lifted back to g and checked there.  Returns
     (model or None, nodes spent).  Raises SearchBudgetExceeded.
     """
+    hs = member.graph
     if hs.n > work.n or hs.m > work.m:
         return None, 0
 
     budget = _Budget(budget_limit)
-    sets = _search_branch_sets(work, hs, budget)
+    sets = _search_branch_sets(work, member, budget)
     if sets is None:
         return None, budget.nodes
 
@@ -430,7 +468,7 @@ def _has_minor_impl(g: MultiGraph, h: MultiGraph, budget_limit: int):
 
     h_min_deg = min(hs.degree(v) for v in hs.vertices)
     work, origin = _reduce_host(gs, h_min_deg, hs.n)
-    return _search_reduced(g, work, origin, hs, budget_limit)
+    return _search_reduced(g, work, origin, _Member(hs), budget_limit)
 
 
 def has_minor(g: MultiGraph, h: MultiGraph, budget: int = DEFAULT_BUDGET):
@@ -476,12 +514,15 @@ def _apex_certificate(gs: MultiGraph, work: MultiGraph,
 
     Apex candidates are screened and tested on the reduced host ``work``
     (with ``origin`` from ``_reduce_host``), where degree-1 and degree-2
-    vertices no longer loosen the edge bound.
+    vertices no longer loosen the edge bound.  Each candidate is tested on
+    one adjacency map of the host minus it, built from the host's map;
+    no graph is built per candidate.
     """
+    adj = {v: sorted(work.neighbors(v)) for v in work.vertices}
     n, m = work.n, work.m
-    for v in sorted(work.vertices, key=lambda v: (-work.degree(v), v)):
+    for v in sorted(adj, key=lambda v: (-len(adj[v]), v)):
         # a planar graph on n - 1 >= 3 vertices has at most 3(n - 1) - 6 edges
-        if m - work.degree(v) > 3 * (n - 1) - 6 or planar_rotation(work.delete_vertex(v)) is None:
+        if m - len(adj[v]) > 3 * (n - 1) - 6 or apex_rotation(adj, v) is None:
             continue
         # Undoing one reduction step keeps an apex among the preimages of an
         # apex u: a deleted leaf or isolated vertex returns as a pendant or
@@ -489,13 +530,25 @@ def _apex_certificate(gs: MultiGraph, work: MultiGraph,
         # inside an edge, and when u absorbed a degree-2 vertex, deleting
         # the endpoint of that edge that is not the degree-2 vertex leaves
         # it pendant.  So some vertex of gs that v stands for is an apex.
-        for x in sorted(origin[v], key=lambda x: (-gs.degree(x), x)):
-            rotation = planar_rotation(gs.delete_vertex(x))
+        host = {x: sorted(gs.neighbors(x)) for x in gs.vertices}
+        for x in sorted(origin[v], key=lambda x: (-len(host[x]), x)):
+            rotation = apex_rotation(host, x)
             if rotation is not None:
                 return PlanarCertificate(x, rotation)
         raise AssertionError(f"reduced host minus {v} is planar, but no host vertex it "
                              "stands for is an apex")
     return None
+
+
+@cache
+def _family_search() -> tuple[tuple[tuple[str, _Member], ...], int, int]:
+    """The family members in search order, each with its search tables, and
+    the least minimum degree and vertex count among them (the reduction's
+    gates).  Built from the cached family on first use."""
+    members = tuple((m.name, _Member(m.graph.simplified())) for m in petersen_family())
+    graphs = [member.graph for _, member in members]
+    return (members, min(min(h.degree(v) for v in h.vertices) for h in graphs),
+            min(h.n for h in graphs))
 
 
 def _certified(g: MultiGraph, certificate: PlanarCertificate) -> LinkVerdict:
@@ -551,12 +604,8 @@ def is_intrinsically_linked(
 
     # Every member has minimum degree >= 3 and >= 6 vertices, so one
     # reduction of the host serves the apex route and all seven searches.
-    family = petersen_family()
-    work, origin = _reduce_host(
-        gs,
-        min(min(m.graph.degree(v) for v in m.graph.vertices) for m in family),
-        min(m.graph.n for m in family),
-    )
+    members, min_degree, min_n = _family_search()
+    work, origin = _reduce_host(gs, min_degree, min_n)
     if prefilter:
         certificate = _apex_certificate(gs, work, origin)
         if certificate is not None:
@@ -565,19 +614,19 @@ def is_intrinsically_linked(
     nodes = 0
     per_member: dict[str, str] = {}
     exhausted = False
-    for member in family:
+    for name, member in members:
         try:
-            model, spent = _search_reduced(g, work, origin, member.graph.simplified(), budget)
+            model, spent = _search_reduced(g, work, origin, member, budget)
         except SearchBudgetExceeded as exc:
             nodes += exc.nodes
-            per_member[member.name] = "budget-exhausted"
+            per_member[name] = "budget-exhausted"
             exhausted = True
             continue
         nodes += spent
         if model is not None:
-            per_member[member.name] = "found"
-            return LinkVerdict("linked", member.name, model, nodes, per_member, "search")
-        per_member[member.name] = "none"
+            per_member[name] = "found"
+            return LinkVerdict("linked", name, model, nodes, per_member, "search")
+        per_member[name] = "none"
     verdict = "unknown" if exhausted else "unlinked"
     return LinkVerdict(verdict, None, None, nodes, per_member, "search")
 

@@ -118,12 +118,27 @@ class MultiGraph:
             raise GraphError(f"unknown vertex {v}")
         return self._incident[v]
 
+    @cached_property
+    def _vertex_table(self) -> dict[int, tuple[int, frozenset[int]]]:
+        """Degree and neighbour set of every vertex, built on first use."""
+        return {
+            v: (sum(2 if e.is_loop else 1 for e in es),
+                frozenset(e.other(v) for e in es if not e.is_loop))
+            for v, es in self._incident.items()
+        }
+
     def degree(self, v: int) -> int:
         """Vertex degree; a loop contributes 2."""
-        return sum(2 if e.is_loop else 1 for e in self.incident(v))
+        try:
+            return self._vertex_table[v][0]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v}") from None
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(e.other(v) for e in self.incident(v) if not e.is_loop)
+        try:
+            return self._vertex_table[v][1]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v}") from None
 
     def edges_between(self, u: int, v: int) -> tuple[Edge, ...]:
         key = (u, v) if u <= v else (v, u)
@@ -191,7 +206,13 @@ class MultiGraph:
         return g.simplified() if simplify else g
 
     def simplified(self) -> "MultiGraph":
-        """Drop loops and collapse parallel edges (keeping the smallest id)."""
+        """Drop loops and collapse parallel edges (keeping the smallest id).
+
+        The edges of the result are in id order.  A simple graph whose
+        edges already are is returned as it is.
+        """
+        if self.is_simple and all(a.id < b.id for a, b in zip(self.edges, self.edges[1:])):
+            return self
         seen: set[tuple[int, int]] = set()
         kept = []
         for e in sorted(self.edges, key=lambda e: e.id):

@@ -114,9 +114,25 @@ def planar_rotation(g: MultiGraph) -> dict[int, tuple[int, ...]] | None:
     None means the graph is not planar.
     """
     gs = g.simplified()
-    if gs.n >= 3 and gs.m > 3 * gs.n - 6:
+    return _rotation({v: sorted(gs.neighbors(v)) for v in gs.vertices})
+
+
+def apex_rotation(adj: Mapping[int, list[int]], apex: int) -> dict[int, tuple[int, ...]] | None:
+    """``planar_rotation`` of a simple graph minus the vertex ``apex``.
+
+    The graph is given by ``adj``, its sorted neighbour lists, so a caller
+    that tries many apex candidates builds the adjacency once and no graph
+    per candidate.
+    """
+    return _rotation({v: [w for w in ws if w != apex] for v, ws in adj.items() if v != apex})
+
+
+def _rotation(adj: dict[int, list[int]]) -> dict[int, tuple[int, ...]] | None:
+    """The left-right test on sorted neighbour lists, after the edge bound."""
+    n, m = len(adj), sum(map(len, adj.values())) // 2
+    if n >= 3 and m > 3 * n - 6:
         return None
-    return _LeftRight({v: sorted(gs.neighbors(v)) for v in gs.vertices}).run()
+    return _LeftRight(adj).run()
 
 
 # -- the left-right test -------------------------------------------------------

@@ -6,6 +6,10 @@ crossings from solving each segment pair in Fractions, and linking numbers
 from the numeric Gauss integral.  The exhaustive delete/contract minor
 oracle and its all-permutations isomorphism key ship with acceptance
 criterion 7 in ``linkless.acceptance``; tests import them from there.
+``_search_branch_sets`` is the branch-set search as it was written before
+its subset enumeration kept an explicit stack: a recursive generator per
+vertex added, and a scan of every host edge per feasibility check.  It is
+the reference that the package's search must match node for node.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterator
 
 from linkless.multigraph import MultiGraph
 
@@ -181,3 +186,188 @@ def decode(record) -> tuple:
     over, sign) tuple of `crossing_oracle`, with t and t' as Fractions."""
     key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t, over, sign = record
     return (key_s, idx_s, Fraction(n_s, w_s), key_t, idx_t, Fraction(n_t, w_t), over, sign)
+
+
+# -- the recursive branch-set search (reference) -----------------------------
+
+
+def _h_assignment_order(h: MultiGraph) -> list[int]:
+    # max degree first, then greedily keep the prefix connected so that
+    # every later vertex arrives with at least one adjacency constraint
+    verts = sorted(h.vertices, key=lambda v: (-h.degree(v), v))
+    order = [verts[0]]
+    rest = set(verts[1:])
+    while rest:
+        chosen = max(
+            rest,
+            key=lambda v: (len(h.neighbors(v) & set(order)), h.degree(v), -v),
+        )
+        order.append(chosen)
+        rest.discard(chosen)
+    return order
+
+
+def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
+    """Find branch sets for hs inside work, or None after exhaustive search."""
+    verts = sorted(work.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * n
+    for e in work.edges:
+        if not e.is_loop:
+            nbr[index[e.u]] |= 1 << index[e.v]
+            nbr[index[e.v]] |= 1 << index[e.u]
+
+    order = _h_assignment_order(hs)
+    k = len(order)
+    pos = {hv: i for i, hv in enumerate(order)}
+    h_nbrs = [
+        [pos[w] for w in sorted(hs.neighbors(hv))]
+        for hv in order
+    ]
+    required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
+    future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
+    # demand_after[j][level]: how many H-neighbors of order[j] are still
+    # unassigned once levels 0..level-1 are placed
+    demand_after = [
+        [sum(1 for i in h_nbrs[j] if i >= level) for level in range(k + 1)]
+        for j in range(k)
+    ]
+    edge_masks = [
+        (1 << index[e.u]) | (1 << index[e.v])
+        for e in work.edges if not e.is_loop
+    ]
+    # H-edges still missing a witness once levels 0..level-1 are placed;
+    # each needs a distinct G-edge with an endpoint in the free region
+    unrealized_after = [
+        sum(1 for i in range(k) for j in h_nbrs[i]
+            if i < j and (i >= level or j >= level))
+        for level in range(k + 1)
+    ]
+
+    full = (1 << n) - 1
+    branch: list[int] = [0] * k
+    branch_nbr: list[int] = [0] * k
+
+    def neighbors_of(mask: int) -> int:
+        out = 0
+        m = mask
+        while m:
+            low = m & -m
+            out |= nbr[low.bit_length() - 1]
+            m ^= low
+        return out & ~mask
+
+    def components(mask: int) -> list[int]:
+        comps = []
+        left = mask
+        while left:
+            seed = left & -left
+            comp = seed
+            frontier = seed
+            while frontier:
+                grown = neighbors_of(comp) & mask & ~comp
+                comp |= grown
+                frontier = grown
+            comps.append(comp)
+            left &= ~comp
+        return comps
+
+    def feasible(avail: int, level: int) -> bool:
+        # each placed branch set must keep one free attachment vertex per
+        # still-unplaced H-neighbor (future branch sets are disjoint, so
+        # they attach at distinct vertices)
+        for j in range(level):
+            need = demand_after[j][level]
+            if need and (branch_nbr[j] & avail).bit_count() < need:
+                return False
+        needed_edges = unrealized_after[level]
+        if needed_edges:
+            touching = sum(1 for em in edge_masks if em & avail)
+            if touching < needed_edges:
+                return False
+        comps = None
+        for i in range(level, k):
+            req = [j for j in required[i] if j < level]
+            if not req:
+                continue
+            if comps is None:
+                comps = components(avail)
+            if not any(
+                all(comp & branch_nbr[j] for j in req) for comp in comps
+            ):
+                return False
+        return True
+
+    def candidates(avail: int, level: int) -> Iterator[int]:
+        req_masks = [branch_nbr[j] & avail for j in required[level]]
+        if any(rm == 0 for rm in req_masks):
+            return
+        max_size = avail.bit_count() - (k - level - 1)
+        if max_size < 1:
+            return
+        need_boundary = future_deg[level]
+
+        def ok(subset: int) -> bool:
+            for rm in req_masks:
+                if not subset & rm:
+                    return False
+            if need_boundary:
+                if (neighbors_of(subset) & avail & ~subset).bit_count() < need_boundary:
+                    return False
+            return True
+
+        def grow(subset: int, frontier: int, banned: int) -> Iterator[int]:
+            budget.spend()
+            if ok(subset):
+                yield subset
+            if subset.bit_count() >= max_size:
+                return
+            local = banned
+            f = frontier
+            while f:
+                low = f & -f
+                f ^= low
+                if low & local:
+                    continue
+                sub2 = subset | low
+                frontier2 = (frontier | nbr[low.bit_length() - 1]) & avail & ~sub2 & ~local
+                yield from grow(sub2, frontier2, local)
+                local |= low
+
+        seeds = avail
+        banned_seeds = 0
+        while seeds:
+            seed = seeds & -seeds
+            seeds ^= seed
+            yield from grow(seed, nbr[seed.bit_length() - 1] & avail & ~banned_seeds & ~seed,
+                            banned_seeds)
+            banned_seeds |= seed
+
+    def assign(level: int, avail: int):
+        if level == k:
+            return list(branch)
+        for subset in candidates(avail, level):
+            branch[level] = subset
+            branch_nbr[level] = neighbors_of(subset)
+            rest = avail & ~subset
+            if feasible(rest, level + 1):
+                found = assign(level + 1, rest)
+                if found is not None:
+                    return found
+        return None
+
+    masks = assign(0, full)
+    if masks is None:
+        return None
+    sets = {}
+    for i, hv in enumerate(order):
+        sets[hv] = frozenset(verts[b] for b in _bits(masks[i]))
+    return sets
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

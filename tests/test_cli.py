@@ -356,6 +356,22 @@ def test_circuit_enumeration_work_is_bounded(capsys, graph):
     assert "Traceback" not in err
 
 
+def test_minor_on_a_large_host_runs_out_of_budget_without_a_traceback(tmp_path, capsys):
+    # the subset enumeration once recursed per vertex added to a branch
+    # set, so a budget of a few thousand nodes overflowed the stack here
+    import time
+
+    path = tmp_path / "grid34x34.graph"
+    path.write_text(format_edge_list(builtin_graph("grid34x34")))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "minor", str(path), "K6", "--budget", "3000")
+    assert time.process_time() - start < 5.0
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["found"], doc["reason"]) == (None, "budget exhausted")
+    assert "Traceback" not in err
+
+
 def test_unknown_flags_rejected(capsys):
     assert run_cli(capsys, "classify", "K6", "--frobnicate")[0] == 2
 

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 import linkless.acceptance as acceptance
 import linkless.canonical as canonical
 from linkless.acceptance import _delete_contract_oracle
+import oracles
 from linkless.minors import (
     MinorModel,
     SearchBudgetExceeded,
+    _Budget,
     _has_minor_impl,
+    _Member,
     _reduce_host,
+    _search_branch_sets,
     has_minor,
     is_intrinsically_linked,
     minor_minimality_report,
@@ -491,6 +495,59 @@ def test_reduce_host_builds_one_graph(monkeypatch):
     monkeypatch.undo()
     assert work.vertices == frozenset(range(1, 8)) and work.m == 21
     assert sum(len(xs) for xs in origin.values()) == gs.n
+
+
+@st.composite
+def _search_hosts(draw, target):
+    """Simple hosts for the branch-set search: random graphs on at most 10
+    vertices, or family members (often the target) relabelled, with edges
+    subdivided and pendant vertices added; each possibly reduced as the
+    classifier does."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 10))
+        slots = list(combinations(range(n), 2))
+        density = draw(st.sampled_from([4, 6, 8]))
+        keep = draw(st.lists(st.integers(0, 9), min_size=len(slots), max_size=len(slots)))
+        gs = graph_from_pairs([p for p, b in zip(slots, keep) if b < density],
+                              vertices=range(n))
+    else:
+        member = draw(st.sampled_from([target] + [m.graph for m in petersen_family()]))
+        labels = draw(st.permutations(range(100, 100 + member.n)))
+        relabel = dict(zip(sorted(member.vertices), labels))
+        pairs = [(relabel[e.u], relabel[e.v]) for e in member.edges]
+        fresh = iter(range(200, 300))
+        for i in sorted(set(draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4))),
+                        reverse=True):
+            u, v = pairs.pop(i)
+            w = next(fresh)
+            pairs += [(u, w), (w, v)]
+        for _ in range(draw(st.integers(0, 3))):
+            pairs.append((draw(st.sampled_from(sorted({x for p in pairs for x in p}))),
+                          next(fresh)))
+        gs = graph_from_pairs(pairs)
+    if draw(st.booleans()):
+        gs = _reduce_host(gs, 3, 6)[0]
+    return gs
+
+
+def _search_outcome(search, work, target, limit):
+    budget = _Budget(limit)
+    try:
+        return search(work, target, budget), budget.nodes
+    except SearchBudgetExceeded as exc:
+        return "exhausted", exc.nodes
+
+
+@pytest.mark.parametrize("name", [m.name for m in petersen_family()])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), small=st.integers(0, 300))
+def test_branch_set_search_matches_the_recursive_reference(name, data, small):
+    # same branch sets, same nodes spent, same node count at exhaustion
+    hs = petersen_family().member_named(name).graph.simplified()
+    work = data.draw(_search_hosts(hs), label="host")
+    for limit in (small, 50_000):
+        got = _search_outcome(_search_branch_sets, work, _Member(hs), limit)
+        assert got == _search_outcome(oracles._search_branch_sets, work, hs, limit)
 
 
 def test_monotone_under_edge_addition():

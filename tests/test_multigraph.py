@@ -120,6 +120,28 @@ def test_loops_and_parallels():
     assert s.m == 1 and s.edge(1).pair() == (1, 2)
 
 
+def test_simplified_returns_a_simple_graph_in_id_order_as_it_is():
+    g = complete_graph(5)
+    assert g.simplified() is g
+    # a simple graph whose edges are out of id order is still re-sorted
+    shuffled = MultiGraph(g.vertices, tuple(reversed(g.edges)), name="K5r")
+    s = shuffled.simplified()
+    assert s is not shuffled and s.name == "K5r"
+    assert s == g and [e.id for e in s.edges] == list(range(10))
+    # a graph with a loop or parallel edges gets a new graph, in id order
+    assert graph_from_pairs([(1, 2), (2, 1)]).simplified().edges == (Edge(0, 1, 2),)
+
+
+def test_degree_and_neighbours_read_one_table():
+    g = graph_from_pairs([(1, 1), (1, 2), (1, 2), (2, 3)], vertices=[1, 2, 3, 4])
+    assert [g.degree(v) for v in (1, 2, 3, 4)] == [4, 3, 1, 0]
+    assert g.neighbors(1) == {2} and g.neighbors(2) == {1, 3} and g.neighbors(4) == set()
+    assert "_vertex_table" in vars(g)
+    for lookup in (g.degree, g.neighbors):
+        with pytest.raises(GraphError):
+            lookup(5)
+
+
 def test_delete_edge():
     g = complete_graph(6)
     h = g.delete_edge(0)

@@ -10,7 +10,8 @@ change that alters stdout on purpose re-records the file with
 
 and says why in its change notes.  The ``omega`` cases read the
 embeddings that the ``embed`` cases print, so those files never need to
-be stored.
+be stored.  The ``classify`` and ``minor`` cases on "{...}" names read
+the edge lists in ``EDGE_LISTS``, written to a temporary directory.
 """
 
 from __future__ import annotations
@@ -29,8 +30,62 @@ from linkless.cli import main
 
 DIGESTS = Path(__file__).with_name("stdout_digests.json")
 
+# Edge-list files for the classifier cases.  P9 with its vertices relabelled,
+# two edges subdivided and two pendant trees is linked, and the search passes
+# through five members before P9.  The Petersen graph minus one edge, scaled
+# by 3, with one edge subdivided and a pendant vertex, is a near miss that
+# the apex route decides.  Two K5s joined by an edge are neither planar nor
+# apex, so all seven member searches run to completion.
+EDGE_LISTS = {
+    "{P9+decorations}": """15 21
+23 40
+40 28
+23 14
+17 12
+17 14
+31 12
+31 28
+31 14
+31 19
+14 19
+25 23
+25 12
+25 19
+11 17
+11 28
+11 41
+41 42
+42 19
+31 50
+50 51
+14 52
+""",
+    "{petersen-e+decorations}": """12 16
+3 15
+3 18
+6 12
+6 40
+40 18
+9 12
+9 15
+24 3
+24 12
+27 6
+27 15
+27 21
+30 9
+30 18
+30 21
+21 41
+""",
+    "{K5-bridge-K5}": "10 21\n" + "".join(
+        f"{u + side} {v + side}\n" for side in (0, 5)
+        for u in range(1, 6) for v in range(u + 1, 6)) + "5 6\n",
+}
+
 # (case name, argv); "{K6}" and "{K7}" stand for the file holding the
-# stdout of the "embed-K6" and "embed-K7" cases
+# stdout of the "embed-K6" and "embed-K7" cases, the other "{...}" names
+# for the files of EDGE_LISTS
 CASES = [
     ("experiment-k6", ["experiment", "k6", "--trials", "30", "--seed", "5"]),
     ("experiment-k331", ["experiment", "k331", "--trials", "20", "--seed", "2"]),
@@ -48,6 +103,15 @@ CASES = [
     ("classify-K6", ["classify", "K6"]),
     ("classify-petersen", ["classify", "petersen"]),
     ("classify-grid3x3", ["classify", "grid3x3"]),
+    # searches that run out of budget partway, and searches that pass
+    # through several members before a witness or a definitive "no"
+    ("minor-petersen-K6-budget", ["minor", "petersen", "K6", "--budget", "100"]),
+    ("classify-petersen-budget", ["classify", "petersen", "--budget", "100"]),
+    ("classify-P9-decorated", ["classify", "{P9+decorations}"]),
+    ("classify-P9-decorated-budget", ["classify", "{P9+decorations}", "--budget", "100"]),
+    ("classify-near-miss", ["classify", "{petersen-e+decorations}"]),
+    ("classify-K5-bridge-K5", ["classify", "{K5-bridge-K5}"]),
+    ("minor-K5-bridge-K5-K6", ["minor", "{K5-bridge-K5}", "K6"]),
 ]
 
 
@@ -56,6 +120,10 @@ def run_cases() -> dict[str, dict]:
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         files: dict[str, str] = {}
+        for i, (key, text) in enumerate(EDGE_LISTS.items()):
+            path = Path(tmp) / f"graph{i}.txt"
+            path.write_text(text)
+            files[key] = str(path)
         for name, argv in CASES:
             argv = [files.get(a, a) for a in argv]
             out = io.StringIO()
