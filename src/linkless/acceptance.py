@@ -23,7 +23,7 @@ from .multigraph import (
     k331_graph,
     parse_graph,
 )
-from .projection import link_tables
+from .projection import edge_endpoints, link_tables, pair_index
 from .circuits import disjoint_circuit_pairs
 from .embedding import random_embedding
 
@@ -280,12 +280,12 @@ def criterion_8_projection_independence(
 
     def run():
         g = complete_graph(6)
-        pairs = disjoint_circuit_pairs(g)
+        index = pair_index(edge_endpoints(g), disjoint_circuit_pairs(g))
         mismatches = []
         for i in range(embeddings):
             emb = random_embedding(g, seed ^ i)
             diagrams = distinct_regular_diagrams(emb, 1000 + i, directions)
-            tables = [[lk for lk, _ in table] for table in link_tables(diagrams, pairs)]
+            tables = [[lk for lk, _ in table] for table in link_tables(diagrams, index)]
             if any(t != tables[0] for t in tables[1:]):
                 mismatches.append({"embedding_seed": seed ^ i, "tables": tables})
         return not mismatches, {

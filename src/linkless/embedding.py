@@ -13,15 +13,20 @@ with smaller ids, so every pair of paths is checked once.  An embedding
 is immutable (its maps are read-only), so `reroute_edge` runs it only for
 the moved edge, against the other E - 1 paths.
 
-The pair check, `_check_paths_disjoint`, looks at every segment pair of
-the two paths and decides the common cases inline, without sets.  Two
-segments with exactly one common endpoint, at a vertex point of both
-edges, meet beyond it only when they leave it in the same direction (one
-cross product, one dot product).  Two segments whose bounding boxes are
-strictly apart on some axis share no point, nor do two that are not
-coplanar (one orientation determinant).  The remaining pairs, which touch
-elsewhere or lie in one plane, go to the general contact check and to
-`segments3_intersect`.
+The pair check, `_check_against`, is one flat walk over segment records
+that `_segments` builds once per path: the ends, the bounding box, the
+direction u = b - a, the moment a x u, and whether a is the path's first
+point and b its last.  It takes the other paths in id order and their
+segment pairs in path order, the smaller id's path outermost, and
+decides the common cases inline, with no call per pair.  Two segments
+whose bounding boxes are strictly apart on some axis share no point.
+Two segments with exactly one common endpoint, an end of both paths,
+meet beyond it only when they leave it in the same direction (one cross
+product, one dot product).  Two segments with no common endpoint that
+are not coplanar share no point; the orientation determinant
+det[u1, a2 - a1, u2] is u1 . m2 + u2 . m1 in the moments.  The remaining
+pairs, which touch elsewhere or lie in one plane, go to the general
+contact check and to `segments3_intersect`.
 """
 
 from __future__ import annotations
@@ -74,10 +79,7 @@ class SpatialEmbedding:
 
     def __post_init__(self) -> None:
         points = {v: _norm_point(p) for v, p in self.vertex_points.items()}
-        paths = {
-            eid: tuple(_norm_point(p) for p in path)
-            for eid, path in self.edge_paths.items()
-        }
+        paths = {eid: tuple(map(_norm_point, path)) for eid, path in self.edge_paths.items()}
         object.__setattr__(self, "vertex_points", MappingProxyType(points))
         object.__setattr__(self, "edge_paths", MappingProxyType(paths))
         _validate(self.graph, points, paths)
@@ -105,16 +107,16 @@ def _validate(graph: MultiGraph, points: dict[int, Point3],
             raise EmbeddingError(f"vertices {seen[p]} and {v} share a point")
         seen[p] = v
 
-    checked: list[tuple[Edge, tuple[Point3, ...]]] = []
+    checked: list[tuple[Edge, list[tuple]]] = []
     for e in sorted(graph.edges, key=lambda e: e.id):
-        _check_edge(graph, points, e, paths[e.id], checked)
-        checked.append((e, paths[e.id]))
+        checked.append((e, _check_edge(graph, points, e, paths[e.id], checked)))
 
 
 def _check_edge(graph: MultiGraph, points: Mapping[int, Point3], e: Edge,
                 path: tuple[Point3, ...],
-                others: Iterable[tuple[Edge, tuple[Point3, ...]]]) -> None:
-    """Check edge e's path alone, then against each (edge, path) of `others`.
+                others: Iterable[tuple[Edge, list[tuple]]]) -> list[tuple]:
+    """Check edge e's path alone, then against each (edge, `_segments`) of
+    `others`; return the path's own `_segments`.
 
     `others` must be in increasing id order and their paths already
     checked, so the first failure is the one a check of the whole
@@ -125,21 +127,20 @@ def _check_edge(graph: MultiGraph, points: Mapping[int, Point3], e: Edge,
     if path[0] != points[e.u] or path[-1] != points[e.v]:
         raise EmbeddingError(
             f"edge {e.id} path must run from vertex {e.u} to vertex {e.v}")
-    for a, b in zip(path, path[1:]):
-        if a == b:
-            raise EmbeddingError(f"edge {e.id} has a zero-length segment")
-    _check_path_simple(e.id, path)
+    if len(path) > 2:  # one segment joins the two distinct vertex points
+        for a, b in zip(path, path[1:]):
+            if a == b:
+                raise EmbeddingError(f"edge {e.id} has a zero-length segment")
+        _check_path_simple(e.id, path)
     # A vertex with an edge ends that edge's path, so _check_path_simple
-    # and _check_paths_disjoint already reject it anywhere else on a path;
+    # and the pair walk below already reject it anywhere else on a path;
     # only isolated vertices need a scan of their own.
     for v in graph.isolated_vertices:
         if any(point_on_segment3(points[v], a, b) for a, b in zip(path, path[1:])):
             raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
-    for f, path_f in others:
-        if f.id < e.id:
-            _check_paths_disjoint(f, path_f, e, path, points)
-        else:
-            _check_paths_disjoint(e, path, f, path_f, points)
+    segs = _segments(path)
+    _check_against(e, segs, others)
+    return segs
 
 
 def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
@@ -157,69 +158,91 @@ def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
                 raise EmbeddingError(f"edge {eid} intersects itself")
 
 
-def _boxes_apart(p: Point3, q: Point3, r: Point3, s: Point3) -> bool:
-    """Whether the bounding boxes of segments pq and rs are strictly apart
-    on some axis; then the two segments share no point."""
-    return (p[0] < r[0] and p[0] < s[0] and q[0] < r[0] and q[0] < s[0]
-            or p[0] > r[0] and p[0] > s[0] and q[0] > r[0] and q[0] > s[0]
-            or p[1] < r[1] and p[1] < s[1] and q[1] < r[1] and q[1] < s[1]
-            or p[1] > r[1] and p[1] > s[1] and q[1] > r[1] and q[1] > s[1]
-            or p[2] < r[2] and p[2] < s[2] and q[2] < r[2] and q[2] < s[2]
-            or p[2] > r[2] and p[2] > s[2] and q[2] > r[2] and q[2] > s[2])
+def _segments(path: tuple[Point3, ...]) -> list[tuple]:
+    """One record per segment ab of a path: (a, b, the bounding box
+    lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, the direction u = b - a, the
+    moment a x u, whether a is the path's first point, whether b is its
+    last point)."""
+    last = len(path) - 2
+    out = []
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        ax, ay, az = a
+        bx, by, bz = b
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        out.append((a, b,
+                    ax if ax < bx else bx, bx if ax < bx else ax,
+                    ay if ay < by else by, by if ay < by else ay,
+                    az if az < bz else bz, bz if az < bz else az,
+                    ux, uy, uz, ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux,
+                    i == 0, i == last))
+    return out
 
 
-def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
-    ends = None  # (points of e's ends, points of f's ends), read on first contact
-    segs_f = list(zip(path_f, path_f[1:]))
-    for a1, b1 in zip(path_e, path_e[1:]):
-        for a2, b2 in segs_f:
-            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-                # only a shared graph vertex is a legitimate contact
-                if ends is None:
-                    ends = (points[e.u], points[e.v], points[f.u], points[f.v])
+def _check_against(e: Edge, segs: list[tuple],
+                   others: Iterable[tuple[Edge, list[tuple]]]) -> None:
+    """Check the segments of e's path against the paths of `others`.
+
+    Each pair of paths is walked segment pair by segment pair, the path of
+    the smaller edge id outermost, and an error names the smaller id first.
+    """
+    for f, segs_f in others:
+        outer, inner = (segs_f, segs) if f.id < e.id else (segs, segs_f)
+        for (a1, b1, lx1, hx1, ly1, hy1, lz1, hz1,
+             ux1, uy1, uz1, mx1, my1, mz1, va1, vb1) in outer:
+            for (a2, b2, lx2, hx2, ly2, hy2, lz2, hz2,
+                 ux2, uy2, uz2, mx2, my2, mz2, va2, vb2) in inner:
+                if (hx1 < lx2 or hx2 < lx1 or hy1 < ly2 or hy2 < ly1
+                        or hz1 < lz2 or hz2 < lz1):
+                    continue  # boxes strictly apart on some axis: no common point
+                # a common end point s, a path end of both and the only
+                # common end point, is the common case: the segments then
+                # meet beyond s only when they leave it in the same
+                # direction.  Any other contact takes the general check,
+                # which decides these the same way.
                 if a1 == a2:
-                    s, o1, o2 = a1, b1, b2
+                    fast, same = b1 != b2 and va1 and va2, True
                 elif a1 == b2:
-                    s, o1, o2 = a1, b1, a2
+                    fast, same = b1 != a2 and va1 and vb2, False
                 elif b1 == a2:
-                    s, o1, o2 = b1, a1, b2
+                    fast, same = vb1 and va2, False
+                elif b1 == b2:
+                    fast, same = vb1 and vb2, True
                 else:
-                    s, o1, o2 = b1, a1, a2
-                # the common case: exactly one common point s (o1 != o2),
-                # a vertex point of both edges; the segments then meet
-                # beyond s only when s->o1 and s->o2 point the same way
-                if o1 != o2 and (s == ends[0] or s == ends[1]) \
-                        and (s == ends[2] or s == ends[3]):
-                    sx, sy, sz = s
-                    px, py, pz = o1[0] - sx, o1[1] - sy, o1[2] - sz
-                    qx, qy, qz = o2[0] - sx, o2[1] - sy, o2[2] - sz
-                    if (py * qz == pz * qy and pz * qx == px * qz and px * qy == py * qx
-                            and px * qx + py * qy + pz * qz > 0):
-                        raise EmbeddingError(
-                            f"edges {e.id} and {f.id} overlap at vertex")
+                    # the sum is det[u1, a2 - a1, u2]: segments that are not
+                    # coplanar share no point
+                    if (ux1 * mx2 + uy1 * my2 + uz1 * mz2
+                            + ux2 * mx1 + uy2 * my1 + uz2 * mz1) == 0 \
+                            and segments3_intersect(a1, b1, a2, b2):
+                        raise EmbeddingError(f"{_names(e, f)} intersect")
                     continue
-                shared = set(ends[:2]) & set(ends[2:])
-                common = {a1, b1} & {a2, b2}
-                if not common <= shared:
-                    raise EmbeddingError(
-                        f"edges {e.id} and {f.id} touch at a non-vertex point")
-                for s in common:
-                    other1 = b1 if s == a1 else a1
-                    other2 = b2 if s == a2 else a2
-                    if shared_endpoint_segments_overlap(s, other1, other2):
-                        raise EmbeddingError(
-                            f"edges {e.id} and {f.id} overlap at vertex")
-            elif not _boxes_apart(a1, b1, a2, b2):
-                # segments that are not coplanar share no point
-                ax, ay, az = a1
-                ux, uy, uz = b1[0] - ax, b1[1] - ay, b1[2] - az
-                vx, vy, vz = a2[0] - ax, a2[1] - ay, a2[2] - az
-                wx, wy, wz = b2[0] - ax, b2[1] - ay, b2[2] - az
-                if ((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy
-                        + (ux * vy - uy * vx) * wz) != 0:
-                    continue
-                if segments3_intersect(a1, b1, a2, b2):
-                    raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
+                if fast:
+                    if (uy1 * uz2 == uz1 * uy2 and uz1 * ux2 == ux1 * uz2
+                            and ux1 * uy2 == uy1 * ux2
+                            and (ux1 * ux2 + uy1 * uy2 + uz1 * uz2 > 0 if same
+                                 else ux1 * ux2 + uy1 * uy2 + uz1 * uz2 < 0)):
+                        raise EmbeddingError(f"{_names(e, f)} overlap at vertex")
+                else:
+                    _check_contact(e, f, a1, b1, a2, b2,
+                                   {outer[0][0], outer[-1][1]} & {inner[0][0], inner[-1][1]})
+
+
+def _names(e: Edge, f: Edge) -> str:
+    return f"edges {min(e.id, f.id)} and {max(e.id, f.id)}"
+
+
+def _check_contact(e: Edge, f: Edge, a1: Point3, b1: Point3, a2: Point3, b2: Point3,
+                   shared: set[Point3]) -> None:
+    """Segments a1b1 and a2b2 share an end point: only a point in `shared`
+    (an end of both paths) may be common, and neither may run on along the
+    other from there."""
+    common = {a1, b1} & {a2, b2}
+    if not common <= shared:
+        raise EmbeddingError(f"{_names(e, f)} touch at a non-vertex point")
+    for s in common:
+        other1 = b1 if s == a1 else a1
+        other2 = b2 if s == a2 else a2
+        if shared_endpoint_segments_overlap(s, other1, other2):
+            raise EmbeddingError(f"{_names(e, f)} overlap at vertex")
 
 
 def straight_line_embedding(g: MultiGraph, points: Mapping[int, Point3]) -> SpatialEmbedding:
@@ -268,8 +291,8 @@ def reroute_edge(emb: SpatialEmbedding, eid: int,
     """
     g = emb.graph
     e = g.edge(eid)  # an unknown id raises GraphError
-    path = tuple(_norm_point(p) for p in new_path)
-    others = [(f, emb.edge_paths[f.id])
+    path = tuple(map(_norm_point, new_path))
+    others = [(f, _segments(emb.edge_paths[f.id]))
               for f in sorted(g.edges, key=lambda f: f.id) if f.id != eid]
     _check_edge(g, emb.vertex_points, e, path, others)
     paths = dict(emb.edge_paths)

@@ -30,13 +30,15 @@ from .embedding import (
     EmbeddingError,
     RetryLimitExceeded,
     SpatialEmbedding,
-    _check_paths_disjoint,
+    _check_edge,
+    _segments,
     random_embedding,
     reroute_edge,
 )
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
 from .omega import _detour_links, _omega_with_pairs
+from .projection import edge_endpoints, pair_index
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,13 @@ def conway_gordon_experiment(
     seed: int = 0,
 ) -> ExperimentReport:
     """omega over independent random embeddings of a simple graph."""
-    pairs = disjoint_circuit_pairs(graph)
+    index = pair_index(edge_endpoints(graph), disjoint_circuit_pairs(graph))
     omega_counts: Counter[int] = Counter()
     odd_counts: Counter[int] = Counter()
     for t in range(trials):
         trial_seed = seed ^ t
         emb = random_embedding(graph, trial_seed)
-        report = _omega_with_pairs(emb, pairs, seed=trial_seed)
+        report = _omega_with_pairs(emb, index, seed=trial_seed)
         omega_counts[report.total] += 1
         odd_counts[report.odd_pair_count] += 1
     return ExperimentReport(
@@ -150,7 +152,7 @@ def edge_swap_check(
     g = graph.graph if base is not None else graph
     if not g.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
-    pairs = disjoint_circuit_pairs(g)
+    index = pair_index(edge_endpoints(g), disjoint_circuit_pairs(g))
     edges = sorted(g.edges, key=lambda e: e.id)
 
     violations: list[RerouteViolation] = []
@@ -178,7 +180,8 @@ def edge_swap_check(
             try:
                 # the new arc must also meet the old path only at the edge
                 # endpoints, otherwise the loop D below is not embedded
-                _check_paths_disjoint(e, old_path, e, (pu, midpoint, pv), emb.vertex_points)
+                _check_edge(g, emb.vertex_points, e, (pu, midpoint, pv),
+                            [(e, _segments(old_path))])
                 emb2 = reroute_edge(emb, e.id, (pu, midpoint, pv))
                 break
             except EmbeddingError:
@@ -188,8 +191,8 @@ def edge_swap_check(
                 f"no valid reroute of edge {e.id} in trial {t} "
                 f"after {RETRY_LIMIT} midpoints")
 
-        before = _omega_with_pairs(emb, pairs, seed=trial_seed)
-        after = _omega_with_pairs(emb2, pairs, seed=trial_seed)
+        before = _omega_with_pairs(emb, index, seed=trial_seed)
+        after = _omega_with_pairs(emb2, index, seed=trial_seed)
 
         def coords() -> dict:
             return {
@@ -207,7 +210,7 @@ def edge_swap_check(
                 (e.u, e.v), coords()))
 
         opposite = [k if e.id in j.edge_ids else j if e.id in k.edge_ids else None
-                    for j, k in pairs]  # the circuit facing the one through e, if any
+                    for j, k in index.pairs]  # the circuit facing the one through e, if any
         links = iter(_detour_links(emb, e.id, (pu, midpoint, pv),
                                    [c for c in opposite if c is not None], trial_seed))
         cover_parity = 0

@@ -45,9 +45,12 @@ def parse_rational(obj) -> Rat:
         return normalize_rat(obj)
     if isinstance(obj, str):
         text = obj.strip()
-        if not _RATIONAL.fullmatch(text):
+        match = _RATIONAL.fullmatch(text)
+        if not match:
             raise GeometryError(f"not a rational: {obj!r}")
         try:
+            if match[1] is None:
+                return int(text)
             return normalize_rat(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise GeometryError(f"not a rational: {obj!r}") from None

@@ -10,7 +10,8 @@ linked; a zero total is inconclusive.
 Each projection is computed once and carries its edge-pair crossing
 matrix.  The lk table, its parities and its check against the second
 projection come from one pass over the pairs (``projection.link_tables``);
-the pair list comes from the bitset listing in ``circuits``.  A reroute's
+the pair list comes from the bitset listing in ``circuits``, indexed once
+with each circuit's traversal signs (``projection.PairIndex``).  A reroute's
 lk(D, K), for all circuits K, comes from one diagram of D and the K's too.
 """
 
@@ -26,9 +27,12 @@ from .embedding import RetryLimitExceeded, SpatialEmbedding
 from .geometry import Point3, cross3, format_point, is_zero3
 from .projection import (
     NonRegularProjection,
+    PairIndex,
     ProjectedDiagram,
     crossing_matrix,
+    edge_endpoints,
     link_tables,
+    pair_index,
     project,
     strand_crossings,
 )
@@ -70,7 +74,7 @@ def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
     D runs along the edge from u to v and back along ``arc`` (a u-v path), from
     one regular projection; AssertionError if a parity differs from lk mod 2."""
     arc_id = max(emb.edge_paths) + 1
-    endpoints = {e.id: (e.u, e.v) for e in emb.graph.edges}
+    endpoints = edge_endpoints(emb.graph)
     endpoints[arc_id] = endpoints[eid]
     paths = {**emb.edge_paths, arc_id: arc}
     loop = Circuit(endpoints[eid], (eid, arc_id))
@@ -80,7 +84,7 @@ def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
     diagram = _first_regular(
         lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d, markers)),
         seed, "no regular projection of the reroute loop")
-    table = link_tables([diagram], [(loop, k) for k in circuits])[0]
+    table = link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
     if any(parity != lk % 2 for lk, parity in table):
         raise AssertionError("omega parity disagrees with lk; kernel bug")
     return [lk for lk, _ in table]
@@ -142,13 +146,13 @@ def omega_graph(
     seed: int = 0,
 ) -> OmegaReport:
     """Per-pair lk/omega table and the mod-2 total for an embedding."""
-    pairs = disjoint_circuit_pairs(emb.graph)
-    return _omega_with_pairs(emb, pairs, direction=direction, seed=seed)
+    index = pair_index(edge_endpoints(emb.graph), disjoint_circuit_pairs(emb.graph))
+    return _omega_with_pairs(emb, index, direction=direction, seed=seed)
 
 
 def _omega_with_pairs(
     emb: SpatialEmbedding,
-    pairs: Sequence[tuple[Circuit, Circuit]],
+    index: PairIndex,
     direction: Point3 | None = None,
     seed: int = 0,
 ) -> OmegaReport:
@@ -160,8 +164,8 @@ def _omega_with_pairs(
 
     entries = []
     total = 0
-    table, check_table = link_tables([diag, check], pairs)
-    for (j, k), (lk, om), (lk2, _) in zip(pairs, table, check_table):
+    table, check_table = link_tables([diag, check], index)
+    for (j, k), (lk, om), (lk2, _) in zip(index.pairs, table, check_table):
         if om != lk % 2:
             raise AssertionError("omega parity disagrees with lk; kernel bug")
         if lk2 != lk:

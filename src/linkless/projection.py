@@ -35,8 +35,11 @@ crossings.  Each diagram builds that matrix on first use.  `link_tables`
 computes lk and the crossing parity of every circuit pair in one pass:
 each J gets one row, the sum of s_J(e) L[e][f] over the edges e of J (s
 the traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the
-edges f of K.  `linking_number` and `omega_pair` are one-pair calls of
-it, and ``omega.loop_pair_link`` reads cell L[0][1] of two loops.
+edges f of K.  The traversal signs depend only on the graph, so a
+`PairIndex` holds them with the pairs, and callers that read many
+embeddings of one graph build it once.  `linking_number` and
+`omega_pair` are one-pair calls of it, and ``omega.loop_pair_link`` reads
+cell L[0][1] of two loops.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
 from .geometry import Point3, _overlap_1d, projection_frame
-from .multigraph import GraphError
+from .multigraph import GraphError, MultiGraph
 
 
 class NonRegularProjection(RuntimeError):
@@ -57,8 +61,11 @@ class NonRegularProjection(RuntimeError):
 
 
 def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
-    """[p * q] for the least positive integer q making every point integral."""
+    """[p * q] for the least positive integer q making every point integral;
+    all-integer points are returned as they are."""
     points = list(points)
+    if set(map(type, chain.from_iterable(points))) <= {int}:
+        return points
     q = math.lcm(*{c.denominator for p in points for c in p})
     return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
@@ -235,9 +242,8 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
         for e in sorted(emb.graph.edges, key=lambda e: e.id)
     ]
     markers = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
-    endpoints = {e.id: (e.u, e.v) for e in emb.graph.edges}
     crossings = strand_crossings(strands, direction, markers)
-    return ProjectedDiagram(direction, endpoints, crossings)
+    return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossings)
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],
@@ -252,40 +258,76 @@ def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],
     return out
 
 
-def link_tables(diagrams: Sequence[ProjectedDiagram],
-                pairs: Iterable[tuple[Circuit, Circuit]]) -> list[list[tuple[int, int]]]:
-    """Per diagram, (lk(J, K), parity of the crossings where J passes over K)
-    of every pair, in one pass.
+def edge_endpoints(graph: MultiGraph) -> dict[int, tuple[int, int]]:
+    """{edge id: (u, v)}: the ends of each edge in its stored direction."""
+    return {e.id: (e.u, e.v) for e in graph.edges}
 
-    The diagrams must be projections of one graph.  Each circuit's
-    traversal signs s are computed once, and each J gets one signed row
-    per diagram over the edges f it passes over: the sums of
-    s_J(e) L[e][f].signed and of L[e][f].count over the edges e of J.
-    lk(J, K) is then the sum of s_K(f) row[f].signed over the edges f of
-    K, and the parity that of the summed counts.
+
+@dataclass(frozen=True)
+class PairIndex:
+    """Circuit pairs prepared once for `link_tables`.
+
+    ``signs`` holds the traversal signs of each distinct circuit (by
+    identity) in order of first appearance, and ``slots`` the positions
+    of J and K there for each pair of ``pairs``.  They depend on the
+    graph's edge ``endpoints`` only, not on the embedding.
     """
-    endpoints = diagrams[0].edge_endpoints
-    if any(d.edge_endpoints != endpoints for d in diagrams[1:]):
-        raise GraphError("the diagrams project different graphs")
-    pairs = list(pairs)  # keeps every circuit alive, so ids stay unique
-    matrices = [d.crossing_matrix for d in diagrams]
-    signs: dict[int, list[tuple[int, int]]] = {}  # by id of the circuit
-    rows: list[dict[int, dict[int, list[int]]]] = [{} for _ in diagrams]
-    tables: list[list[tuple[int, int]]] = [[] for _ in diagrams]
+
+    endpoints: Mapping[int, tuple[int, int]]
+    pairs: tuple[tuple[Circuit, Circuit], ...]
+    signs: tuple[tuple[tuple[int, int], ...], ...]
+    slots: tuple[tuple[int, int], ...]
+
+
+def pair_index(endpoints: Mapping[int, tuple[int, int]],
+               pairs: Iterable[tuple[Circuit, Circuit]]) -> PairIndex:
+    """Index vertex-disjoint circuit pairs of the graph with these edge
+    endpoints; GraphError if a pair shares a vertex or uses an edge not in
+    ``endpoints``."""
+    pairs = tuple(pairs)  # keeps every circuit alive, so ids stay unique
+    position: dict[int, int] = {}
+    signs: list[tuple[tuple[int, int], ...]] = []
+    slots = []
     for j, k in pairs:
         if not j.vertices.isdisjoint(k.vertices):
             raise GraphError("circuits share a vertex; linking is undefined")
-        signs_j = signs.get(id(j))
-        if signs_j is None:
-            signs_j = signs[id(j)] = _traversal_signs(endpoints, j)
-        signs_k = signs.get(id(k))
-        if signs_k is None:
-            signs_k = signs[id(k)] = _traversal_signs(endpoints, k)
-        for matrix, rows_d, table in zip(matrices, rows, tables):
-            row = rows_d.get(id(j))
+        for c in (j, k):
+            if id(c) not in position:
+                position[id(c)] = len(signs)
+                signs.append(tuple(_traversal_signs(endpoints, c)))
+        slots.append((position[id(j)], position[id(k)]))
+    return PairIndex(endpoints, pairs, tuple(signs), tuple(slots))
+
+
+def link_tables(diagrams: Sequence[ProjectedDiagram],
+                pairs: PairIndex | Iterable[tuple[Circuit, Circuit]],
+                ) -> list[list[tuple[int, int]]]:
+    """Per diagram, (lk(J, K), parity of the crossings where J passes over K)
+    of every pair, in one pass.
+
+    ``pairs`` is a `PairIndex` or the pairs themselves, which are then
+    indexed against the first diagram.  The diagrams must be projections
+    of the indexed graph.  Each J gets one signed row per diagram over the
+    edges f it passes over: the sums of s_J(e) L[e][f].signed and of
+    L[e][f].count over the edges e of J, s the traversal signs.  lk(J, K)
+    is then the sum of s_K(f) row[f].signed over the edges f of K, and
+    the parity that of the summed counts.
+    """
+    index = pairs if isinstance(pairs, PairIndex) \
+        else pair_index(diagrams[0].edge_endpoints, pairs)
+    if any(d.edge_endpoints != index.endpoints for d in diagrams):
+        raise GraphError("the diagrams project different graphs")
+    signs = index.signs
+    tables: list[list[tuple[int, int]]] = []
+    for diagram in diagrams:
+        matrix = diagram.crossing_matrix
+        rows: list[dict[int, list[int]] | None] = [None] * len(signs)
+        table = []
+        for j, k in index.slots:
+            row = rows[j]
             if row is None:
-                row = rows_d[id(j)] = {}
-                for e, sign_e in signs_j:
+                row = rows[j] = {}
+                for e, sign_e in signs[j]:
                     cells = matrix.get(e)
                     if cells:
                         for f, (signed, count) in cells.items():
@@ -296,12 +338,13 @@ def link_tables(diagrams: Sequence[ProjectedDiagram],
                                 acc[0] += sign_e * signed
                                 acc[1] += count
             lk = count = 0
-            for f, sign_f in signs_k:
+            for f, sign_f in signs[k]:
                 acc = row.get(f)
                 if acc is not None:
                     lk += sign_f * acc[0]
                     count += acc[1]
             table.append((lk, count & 1))
+        tables.append(table)
     return tables
 
 

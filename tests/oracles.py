@@ -10,6 +10,11 @@ criterion 7 in ``linkless.acceptance``; tests import them from there.
 its subset enumeration kept an explicit stack: a recursive generator per
 vertex added, and a scan of every host edge per feasibility check.  It is
 the reference that the package's search must match node for node.
+``_validate``, ``_check_edge`` and ``_check_paths_disjoint`` are the
+embedding checks as they were written before the pair walk went flat: one
+`_check_paths_disjoint` call per pair of paths, one `_boxes_apart` call
+per pair of segments.  They are the reference that the package's checks
+must match verdict for verdict and message for message.
 """
 
 from __future__ import annotations
@@ -17,9 +22,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
-from linkless.multigraph import MultiGraph
+from linkless.embedding import EmbeddingError
+from linkless.geometry import (
+    Point3,
+    point_on_segment3,
+    segments3_intersect,
+    shared_endpoint_segments_overlap,
+)
+from linkless.multigraph import Edge, MultiGraph
 
 
 def circuit_edge_sets(g: MultiGraph) -> set[frozenset[int]]:
@@ -189,6 +201,26 @@ def decode(record) -> tuple:
 
 
 # -- the recursive branch-set search (reference) -----------------------------
+
+
+def scanned_lk(diagram, j, k):
+    """(lk, omega) of J over K by a direct scan of the crossing list."""
+    def signs(c):
+        out = {}
+        for i, eid in enumerate(c.edge_ids):
+            u, _ = diagram.edge_endpoints[eid]
+            out[eid] = 1 if c.vertex_seq[i] == u else -1
+        return out
+
+    sig_j, sig_k = signs(j), signs(k)
+    lk = count = 0
+    for record in diagram.crossings:
+        first, _, _, second, _, _, over, sign = decode(record)
+        upper, lower = (first, second) if over == 0 else (second, first)
+        if upper in sig_j and lower in sig_k:
+            lk += sign * sig_j[upper] * sig_k[lower]
+            count += 1
+    return lk, count & 1
 
 
 def _h_assignment_order(h: MultiGraph) -> list[int]:
@@ -371,3 +403,139 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# -- embedding checks as written before the flat pair walk ---------------------
+
+
+def _validate(graph: MultiGraph, points: dict[int, Point3],
+              paths: dict[int, tuple[Point3, ...]]) -> None:
+    if not graph.is_simple:
+        raise EmbeddingError("embeddings support simple graphs only "
+                             "(no loops or parallel edges)")
+    if set(points) != set(graph.vertices):
+        raise EmbeddingError("vertex positions must cover exactly the vertex set")
+    if set(paths) != {e.id for e in graph.edges}:
+        raise EmbeddingError("edge paths must cover exactly the edge set")
+
+    seen: dict[Point3, int] = {}
+    for v, p in sorted(points.items()):
+        if p in seen:
+            raise EmbeddingError(f"vertices {seen[p]} and {v} share a point")
+        seen[p] = v
+
+    checked: list[tuple[Edge, tuple[Point3, ...]]] = []
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        _check_edge(graph, points, e, paths[e.id], checked)
+        checked.append((e, paths[e.id]))
+
+
+def _check_edge(graph: MultiGraph, points: Mapping[int, Point3], e: Edge,
+                path: tuple[Point3, ...],
+                others: Iterable[tuple[Edge, tuple[Point3, ...]]]) -> None:
+    """Check edge e's path alone, then against each (edge, path) of `others`.
+
+    `others` must be in increasing id order and their paths already
+    checked, so the first failure is the one a check of the whole
+    embedding reports.
+    """
+    if len(path) < 2:
+        raise EmbeddingError(f"edge {e.id} path needs at least two points")
+    if path[0] != points[e.u] or path[-1] != points[e.v]:
+        raise EmbeddingError(
+            f"edge {e.id} path must run from vertex {e.u} to vertex {e.v}")
+    for a, b in zip(path, path[1:]):
+        if a == b:
+            raise EmbeddingError(f"edge {e.id} has a zero-length segment")
+    _check_path_simple(e.id, path)
+    # A vertex with an edge ends that edge's path, so _check_path_simple
+    # and _check_paths_disjoint already reject it anywhere else on a path;
+    # only isolated vertices need a scan of their own.
+    for v in graph.isolated_vertices:
+        if any(point_on_segment3(points[v], a, b) for a, b in zip(path, path[1:])):
+            raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
+    for f, path_f in others:
+        if f.id < e.id:
+            _check_paths_disjoint(f, path_f, e, path, points)
+        else:
+            _check_paths_disjoint(e, path, f, path_f, points)
+
+
+def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
+    segs = list(zip(path, path[1:]))
+    interior = path[1:-1]
+    if len(set(interior)) != len(interior):
+        raise EmbeddingError(f"edge {eid} repeats a waypoint")
+    for i, (a1, b1) in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            a2, b2 = segs[j]
+            if j == i + 1:
+                if shared_endpoint_segments_overlap(b1, a1, b2):
+                    raise EmbeddingError(f"edge {eid} backtracks at a waypoint")
+            elif segments3_intersect(a1, b1, a2, b2):
+                raise EmbeddingError(f"edge {eid} intersects itself")
+
+
+def _boxes_apart(p: Point3, q: Point3, r: Point3, s: Point3) -> bool:
+    """Whether the bounding boxes of segments pq and rs are strictly apart
+    on some axis; then the two segments share no point."""
+    return (p[0] < r[0] and p[0] < s[0] and q[0] < r[0] and q[0] < s[0]
+            or p[0] > r[0] and p[0] > s[0] and q[0] > r[0] and q[0] > s[0]
+            or p[1] < r[1] and p[1] < s[1] and q[1] < r[1] and q[1] < s[1]
+            or p[1] > r[1] and p[1] > s[1] and q[1] > r[1] and q[1] > s[1]
+            or p[2] < r[2] and p[2] < s[2] and q[2] < r[2] and q[2] < s[2]
+            or p[2] > r[2] and p[2] > s[2] and q[2] > r[2] and q[2] > s[2])
+
+
+def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
+    ends = None  # (points of e's ends, points of f's ends), read on first contact
+    segs_f = list(zip(path_f, path_f[1:]))
+    for a1, b1 in zip(path_e, path_e[1:]):
+        for a2, b2 in segs_f:
+            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                # only a shared graph vertex is a legitimate contact
+                if ends is None:
+                    ends = (points[e.u], points[e.v], points[f.u], points[f.v])
+                if a1 == a2:
+                    s, o1, o2 = a1, b1, b2
+                elif a1 == b2:
+                    s, o1, o2 = a1, b1, a2
+                elif b1 == a2:
+                    s, o1, o2 = b1, a1, b2
+                else:
+                    s, o1, o2 = b1, a1, a2
+                # the common case: exactly one common point s (o1 != o2),
+                # a vertex point of both edges; the segments then meet
+                # beyond s only when s->o1 and s->o2 point the same way
+                if o1 != o2 and (s == ends[0] or s == ends[1]) \
+                        and (s == ends[2] or s == ends[3]):
+                    sx, sy, sz = s
+                    px, py, pz = o1[0] - sx, o1[1] - sy, o1[2] - sz
+                    qx, qy, qz = o2[0] - sx, o2[1] - sy, o2[2] - sz
+                    if (py * qz == pz * qy and pz * qx == px * qz and px * qy == py * qx
+                            and px * qx + py * qy + pz * qz > 0):
+                        raise EmbeddingError(
+                            f"edges {e.id} and {f.id} overlap at vertex")
+                    continue
+                shared = set(ends[:2]) & set(ends[2:])
+                common = {a1, b1} & {a2, b2}
+                if not common <= shared:
+                    raise EmbeddingError(
+                        f"edges {e.id} and {f.id} touch at a non-vertex point")
+                for s in common:
+                    other1 = b1 if s == a1 else a1
+                    other2 = b2 if s == a2 else a2
+                    if shared_endpoint_segments_overlap(s, other1, other2):
+                        raise EmbeddingError(
+                            f"edges {e.id} and {f.id} overlap at vertex")
+            elif not _boxes_apart(a1, b1, a2, b2):
+                # segments that are not coplanar share no point
+                ax, ay, az = a1
+                ux, uy, uz = b1[0] - ax, b1[1] - ay, b1[2] - az
+                vx, vy, vz = a2[0] - ax, a2[1] - ay, a2[2] - az
+                wx, wy, wz = b2[0] - ax, b2[1] - ay, b2[2] - az
+                if ((uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy
+                        + (ux * vy - uy * vx) * wz) != 0:
+                    continue
+                if segments3_intersect(a1, b1, a2, b2):
+                    raise EmbeddingError(f"edges {e.id} and {f.id} intersect")

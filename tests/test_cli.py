@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkless
+from linkless import cli
 from linkless.cli import build_parser, main
 from linkless.embedding import embedding_to_json_dict, random_embedding
 from linkless.multigraph import builtin_graph, format_edge_list, graph_from_pairs
@@ -132,6 +133,32 @@ def test_embed_and_omega_roundtrip(tmp_path, capsys):
     assert report["omega"] == 1
     assert report["interpretation"] == "linked"
     assert report["pair_count"] == 10
+
+
+def test_embed_file_is_what_json_dumps_writes(tmp_path, capsys):
+    out_file = tmp_path / "k7.json"
+    code, out, _ = run_cli(capsys, "embed", "K7", "--seed", "2", "-o", str(out_file))
+    assert code == 0
+    doc = embedding_to_json_dict(random_embedding(builtin_graph("K7"), 2))
+    assert out_file.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps({"command": "embed", "graph": "K7", "schema_version": 1,
+                              "seed": 2, "written": str(out_file)},
+                             sort_keys=True, indent=2) + "\n"
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(max_codepoint=0x1F600), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=2),
+    max_leaves=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_TREES)
+def test_encoder_writes_what_json_dumps_writes(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_embed_to_stdout_deterministic(capsys):

@@ -20,11 +20,21 @@ from linkless.embedding import (
     straight_line_embedding,
 )
 from linkless.geometry import (
+    normalize_rat,
     point_on_segment3,
     segments3_intersect,
     shared_endpoint_segments_overlap,
 )
-from linkless.multigraph import Edge, GraphError, complete_graph, graph_from_pairs, parse_graph
+from linkless.multigraph import (
+    Edge,
+    GraphError,
+    complete_graph,
+    graph_from_pairs,
+    k331_graph,
+    parse_graph,
+)
+
+import oracles
 
 TRI = graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")
 TRI_POINTS = {1: (0, 0, 0), 2: (4, 0, 0), 3: (0, 4, 0)}
@@ -358,20 +368,29 @@ def test_incremental_reroute_check_matches_full_validation(case):
 
 
 def test_reroute_checks_each_other_path_once(monkeypatch):
-    calls = []
-    attempts = []
-    check, draw = embedding._check_paths_disjoint, embedding.straight_line_embedding
-    monkeypatch.setattr(embedding, "_check_paths_disjoint",
-                        lambda *args: calls.append(args) or check(*args))
-    monkeypatch.setattr(embedding, "straight_line_embedding",
-                        lambda *args: attempts.append(args) or draw(*args))
+    # one pair walk per checked edge, against the ids it is handed; the
+    # segment records of each path are built once per check
+    walks, built = [], []
+    walk, segments = embedding._check_against, embedding._segments
+    monkeypatch.setattr(embedding, "_check_against", lambda e, segs, others: walks.append(
+        (e.id, [f.id for f, _ in others])) or walk(e, segs, others))
+    monkeypatch.setattr(embedding, "_segments",
+                        lambda path: built.append(path) or segments(path))
     g = complete_graph(6)
     emb = random_embedding(g, 3)
-    assert 0 < len(calls) <= 105 * len(attempts)
+    ids = sorted(emb.edge_paths)
+    walks.clear()
+    built.clear()
+    straight_line_embedding(g, emb.vertex_points)
+    # construction: each edge against the smaller ids, so each pair once
+    assert walks == [(eid, ids[:i]) for i, eid in enumerate(ids)]
+    assert sorted(built) == sorted(emb.edge_paths.values())
     for eid in (0, 7, 14):
-        calls.clear()
+        walks.clear()
+        built.clear()
         reroute_edge(emb, eid, emb.path(eid))
-        assert len(calls) == 14
+        assert walks == [(eid, [f for f in ids if f != eid])]
+        assert sorted(built) == sorted(emb.edge_paths.values())
 
 
 def _reference_paths_disjoint(e, path_e, f, path_f, points):
@@ -404,6 +423,31 @@ def _pair_verdict(check, e, path_e, f, path_f, points):
     return None
 
 
+def _walk_verdicts(x, path_x, y, path_y):
+    """The verdicts of the flat pair walk on paths x and y, x.id <= y.id, so
+    that x's segments are walked outermost: with y as the path under check
+    against x, and (for distinct ids) with x under check against y."""
+    segs_x, segs_y = embedding._segments(path_x), embedding._segments(path_y)
+    checks = [lambda: embedding._check_against(x, segs_x, [(y, segs_y)])]
+    if x.id < y.id:
+        checks.append(lambda: embedding._check_against(y, segs_y, [(x, segs_x)]))
+    verdicts = set()
+    for check in checks:
+        try:
+            check()
+            verdicts.add(None)
+        except EmbeddingError as exc:
+            verdicts.add(str(exc))
+    return verdicts
+
+
+def _outer_first(x, path_x, y, path_y):
+    """The same pair with x renumbered 0 and y 1 (both 0 if they are one
+    edge): the walk takes the smaller id outermost and names it first."""
+    same = x == y
+    return x._replace(id=0), path_x, y._replace(id=0 if same else 1), path_y
+
+
 # Paths whose first segments have bounding boxes that touch on exactly
 # one face, edge or corner, with and without a contact there: (path of
 # edge 1-2, path of the other edge, whether that edge shares vertex 2).
@@ -434,9 +478,10 @@ def test_box_reject_keeps_touching_boxes(case):
         args = (e, moved(touching_e, flip_e), f, moved(touching_f, flip_f))
         if swap:
             args = args[2:] + args[:2]
+        args = _outer_first(*args)
         expected = _pair_verdict(_reference_paths_disjoint, *args, points)
         assert (expected is None) == case.endswith(("apart", "shared vertex"))
-        assert _pair_verdict(embedding._check_paths_disjoint, *args, points) == expected
+        assert _walk_verdicts(*args) == {expected}
 
 
 _GRID4 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -454,8 +499,8 @@ def test_box_reject_agrees_with_reference(corners, shares, waypoints):
     points = dict(zip((1, 2, 3, 4), corners))
     path_e = (points[1], *waypoints[0], points[2])
     path_f = (points[f.u], *waypoints[1], points[f.v])
-    assert (_pair_verdict(embedding._check_paths_disjoint, e, path_e, f, path_f, points)
-            == _pair_verdict(_reference_paths_disjoint, e, path_e, f, path_f, points))
+    assert (_walk_verdicts(e, path_e, f, path_f)
+            == {_pair_verdict(_reference_paths_disjoint, e, path_e, f, path_f, points)})
 
 
 def _sets_reference_paths_disjoint(e, path_e, f, path_f, points):
@@ -479,7 +524,7 @@ def _sets_reference_paths_disjoint(e, path_e, f, path_f, points):
                     if shared_endpoint_segments_overlap(s, other1, other2):
                         raise EmbeddingError(
                             f"edges {e.id} and {f.id} overlap at vertex")
-            elif (not embedding._boxes_apart(a1, b1, a2, b2)
+            elif (not oracles._boxes_apart(a1, b1, a2, b2)
                     and segments3_intersect(a1, b1, a2, b2)):
                 raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
 
@@ -538,10 +583,173 @@ def _path_pairs(draw):
 @given(_path_pairs())
 def test_inline_contact_tests_agree_with_reference(case):
     kind, (e, path_e, f, path_f, points), swap = case
-    args = (f, path_f, e, path_e) if swap else (e, path_e, f, path_f)
+    args = _outer_first(*((f, path_f, e, path_e) if swap else (e, path_e, f, path_f)))
     expected = _pair_verdict(_sets_reference_paths_disjoint, *args, points)
     event(f"{kind}: {expected and expected.split(' ', 4)[-1]}")
-    assert _pair_verdict(embedding._check_paths_disjoint, *args, points) == expected
+    assert _walk_verdicts(*args) == {expected}
     assert _pair_verdict(_reference_paths_disjoint, *args, points) == expected
+    assert _pair_verdict(oracles._check_paths_disjoint, *args, points) == expected
     if kind == "collinear at vertex" and path_e[-2] != path_e[-1]:
         assert expected is not None
+
+
+# -- the flat pair walk against the checks it replaced (tests/oracles.py) ------
+
+_CUBE = st.tuples(*[st.integers(-3, 3)] * 3)
+_STEP = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+_FAULTS = ("non-vertex contact", "collinear at vertex", "coplanar crossing",
+           "vertex on a foreign edge", "isolated vertex on an edge",
+           "zero-length segment", "repeated waypoint", "self-intersection")
+
+
+def _mid(a, b):
+    return tuple(normalize_rat(Fraction(x + y, 2)) for x, y in zip(a, b))
+
+
+def _along(p, d, k):
+    return tuple(normalize_rat(c + k * x) for c, x in zip(p, d))
+
+
+@st.composite
+def _faulty_embeddings(draw):
+    """A small graph with straight and polyline edges on lattice points and
+    one planted fault, or none ("free").  Any draw may also be invalid on
+    its own: lattice points are often collinear or coplanar."""
+    kind = draw(st.sampled_from(("free",) + _FAULTS))
+    n = draw(st.integers(3, 6))
+    isolated = draw(st.integers(1 if kind == "isolated vertex on an edge" else 0, 1))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=3, max_size=10, unique=True))
+    g = graph_from_pairs(pairs, vertices=range(1, n + isolated + 1))
+    points = dict(zip(sorted(g.vertices),
+                      draw(st.lists(_CUBE, min_size=g.n, max_size=g.n, unique=True))))
+    edges = sorted(g.edges)
+    waypoints = {f.id: draw(st.lists(_CUBE, max_size=2)) for f in edges}
+
+    def path(f):
+        return (points[f.u], *waypoints[f.id], points[f.v])
+
+    def insert(f, new):
+        at = draw(st.integers(0, len(waypoints[f.id])))
+        waypoints[f.id][at:at] = new
+
+    def through(p):
+        """p itself, or a segment through p, as waypoints."""
+        if draw(st.booleans()):
+            return [p]
+        d = draw(_STEP)
+        return [_along(p, d, 1), _along(p, d, -1)]
+
+    e = draw(st.sampled_from(edges))
+    others = [f for f in edges if f != e]
+    adjacent = [(x, y) for x in edges for y in edges
+                if x != y and {x.u, x.v} & {y.u, y.v}]
+    foreign = [(w, f) for w in sorted(g.vertices) if g.degree(w) for f in edges
+               if w not in (f.u, f.v)]
+    if kind == "collinear at vertex" and adjacent:
+        # f leaves the vertex w it shares with e along e's path from w
+        e, f = draw(st.sampled_from(adjacent))
+        w = e.u if e.u in (f.u, f.v) else e.v
+        p = path(e)
+        nearest = p[1] if w == e.u else p[-2]
+        planted = _along(points[w], [b - a for a, b in zip(points[w], nearest)],
+                         draw(st.sampled_from([Fraction(1, 2), 1, 2])))
+        if w == f.u:
+            waypoints[f.id].insert(0, planted)
+        else:
+            waypoints[f.id].append(planted)
+    elif kind in ("non-vertex contact", "coplanar crossing"):
+        # another path through a point inside a segment of e (or through a
+        # waypoint of e), either meeting it there or crossing it
+        p = path(e)
+        i = draw(st.integers(0, len(p) - 2))
+        spot = draw(st.sampled_from([_mid(p[i], p[i + 1]), *waypoints[e.id]]))
+        f = draw(st.sampled_from(others))
+        insert(f, [spot] if kind == "non-vertex contact" else through(spot)[-2:])
+    elif kind == "vertex on a foreign edge" and foreign:
+        w, f = draw(st.sampled_from(foreign))
+        insert(f, through(points[w]))
+    elif kind == "isolated vertex on an edge":
+        insert(e, through(points[draw(st.sampled_from(g.isolated_vertices))]))
+    elif kind == "zero-length segment":
+        p = path(e)
+        i = draw(st.integers(0, len(p) - 1))
+        waypoints[e.id] = list((*p[:i + 1], *p[i:])[1:-1])
+    elif kind == "repeated waypoint":
+        p, q = draw(_CUBE), draw(_CUBE)
+        insert(e, [p, q, p])
+    elif kind == "self-intersection":
+        # a later segment of e crosses e's first segment inside it
+        first = draw(_CUBE)
+        waypoints[e.id][:0] = [first, *through(_mid(points[e.u], first))[-2:]]
+        if len(waypoints[e.id]) == 2:  # `through` gave the midpoint itself
+            waypoints[e.id][1:1] = [draw(_CUBE)]
+    else:
+        kind = "free"  # no pair of edges to plant the fault on
+    return kind, g, points, {f.id: path(f) for f in edges}
+
+
+def _error(check):
+    try:
+        check()
+    except EmbeddingError as exc:
+        return str(exc)
+    return None
+
+
+# vertex 3 sits on a waypoint of edge 1-2, and edge 3-4 leaves it back
+# along 1-2's first segment: the first contact the walk meets is at a path
+# end of 3-4 but not of 1-2, so it is a non-vertex contact, not an overlap
+_WAYPOINT_VERTEX = graph_from_pairs([(1, 2), (3, 4)])
+_WAYPOINT_POINTS = {1: (0, 0, 0), 2: (4, 4, 0), 3: (4, 0, 0), 4: (2, 0, 5)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_faulty_embeddings())
+@example(("vertex on a foreign edge", _WAYPOINT_VERTEX, _WAYPOINT_POINTS,
+          {0: ((0, 0, 0), (4, 0, 0), (4, 4, 0)), 1: ((4, 0, 0), (2, 0, 0), (2, 0, 5))}))
+def test_flat_pair_walk_matches_the_reference_checks(case):
+    kind, g, points, paths = case
+    expected = _error(lambda: oracles._validate(g, points, paths))
+    event(f"{kind}: {expected and re.sub(r'[0-9]+', '#', expected)}")
+    if kind != "free":
+        assert expected is not None
+    assert _error(lambda: embedding._validate(g, points, paths)) == expected
+    assert _error(lambda: SpatialEmbedding(g, points, paths)) == expected
+    # the order of a reroute: each edge against all the others, in id order
+    edges = sorted(g.edges)
+    for e in edges:
+        others = [f for f in edges if f != e]
+        assert _error(lambda: embedding._check_edge(
+            g, points, e, paths[e.id], [(f, embedding._segments(paths[f.id])) for f in others])
+        ) == _error(lambda: oracles._check_edge(
+            g, points, e, paths[e.id], [(f, paths[f.id]) for f in others]))
+
+
+def test_random_embedding_accepts_and_rejects_the_same_draws(monkeypatch):
+    # on the small cube [-2, 2]^3 many draws are degenerate and redrawn
+    monkeypatch.setattr(embedding, "COORDINATE_BOUND", 2)
+
+    def outcomes(validate, g, seed):
+        log = []
+
+        def logged(*args):
+            log.append(_error(lambda: validate(*args)))
+            if log[-1] is not None:
+                raise EmbeddingError(log[-1])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "_validate", logged)
+            try:
+                result = sorted(random_embedding(g, seed).vertex_points.items())
+            except RetryLimitExceeded as exc:
+                result = str(exc)
+        return log, result
+
+    rejected = 0
+    for g in (complete_graph(6), k331_graph(), complete_graph(7)):
+        for seed in range(60):
+            log, result = outcomes(embedding._validate, g, seed)
+            assert (log, result) == outcomes(oracles._validate, g, seed)
+            rejected += sum(message is not None for message in log)
+    assert rejected > 100

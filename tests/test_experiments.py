@@ -13,7 +13,8 @@ from linkless.embedding import (
     EmbeddingError,
     RetryLimitExceeded,
     SpatialEmbedding,
-    _check_paths_disjoint,
+    _check_edge,
+    _segments,
     random_embedding,
     reroute_edge,
 )
@@ -22,7 +23,7 @@ from linkless.moves import petersen_family
 from linkless.multigraph import complete_graph, k331_graph
 from linkless.omega import DIRECTION_ATTEMPTS, loop_pair_link
 from linkless.projection import NonRegularProjection
-from oracles import circuit_polyline, gauss_linking_number
+from oracles import circuit_polyline, gauss_linking_number, scanned_lk
 
 
 def test_k6_experiment_small():
@@ -118,7 +119,7 @@ def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check(complete_graph(6), trials=1, seed=0)
     monkeypatch.undo()
-    monkeypatch.setattr(experiments, "_check_paths_disjoint", no_valid_midpoint)
+    monkeypatch.setattr(experiments, "_check_edge", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check(k331_graph(), trials=1, seed=0)
 
@@ -175,7 +176,7 @@ def _random_detour(emb, rng, edge=None, bound=COORDINATE_BOUND):
         mid = tuple(rng.randint(-bound, bound) for _ in range(3))
         arc = (emb.point(e.u), mid, emb.point(e.v))
         try:
-            _check_paths_disjoint(e, emb.path(e.id), e, arc, emb.vertex_points)
+            _check_edge(emb.graph, emb.vertex_points, e, arc, [(e, _segments(emb.path(e.id)))])
             reroute_edge(emb, e.id, arc)
         except EmbeddingError:
             continue
@@ -256,13 +257,35 @@ def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
+def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
+    # the table _detour_links reads through its pair index, against the
+    # same pairs indexed by link_tables itself and a scan of the crossings
+    calls = []
+    real = omega.link_tables
+    monkeypatch.setattr(omega, "link_tables",
+                        lambda diagrams, index: calls.append((diagrams, index))
+                        or real(diagrams, index))
+    rng = random.Random(11)
+    for seed in range(10):
+        emb = random_embedding(graph, seed)
+        e, arc = _random_detour(emb, rng)
+        circuits = [c for c in enumerate_circuits(graph) if not c.vertices & {e.u, e.v}]
+        calls.clear()
+        links = omega._detour_links(emb, e.id, arc, circuits, seed)
+        [(diagrams, index)] = calls
+        table = real(diagrams, index)[0]
+        assert [lk for lk, _ in table] == links
+        assert real(diagrams, list(index.pairs))[0] == table
+        assert table == [scanned_lk(diagrams[0], j, k) for j, k in index.pairs]
+
+
 def test_detour_table_checks_its_parities_against_lk(monkeypatch):
     real = omega.link_tables
 
-    def odd_detour_parity(diagrams, pairs):
-        pairs = list(pairs)
-        tables = real(diagrams, pairs)
-        if len(pairs[0][0]) == 2:  # the reroute loop D, a two-edge circuit
+    def odd_detour_parity(diagrams, index):
+        tables = real(diagrams, index)
+        if len(index.pairs[0][0]) == 2:  # the reroute loop D, a two-edge circuit
             lk, parity = tables[0][0]
             tables[0][0] = (lk, 1 - parity)
         return tables

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linkless.geometry import (
     GeometryError,
@@ -8,6 +10,7 @@ from linkless.geometry import (
     dot3,
     format_point,
     format_rational,
+    normalize_rat,
     orient3d,
     parse_point,
     parse_rational,
@@ -29,6 +32,26 @@ def test_rational_parsing_roundtrip():
     for bad in ["", "x", "1/0", None, 1.5]:
         with pytest.raises(GeometryError):
             parse_rational(bad)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**6),
+       st.sampled_from(["", "+", "00"]), st.booleans())
+def test_rational_strings_parse_to_the_exact_normal_value(p, q, prefix, whole):
+    text = ("-" + prefix.lstrip("+") + str(-p) if p < 0 else prefix + str(p))
+    if not whole:
+        text += f"/{q}"
+    value = parse_rational(f" {text} ")
+    assert value == normalize_rat(Fraction(text))
+    assert type(value) is type(normalize_rat(Fraction(text)))
+    if whole:
+        assert type(value) is int
+
+
+def test_overlong_digit_strings_are_not_rationals():
+    # int() and Fraction() refuse more than 4300 digits by default
+    for text in ["7" * 5000, "-" + "7" * 5000, "7" * 5000 + "/3", "3/" + "7" * 5000]:
+        with pytest.raises(GeometryError, match="not a rational"):
+            parse_rational(text)
 
 
 def test_rational_strings_need_the_documented_spelling():

@@ -37,12 +37,22 @@ from linkless.omega import (
 )
 from linkless.projection import (
     NonRegularProjection,
+    _clear_denominators,
+    _traversal_signs,
+    edge_endpoints,
     link_tables,
     linking_number,
     omega_pair,
+    pair_index,
     project,
 )
-from oracles import circuit_polyline, crossing_oracle, decode, gauss_linking_number
+from oracles import (
+    circuit_polyline,
+    crossing_oracle,
+    decode,
+    gauss_linking_number,
+    scanned_lk,
+)
 
 TWO_TRIANGLES = graph_from_pairs(
     [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)], name="two-triangles")
@@ -303,26 +313,6 @@ def test_reroute_preserves_omega_k6_sample():
     assert before.total == after.total == 1
 
 
-def scanned_lk(diagram, j, k):
-    """(lk, omega) of J over K by a direct scan of the crossing list."""
-    def signs(c):
-        out = {}
-        for i, eid in enumerate(c.edge_ids):
-            u, _ = diagram.edge_endpoints[eid]
-            out[eid] = 1 if c.vertex_seq[i] == u else -1
-        return out
-
-    sig_j, sig_k = signs(j), signs(k)
-    lk = count = 0
-    for record in diagram.crossings:
-        first, _, _, second, _, _, over, sign = decode(record)
-        upper, lower = (first, second) if over == 0 else (second, first)
-        if upper in sig_j and lower in sig_k:
-            lk += sign * sig_j[upper] * sig_k[lower]
-            count += 1
-    return lk, count & 1
-
-
 def variants(emb, seed):
     """The embedding, a copy with bent edges, and a rational rescaling.
 
@@ -434,6 +424,45 @@ def test_one_pass_table_matches_per_pair_calls(case):
             assert row == (linking_number(d, j, k), omega_pair(d, j, k)) == scanned_lk(d, j, k)
     # lk is a topological invariant: the two projections agree
     assert [lk for lk, _ in tables[0]] == [lk for lk, _ in tables[1]]
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph(), complete_graph(7)],
+                         ids=["K6", "K3,3,1", "K7"])
+def test_pair_index_holds_each_circuits_traversal_signs(graph):
+    endpoints = edge_endpoints(graph)
+    pairs = disjoint_circuit_pairs(graph)
+    index = pair_index(endpoints, pairs)
+    assert index.pairs == tuple(pairs) and index.endpoints is endpoints
+    assert len(index.slots) == len(pairs)
+    assert len(index.signs) == len({id(c) for pair in pairs for c in pair})
+    for (j, k), (at_j, at_k) in zip(pairs, index.slots, strict=True):
+        assert list(index.signs[at_j]) == _traversal_signs(endpoints, j)
+        assert list(index.signs[at_k]) == _traversal_signs(endpoints, k)
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph(), complete_graph(7)],
+                         ids=["K6", "K3,3,1", "K7"])
+def test_link_tables_read_the_same_with_the_index(graph):
+    pairs = disjoint_circuit_pairs(graph)
+    index = pair_index(edge_endpoints(graph), pairs)
+    for seed in range(4):
+        emb = random_embedding(graph, seed)
+        diagram = regular_projection(emb, seed=seed)
+        check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
+        tables = link_tables([diagram, check], index)
+        assert tables == link_tables([diagram, check], pairs)
+        for d, table in zip((diagram, check), tables, strict=True):
+            assert table == [scanned_lk(d, j, k) for j, k in pairs]
+
+
+def test_clearing_denominators_keeps_integer_points_as_they_are():
+    points = [(1, -2, 3), (10**12, 0, -7)]
+    cleared = _clear_denominators(points)
+    assert all(a is b for a, b in zip(cleared, points, strict=True))
+    assert _clear_denominators([(Fraction(1, 2), 2, Fraction(-1, 3)), (1, 0, 0)]) == \
+        [(3, 12, -2), (6, 0, 0)]
+    assert _clear_denominators([(Fraction(4, 2), 1, 1)]) == [(2, 1, 1)]
+    assert all(type(c) is int for c in _clear_denominators([(Fraction(4, 2), 1, 1)])[0])
 
 
 def test_link_tables_reject_diagrams_of_different_graphs():

@@ -17,6 +17,7 @@ the edge lists in ``EDGE_LISTS``, written to a temporary directory.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from linkless import cli
 from linkless.cli import main
 
 DIGESTS = Path(__file__).with_name("stdout_digests.json")
@@ -140,8 +142,31 @@ def run_cases() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="module")
-def results():
-    return run_cases()
+def recorded_run():
+    """The results of every case, and each document printed with its text."""
+    emitted = []
+    encode = cli._dumps
+
+    def recording(doc):
+        text = encode(doc)
+        emitted.append((copy.deepcopy(doc), text))
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_dumps", recording)
+        return run_cases(), emitted
+
+
+@pytest.fixture(scope="module")
+def results(recorded_run):
+    return recorded_run[0]
+
+
+def test_printed_text_is_what_json_dumps_writes(recorded_run):
+    results, emitted = recorded_run
+    assert len(emitted) == sum(result["exit"] != 2 for result in results.values())
+    for doc, text in emitted:
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CASES])
