@@ -15,18 +15,17 @@ the moved edge, against the other E - 1 paths.
 
 The pair check, `_check_against`, is one flat walk over segment records
 that `_segments` builds once per path: the ends, the bounding box, the
-direction u = b - a, the moment a x u, and whether a is the path's first
-point and b its last.  It takes the other paths in id order and their
+direction u = b - a, the moment a x u, and whether a and b are end
+points of the path.  It takes the other paths in id order and their
 segment pairs in path order, the smaller id's path outermost, and
-decides the common cases inline, with no call per pair.  Two segments
-whose bounding boxes are strictly apart on some axis share no point.
-Two segments with exactly one common endpoint, an end of both paths,
-meet beyond it only when they leave it in the same direction (one cross
-product, one dot product).  Two segments with no common endpoint that
-are not coplanar share no point; the orientation determinant
-det[u1, a2 - a1, u2] is u1 . m2 + u2 . m1 in the moments.  The remaining
-pairs, which touch elsewhere or lie in one plane, go to the general
-contact check and to `segments3_intersect`.
+decides every pair inline, with no call per pair.  Two segments whose
+bounding boxes are strictly apart on some axis share no point.  Two
+segments with a common end point may share it only when it is an end of
+both paths (the two flags), and then meet beyond it only when they leave
+it in the same direction (one cross product, one dot product).  Two
+segments with no common end point that are not coplanar share no point;
+the orientation determinant det[u1, a2 - a1, u2] is u1 . m2 + u2 . m1 in
+the moments.  Only coplanar pairs go to `segments3_intersect`.
 """
 
 from __future__ import annotations
@@ -161,11 +160,10 @@ def _check_path_simple(eid: int, path: tuple[Point3, ...]) -> None:
 def _segments(path: tuple[Point3, ...]) -> list[tuple]:
     """One record per segment ab of a path: (a, b, the bounding box
     lo_x, hi_x, lo_y, hi_y, lo_z, hi_z, the direction u = b - a, the
-    moment a x u, whether a is the path's first point, whether b is its
-    last point)."""
-    last = len(path) - 2
+    moment a x u, whether a is an end point of the path, whether b is)."""
+    ends = (path[0], path[-1])
     out = []
-    for i, (a, b) in enumerate(zip(path, path[1:])):
+    for a, b in zip(path, path[1:]):
         ax, ay, az = a
         bx, by, bz = b
         ux, uy, uz = bx - ax, by - ay, bz - az
@@ -174,7 +172,7 @@ def _segments(path: tuple[Point3, ...]) -> list[tuple]:
                     ay if ay < by else by, by if ay < by else ay,
                     az if az < bz else bz, bz if az < bz else az,
                     ux, uy, uz, ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux,
-                    i == 0, i == last))
+                    a in ends, b in ends))
     return out
 
 
@@ -194,19 +192,10 @@ def _check_against(e: Edge, segs: list[tuple],
                 if (hx1 < lx2 or hx2 < lx1 or hy1 < ly2 or hy2 < ly1
                         or hz1 < lz2 or hz2 < lz1):
                     continue  # boxes strictly apart on some axis: no common point
-                # a common end point s, a path end of both and the only
-                # common end point, is the common case: the segments then
-                # meet beyond s only when they leave it in the same
-                # direction.  Any other contact takes the general check,
-                # which decides these the same way.
-                if a1 == a2:
-                    fast, same = b1 != b2 and va1 and va2, True
-                elif a1 == b2:
-                    fast, same = b1 != a2 and va1 and vb2, False
-                elif b1 == a2:
-                    fast, same = vb1 and va2, False
-                elif b1 == b2:
-                    fast, same = vb1 and vb2, True
+                if a1 == a2 or b1 == b2:
+                    same = True
+                elif a1 == b2 or b1 == a2:
+                    same = False
                 else:
                     # the sum is det[u1, a2 - a1, u2]: segments that are not
                     # coplanar share no point
@@ -215,34 +204,23 @@ def _check_against(e: Edge, segs: list[tuple],
                             and segments3_intersect(a1, b1, a2, b2):
                         raise EmbeddingError(f"{_names(e, f)} intersect")
                     continue
-                if fast:
-                    if (uy1 * uz2 == uz1 * uy2 and uz1 * ux2 == ux1 * uz2
-                            and ux1 * uy2 == uy1 * ux2
-                            and (ux1 * ux2 + uy1 * uy2 + uz1 * uz2 > 0 if same
-                                 else ux1 * ux2 + uy1 * uy2 + uz1 * uz2 < 0)):
-                        raise EmbeddingError(f"{_names(e, f)} overlap at vertex")
-                else:
-                    _check_contact(e, f, a1, b1, a2, b2,
-                                   {outer[0][0], outer[-1][1]} & {inner[0][0], inner[-1][1]})
+                # a common end point must be an end of both paths, and the
+                # segments meet beyond it only if they leave it in the same
+                # direction: u1 and u2 point the same way when they start
+                # or end there alike (same), opposite ways otherwise
+                if (a1 == a2 and not (va1 and va2) or a1 == b2 and not (va1 and vb2)
+                        or b1 == a2 and not (vb1 and va2)
+                        or b1 == b2 and not (vb1 and vb2)):
+                    raise EmbeddingError(f"{_names(e, f)} touch at a non-vertex point")
+                if (uy1 * uz2 == uz1 * uy2 and uz1 * ux2 == ux1 * uz2
+                        and ux1 * uy2 == uy1 * ux2
+                        and (ux1 * ux2 + uy1 * uy2 + uz1 * uz2 > 0 if same
+                             else ux1 * ux2 + uy1 * uy2 + uz1 * uz2 < 0)):
+                    raise EmbeddingError(f"{_names(e, f)} overlap at vertex")
 
 
 def _names(e: Edge, f: Edge) -> str:
     return f"edges {min(e.id, f.id)} and {max(e.id, f.id)}"
-
-
-def _check_contact(e: Edge, f: Edge, a1: Point3, b1: Point3, a2: Point3, b2: Point3,
-                   shared: set[Point3]) -> None:
-    """Segments a1b1 and a2b2 share an end point: only a point in `shared`
-    (an end of both paths) may be common, and neither may run on along the
-    other from there."""
-    common = {a1, b1} & {a2, b2}
-    if not common <= shared:
-        raise EmbeddingError(f"{_names(e, f)} touch at a non-vertex point")
-    for s in common:
-        other1 = b1 if s == a1 else a1
-        other2 = b2 if s == a2 else a2
-        if shared_endpoint_segments_overlap(s, other1, other2):
-            raise EmbeddingError(f"{_names(e, f)} overlap at vertex")
 
 
 def straight_line_embedding(g: MultiGraph, points: Mapping[int, Point3]) -> SpatialEmbedding:

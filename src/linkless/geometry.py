@@ -1,9 +1,10 @@
-"""Exact rational 3D/2D geometry kernel.
+"""Exact rational 3D geometry kernel.
 
 Coordinates are Python ints or Fractions; every predicate is decided by
 exact sign computations, never by floating point.  Integer inputs stay
 integers throughout the sign tests, which keeps the common case (random
-integer embeddings) fast.
+integer embeddings) fast.  Segment intersection is decided in 3D in every
+case, coplanar pairs included: no axis is dropped.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 Rat = int | Fraction
 Point3 = tuple[Rat, Rat, Rat]
-Point2 = tuple[Rat, Rat]
 
 
 class GeometryError(ValueError):
@@ -102,10 +102,6 @@ def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> Rat:
     return dot3(cross3(sub3(b, a), sub3(c, a)), sub3(d, a))
 
 
-def orient2d(a: Point2, b: Point2, c: Point2) -> Rat:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 # -- 3D incidence predicates ---------------------------------------------------
 
 
@@ -127,23 +123,6 @@ def _overlap_1d(a1: Rat, a2: Rat, b1: Rat, b2: Rat) -> bool:
     return max(lo1, lo2) <= min(hi1, hi2)
 
 
-def segments2_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    """Closed 2D segments ab and cd share at least one point."""
-    o1 = orient2d(a, b, c)
-    o2 = orient2d(a, b, d)
-    o3 = orient2d(c, d, a)
-    o4 = orient2d(c, d, b)
-    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
-        return False
-    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
-        return False
-    if o1 == 0 and o2 == 0:
-        # all four collinear: compare 1D ranges along the dominant axis
-        axis = 0 if abs(b[0] - a[0]) + abs(d[0] - c[0]) >= abs(b[1] - a[1]) + abs(d[1] - c[1]) else 1
-        return _overlap_1d(a[axis], b[axis], c[axis], d[axis])
-    return True
-
-
 def segments3_intersect(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> bool:
     """Closed 3D segments p1p2 and q1q2 share at least one point (exact)."""
     if orient3d(p1, p2, q1, q2) != 0:
@@ -161,14 +140,12 @@ def segments3_intersect(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> bool:
             return False
         axis = max(range(3), key=lambda i: abs(d1[i]))
         return _overlap_1d(p1[axis], p2[axis], q1[axis], q2[axis])
-    # coplanar and non-parallel: project out an axis where n is nonzero
-    axis = max(range(3), key=lambda i: abs(n[i]))
-    keep = [i for i in range(3) if i != axis]
-
-    def flat(p: Point3) -> Point2:
-        return (p[keep[0]], p[keep[1]])
-
-    return segments2_intersect(flat(p1), flat(p2), flat(q1), flat(q2))
+    # coplanar and not parallel: with w = q1 - p1, the lines meet at
+    # p1 + s d1 = q1 + t d2 for s = (w x d2) . n / n . n and
+    # t = (w x d1) . n / n . n, and the segments where both are in [0, 1]
+    w = sub3(q1, p1)
+    nn = dot3(n, n)
+    return 0 <= dot3(cross3(w, d2), n) <= nn and 0 <= dot3(cross3(w, d1), n) <= nn
 
 
 def shared_endpoint_segments_overlap(s: Point3, a: Point3, b: Point3) -> bool:

@@ -43,9 +43,9 @@ DIRECTION_ATTEMPTS = 64
 T = TypeVar("T")
 
 
-def direction_stream(seed: int, start: Point3 = DEFAULT_DIRECTION) -> Iterator[Point3]:
+def direction_stream(seed: int) -> Iterator[Point3]:
     """Deterministic stream of candidate projection directions."""
-    yield start
+    yield DEFAULT_DIRECTION
     rng = random.Random(seed)
     while True:
         d = (rng.randint(-999, 999), rng.randint(-999, 999), rng.randint(-999, 999))
@@ -79,10 +79,10 @@ def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
     paths = {**emb.edge_paths, arc_id: arc}
     loop = Circuit(endpoints[eid], (eid, arc_id))
     drawn = [loop, *circuits]
-    strands = [(f, paths[f], False) for f in sorted({f for c in drawn for f in c.edge_ids})]
-    markers = [emb.vertex_points[v] for v in sorted({v for c in drawn for v in c.vertex_seq})]
+    strands = [(f, paths[f]) for f in sorted({f for c in drawn for f in c.edge_ids})]
+    # every vertex drawn ends a drawn segment, so no marker is needed
     diagram = _first_regular(
-        lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d, markers)),
+        lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d)),
         seed, "no regular projection of the reroute loop")
     table = link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
     if any(parity != lk % 2 for lk, parity in table):
@@ -185,8 +185,8 @@ def loop_pair_link(
     """(lk, omega) for two disjoint closed polylines, retrying directions:
     the signed sum and the parity of the crossings where loop A passes over
     loop B."""
-    crossings = _first_regular(
-        lambda d: strand_crossings([(0, loop_a, True), (1, loop_b, True)], d),
-        seed, "no regular projection for the loop pair")
+    strands = [(0, [*loop_a, loop_a[0]]), (1, [*loop_b, loop_b[0]])]  # each loop closed
+    crossings = _first_regular(lambda d: strand_crossings(strands, d),
+                               seed, "no regular projection for the loop pair")
     lk, count = crossing_matrix(crossings).get(0, {}).get(1, (0, 0))
     return lk, count & 1

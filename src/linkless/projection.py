@@ -8,6 +8,14 @@ every vertex; anything else (a segment seen end-on, a tangency, a triple
 point, a vertex over an edge) raises NonRegularProjection and the caller
 picks another direction.
 
+A strand is a (key, points) pair, an open polyline; a closed loop
+repeats its first point at the end.  Every segment pair is tested once,
+and that test also catches a vertex that ends a drawn segment and lands
+on a segment it does not end, or on another such vertex: the two
+segments then touch without crossing, overlap on a line, or leave a
+common end the same way, and each of these raises.  Only the vertices
+on no strand (isolated vertices) need a check of their own, as markers.
+
 Crossing signs follow the right-hand convention: positive when the
 over-strand's image tangent followed by the under-strand's is a positively
 oriented plane basis.  Signs are stored for the strands' own path
@@ -75,27 +83,30 @@ CrossingRecord = tuple
 
 
 def strand_crossings(
-    strands: Sequence[tuple[object, Sequence[Point3], bool]],
+    strands: Sequence[tuple[object, Sequence[Point3]]],
     direction: Point3,
     markers: Iterable[Point3] = (),
 ) -> tuple[CrossingRecord, ...]:
     """All transversal crossings between strand images, or NonRegularProjection.
 
-    Strands are (key, points, closed) triples; closed strands get a wrap
-    segment from their last point to their first.  Markers are points
-    (vertex locations) that must not land on any segment image they are
-    not an endpoint of.  Each crossing is a record (strand_s, segment_s,
-    t_num_s, t_den_s, strand_t, segment_t, t_num_t, t_den_t, over, sign):
-    segment s of strand_s meets segment t of strand_t at the parameters
-    t_num/t_den along each (strictly between 0 and 1, t_den > 0), with s
-    before t in segment order.  over is 0 when s is nearer the viewer and
-    1 when t is, and sign is the right-handed sign for the strands'
-    stored directions.
+    Strands are (key, points) pairs.  Markers are vertex locations that
+    must land on no other marker and on no segment image they are not an
+    endpoint of.  The segment pair tests already rule this out for every
+    point that ends a segment (see the module docstring), so only
+    vertices on no strand need to be passed.
+
+    Each crossing is a record (strand_s, segment_s, t_num_s, t_den_s,
+    strand_t, segment_t, t_num_t, t_den_t, over, sign): segment s of
+    strand_s meets segment t of strand_t at the parameters t_num/t_den
+    along each (strictly between 0 and 1, t_den > 0), with s before t in
+    segment order.  over is 0 when s is nearer the viewer and 1 when t
+    is, and sign is the right-handed sign for the strands' stored
+    directions.
     """
     marker_list = list(markers)
     # every distinct point once, numbered in order of first appearance
     ids: dict[Point3, int] = {}
-    for _, pts, _ in strands:
+    for _, pts in strands:
         for p in pts:
             ids.setdefault(p, len(ids))
     for m in marker_list:
@@ -112,10 +123,8 @@ def strand_crossings(
 
     # (key, index, a, b, ax, ay, ah, bx, by, bh) with point ids a, b
     segs = []
-    for key, pts, closed in strands:
+    for key, pts in strands:
         chain = [ids[p] for p in pts]
-        if closed:
-            chain.append(chain[0])
         for idx, (a, b) in enumerate(zip(chain, chain[1:])):
             if xs[a] == xs[b] and ys[a] == ys[b]:
                 raise NonRegularProjection(
@@ -237,11 +246,9 @@ class ProjectedDiagram:
 
 def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
     """Project an embedding along a direction; the projection must be regular."""
-    strands = [
-        (e.id, emb.edge_paths[e.id], False)
-        for e in sorted(emb.graph.edges, key=lambda e: e.id)
-    ]
-    markers = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
+    strands = [(e.id, emb.edge_paths[e.id])
+               for e in sorted(emb.graph.edges, key=lambda e: e.id)]
+    markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
     crossings = strand_crossings(strands, direction, markers)
     return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossings)
 
@@ -300,21 +307,17 @@ def pair_index(endpoints: Mapping[int, tuple[int, int]],
 
 
 def link_tables(diagrams: Sequence[ProjectedDiagram],
-                pairs: PairIndex | Iterable[tuple[Circuit, Circuit]],
-                ) -> list[list[tuple[int, int]]]:
+                index: PairIndex) -> list[list[tuple[int, int]]]:
     """Per diagram, (lk(J, K), parity of the crossings where J passes over K)
     of every pair, in one pass.
 
-    ``pairs`` is a `PairIndex` or the pairs themselves, which are then
-    indexed against the first diagram.  The diagrams must be projections
-    of the indexed graph.  Each J gets one signed row per diagram over the
-    edges f it passes over: the sums of s_J(e) L[e][f].signed and of
-    L[e][f].count over the edges e of J, s the traversal signs.  lk(J, K)
-    is then the sum of s_K(f) row[f].signed over the edges f of K, and
-    the parity that of the summed counts.
+    The diagrams must be projections of the indexed graph.  Each J gets
+    one signed row per diagram over the edges f it passes over: the sums
+    of s_J(e) L[e][f].signed and of L[e][f].count over the edges e of J,
+    s the traversal signs.  lk(J, K) is then the sum of s_K(f)
+    row[f].signed over the edges f of K, and the parity that of the
+    summed counts.
     """
-    index = pairs if isinstance(pairs, PairIndex) \
-        else pair_index(diagrams[0].edge_endpoints, pairs)
     if any(d.edge_endpoints != index.endpoints for d in diagrams):
         raise GraphError("the diagrams project different graphs")
     signs = index.signs
@@ -350,9 +353,9 @@ def link_tables(diagrams: Sequence[ProjectedDiagram],
 
 def linking_number(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K): signed count of crossings where J passes over K."""
-    return link_tables([diagram], [(j, k)])[0][0][0]
+    return link_tables([diagram], pair_index(diagram.edge_endpoints, [(j, k)]))[0][0][0]
 
 
 def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K) mod 2: parity of the crossings where J passes over K."""
-    return link_tables([diagram], [(j, k)])[0][0][1]
+    return link_tables([diagram], pair_index(diagram.edge_endpoints, [(j, k)]))[0][0][1]

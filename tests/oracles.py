@@ -15,6 +15,10 @@ embedding checks as they were written before the pair walk went flat: one
 `_check_paths_disjoint` call per pair of paths, one `_boxes_apart` call
 per pair of segments.  They are the reference that the package's checks
 must match verdict for verdict and message for message.
+``segments3_intersect`` is the package's segment predicate as it was
+written before its coplanar case was decided in 3D: it drops an axis and
+runs a 2D segment test.  The reference checks call it, so they share no
+segment test with the package.
 """
 
 from __future__ import annotations
@@ -27,9 +31,14 @@ from typing import Iterable, Iterator, Mapping
 from linkless.embedding import EmbeddingError
 from linkless.geometry import (
     Point3,
+    Rat,
+    _overlap_1d,
+    cross3,
+    is_zero3,
+    orient3d,
     point_on_segment3,
-    segments3_intersect,
     shared_endpoint_segments_overlap,
+    sub3,
 )
 from linkless.multigraph import Edge, MultiGraph
 
@@ -191,6 +200,39 @@ def crossing_oracle(segments, direction) -> set[tuple]:
             sign = 1 if (den > 0) == (over == 0) else -1
             found.add((k1, i1, s, k2, i2, t, over, sign))
     return found
+
+
+def vertex_image_faults(segments, vertices, direction) -> list[tuple]:
+    """The vertex images that land on the image of a segment the vertex
+    does not end, as (vertex, a, b), and the pairs of distinct vertices
+    with one image, as (vertex, vertex'), projecting along ``direction``.
+
+    ``segments`` holds (a, b) pairs of 3D points and ``vertices`` 3D
+    points; the images are taken in Fractions, in a frame built here.
+    """
+    d = [Fraction(c) for c in direction]
+    axis = min(range(3), key=lambda i: abs(d[i]))
+    e = [1 if i == axis else 0 for i in range(3)]
+    u = (d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0])
+    v = (d[1] * u[2] - d[2] * u[1], d[2] * u[0] - d[0] * u[2], d[0] * u[1] - d[1] * u[0])
+
+    def image(p):
+        return (sum(a * b for a, b in zip(u, p)), sum(a * b for a, b in zip(v, p)))
+
+    faults = []
+    for w in vertices:
+        x, y = image(w)
+        for a, b in segments:
+            if w in (a, b):
+                continue
+            (ax, ay), (bx, by) = image(a), image(b)
+            ex, ey = bx - ax, by - ay
+            if (x, y) == (ax, ay) or ex * (y - ay) == ey * (x - ax) and \
+                    0 < ex * (x - ax) + ey * (y - ay) <= ex * ex + ey * ey:
+                faults.append((w, a, b))
+    faults += [(w, w2) for w, w2 in combinations(vertices, 2)
+               if w != w2 and image(w) == image(w2)]
+    return faults
 
 
 def decode(record) -> tuple:
@@ -403,6 +445,59 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# -- the segment predicate with a 2D coplanar case (reference) ----------------
+
+Point2 = tuple[Rat, Rat]
+
+
+def orient2d(a: Point2, b: Point2, c: Point2) -> Rat:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def segments2_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
+    """Closed 2D segments ab and cd share at least one point."""
+    o1 = orient2d(a, b, c)
+    o2 = orient2d(a, b, d)
+    o3 = orient2d(c, d, a)
+    o4 = orient2d(c, d, b)
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return False
+    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+        return False
+    if o1 == 0 and o2 == 0:
+        # all four collinear: compare 1D ranges along the dominant axis
+        axis = 0 if abs(b[0] - a[0]) + abs(d[0] - c[0]) >= abs(b[1] - a[1]) + abs(d[1] - c[1]) else 1
+        return _overlap_1d(a[axis], b[axis], c[axis], d[axis])
+    return True
+
+
+def segments3_intersect(p1: Point3, p2: Point3, q1: Point3, q2: Point3) -> bool:
+    """Closed 3D segments p1p2 and q1q2 share at least one point (exact)."""
+    if orient3d(p1, p2, q1, q2) != 0:
+        return False
+    d1 = sub3(p2, p1)
+    d2 = sub3(q2, q1)
+    if is_zero3(d1):
+        return point_on_segment3(p1, q1, q2)
+    if is_zero3(d2):
+        return point_on_segment3(q1, p1, p2)
+    n = cross3(d1, d2)
+    if is_zero3(n):
+        # parallel; intersect only if collinear with overlapping ranges
+        if not is_zero3(cross3(d1, sub3(q1, p1))):
+            return False
+        axis = max(range(3), key=lambda i: abs(d1[i]))
+        return _overlap_1d(p1[axis], p2[axis], q1[axis], q2[axis])
+    # coplanar and non-parallel: project out an axis where n is nonzero
+    axis = max(range(3), key=lambda i: abs(n[i]))
+    keep = [i for i in range(3) if i != axis]
+
+    def flat(p: Point3) -> Point2:
+        return (p[keep[0]], p[keep[1]])
+
+    return segments2_intersect(flat(p1), flat(p2), flat(q1), flat(q2))
 
 
 # -- embedding checks as written before the flat pair walk ---------------------

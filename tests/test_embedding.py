@@ -22,7 +22,6 @@ from linkless.embedding import (
 from linkless.geometry import (
     normalize_rat,
     point_on_segment3,
-    segments3_intersect,
     shared_endpoint_segments_overlap,
 )
 from linkless.multigraph import (
@@ -411,7 +410,7 @@ def _reference_paths_disjoint(e, path_e, f, path_f, points):
                         raise EmbeddingError(
                             f"edges {e.id} and {f.id} overlap at vertex")
                 continue
-            if segments3_intersect(a1, b1, a2, b2):
+            if oracles.segments3_intersect(a1, b1, a2, b2):
                 raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
 
 
@@ -493,6 +492,10 @@ _GRID4 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
        waypoints=st.lists(st.lists(_GRID4, max_size=2), min_size=2, max_size=2))
 @example(corners=[(0, 0, 0), (2, 2, 2), (2, 2, 0), (4, 0, 2)], shares="none",
          waypoints=[[], []])
+# f's first segment has length zero, so its second starts at f's first
+# point: an end of f's path, though not the first point of its segment list
+@example(corners=[(0, 0, 1), (1, 0, 0), (0, 0, 0), (0, 1, 0)], shares="one",
+         waypoints=[[], [(1, 0, 0)]])
 def test_box_reject_agrees_with_reference(corners, shares, waypoints):
     e = Edge(0, 1, 2)
     f = {"none": Edge(1, 3, 4), "one": Edge(1, 2, 3), "same edge": e}[shares]
@@ -525,7 +528,7 @@ def _sets_reference_paths_disjoint(e, path_e, f, path_f, points):
                         raise EmbeddingError(
                             f"edges {e.id} and {f.id} overlap at vertex")
             elif (not oracles._boxes_apart(a1, b1, a2, b2)
-                    and segments3_intersect(a1, b1, a2, b2)):
+                    and oracles.segments3_intersect(a1, b1, a2, b2)):
                 raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
 
 

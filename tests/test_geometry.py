@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from linkless.geometry import (
@@ -16,10 +17,11 @@ from linkless.geometry import (
     parse_rational,
     point_on_segment3,
     projection_frame,
-    segments2_intersect,
     segments3_intersect,
     shared_endpoint_segments_overlap,
 )
+
+import oracles
 
 
 def test_rational_parsing_roundtrip():
@@ -126,10 +128,68 @@ def test_shared_endpoint_overlap():
 
 
 def test_segments2_basic():
-    assert segments2_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-    assert not segments2_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-    assert segments2_intersect((0, 0), (2, 0), (1, 0), (1, 1))  # T-touch
-    assert not segments2_intersect((0, 0), (1, 0), (2, 0), (3, 0))
+    assert segments3_intersect((0, 0, 0), (2, 2, 0), (0, 2, 0), (2, 0, 0))
+    assert not segments3_intersect((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+    assert segments3_intersect((0, 0, 0), (2, 0, 0), (1, 0, 0), (1, 1, 0))  # T-touch
+    assert not segments3_intersect((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
+
+
+# plane coordinates in steps of 1/2, kept in normal form (ints when whole)
+_HALF = st.integers(-4, 4).map(lambda k: normalize_rat(Fraction(k, 2)))
+_PLANE_POINT = st.tuples(_HALF, _HALF)
+# (origin, u, v): the plane z = 0 and two tilted planes, point (x, y) at
+# origin + x u + y v
+_PLANES = [((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+           ((1, 2, 3), (1, 0, 2), (0, 1, -1)),
+           ((0, -1, 1), (2, 1, 1), (-1, 1, 3))]
+
+
+@st.composite
+def _coplanar_segment_pairs(draw):
+    """Two segments in one plane, free or with a planted contact or a
+    planted near miss: T-touch, shared endpoint, collinear, parallel and
+    apart, zero length."""
+    kind = draw(st.sampled_from(["free", "T-touch", "shared endpoint", "collinear",
+                                 "parallel", "zero-length"]))
+    p1, p2, q1, q2 = (draw(_PLANE_POINT) for _ in range(4))
+
+    def along(a, b, t):
+        return tuple(normalize_rat(x + t * (y - x)) for x, y in zip(a, b))
+
+    if kind == "T-touch":
+        q1 = along(p1, p2, draw(st.sampled_from([0, Fraction(1, 4), Fraction(1, 2), 1])))
+    elif kind == "shared endpoint":
+        q1 = draw(st.sampled_from([p1, p2]))
+    elif kind == "collinear":
+        steps = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1,
+                                 Fraction(3, 2), 2])
+        q1, q2 = along(p1, p2, draw(steps)), along(p1, p2, draw(steps))
+    elif kind == "parallel":
+        q2 = tuple(normalize_rat(c + draw(st.sampled_from([Fraction(1, 2), 1, 2])) * (y - x))
+                   for c, x, y in zip(q1, p1, p2))
+    elif kind == "zero-length":
+        if draw(st.booleans()):
+            q1 = along(p1, p2, draw(st.sampled_from([-1, 0, Fraction(1, 2), 1])))
+        q2 = q1
+    origin, u, v = draw(st.sampled_from(_PLANES))
+
+    def lift(p):
+        return tuple(normalize_rat(o + p[0] * a + p[1] * b) for o, a, b in zip(origin, u, v))
+
+    return kind, tuple(map(lift, (p1, p2, q1, q2)))
+
+
+@settings(max_examples=500)
+@given(_coplanar_segment_pairs())
+def test_coplanar_segments3_agrees_with_the_2d_reference(case):
+    kind, (p1, p2, q1, q2) = case
+    expected = oracles.segments3_intersect(p1, p2, q1, q2)
+    event(f"{kind}: {expected}")
+    if kind in ("T-touch", "shared endpoint"):
+        assert expected
+    for s, t in itertools.product(((p1, p2), (p2, p1)), ((q1, q2), (q2, q1))):
+        for args in ((*s, *t), (*t, *s)):
+            assert segments3_intersect(*args) == oracles.segments3_intersect(*args) == expected
 
 
 @pytest.mark.parametrize("direction", [

@@ -2,18 +2,31 @@
 
 All configurations are valid embeddings (disjoint in space) whose images
 along z collapse in one specific way, so each test pins down one branch
-of the regularity checker.
+of the regularity checker.  The last two tests draw seeded embeddings
+instead, to check that the segment pair tests keep every vertex that
+ends a segment off the other segments and off the other vertices.
 """
 
-from itertools import count, islice
+import random
+from itertools import combinations, count, islice
 
 import pytest
 
 import linkless.omega as omega
-from linkless.embedding import RetryLimitExceeded, SpatialEmbedding, straight_line_embedding
+from linkless.circuits import enumerate_circuits
+from linkless.embedding import (
+    EmbeddingError,
+    RetryLimitExceeded,
+    SpatialEmbedding,
+    _check_edge,
+    _segments,
+    reroute_edge,
+    straight_line_embedding,
+)
 from linkless.multigraph import graph_from_pairs
 from linkless.omega import DIRECTION_ATTEMPTS, direction_stream, loop_pair_link, regular_projection
-from linkless.projection import NonRegularProjection, project
+from linkless.projection import NonRegularProjection, project, strand_crossings
+from oracles import crossing_oracle, decode, vertex_image_faults
 
 THREE_EDGES = graph_from_pairs([(1, 2), (3, 4), (5, 6)])
 ONE_EDGE = graph_from_pairs([(1, 2)])
@@ -46,7 +59,9 @@ def test_vertex_over_edge():
         1: (-10, 0, 0), 2: (10, 0, 0),
         3: (0, 0, 5), 4: (0, 10, 5),
     })
-    expect_nonregular(emb, (0, 0, 1), "vertex projects onto")
+    # vertex 3 ends edge 3-4, so the image of 3-4 touches that of 1-2
+    # without crossing it
+    expect_nonregular(emb, (0, 0, 1), "tangential")
 
 
 def test_isolated_vertex_over_edge():
@@ -155,3 +170,94 @@ def test_directions_parallel_to_avoid_are_not_attempts(never_regular, monkeypatc
     with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
         regular_projection(emb, seed=0, avoid=(0, 0, -2))
     assert never_regular == [(i, 1, 0) for i in range(1, 65)]
+
+
+# axis directions and small integer ones
+SMALL_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, 1, -1),
+                    (1, 1, 1), (1, -2, 1), (2, 1, -1), (1, 2, 3), (-3, 1, 2)]
+
+
+_CUBE = [(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
+
+
+def _small_embeddings(rng, count):
+    """`count` valid embeddings on points of [-2, 2]^3: 4-6 vertices with
+    edges, up to two isolated vertices, up to two waypoints per edge."""
+    made = []
+    while len(made) < count:
+        n, isolated = rng.randint(4, 6), rng.randint(0, 2)
+        pairs = list(combinations(range(1, n + 1), 2))
+        pairs = rng.sample(pairs, rng.randint(3, min(8, len(pairs))))
+        g = graph_from_pairs(pairs, vertices=range(1, n + isolated + 1))
+        points = dict(zip(sorted(g.vertices), rng.sample(_CUBE, g.n)))
+        paths = {e.id: (points[e.u], *rng.choices(_CUBE, k=rng.randint(0, 2)), points[e.v])
+                 for e in g.edges}
+        try:
+            made.append(SpatialEmbedding(g, points, paths))
+        except EmbeddingError:
+            continue
+    return made
+
+
+def _check_regular_picture(strands, vertices, direction, markers):
+    """strand_crossings with only ``markers`` as markers is regular exactly
+    when it is with every vertex as a marker; when it is, no vertex image
+    lies on a segment it does not end or on another vertex image, and the
+    records are the oracle's.  Returns whether it was regular."""
+    try:
+        records = strand_crossings(strands, direction, markers)
+    except NonRegularProjection:
+        with pytest.raises(NonRegularProjection):
+            strand_crossings(strands, direction, vertices)
+        return False
+    assert strand_crossings(strands, direction, vertices) == records
+    segments = [(key, i, a, b) for key, pts in strands
+                for i, (a, b) in enumerate(zip(pts, pts[1:]))]
+    assert vertex_image_faults([(a, b) for _, _, a, b in segments], vertices, direction) == []
+    assert {decode(r) for r in records} == crossing_oracle(segments, direction)
+    return True
+
+
+def test_regular_projections_keep_every_vertex_image_apart():
+    # project passes only the isolated vertices as markers
+    regular = nonregular = 0
+    for emb in _small_embeddings(random.Random(15), 150):
+        strands = [(e.id, emb.path(e.id)) for e in sorted(emb.graph.edges)]
+        vertices = [emb.point(v) for v in sorted(emb.graph.vertices)]
+        markers = [emb.point(v) for v in emb.graph.isolated_vertices]
+        for d in SMALL_DIRECTIONS:
+            if _check_regular_picture(strands, vertices, d, markers):
+                assert project(emb, d).crossings == strand_crossings(strands, d, markers)
+                regular += 1
+            else:
+                with pytest.raises(NonRegularProjection):
+                    project(emb, d)
+                nonregular += 1
+    assert regular > 300 and nonregular > 300
+
+
+def test_detour_pictures_keep_every_vertex_image_apart():
+    # the strand sets omega._detour_links draws, which it projects with no
+    # markers: the moved edge, a detour arc and the circuits avoiding its ends
+    rng = random.Random(16)
+    regular = nonregular = 0
+    for emb in _small_embeddings(rng, 150):
+        g = emb.graph
+        e = rng.choice(sorted(g.edges))
+        arc = (emb.point(e.u), rng.choice(_CUBE), emb.point(e.v))
+        try:
+            _check_edge(g, emb.vertex_points, e, arc, [(e, _segments(emb.path(e.id)))])
+            reroute_edge(emb, e.id, arc)
+        except EmbeddingError:
+            continue
+        circuits = [c for c in enumerate_circuits(g) if not c.vertices & {e.u, e.v}]
+        drawn = sorted({f for c in circuits for f in c.edge_ids} | {e.id})
+        strands = [(f, emb.path(f)) for f in drawn] + [(max(emb.edge_paths) + 1, arc)]
+        vertices = sorted({emb.point(v) for c in circuits for v in c.vertex_seq}
+                          | {arc[0], arc[-1]})
+        for d in SMALL_DIRECTIONS:
+            if _check_regular_picture(strands, vertices, d, []):
+                regular += 1
+            else:
+                nonregular += 1
+    assert regular > 100 and nonregular > 100

@@ -416,8 +416,9 @@ def test_one_pass_table_matches_per_pair_calls(case):
                         len(pairs))
     diagram = regular_projection(emb, seed=seed)
     check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
-    tables = link_tables([diagram, check], pairs)
-    assert tables[0] == link_tables([diagram], pairs)[0]
+    index = pair_index(edge_endpoints(emb.graph), pairs)
+    tables = link_tables([diagram, check], index)
+    assert tables[0] == link_tables([diagram], index)[0]
     for d, table in zip((diagram, check), tables, strict=True):
         assert len(table) == len(pairs)
         for (j, k), row in zip(pairs, table):
@@ -450,7 +451,7 @@ def test_link_tables_read_the_same_with_the_index(graph):
         diagram = regular_projection(emb, seed=seed)
         check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
         tables = link_tables([diagram, check], index)
-        assert tables == link_tables([diagram, check], pairs)
+        assert tables == [link_tables([d], index)[0] for d in (diagram, check)]
         for d, table in zip((diagram, check), tables, strict=True):
             assert table == [scanned_lk(d, j, k) for j, k in pairs]
 
@@ -469,7 +470,7 @@ def test_link_tables_reject_diagrams_of_different_graphs():
     a = project(random_embedding(complete_graph(6), 1), (3, -2, 7))
     b = project(random_embedding(k331_graph(), 1), (3, -2, 7))
     with pytest.raises(GraphError, match="different graphs"):
-        link_tables([a, b], [])
+        link_tables([a, b], pair_index(a.edge_endpoints, []))
 
 
 def _closed_segments(loop):
