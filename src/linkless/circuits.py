@@ -95,7 +95,7 @@ def enumerate_circuits(
             raise CircuitCapExceeded(
                 f"more than {cap} circuits; graph too large for this analysis")
 
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         if e.is_loop and limit >= 1:
             emit((e.u,), (e.id,))
 

@@ -9,9 +9,12 @@ shared endpoint vertices, and no vertex lying on a foreign edge.
 Beyond the whole-graph checks, one routine, `_check_edge`, checks one
 path: on its own, against the isolated vertices, and against a given set
 of other paths.  Construction runs it for each edge against the edges
-with smaller ids, so every pair of paths is checked once.  An embedding
-is immutable (its maps are read-only), so `reroute_edge` runs it only for
-the moved edge, against the other E - 1 paths.
+with smaller ids, so every pair of paths is checked once, and the
+embedding keeps the segment records those checks built, per path in id
+order.  An embedding is immutable (its maps are read-only), so
+`reroute_edge` runs the routine only for the moved edge, against the
+stored records of the other E - 1 paths, and stores the new path's
+records in the result.  `random_detour` draws a reroute check's detour.
 
 The pair check, `_check_against`, is one flat walk over segment records
 that `_segments` builds once per path: the ends, the bounding box, the
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -75,13 +78,15 @@ class SpatialEmbedding:
     graph: MultiGraph
     vertex_points: Mapping[int, Point3]
     edge_paths: Mapping[int, tuple[Point3, ...]]
+    # (edge, `_segments` of its path) for every edge, in id order
+    _records: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = {v: _norm_point(p) for v, p in self.vertex_points.items()}
         paths = {eid: tuple(map(_norm_point, path)) for eid, path in self.edge_paths.items()}
         object.__setattr__(self, "vertex_points", MappingProxyType(points))
         object.__setattr__(self, "edge_paths", MappingProxyType(paths))
-        _validate(self.graph, points, paths)
+        object.__setattr__(self, "_records", _validate(self.graph, points, paths))
 
     def point(self, v: int) -> Point3:
         return self.vertex_points[v]
@@ -91,7 +96,7 @@ class SpatialEmbedding:
 
 
 def _validate(graph: MultiGraph, points: dict[int, Point3],
-              paths: dict[int, tuple[Point3, ...]]) -> None:
+              paths: dict[int, tuple[Point3, ...]]) -> tuple[tuple[Edge, list[tuple]], ...]:
     if not graph.is_simple:
         raise EmbeddingError("embeddings support simple graphs only "
                              "(no loops or parallel edges)")
@@ -107,8 +112,9 @@ def _validate(graph: MultiGraph, points: dict[int, Point3],
         seen[p] = v
 
     checked: list[tuple[Edge, list[tuple]]] = []
-    for e in sorted(graph.edges, key=lambda e: e.id):
+    for e in graph.edges:
         checked.append((e, _check_edge(graph, points, e, paths[e.id], checked)))
+    return tuple(checked)
 
 
 def _check_edge(graph: MultiGraph, points: Mapping[int, Point3], e: Edge,
@@ -240,14 +246,7 @@ def random_embedding(g: MultiGraph, seed: int) -> SpatialEmbedding:
         raise EmbeddingError("random embeddings need a simple graph")
     for attempt in range(RETRY_LIMIT):
         rng = random.Random(seed + attempt)
-        points = {
-            v: (
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-            )
-            for v in sorted(g.vertices)
-        }
+        points = {v: _random_point(rng) for v in sorted(g.vertices)}
         try:
             return straight_line_embedding(g, points)
         except EmbeddingError:
@@ -256,27 +255,56 @@ def random_embedding(g: MultiGraph, seed: int) -> SpatialEmbedding:
         f"no valid random embedding after {RETRY_LIMIT} attempts from seed {seed}")
 
 
+def _random_point(rng: random.Random) -> Point3:
+    return (rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
+            rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
+            rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND))
+
+
+def random_detour(emb: SpatialEmbedding, eid: int,
+                  rng: random.Random) -> tuple[Point3, SpatialEmbedding, int]:
+    """(midpoint, rerouted embedding, rejected draws): edge u-v moved to
+    u -> midpoint -> v, for the first midpoint drawn from the cube of
+    `random_embedding` whose arc is a valid path that meets the old path
+    only at u and v, so that the two close into an embedded loop.  Raises
+    RetryLimitExceeded after RETRY_LIMIT rejected draws."""
+    g = emb.graph
+    e = g.edge(eid)
+    pu, pv = emb.vertex_points[e.u], emb.vertex_points[e.v]
+    old = [emb._records[g.edges.index(e)]]
+    for rejected in range(RETRY_LIMIT):
+        midpoint = _random_point(rng)
+        try:
+            _check_edge(g, emb.vertex_points, e, (pu, midpoint, pv), old)
+            return midpoint, reroute_edge(emb, eid, (pu, midpoint, pv)), rejected
+        except EmbeddingError:
+            continue
+    raise RetryLimitExceeded(
+        f"no valid reroute of edge {eid} after {RETRY_LIMIT} midpoints")
+
+
 def reroute_edge(emb: SpatialEmbedding, eid: int,
                  new_path: Iterable[Point3]) -> SpatialEmbedding:
     """Replace one edge path; the rest of the embedding must stay untouched.
 
     The new polyline must share exactly the old endpoints and meet the
     remainder of the embedding nowhere else.  Only the new path is
-    checked, on its own and against the other E - 1 paths: the rest of
-    `emb` is already valid and cannot change.  A rejected path raises
-    the same `EmbeddingError` as building the new embedding from scratch
-    would.  Rerouting onto the identical path is allowed.
+    checked, on its own and against the stored records of the other E - 1
+    paths: the rest of `emb` is valid and cannot change.  A rejected path
+    raises the `EmbeddingError` that a build from scratch would.
+    Rerouting onto the identical path is allowed.
     """
     g = emb.graph
     e = g.edge(eid)  # an unknown id raises GraphError
     path = tuple(map(_norm_point, new_path))
-    others = [(f, _segments(emb.edge_paths[f.id]))
-              for f in sorted(g.edges, key=lambda f: f.id) if f.id != eid]
-    _check_edge(g, emb.vertex_points, e, path, others)
+    i = g.edges.index(e)
+    others = emb._records[:i] + emb._records[i + 1:]
+    segs = _check_edge(g, emb.vertex_points, e, path, others)
     paths = dict(emb.edge_paths)
     paths[eid] = path
     moved = copy.copy(emb)  # same graph and vertex points, not re-validated
     object.__setattr__(moved, "edge_paths", MappingProxyType(paths))
+    object.__setattr__(moved, "_records", others[:i] + ((e, segs),) + others[i:])
     return moved
 
 
@@ -286,7 +314,7 @@ def reroute_edge(emb: SpatialEmbedding, eid: int,
 def embedding_to_json_dict(emb: SpatialEmbedding) -> dict:
     g = emb.graph
     edges = []
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         path = emb.edge_paths[e.id]
         edges.append({
             "u": e.u,

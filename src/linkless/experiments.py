@@ -24,17 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuits import disjoint_circuit_pairs
-from .embedding import (
-    COORDINATE_BOUND,
-    RETRY_LIMIT,
-    EmbeddingError,
-    RetryLimitExceeded,
-    SpatialEmbedding,
-    _check_edge,
-    _segments,
-    random_embedding,
-    reroute_edge,
-)
+from .embedding import SpatialEmbedding, random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
 from .omega import _detour_links, _omega_with_pairs
@@ -144,16 +134,15 @@ def edge_swap_check(
     (J_i, K_i) whose J_i uses the edge, which holds on the family.
 
     Given a graph, every trial embeds it afresh (a graph without edges
-    raises GraphError); given an embedding, all trials reroute it.  A trial
-    that finds no valid midpoint in RETRY_LIMIT draws raises
-    RetryLimitExceeded.
+    raises GraphError); given an embedding, all trials reroute it.  The
+    detour is `random_detour`'s, so a trial that finds no valid midpoint
+    within its retry limit raises RetryLimitExceeded.
     """
     base = graph if isinstance(graph, SpatialEmbedding) else None
     g = graph.graph if base is not None else graph
     if not g.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
     index = pair_index(edge_endpoints(g), disjoint_circuit_pairs(g))
-    edges = sorted(g.edges, key=lambda e: e.id)
 
     violations: list[RerouteViolation] = []
     preserved = 0
@@ -165,80 +154,49 @@ def edge_swap_check(
         trial_seed = seed ^ t
         emb = base if base is not None else random_embedding(g, trial_seed)
         rng = random.Random(f"reroute:{seed}:{t}")
-        e = edges[rng.randrange(len(edges))]
-        pu = emb.vertex_points[e.u]
-        pv = emb.vertex_points[e.v]
-        old_path = emb.edge_paths[e.id]
-
-        emb2 = None
-        for _ in range(RETRY_LIMIT):
-            midpoint = (
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-                rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND),
-            )
-            try:
-                # the new arc must also meet the old path only at the edge
-                # endpoints, otherwise the loop D below is not embedded
-                _check_edge(g, emb.vertex_points, e, (pu, midpoint, pv),
-                            [(e, _segments(old_path))])
-                emb2 = reroute_edge(emb, e.id, (pu, midpoint, pv))
-                break
-            except EmbeddingError:
-                retries += 1
-        if emb2 is None:
-            raise RetryLimitExceeded(
-                f"no valid reroute of edge {e.id} in trial {t} "
-                f"after {RETRY_LIMIT} midpoints")
+        e = g.edges[rng.randrange(g.m)]
+        midpoint, emb2, rejected = random_detour(emb, e.id, rng)
+        retries += rejected
 
         before = _omega_with_pairs(emb, index, seed=trial_seed)
         after = _omega_with_pairs(emb2, index, seed=trial_seed)
 
-        def coords() -> dict:
-            return {
+        def violate(kind: str, detail: str) -> None:
+            violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {
                 "vertices": {str(v): format_point(p)
                              for v, p in sorted(emb.vertex_points.items())},
                 "midpoint": format_point(midpoint),
-            }
+            }))
 
         if before.total == after.total:
             preserved += 1
         else:
-            violations.append(RerouteViolation(
-                t, "omega-changed",
-                f"omega went {before.total} -> {after.total} rerouting edge {e.id}",
-                (e.u, e.v), coords()))
+            violate("omega-changed",
+                    f"omega went {before.total} -> {after.total} rerouting edge {e.id}")
 
         opposite = [k if e.id in j.edge_ids else j if e.id in k.edge_ids else None
                     for j, k in index.pairs]  # the circuit facing the one through e, if any
-        links = iter(_detour_links(emb, e.id, (pu, midpoint, pv),
+        links = iter(_detour_links(emb, e.id, emb2.path(e.id),
                                    [c for c in opposite if c is not None], trial_seed))
         cover_parity = 0
         for complementary, entry_before, entry_after in zip(opposite, before.pairs, after.pairs):
             j, k = entry_before.j, entry_before.k
             if complementary is None:
                 if entry_before.omega != entry_after.omega:
-                    violations.append(RerouteViolation(
-                        t, "pair-identity",
-                        f"pair {j.vertex_seq}/{k.vertex_seq} avoids edge {e.id} "
-                        "but its omega changed",
-                        (e.u, e.v), coords()))
+                    violate("pair-identity",
+                            f"pair {j.vertex_seq}/{k.vertex_seq} avoids edge {e.id} "
+                            "but its omega changed")
                 continue
             om_dk = next(links) % 2
             cover_parity ^= om_dk
             identities += 1
             if (entry_after.omega - entry_before.omega) % 2 != om_dk:
-                violations.append(RerouteViolation(
-                    t, "pair-identity",
-                    f"omega(J',K)-omega(J,K)={entry_after.omega - entry_before.omega} "
-                    f"but omega(D,K)={om_dk}",
-                    (e.u, e.v), coords()))
+                violate("pair-identity",
+                        f"omega(J',K)-omega(J,K)={entry_after.omega - entry_before.omega} "
+                        f"but omega(D,K)={om_dk}")
         covers += 1
         if cover_parity != 0:
-            violations.append(RerouteViolation(
-                t, "even-cover",
-                "sum of omega(K_i, D) over complementary circuits is odd",
-                (e.u, e.v), coords()))
+            violate("even-cover", "sum of omega(K_i, D) over complementary circuits is odd")
 
     return RerouteReport(
         g.name or "graph", trials, seed, preserved,

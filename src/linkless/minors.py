@@ -665,12 +665,12 @@ def minor_minimality_report(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> Mini
     children: list[ChildVerdict] = []
     any_linked = False
     any_unknown = False
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         verdict = is_intrinsically_linked(g.delete_edge(e.id), budget=budget).verdict
         children.append(ChildVerdict("delete", e.id, (e.u, e.v), verdict))
         any_linked |= verdict == "linked"
         any_unknown |= verdict == "unknown"
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         if e.is_loop:
             continue
         verdict = is_intrinsically_linked(

@@ -4,6 +4,9 @@ Vertices are arbitrary integers.  Edges carry an integer id so that loops
 and parallel edges stay distinguishable through deletions and
 contractions.  Graph values are immutable; every operation returns a new
 graph, so they are safe to share between threads and to use as dict keys.
+`edges` is in id order (the constructor sorts edges given out of order,
+so graphs that differ only in edge order are equal), and so are
+`incident` and `edges_between`: no caller sorts them again.
 """
 
 from __future__ import annotations
@@ -65,19 +68,24 @@ class MultiGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        edges = tuple(Edge(*e) for e in self.edges)
         for v in self.vertices:
             if not isinstance(v, int):
                 raise GraphError(f"vertex ids must be integers, got {v!r}")
         seen: set[int] = set()
-        for e in self.edges:
+        in_order = True
+        for i, e in enumerate(edges):
             if not isinstance(e.id, int):
                 raise GraphError(f"edge ids must be integers, got {e.id!r}")
             if e.id in seen:
                 raise GraphError(f"duplicate edge id {e.id}")
             seen.add(e.id)
+            if i and e.id < edges[i - 1].id:
+                in_order = False
             if e.u not in self.vertices or e.v not in self.vertices:
                 raise GraphError(f"edge {e.id} endpoint not in vertex set")
+        # ids are unique, so tuple order on (id, u, v) is id order
+        object.__setattr__(self, "edges", edges if in_order else tuple(sorted(edges)))
 
     # -- basic accessors ------------------------------------------------
 
@@ -100,7 +108,7 @@ class MultiGraph:
             inc[e.u].append(e)
             if e.v != e.u:
                 inc[e.v].append(e)
-        return {v: tuple(sorted(es, key=lambda e: e.id)) for v, es in inc.items()}
+        return {v: tuple(es) for v, es in inc.items()}
 
     @cached_property
     def isolated_vertices(self) -> tuple[int, ...]:
@@ -208,14 +216,13 @@ class MultiGraph:
     def simplified(self) -> "MultiGraph":
         """Drop loops and collapse parallel edges (keeping the smallest id).
 
-        The edges of the result are in id order.  A simple graph whose
-        edges already are is returned as it is.
+        A simple graph is returned as it is.
         """
-        if self.is_simple and all(a.id < b.id for a, b in zip(self.edges, self.edges[1:])):
+        if self.is_simple:
             return self
         seen: set[tuple[int, int]] = set()
         kept = []
-        for e in sorted(self.edges, key=lambda e: e.id):
+        for e in self.edges:
             if e.is_loop or e.pair() in seen:
                 continue
             seen.add(e.pair())
@@ -417,6 +424,6 @@ def parse_graph(text: str, name: str | None = None) -> MultiGraph:
 def format_edge_list(g: MultiGraph) -> str:
     """Render a graph as an edge-list document (inverse of parse_edge_list)."""
     lines = [f"{g.n} {g.m}"]
-    for e in sorted(g.edges, key=lambda e: e.id):
+    for e in g.edges:
         lines.append(f"{e.u} {e.v}")
     return "\n".join(lines) + "\n"

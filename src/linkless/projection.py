@@ -246,8 +246,7 @@ class ProjectedDiagram:
 
 def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
     """Project an embedding along a direction; the projection must be regular."""
-    strands = [(e.id, emb.edge_paths[e.id])
-               for e in sorted(emb.graph.edges, key=lambda e: e.id)]
+    strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
     markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
     crossings = strand_crossings(strands, direction, markers)
     return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossings)

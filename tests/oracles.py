@@ -19,6 +19,9 @@ must match verdict for verdict and message for message.
 written before its coplanar case was decided in 3D: it drops an axis and
 runs a 2D segment test.  The reference checks call it, so they share no
 segment test with the package.
+``two_step_detour`` is the reroute check's detour draw as it was written
+before it moved into ``linkless.embedding``: each arc is checked against
+segment records of the old path built afresh, then by ``reroute_edge``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
+from linkless import embedding
 from linkless.embedding import EmbeddingError
 from linkless.geometry import (
     Point3,
@@ -634,3 +638,26 @@ def _check_paths_disjoint(e, path_e, f, path_f, points) -> None:
                     continue
                 if segments3_intersect(a1, b1, a2, b2):
                     raise EmbeddingError(f"edges {e.id} and {f.id} intersect")
+
+
+# -- the reroute check's detour draw, as written in the experiments module ----
+
+
+def two_step_detour(emb, eid: int, rng):
+    """(midpoint, rerouted embedding, rejected midpoints), as
+    ``embedding.random_detour`` returns them."""
+    e = emb.graph.edge(eid)
+    pu, pv = emb.point(e.u), emb.point(e.v)
+    bound = embedding.COORDINATE_BOUND
+    for rejected in range(embedding.RETRY_LIMIT):
+        midpoint = (rng.randint(-bound, bound), rng.randint(-bound, bound),
+                    rng.randint(-bound, bound))
+        try:
+            # the new arc must also meet the old path only at the edge
+            # endpoints, otherwise the loop D is not embedded
+            embedding._check_edge(emb.graph, emb.vertex_points, e, (pu, midpoint, pv),
+                                  [(e, embedding._segments(emb.path(eid)))])
+            return midpoint, embedding.reroute_edge(emb, eid, (pu, midpoint, pv)), rejected
+        except EmbeddingError:
+            pass
+    raise embedding.RetryLimitExceeded(f"no valid reroute of edge {eid}")

@@ -438,6 +438,36 @@ def test_no_module_reads_the_environment():
                 f"{path.name}:{node.lineno} reads the environment")
 
 
+def _sorts_edges_by_id(node) -> bool:
+    """A sorted() or .sort() call keyed on .id, or sorted() of an `edges`
+    attribute (an Edge sorts by its id first)."""
+    if not (isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "sorted"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "sort")):
+        return False
+    key = next((k.value for k in node.keywords if k.arg == "key"), None)
+    return (isinstance(key, ast.Lambda) and isinstance(key.body, ast.Attribute)
+            and key.body.attr == "id"
+            or bool(node.args) and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "edges")
+
+
+def test_derived_state_stays_with_the_module_that_builds_it():
+    # only `embedding` names its validation internals, and no module sorts a
+    # graph's edges by id: a MultiGraph stores them in id order
+    internals = ("_check_edge", "_segments", "COORDINATE_BOUND", "RETRY_LIMIT")
+    for path in sorted(Path(SRC, "linkless").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            assert path.name == "embedding.py" or name not in internals, (
+                f"{path.name}:{node.lineno} names embedding.{name}")
+            assert not _sorts_edges_by_id(node), (
+                f"{path.name}:{node.lineno} sorts edges by id")
+
+
 @pytest.mark.parametrize("argv", [
     ["reroute-check", "K6", "--trials", "-3"],
     ["reroute-check", "K6", "--trials", "0"],

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from linkless import embedding
@@ -15,6 +15,7 @@ from linkless.embedding import (
     SpatialEmbedding,
     embedding_from_json_dict,
     embedding_to_json_dict,
+    random_detour,
     random_embedding,
     reroute_edge,
     straight_line_embedding,
@@ -367,8 +368,9 @@ def test_incremental_reroute_check_matches_full_validation(case):
 
 
 def test_reroute_checks_each_other_path_once(monkeypatch):
-    # one pair walk per checked edge, against the ids it is handed; the
-    # segment records of each path are built once per check
+    # one pair walk per checked edge, against the ids it is handed; building
+    # an embedding makes the records of each path once, and a reroute makes
+    # only the new path's, reading the others' from the embedding
     walks, built = [], []
     walk, segments = embedding._check_against, embedding._segments
     monkeypatch.setattr(embedding, "_check_against", lambda e, segs, others: walks.append(
@@ -389,7 +391,94 @@ def test_reroute_checks_each_other_path_once(monkeypatch):
         built.clear()
         reroute_edge(emb, eid, emb.path(eid))
         assert walks == [(eid, [f for f in ids if f != eid])]
-        assert sorted(built) == sorted(emb.edge_paths.values())
+        assert built == [emb.path(eid)]
+
+
+def test_a_reroute_checks_against_the_paths_it_stores():
+    # edge 0 runs along the x axis, then over the detour (0,0,0)-(2,0,4)-(4,0,0);
+    # edge 1's two candidate paths each touch exactly one of those two paths
+    g = graph_from_pairs([(1, 2), (3, 4)])
+    points = {1: (0, 0, 0), 2: (4, 0, 0), 3: (-1, -2, 1), 4: (-1, 2, 1)}
+    emb = straight_line_embedding(g, points)
+    records = emb._records
+    moved = reroute_edge(emb, 0, ((0, 0, 0), (2, 0, 4), (4, 0, 0)))
+    over_new = ((-1, -2, 1), (1, 0, 2), (-1, 2, 1))  # touches the detour
+    over_old = ((-1, -2, 1), (1, 0, 0), (-1, 2, 1))  # touches the x axis
+    with pytest.raises(EmbeddingError, match="edges 0 and 1 "):
+        reroute_edge(moved, 1, over_new)
+    moved_twice = reroute_edge(moved, 1, over_old)
+    # the embedding that was rerouted keeps its own paths and records
+    assert emb._records is records
+    with pytest.raises(EmbeddingError, match="edges 0 and 1 "):
+        reroute_edge(emb, 1, over_old)
+    assert reroute_edge(emb, 1, over_new).path(1) == over_new
+    for e in (emb, moved, moved_twice):
+        assert e._records == SpatialEmbedding(g, points, e.edge_paths)._records
+
+
+_CUBE_POINTS = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+class _ScriptedRandom:
+    """Stands in for random.Random: randint returns the scripted
+    coordinates, over and over."""
+
+    def __init__(self, coords):
+        self._coords = itertools.cycle(coords)
+
+    def randint(self, lo, hi):
+        return next(self._coords)
+
+
+@st.composite
+def _detours(draw):
+    """A valid embedding of a small graph on points of [-2, 2]^3, with
+    straight edges or with one edge rerouted through waypoints, one of its
+    edges, and the detour midpoints to script, in the same cube; the first
+    may be planted on the edge's old path, where a detour must not go."""
+    kind = draw(st.sampled_from(("straight", "waypoints")))
+    n = draw(st.integers(3, 5))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=1, max_size=6, unique=True))
+    g = graph_from_pairs(pairs, vertices=range(1, n + 1))
+    points = dict(zip(range(1, n + 1),
+                      draw(st.lists(_CUBE_POINTS, min_size=n, max_size=n, unique=True))))
+    try:
+        emb = straight_line_embedding(g, points)
+        if kind == "waypoints":
+            f = draw(st.sampled_from(g.edges))
+            waypoints = draw(st.lists(_CUBE_POINTS, min_size=1, max_size=2))
+            emb = reroute_edge(emb, f.id, (points[f.u], *waypoints, points[f.v]))
+    except EmbeddingError:
+        assume(False)
+    eid = draw(st.sampled_from(g.edges)).id
+    midpoints = draw(st.lists(_CUBE_POINTS, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        old = emb.path(eid)
+        on_old = [p for a, b in zip(old, old[1:]) for p in _lattice_points(a, b)]
+        midpoints.insert(0, draw(st.sampled_from(on_old)))
+    return kind, emb, eid, [c for p in midpoints for c in p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_detours())
+def test_random_detour_draws_as_the_two_step_reference(case):
+    kind, emb, eid, script = case
+
+    def outcome(draw):
+        try:
+            midpoint, rerouted, rejected = draw(emb, eid, _ScriptedRandom(script))
+        except RetryLimitExceeded:
+            return "gave up"
+        return midpoint, dict(rerouted.edge_paths), rejected, rerouted._records
+
+    got = outcome(random_detour)
+    assert got == outcome(oracles.two_step_detour)
+    if got == "gave up":
+        event(f"{kind}: gave up")
+    else:
+        event(f"{kind}: accepted{' after rejects' if got[2] else ''}")
+        assert got[3] == SpatialEmbedding(emb.graph, emb.vertex_points, got[1])._records
 
 
 def _reference_paths_disjoint(e, path_e, f, path_f, points):

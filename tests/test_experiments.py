@@ -6,17 +6,14 @@ from collections import Counter
 
 import pytest
 
-from linkless import cli, experiments, omega, projection
+from linkless import cli, embedding, experiments, omega, projection
 from linkless.circuits import enumerate_circuits
 from linkless.embedding import (
-    COORDINATE_BOUND,
     EmbeddingError,
     RetryLimitExceeded,
     SpatialEmbedding,
-    _check_edge,
-    _segments,
+    random_detour,
     random_embedding,
-    reroute_edge,
 )
 from linkless.experiments import conway_gordon_experiment, edge_swap_check
 from linkless.moves import petersen_family
@@ -115,11 +112,11 @@ def test_edge_swap_gives_up_after_retry_limit(monkeypatch):
     def no_valid_midpoint(*args):
         raise EmbeddingError("forced failure")
 
-    monkeypatch.setattr(experiments, "reroute_edge", no_valid_midpoint)
+    monkeypatch.setattr(embedding, "reroute_edge", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check(complete_graph(6), trials=1, seed=0)
     monkeypatch.undo()
-    monkeypatch.setattr(experiments, "_check_edge", no_valid_midpoint)
+    monkeypatch.setattr(embedding, "_check_edge", no_valid_midpoint)
     with pytest.raises(RetryLimitExceeded):
         edge_swap_check(k331_graph(), trials=1, seed=0)
 
@@ -167,20 +164,12 @@ def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
 
 # -- lk(D, K) of a reroute, read from one diagram ------------------------------
 
-def _random_detour(emb, rng, edge=None, bound=COORDINATE_BOUND):
+def _random_detour(emb, rng, edge=None):
     """(edge, arc): a valid two-segment detour of ``edge`` (default: a random
     edge) through a random midpoint, drawn as ``edge_swap_check`` draws it."""
-    edges = sorted(emb.graph.edges, key=lambda e: e.id)
+    edges = emb.graph.edges
     e = edge if edge is not None else edges[rng.randrange(len(edges))]
-    while True:
-        mid = tuple(rng.randint(-bound, bound) for _ in range(3))
-        arc = (emb.point(e.u), mid, emb.point(e.v))
-        try:
-            _check_edge(emb.graph, emb.vertex_points, e, arc, [(e, _segments(emb.path(e.id)))])
-            reroute_edge(emb, e.id, arc)
-        except EmbeddingError:
-            continue
-        return e, arc
+    return e, random_detour(emb, e.id, rng)[1].path(e.id)
 
 
 def _detour_links_against_oracles(emb, e, arc, seed):
@@ -209,13 +198,14 @@ def test_detour_links_match_per_pair_projections_and_gauss(graph):
     assert any(lk != 0 for lk in links)
 
 
-def test_detour_links_of_an_edge_with_waypoints():
+def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
+    monkeypatch.setattr(embedding, "COORDINATE_BOUND", 40)
     emb = _waypoint_embedding()
-    edge = next(e for e in emb.graph.edges if e.id == 0)
+    edge = emb.graph.edge(0)
     rng = random.Random(12)
     links = []
     for seed in range(40):
-        e, arc = _random_detour(emb, rng, edge, bound=40)
+        e, arc = _random_detour(emb, rng, edge)
         links += _detour_links_against_oracles(emb, e, arc, seed)
     assert any(lk != 0 for lk in links)
 

@@ -14,7 +14,9 @@ from linkless.moves import (
     y_delta,
 )
 from linkless.multigraph import (
+    Edge,
     GraphError,
+    MultiGraph,
     complete_graph,
     graph_from_pairs,
     k331_graph,
@@ -41,6 +43,15 @@ def test_delta_y_on_k331_degree_sequence():
     g = delta_y(k331_graph(), (1, 4, 7))
     assert (g.n, g.m) == (8, 15)
     assert g.degree_sequence() == (3, 3, 3, 4, 4, 4, 4, 5)
+
+
+def test_delta_y_removes_the_smallest_id_between_two_corners():
+    # parallel edges 5 and 3 join corners 1 and 2, given in that order
+    g = MultiGraph(frozenset({1, 2, 3}),
+                   (Edge(5, 1, 2), Edge(3, 1, 2), Edge(1, 1, 3), Edge(2, 2, 3)))
+    out = delta_y(g, (1, 2, 3))
+    assert [e.id for e in out.edges_between(1, 2)] == [5]
+    assert sorted(e.pair() for e in out.edges) == [(1, 2), (1, 4), (2, 4), (3, 4)]
 
 
 def test_delta_y_requires_triangle():
