@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -580,6 +581,9 @@ def test_acceptance_reduced_scale(capsys):
     assert doc["pass"] is True
     assert len(doc["criteria"]) == 8
     assert err.count("PASS") == 8
+    # the whole document is pinned: a refactor of the suite keeps it byte-identical
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d4a8ac1b3681b8791cf5dee0780d72ea0658b7e3931e162c0b2bdd1785ed646")
 
 
 # -- fuzzing: any document gives exit 0, 1 or 2 and never an exception -------

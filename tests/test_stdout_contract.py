@@ -114,6 +114,9 @@ CASES = [
     ("classify-near-miss", ["classify", "{petersen-e+decorations}"]),
     ("classify-K5-bridge-K5", ["classify", "{K5-bridge-K5}"]),
     ("minor-K5-bridge-K5-K6", ["minor", "{K5-bridge-K5}", "K6"]),
+    ("petersen-list", ["petersen", "list"]),
+    ("deltay-K6", ["deltay", "K6", "--triangle", "1,2,3"]),
+    ("minor-K7-K6", ["minor", "K7", "K6"]),
 ]
 
 
