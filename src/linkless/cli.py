@@ -97,6 +97,10 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(_dumps(doc) + "\n")
 
 
+def _summary(g: MultiGraph) -> dict:
+    return {"name": g.name, "vertices": g.n, "edges": g.m}
+
+
 def _load_graph(arg: str) -> MultiGraph:
     path = Path(arg)
     try:
@@ -197,11 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     verdict = is_intrinsically_linked(g, budget=args.budget)
-    doc = {"command": "classify",
-           "graph": {"name": g.name, "vertices": g.n, "edges": g.m},
-           "budget": args.budget}
-    doc.update(verdict.to_json_dict())
-    _emit(doc)
+    _emit({"command": "classify", "graph": _summary(g), "budget": args.budget,
+           **verdict.to_json_dict()})
     print(f"{args.graph}: {verdict.verdict}"
           + (f" (witness {verdict.witness_member})" if verdict.witness_member else ""),
           file=sys.stderr)
@@ -211,10 +212,7 @@ def _cmd_classify(args) -> int:
 def _cmd_minor(args) -> int:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    doc = {"command": "minor",
-           "g": {"name": g.name, "vertices": g.n, "edges": g.m},
-           "h": {"name": h.name, "vertices": h.n, "edges": h.m},
-           "budget": args.budget}
+    doc = {"command": "minor", "g": _summary(g), "h": _summary(h), "budget": args.budget}
     try:
         model = has_minor(g, h, budget=args.budget)
     except SearchBudgetExceeded:
@@ -254,7 +252,7 @@ def _cmd_deltay(args) -> int:
     result = delta_y(g, tri)  # type: ignore[arg-type]
     _emit({
         "command": "deltay",
-        "input": {"name": g.name, "vertices": g.n, "edges": g.m},
+        "input": _summary(g),
         "triangle": list(tri),
         "result": {
             "vertices": result.n,
@@ -295,18 +293,14 @@ def _cmd_omega(args) -> int:
     emb = embedding_from_json_dict(doc)
     direction = _parse_direction(args.direction) if args.direction else None
     report = omega_graph(emb, direction=direction, seed=args.seed)
-    out = {"command": "omega"}
-    out.update(report.to_json_dict())
-    _emit(out)
+    _emit({"command": "omega", **report.to_json_dict()})
     return 0
 
 
 def _cmd_reroute_check(args) -> int:
     g = _load_experiment_graph(args.graph)
     report = edge_swap_check(g, trials=args.trials, seed=args.seed)
-    out = {"command": "reroute-check"}
-    out.update(report.to_json_dict())
-    _emit(out)
+    _emit({"command": "reroute-check", **report.to_json_dict()})
     print(f"{args.graph}: {report.preserved}/{report.trials} reroutes preserved omega, "
           f"{report.pair_identities_checked} pair identities checked",
           file=sys.stderr)
@@ -316,24 +310,22 @@ def _cmd_reroute_check(args) -> int:
 def _cmd_experiment(args) -> int:
     g = _load_experiment_graph(args.graph)
     report = conway_gordon_experiment(g, trials=args.trials, seed=args.seed)
-    out = {"command": "experiment"}
-    out.update(report.to_json_dict())
-    _emit(out)
+    _emit({"command": "experiment", **report.to_json_dict()})
     print(f"{args.graph}: omega=1 in {report.omega_counts.get(1, 0)}/{report.trials} trials",
           file=sys.stderr)
     return 0
 
 
 def _cmd_acceptance(args) -> int:
-    report = run_acceptance(trials=args.trials, seed=args.seed)
-    timings = report.pop("_timings", {})
-    _emit(report)
-    for crit in report["criteria"]:
-        status = "PASS" if crit["pass"] else "FAIL"
-        elapsed = timings.get(crit["criterion"], 0.0)
-        print(f"criterion {crit['criterion']}: {status} ({elapsed:.1f}s)  {crit['name']}",
-              file=sys.stderr)
-    return 0 if report["pass"] else 1
+    results = run_acceptance(trials=args.trials, seed=args.seed)
+    passed = all(r.passed for r in results)
+    # wall-clock times go to stderr only, keeping stdout reproducible
+    _emit({"command": "acceptance", "seed": args.seed, "trials_override": args.trials,
+           "criteria": [r.to_json_dict() for r in results], "pass": passed})
+    for r in results:
+        print(f"criterion {r.number}: {'PASS' if r.passed else 'FAIL'} "
+              f"({r.elapsed:.1f}s)  {r.name}", file=sys.stderr)
+    return 0 if passed else 1
 
 
 _HANDLERS = {

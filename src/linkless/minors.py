@@ -645,44 +645,19 @@ class MinimalityReport:
     children: tuple[ChildVerdict, ...]
     minor_minimal: bool | None  # None when some child is unknown
 
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph_name,
-            "minor_minimal": self.minor_minimal,
-            "children": [
-                {"operation": c.operation, "edge": c.edge_id,
-                 "endpoints": list(c.endpoints), "verdict": c.verdict}
-                for c in self.children
-            ],
-        }
-
 
 def minor_minimality_report(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> MinimalityReport:
     """Classify every single-edge deletion and contraction of a linked graph."""
     base = is_intrinsically_linked(g, budget=budget)
     if base.verdict != "linked":
         raise GraphError("minimality report requires an intrinsically linked graph")
-    children: list[ChildVerdict] = []
-    any_linked = False
-    any_unknown = False
-    for e in g.edges:
-        verdict = is_intrinsically_linked(g.delete_edge(e.id), budget=budget).verdict
-        children.append(ChildVerdict("delete", e.id, (e.u, e.v), verdict))
-        any_linked |= verdict == "linked"
-        any_unknown |= verdict == "unknown"
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        verdict = is_intrinsically_linked(
-            g.contract_edge(e.id, simplify=True), budget=budget).verdict
-        children.append(ChildVerdict("contract", e.id, (e.u, e.v), verdict))
-        any_linked |= verdict == "linked"
-        any_unknown |= verdict == "unknown"
-    minimal: bool | None
-    if any_linked:
-        minimal = False
-    elif any_unknown:
-        minimal = None
-    else:
-        minimal = True
-    return MinimalityReport(g.name or repr(g), tuple(children), minimal)
+    moves = [("delete", e, g.delete_edge(e.id)) for e in g.edges]
+    moves += [("contract", e, g.contract_edge(e.id, simplify=True))
+              for e in g.edges if not e.is_loop]
+    children = tuple(
+        ChildVerdict(operation, e.id, (e.u, e.v),
+                     is_intrinsically_linked(child, budget=budget).verdict)
+        for operation, e, child in moves)
+    verdicts = {c.verdict for c in children}
+    minimal = False if "linked" in verdicts else None if "unknown" in verdicts else True
+    return MinimalityReport(g.name or repr(g), children, minimal)

@@ -13,6 +13,11 @@ projection come from one pass over the pairs (``projection.link_tables``);
 the pair list comes from the bitset listing in ``circuits``, indexed once
 with each circuit's traversal signs (``projection.PairIndex``).  A reroute's
 lk(D, K), for all circuits K, comes from one diagram of D and the K's too.
+
+Every direction search in the package is ``_first_regular`` over
+``direction_stream``.  Its ``avoid`` lists directions already drawn: the
+check projection avoids the first one, and acceptance criterion 8 avoids
+every direction it has drawn for the same embedding.
 """
 
 from __future__ import annotations
@@ -54,12 +59,13 @@ def direction_stream(seed: int) -> Iterator[Point3]:
 
 
 def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
-                   avoid: Point3 | None = None) -> T:
+                   avoid: Sequence[Point3] = ()) -> T:
     """``attempt(d)`` for the first of DIRECTION_ATTEMPTS seeded directions d
-    where it does not raise NonRegularProjection.  Directions parallel to
-    ``avoid`` give the same picture, so they are skipped and not counted."""
+    where it does not raise NonRegularProjection.  A direction parallel to
+    one in ``avoid`` gives a picture already drawn, so it is skipped and not
+    counted."""
     directions = (d for d in direction_stream(seed)
-                  if avoid is None or not is_zero3(cross3(d, avoid)))
+                  if not any(is_zero3(cross3(d, a)) for a in avoid))
     for d in islice(directions, DIRECTION_ATTEMPTS):
         try:
             return attempt(d)
@@ -93,9 +99,10 @@ def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
 def regular_projection(
     emb: SpatialEmbedding,
     seed: int = 0,
-    avoid: Point3 | None = None,
+    avoid: Sequence[Point3] = (),
 ) -> ProjectedDiagram:
-    """Project along the first regular direction from the seeded stream."""
+    """Project along the first regular direction from the seeded stream that
+    is parallel to none of the directions in ``avoid``."""
     return _first_regular(lambda d: project(emb, d), seed,
                           "no regular projection direction found", avoid)
 
@@ -160,7 +167,7 @@ def _omega_with_pairs(
         diag = project(emb, direction)  # non-regular directions raise
     else:
         diag = regular_projection(emb, seed=seed)
-    check = regular_projection(emb, seed=seed + 1, avoid=diag.direction)
+    check = regular_projection(emb, seed=seed + 1, avoid=[diag.direction])
 
     entries = []
     total = 0

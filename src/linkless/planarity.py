@@ -66,18 +66,9 @@ def planar_certificate_errors(g: MultiGraph, certificate: PlanarCertificate) -> 
     if errors:
         return errors
 
-    component: dict[int, int] = {}
-    for root in sorted(host.vertices):
-        if root in component:
-            continue
-        component[root] = root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in host.neighbors(v):
-                if w not in component:
-                    component[w] = root
-                    stack.append(w)
+    # each component is named by its smallest vertex, its root
+    members = {min(comp): comp for comp in host.connected_components()}
+    component = {v: root for root, comp in members.items() for v in comp}
 
     # a face is an orbit of darts under (u, v) -> (v, successor of u at v)
     faces: dict[int, int] = {}
@@ -92,14 +83,11 @@ def planar_certificate_errors(g: MultiGraph, certificate: PlanarCertificate) -> 
                 seen.add((a, b))
                 a, b = b, successor[b][a]
 
-    vertices: dict[int, int] = {}
-    for v, root in component.items():
-        vertices[root] = vertices.get(root, 0) + 1
     edges: dict[int, int] = {}
     for e in host.edges:
         edges[component[e.u]] = edges.get(component[e.u], 0) + 1
-    for root in sorted(vertices):
-        v_count, e_count = vertices[root], edges.get(root, 0)
+    for root in sorted(members):
+        v_count, e_count = len(members[root]), edges.get(root, 0)
         f_count = faces.get(root, 1)  # an isolated vertex bounds one face
         if v_count - e_count + f_count != 2:
             errors.append(

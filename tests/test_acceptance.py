@@ -10,6 +10,7 @@ import argparse
 
 import pytest
 
+from linkless import omega, projection
 from linkless.acceptance import (
     criterion_1_k6_experiment,
     criterion_2_k331_experiment,
@@ -22,6 +23,8 @@ from linkless.acceptance import (
     run_acceptance,
 )
 from linkless.cli import _at_least
+from linkless.embedding import RetryLimitExceeded
+from linkless.projection import NonRegularProjection
 
 
 def report(result, budget_seconds):
@@ -86,6 +89,22 @@ def test_criterion_8_projection_independence():
     result = criterion_8_projection_independence(embeddings=50, directions=10, seed=0)
     report(result, 60)
     assert result.details["mismatches"] == []
+
+
+def test_criterion_8_gives_up_through_the_direction_search(monkeypatch):
+    # criterion 8 draws its directions through regular_projection, so a run
+    # with no regular direction stops at the search's cap with its error
+    tried = []
+
+    def refuse(emb, direction):
+        tried.append(direction)
+        raise NonRegularProjection("forced")
+
+    monkeypatch.setattr(projection, "project", refuse)
+    monkeypatch.setattr(omega, "project", refuse)
+    with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
+        criterion_8_projection_independence(embeddings=1)
+    assert len(tried) == 64
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -454,17 +454,22 @@ def _sorts_edges_by_id(node) -> bool:
 
 
 def test_derived_state_stays_with_the_module_that_builds_it():
-    # only `embedding` names its validation internals, and no module sorts a
-    # graph's edges by id: a MultiGraph stores them in id order
-    internals = ("_check_edge", "_segments", "COORDINATE_BOUND", "RETRY_LIMIT")
+    # only `embedding` names its validation internals and only `omega` its
+    # direction search, no module sorts a graph's edges by id (a MultiGraph
+    # stores them in id order), and no report carries wall-clock timings
+    owners = {"_check_edge": "embedding.py", "_segments": "embedding.py",
+              "COORDINATE_BOUND": "embedding.py", "RETRY_LIMIT": "embedding.py",
+              "direction_stream": "omega.py", "DIRECTION_ATTEMPTS": "omega.py"}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, ast.alias) else None)
-            assert path.name == "embedding.py" or name not in internals, (
-                f"{path.name}:{node.lineno} names embedding.{name}")
+            assert owners.get(name, path.name) == path.name, (
+                f"{path.name}:{node.lineno} names {owners.get(name)}'s {name}")
+            assert not (isinstance(node, ast.Constant) and node.value == "_timings"), (
+                f"{path.name}:{node.lineno} names a _timings key")
             assert not _sorts_edges_by_id(node), (
                 f"{path.name}:{node.lineno} sorts edges by id")
 

@@ -168,7 +168,7 @@ def test_directions_parallel_to_avoid_are_not_attempts(never_regular, monkeypatc
     monkeypatch.setattr(omega, "direction_stream", stream)
     emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
     with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
-        regular_projection(emb, seed=0, avoid=(0, 0, -2))
+        regular_projection(emb, seed=0, avoid=[(0, 0, -2)])
     assert never_regular == [(i, 1, 0) for i in range(1, 65)]
 
 

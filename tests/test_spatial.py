@@ -415,7 +415,7 @@ def test_one_pass_table_matches_per_pair_calls(case):
     pairs += rng.sample([(k, j) if rng.random() < 0.5 else (j, k) for j, k in pairs],
                         len(pairs))
     diagram = regular_projection(emb, seed=seed)
-    check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
+    check = regular_projection(emb, seed=seed + 1, avoid=[diagram.direction])
     index = pair_index(edge_endpoints(emb.graph), pairs)
     tables = link_tables([diagram, check], index)
     assert tables[0] == link_tables([diagram], index)[0]
@@ -449,7 +449,7 @@ def test_link_tables_read_the_same_with_the_index(graph):
     for seed in range(4):
         emb = random_embedding(graph, seed)
         diagram = regular_projection(emb, seed=seed)
-        check = regular_projection(emb, seed=seed + 1, avoid=diagram.direction)
+        check = regular_projection(emb, seed=seed + 1, avoid=[diagram.direction])
         tables = link_tables([diagram, check], index)
         assert tables == [link_tables([d], index)[0] for d in (diagram, check)]
         for d, table in zip((diagram, check), tables, strict=True):
