@@ -24,7 +24,6 @@ from linkless.acceptance import (
 )
 from linkless.cli import _at_least
 from linkless.embedding import RetryLimitExceeded
-from linkless.projection import NonRegularProjection
 
 
 def report(result, budget_seconds):
@@ -98,7 +97,7 @@ def test_criterion_8_gives_up_through_the_direction_search(monkeypatch):
 
     def refuse(emb, direction):
         tried.append(direction)
-        raise NonRegularProjection("forced")
+        raise projection.NonRegularProjection("forced")
 
     monkeypatch.setattr(projection, "project", refuse)
     monkeypatch.setattr(omega, "project", refuse)
