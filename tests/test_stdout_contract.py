@@ -10,8 +10,9 @@ change that alters stdout on purpose re-records the file with
 
 and says why in its change notes.  The ``omega`` cases read the
 embeddings that the ``embed`` cases print, so those files never need to
-be stored.  The ``classify`` and ``minor`` cases on "{...}" names read
-the edge lists in ``EDGE_LISTS``, written to a temporary directory.
+be stored.  The other cases on "{...}" names read the edge lists in
+``EDGE_LISTS`` and the embeddings in ``EMBEDDINGS``, written to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -83,11 +84,34 @@ EDGE_LISTS = {
     "{K5-bridge-K5}": "10 21\n" + "".join(
         f"{u + side} {v + side}\n" for side in (0, 5)
         for u in range(1, 6) for v in range(u + 1, 6)) + "5 6\n",
+    "{K6-e}": "6 14\n" + "".join(
+        f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7) if (u, v) != (5, 6)),
+}
+
+# Embedding files written by hand: K6 with rational vertices and polyline
+# edges with rational waypoints, so the projection clears denominators.
+_K6_WAYPOINTS = {
+    (1, 2): [["3/2", "-1", "1/2"]],
+    (1, 4): [["-1", "1", "1/3"], ["-2/3", "5/2", "3/2"]],
+    (2, 5): [["5/2", "2", "7/2"]],
+    (3, 4): [["1", "9/2", "1/2"]],
+    (3, 6): [["4", "1/4", "1/5"]],
+    (4, 5): [["0", "5/2", "4"]],
+}
+EMBEDDINGS = {
+    "{K6-polyline}": json.dumps({
+        "graph": "K6",
+        "vertices": {"1": ["0", "0", "0"], "2": ["3", "1/2", "1"],
+                     "3": ["5/2", "7/2", "-1/3"], "4": ["-1/2", "3", "2"],
+                     "5": ["1", "3/2", "9/2"], "6": ["7/3", "-2", "5/2"]},
+        "edges": [{"u": u, "v": v, "waypoints": _K6_WAYPOINTS.get((u, v), [])}
+                  for u in range(1, 7) for v in range(u + 1, 7)],
+    }),
 }
 
 # (case name, argv); "{K6}" and "{K7}" stand for the file holding the
 # stdout of the "embed-K6" and "embed-K7" cases, the other "{...}" names
-# for the files of EDGE_LISTS
+# for the files of EDGE_LISTS and EMBEDDINGS
 CASES = [
     ("experiment-k6", ["experiment", "k6", "--trials", "30", "--seed", "5"]),
     ("experiment-k331", ["experiment", "k331", "--trials", "20", "--seed", "2"]),
@@ -117,6 +141,9 @@ CASES = [
     ("petersen-list", ["petersen", "list"]),
     ("deltay-K6", ["deltay", "K6", "--triangle", "1,2,3"]),
     ("minor-K7-K6", ["minor", "K7", "K6"]),
+    # reroutes that change omega: exit 1 with omega-changed and even-cover
+    ("reroute-K6-e", ["reroute-check", "{K6-e}", "--trials", "10", "--seed", "3"]),
+    ("omega-K6-polyline", ["omega", "{K6-polyline}"]),
 ]
 
 
@@ -125,7 +152,7 @@ def run_cases() -> dict[str, dict]:
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         files: dict[str, str] = {}
-        for i, (key, text) in enumerate(EDGE_LISTS.items()):
+        for i, (key, text) in enumerate({**EDGE_LISTS, **EMBEDDINGS}.items()):
             path = Path(tmp) / f"graph{i}.txt"
             path.write_text(text)
             files[key] = str(path)
