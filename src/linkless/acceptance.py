@@ -23,10 +23,9 @@ from .multigraph import (
     k331_graph,
     parse_graph,
 )
-from .projection import edge_endpoints, link_tables, pair_index
-from .circuits import disjoint_circuit_pairs
+from .projection import link_tables
 from .embedding import random_embedding
-from .omega import regular_projection
+from .omega import graph_pairs, regular_projection
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def criterion_8_projection_independence(
 ) -> CriterionResult:
     def run():
         g = complete_graph(6)
-        index = pair_index(edge_endpoints(g), disjoint_circuit_pairs(g))
+        index = graph_pairs(g)
         mismatches = []
         for i in range(embeddings):
             emb = random_embedding(g, seed ^ i)
@@ -267,7 +266,7 @@ def criterion_8_projection_independence(
             for _ in range(directions):
                 diagrams.append(regular_projection(
                     emb, seed=1000 + i, avoid=[d.direction for d in diagrams]))
-            tables = [[lk for lk, _ in table] for table in link_tables(diagrams, index)]
+            tables = link_tables(diagrams, index)
             if any(t != tables[0] for t in tables[1:]):
                 mismatches.append({"embedding_seed": seed ^ i, "tables": tables})
         return not mismatches, {

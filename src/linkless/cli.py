@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .acceptance import run_acceptance
-from .canonical import VertexLimitExceeded
 from .circuits import CircuitCapExceeded
 from .embedding import (
     EmbeddingError,
@@ -356,8 +355,8 @@ def main(argv=None) -> int:
     except (GraphParseError, EmbeddingError, GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, CircuitCapExceeded, VertexLimitExceeded,
-            NonRegularProjection, RetryLimitExceeded, SearchBudgetExceeded) as exc:
+    except (GraphError, CircuitCapExceeded, NonRegularProjection,
+            RetryLimitExceeded, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,12 +23,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuits import disjoint_circuit_pairs
 from .embedding import SpatialEmbedding, random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _detour_links, _omega_with_pairs
-from .projection import edge_endpoints, pair_index
+from .omega import _detour_links, _omega_with_pairs, graph_pairs
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ def conway_gordon_experiment(
     seed: int = 0,
 ) -> ExperimentReport:
     """omega over independent random embeddings of a simple graph."""
-    index = pair_index(edge_endpoints(graph), disjoint_circuit_pairs(graph))
+    index = graph_pairs(graph)
     omega_counts: Counter[int] = Counter()
     odd_counts: Counter[int] = Counter()
     for t in range(trials):
@@ -142,7 +140,7 @@ def edge_swap_check(
     g = graph.graph if base is not None else graph
     if not g.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
-    index = pair_index(edge_endpoints(g), disjoint_circuit_pairs(g))
+    index = graph_pairs(g)
 
     violations: list[RerouteViolation] = []
     preserved = 0

@@ -8,11 +8,11 @@ of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
 
 Each projection is computed once and carries its edge-pair crossing
-matrix.  The lk table, its parities and its check against the second
-projection come from one pass over the pairs (``projection.link_tables``);
-the pair list comes from the bitset listing in ``circuits``, indexed once
-with each circuit's traversal signs (``projection.PairIndex``).  A reroute's
-lk(D, K), for all circuits K, comes from one diagram of D and the K's too.
+matrix.  Its lk table comes from one checked pass over the pairs
+(``projection.link_tables``), and each omega and the total are read off
+it.  ``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
+reroute's lk(D, K), for all circuits K, comes from one diagram of D and
+the K's too.
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
 from .geometry import Point3, cross3, format_point, is_zero3
+from .multigraph import MultiGraph
 from .projection import (
     NonRegularProjection,
     PairIndex,
@@ -76,9 +77,8 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
 
 def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
                   circuits: Sequence[Circuit], seed: int) -> list[int]:
-    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, where
-    D runs along the edge from u to v and back along ``arc`` (a u-v path), from
-    one regular projection; AssertionError if a parity differs from lk mod 2."""
+    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, from one
+    regular projection; D runs from u to v along the edge and back along ``arc``."""
     arc_id = max(emb.edge_paths) + 1
     endpoints = edge_endpoints(emb.graph)
     endpoints[arc_id] = endpoints[eid]
@@ -90,10 +90,7 @@ def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
     diagram = _first_regular(
         lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d)),
         seed, "no regular projection of the reroute loop")
-    table = link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
-    if any(parity != lk % 2 for lk, parity in table):
-        raise AssertionError("omega parity disagrees with lk; kernel bug")
-    return [lk for lk, _ in table]
+    return link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
 
 
 def regular_projection(
@@ -112,7 +109,10 @@ class PairEntry:
     j: Circuit
     k: Circuit
     lk: int
-    omega: int
+
+    @property
+    def omega(self) -> int:
+        return self.lk & 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,11 +129,14 @@ class OmegaReport:
     direction: Point3
     check_direction: Point3
     pairs: tuple[PairEntry, ...]
-    total: int
 
     @property
     def odd_pair_count(self) -> int:
-        return sum(1 for p in self.pairs if p.omega == 1)
+        return sum(p.omega for p in self.pairs)
+
+    @property
+    def total(self) -> int:
+        return self.odd_pair_count & 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,8 +156,12 @@ def omega_graph(
     seed: int = 0,
 ) -> OmegaReport:
     """Per-pair lk/omega table and the mod-2 total for an embedding."""
-    index = pair_index(edge_endpoints(emb.graph), disjoint_circuit_pairs(emb.graph))
-    return _omega_with_pairs(emb, index, direction=direction, seed=seed)
+    return _omega_with_pairs(emb, graph_pairs(emb.graph), direction=direction, seed=seed)
+
+
+def graph_pairs(graph: MultiGraph) -> PairIndex:
+    """The vertex-disjoint circuit pairs of a graph, indexed for `link_tables`."""
+    return pair_index(edge_endpoints(graph), disjoint_circuit_pairs(graph))
 
 
 def _omega_with_pairs(
@@ -170,18 +177,14 @@ def _omega_with_pairs(
     check = regular_projection(emb, seed=seed + 1, avoid=[diag.direction])
 
     entries = []
-    total = 0
     table, check_table = link_tables([diag, check], index)
-    for (j, k), (lk, om), (lk2, _) in zip(index.pairs, table, check_table):
-        if om != lk % 2:
-            raise AssertionError("omega parity disagrees with lk; kernel bug")
+    for (j, k), lk, lk2 in zip(index.pairs, table, check_table):
         if lk2 != lk:
             raise AssertionError(
                 f"lk differs between projections ({lk} vs {lk2}); kernel bug")
-        entries.append(PairEntry(j, k, lk, om))
-        total ^= om
+        entries.append(PairEntry(j, k, lk))
     name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
-    return OmegaReport(name, diag.direction, check.direction, tuple(entries), total)
+    return OmegaReport(name, diag.direction, check.direction, tuple(entries))
 
 
 def loop_pair_link(

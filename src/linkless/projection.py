@@ -40,14 +40,14 @@ keys.
 Over/under is read in one place, `crossing_matrix`: for every strand e
 and every strand f it passes over, the signed sum and the number of those
 crossings.  Each diagram builds that matrix on first use.  `link_tables`
-computes lk and the crossing parity of every circuit pair in one pass:
-each J gets one row, the sum of s_J(e) L[e][f] over the edges e of J (s
-the traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the
-edges f of K.  The traversal signs depend only on the graph, so a
-`PairIndex` holds them with the pairs, and callers that read many
-embeddings of one graph build it once.  `linking_number` and
-`omega_pair` are one-pair calls of it, and ``omega.loop_pair_link`` reads
-cell L[0][1] of two loops.
+computes lk of every circuit pair in one pass: each J gets one row, the
+sum of s_J(e) L[e][f] over the edges e of J (s the traversal signs), and
+lk(J, K) is the sum of s_K(f) row[f] over the edges f of K.  It is the
+one place that checks a pair's crossing parity against lk mod 2.  The
+traversal signs depend only on the graph, so a `PairIndex` holds them
+with the pairs, built once per graph (``omega.graph_pairs``).
+`linking_number` and `omega_pair` are one-pair calls of it, and
+``omega.loop_pair_link`` reads cell L[0][1] of two loops.
 """
 
 from __future__ import annotations
@@ -306,21 +306,20 @@ def pair_index(endpoints: Mapping[int, tuple[int, int]],
 
 
 def link_tables(diagrams: Sequence[ProjectedDiagram],
-                index: PairIndex) -> list[list[tuple[int, int]]]:
-    """Per diagram, (lk(J, K), parity of the crossings where J passes over K)
-    of every pair, in one pass.
+                index: PairIndex) -> list[list[int]]:
+    """Per diagram, lk(J, K) of every pair, in one pass.
 
     The diagrams must be projections of the indexed graph.  Each J gets
     one signed row per diagram over the edges f it passes over: the sums
     of s_J(e) L[e][f].signed and of L[e][f].count over the edges e of J,
     s the traversal signs.  lk(J, K) is then the sum of s_K(f)
-    row[f].signed over the edges f of K, and the parity that of the
-    summed counts.
+    row[f].signed over the edges f of K.  The parity of the summed counts
+    must equal lk mod 2; AssertionError (a kernel bug) if it does not.
     """
     if any(d.edge_endpoints != index.endpoints for d in diagrams):
         raise GraphError("the diagrams project different graphs")
     signs = index.signs
-    tables: list[list[tuple[int, int]]] = []
+    tables: list[list[int]] = []
     for diagram in diagrams:
         matrix = diagram.crossing_matrix
         rows: list[dict[int, list[int]] | None] = [None] * len(signs)
@@ -345,16 +344,18 @@ def link_tables(diagrams: Sequence[ProjectedDiagram],
                 if acc is not None:
                     lk += sign_f * acc[0]
                     count += acc[1]
-            table.append((lk, count & 1))
+            if (lk ^ count) & 1:
+                raise AssertionError("omega parity disagrees with lk; kernel bug")
+            table.append(lk)
         tables.append(table)
     return tables
 
 
 def linking_number(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K): signed count of crossings where J passes over K."""
-    return link_tables([diagram], pair_index(diagram.edge_endpoints, [(j, k)]))[0][0][0]
+    return link_tables([diagram], pair_index(diagram.edge_endpoints, [(j, k)]))[0][0]
 
 
 def omega_pair(diagram: ProjectedDiagram, j: Circuit, k: Circuit) -> int:
     """lk(J, K) mod 2: parity of the crossings where J passes over K."""
-    return link_tables([diagram], pair_index(diagram.edge_endpoints, [(j, k)]))[0][0][1]
+    return linking_number(diagram, j, k) & 1

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from linkless import cli, embedding, experiments, omega, projection
+from linkless.acceptance import criterion_8_projection_independence
 from linkless.circuits import enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
@@ -265,25 +266,65 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
         links = omega._detour_links(emb, e.id, arc, circuits, seed)
         [(diagrams, index)] = calls
         table = real(diagrams, index)[0]
-        assert [lk for lk, _ in table] == links
+        assert table == links
         assert real(diagrams, projection.pair_index(diagrams[0].edge_endpoints,
                                                     index.pairs))[0] == table
-        assert table == [scanned_lk(diagrams[0], j, k) for j, k in index.pairs]
+        # the oracle counts its parity apart from the signed sum
+        assert [(lk, lk & 1) for lk in table] == \
+            [scanned_lk(diagrams[0], j, k) for j, k in index.pairs]
+
+
+def _plant_odd_count(monkeypatch, e, f):
+    """Count one more crossing of strand e over strand f in every crossing
+    matrix, leaving its signed sum as it is."""
+    real = projection.crossing_matrix
+
+    def planted(records):
+        matrix = real(records)
+        signed, count = matrix.setdefault(e, {}).get(f, (0, 0))
+        matrix[e][f] = (signed, count + 1)
+        return matrix
+
+    monkeypatch.setattr(projection, "crossing_matrix", planted)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, emb: omega.omega_graph(emb),
+    lambda g, emb: edge_swap_check(g, trials=1, seed=0),
+    lambda g, emb: criterion_8_projection_independence(embeddings=1),
+], ids=["omega_graph", "edge_swap_check", "criterion_8"])
+def test_every_lk_table_checks_its_parities(monkeypatch, run):
+    # the first J's first edge over the first K's first edge
+    g = complete_graph(6)
+    j, k = omega.graph_pairs(g).pairs[0]
+    _plant_odd_count(monkeypatch, j.edge_ids[0], k.edge_ids[0])
+    with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
+        run(g, random_embedding(g, 0))
 
 
 def test_detour_table_checks_its_parities_against_lk(monkeypatch):
+    # the reroute loop's old edge over the first circuit's first edge
+    g = complete_graph(6)
+    emb, e = random_embedding(g, 0), g.edges[0]
+    arc = random_detour(emb, e.id, random.Random(0))[1].path(e.id)
+    circuits = [c for c in enumerate_circuits(g) if not c.vertices & {e.u, e.v}]
+    _plant_odd_count(monkeypatch, e.id, circuits[0].edge_ids[0])
+    with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
+        omega._detour_links(emb, e.id, arc, circuits, 0)
+
+
+def test_the_check_projection_catches_an_lk_difference(monkeypatch):
+    # a difference of 2 keeps every parity, so only the second projection sees it
     real = omega.link_tables
 
-    def odd_detour_parity(diagrams, index):
+    def check_off_by_two(diagrams, index):
         tables = real(diagrams, index)
-        if len(index.pairs[0][0]) == 2:  # the reroute loop D, a two-edge circuit
-            lk, parity = tables[0][0]
-            tables[0][0] = (lk, 1 - parity)
+        tables[-1][0] += 2
         return tables
 
-    monkeypatch.setattr(omega, "link_tables", odd_detour_parity)
-    with pytest.raises(AssertionError, match="kernel bug"):
-        edge_swap_check(complete_graph(6), trials=1, seed=0)
+    monkeypatch.setattr(omega, "link_tables", check_off_by_two)
+    with pytest.raises(AssertionError, match="lk differs between projections"):
+        omega.omega_graph(random_embedding(complete_graph(6), 0))
 
 
 def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypatch, capsys):
