@@ -86,6 +86,26 @@ EDGE_LISTS = {
         for u in range(1, 6) for v in range(u + 1, 6)) + "5 6\n",
     "{K6-e}": "6 14\n" + "".join(
         f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7) if (u, v) != (5, 6)),
+    # the K5-bridge-K5 host beside K3,3,1 on 21-27 (sides {21,24,27} and
+    # {22,25,26}, apex 23), edges in scrambled order: the components route
+    "{K5-bridge-K5+K3,3,1}": "17 36\n" + "".join(
+        f"{u + side} {v + side}\n" for side in (0, 5)
+        for u in range(1, 6) for v in range(u + 1, 6)) + "5 6\n" + """26 24
+23 21
+25 27
+21 22
+23 26
+24 25
+27 23
+22 27
+25 21
+23 24
+26 21
+22 24
+23 25
+26 27
+22 23
+""",
 }
 
 # Embedding files written by hand: K6 with rational vertices and polyline
@@ -138,6 +158,7 @@ CASES = [
     ("classify-near-miss", ["classify", "{petersen-e+decorations}"]),
     ("classify-K5-bridge-K5", ["classify", "{K5-bridge-K5}"]),
     ("minor-K5-bridge-K5-K6", ["minor", "{K5-bridge-K5}", "K6"]),
+    ("classify-K5-bridge-K5+K3,3,1", ["classify", "{K5-bridge-K5+K3,3,1}"]),
     ("petersen-list", ["petersen", "list"]),
     ("deltay-K6", ["deltay", "K6", "--triangle", "1,2,3"]),
     ("minor-K7-K6", ["minor", "K7", "K6"]),
