@@ -50,7 +50,6 @@ from .minors import (
 from .moves import (
     ClosureSizeExceeded,
     FamilyMember,
-    PetersenFamily,
     delta_y,
     petersen_closure,
     petersen_family,
@@ -102,7 +101,6 @@ __all__ = [
     "MultiGraph",
     "NonRegularProjection",
     "OmegaReport",
-    "PetersenFamily",
     "PlanarCertificate",
     "ProjectedDiagram",
     "RerouteReport",

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .experiments import conway_gordon_experiment, edge_swap_check
 from .minors import has_minor, is_intrinsically_linked, minor_minimality_report
-from .moves import family_closed_under_delta_y, petersen_family
+from .moves import family_closed_under_delta_y, petersen_family, triangles
 from .multigraph import (
     MultiGraph,
     complete_bipartite,
@@ -83,21 +83,19 @@ def criterion_3_edge_reroutes(trials: int = 200, seed: int = 0) -> CriterionResu
 def criterion_4_petersen_family() -> CriterionResult:
     def run():
         family = petersen_family()
-        members = list(family)
-        pairwise_distinct = len(family.canonical_keys) == len(members) == 7
-        edge_counts_ok = all(m.graph.m == 15 for m in members)
-        names = {m.name for m in members}
+        pairwise_distinct = len({m.canonical for m in family}) == len(family) == 7
+        edge_counts_ok = all(m.graph.m == 15 for m in family)
+        names = {m.name for m in family}
         has_k6 = "K6" in names
         has_k331 = "K3,3,1" in names
-        has_petersen = any(
-            m.graph.n == 10 and m.is_triangle_free for m in members)
+        has_petersen = any(m.graph.n == 10 and not triangles(m.graph) for m in family)
         closed = family_closed_under_delta_y(family)
         ok = pairwise_distinct and edge_counts_ok and has_k6 and has_k331 \
             and has_petersen and closed
         return ok, {
             "members": [
                 {"name": m.name, "vertices": m.graph.n, "edges": m.graph.m}
-                for m in members
+                for m in family
             ],
             "pairwise_non_isomorphic": pairwise_distinct,
             "all_15_edges": edge_counts_ok,

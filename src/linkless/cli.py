@@ -287,7 +287,7 @@ def _cmd_omega(args) -> int:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise UsageError(f"cannot read {args.embedding}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise UsageError(f"embedding file is not valid JSON: {exc}")
     emb = embedding_from_json_dict(doc)
     direction = _parse_direction(args.direction) if args.direction else None

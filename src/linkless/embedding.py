@@ -48,7 +48,7 @@ from .geometry import (
     segments3_intersect,
     shared_endpoint_segments_overlap,
 )
-from .multigraph import Edge, MultiGraph, format_edge_list, parse_graph
+from .multigraph import Edge, MultiGraph, builtin_name, format_edge_list, parse_graph
 
 COORDINATE_BOUND = 10**6  # random vertices live in a cube of side 2e6
 RETRY_LIMIT = 64
@@ -323,7 +323,7 @@ def embedding_to_json_dict(emb: SpatialEmbedding) -> dict:
         })
     return {
         "schema_version": 1,
-        "graph": g.name if g.name else format_edge_list(g),
+        "graph": builtin_name(g) or format_edge_list(g),
         "vertices": {str(v): format_point(p) for v, p in sorted(emb.vertex_points.items())},
         "edges": edges,
     }

@@ -3,12 +3,14 @@
 A Delta-Y move removes the three edges of a triangle and joins its
 vertices to one new vertex; it preserves the edge count and adds a vertex.
 Closing {K6, K3,3,1} under Delta-Y moves yields seven isomorphism classes,
-the Petersen family, which this module generates by breadth-first search
-deduplicated on canonical forms.
+the Petersen family.  This module generates it by breadth-first search
+over one map from canonical key to (graph, derivation), builds each
+member once after the search, and returns the family as a tuple.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -85,93 +87,49 @@ class FamilyMember:
     canonical: bytes
     derivation: tuple[str, ...]  # seed name followed by dY(a,b,c) steps
 
-    @property
-    def is_triangle_free(self) -> bool:
-        return not triangles(self.graph)
 
-
-@dataclass(frozen=True)
-class PetersenFamily:
-    members: tuple[FamilyMember, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def canonical_keys(self) -> frozenset[bytes]:
-        return frozenset(m.canonical for m in self.members)
-
-    def member_named(self, name: str) -> FamilyMember:
-        for m in self.members:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
-
-def petersen_closure(seeds: list[MultiGraph]) -> PetersenFamily:
+def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
     """Breadth-first Delta-Y closure of the seeds, one member per iso class.
 
-    Seeds reached later in the search never replace an earlier-found
-    representative, so derivations record a shortest move sequence.
+    The first seed or derivation to reach a class keeps it, so derivations
+    record a shortest move sequence.  Members come sorted by (vertex count,
+    key) and are named K6, K3,3,1 and petersen by key, the rest P<n> with
+    suffixes a, b, ... when several share n.
     """
-    members: list[FamilyMember] = []
-    seen: set[bytes] = set()
-    queue: list[tuple[MultiGraph, tuple[str, ...]]] = []
-
+    classes: dict[bytes, tuple[MultiGraph, tuple[str, ...]]] = {}
     for i, seed in enumerate(seeds):
-        label = seed.name or f"seed{i}"
-        key = canonical_form(seed)
-        if key in seen:
-            continue
-        seen.add(key)
-        queue.append((seed, (label,)))
-        members.append(FamilyMember(label, seed, key, (label,)))
+        classes.setdefault(canonical_form(seed), (seed, (seed.name or f"seed{i}",)))
 
-    head = 0
-    while head < len(queue):
-        g, derivation = queue[head]
-        head += 1
-        for tri in triangles(g):
-            child = delta_y(g, tri)
-            key = canonical_form(child)
-            if key in seen:
-                continue
-            if len(seen) >= DEFAULT_CLOSURE_BOUND:
-                raise ClosureSizeExceeded(
-                    f"Delta-Y closure exceeded {DEFAULT_CLOSURE_BOUND} isomorphism classes")
-            seen.add(key)
-            step = derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",)
-            queue.append((child, step))
-            members.append(FamilyMember("", child, key, step))
+    # the dict's insertion order is the queue: each pass walks the classes
+    # the previous pass added
+    level = list(classes.values())
+    while level:
+        size = len(classes)
+        for g, derivation in level:
+            for tri in triangles(g):
+                child = delta_y(g, tri)
+                key = canonical_form(child)
+                if key in classes:
+                    continue
+                if len(classes) >= DEFAULT_CLOSURE_BOUND:
+                    raise ClosureSizeExceeded(
+                        f"Delta-Y closure exceeded {DEFAULT_CLOSURE_BOUND} isomorphism classes")
+                classes[key] = (child, derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",))
+        level = list(classes.values())[size:]
 
-    members.sort(key=lambda m: (m.graph.n, m.canonical))
-    return PetersenFamily(tuple(_assign_names(members)))
-
-
-def _assign_names(members: list[FamilyMember]) -> list[FamilyMember]:
-    specials = {
-        canonical_form(complete_graph(6)): "K6",
-        canonical_form(k331_graph()): "K3,3,1",
-        canonical_form(petersen_graph()): "petersen",
-    }
-    generated_by_n: dict[int, int] = {}
-    for m in members:
-        if m.canonical not in specials:
-            generated_by_n[m.graph.n] = generated_by_n.get(m.graph.n, 0) + 1
-    counters: dict[int, int] = {}
-    named = []
-    for m in members:
-        name = specials.get(m.canonical)
+    specials = {canonical_form(g): g.name for g in (complete_graph(6), k331_graph(), petersen_graph())}
+    ordered = sorted(classes.items(), key=lambda item: (item[1][0].n, item[0]))
+    plain = Counter(g.n for key, (g, _) in ordered if key not in specials)
+    named = Counter()
+    members = []
+    for key, (g, derivation) in ordered:
+        name = specials.get(key)
         if name is None:
-            idx = counters.get(m.graph.n, 0)
-            counters[m.graph.n] = idx + 1
-            suffix = chr(ord("a") + idx) if generated_by_n[m.graph.n] > 1 else ""
-            name = f"P{m.graph.n}{suffix}"
-        named.append(FamilyMember(name, m.graph, m.canonical, m.derivation))
-    return named
+            suffix = chr(ord("a") + named[g.n]) if plain[g.n] > 1 else ""
+            named[g.n] += 1
+            name = f"P{g.n}{suffix}"
+        members.append(FamilyMember(name, g, key, derivation))
+    return tuple(members)
 
 
 # Canonical keys of the seven family members (hex), pinned so that the
@@ -188,20 +146,20 @@ EXPECTED_FAMILY_KEYS: tuple[str, ...] = (
 
 
 @lru_cache(maxsize=1)
-def petersen_family() -> PetersenFamily:
+def petersen_family() -> tuple[FamilyMember, ...]:
     """The seven-member Delta-Y closure of {K6, K3,3,1}, cached and verified."""
     family = petersen_closure([complete_graph(6), k331_graph()])
     if len(family) != 7:
         raise AssertionError(f"Petersen family closure found {len(family)} classes")
-    got = sorted(m.canonical.hex() for m in family.members)
+    got = sorted(m.canonical.hex() for m in family)
     if got != sorted(EXPECTED_FAMILY_KEYS):
         raise AssertionError("Petersen family keys changed; canonical form drifted")
     return family
 
 
-def family_closed_under_delta_y(family: PetersenFamily) -> bool:
+def family_closed_under_delta_y(family: tuple[FamilyMember, ...]) -> bool:
     """Check that every Delta-Y move on every member lands on a member."""
-    keys = family.canonical_keys
+    keys = {m.canonical for m in family}
     for member in family:
         for tri in triangles(member.graph):
             if canonical_form(delta_y(member.graph, tri)) not in keys:

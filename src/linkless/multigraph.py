@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -25,10 +25,10 @@ class GraphParseError(GraphError):
     """A graph document or builtin name could not be parsed."""
 
 
-# Largest n + m that an edge-list document or a builtin family (complete,
-# complete bipartite, grid) may ask for.  Their sizes come from outside the
-# program, and a few bytes ("1000000000 0", "K100000") would otherwise ask
-# for billions of vertices or edges.
+# Largest n + m that an edge-list document or a builtin name (complete,
+# complete bipartite, grid) may ask for, checked as the text is read.  Their
+# sizes come from outside the program, and a few bytes ("1000000000 0",
+# "K100000") would otherwise ask for billions of vertices or edges.
 MAX_GRAPH_SIZE = 10**6
 
 
@@ -298,7 +298,6 @@ def complete_graph(n: int) -> MultiGraph:
     """K_n on vertices 1..n."""
     if n < 0:
         raise GraphParseError("complete graph needs n >= 0")
-    _check_size(n, n * (n - 1) // 2, f"K{n}")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return graph_from_pairs(pairs, vertices=range(1, n + 1), name=f"K{n}")
 
@@ -307,7 +306,6 @@ def complete_bipartite(a: int, b: int) -> MultiGraph:
     """K_{a,b} with parts 1..a and a+1..a+b."""
     if a < 0 or b < 0:
         raise GraphParseError("complete bipartite graph needs a, b >= 0")
-    _check_size(a + b, a * b, f"K{a},{b}")
     pairs = [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)]
     return graph_from_pairs(pairs, vertices=range(1, a + b + 1), name=f"K{a},{b}")
 
@@ -331,7 +329,6 @@ def grid_graph(rows: int, cols: int) -> MultiGraph:
     """Rows x cols planar grid, vertices numbered row-major from 1."""
     if rows < 1 or cols < 1:
         raise GraphParseError("grid needs positive dimensions")
-    _check_size(rows * cols, rows * (cols - 1) + (rows - 1) * cols, f"grid{rows}x{cols}")
 
     def vid(r: int, c: int) -> int:
         return r * cols + c + 1
@@ -353,20 +350,40 @@ _K331_RE = re.compile(r"^[Kk]3,3,1$")
 _GRID_RE = re.compile(r"^grid(\d+)x(\d+)$", re.IGNORECASE)
 
 
-def builtin_graph(name: str) -> MultiGraph:
-    """Look up a builtin graph by name (K<n>, K<a>,<b>, K3,3,1, petersen, grid<r>x<c>)."""
+def _builtin(name: str) -> tuple[int, int, Callable[[], MultiGraph]]:
+    """The vertex and edge counts of a builtin name's graph, and its constructor."""
     text = name.strip()
     if _K331_RE.match(text):
-        return k331_graph()
+        return 7, 15, k331_graph
     if m := _K_RE.match(text):
-        return complete_graph(int(m.group(1)))
+        n = int(m.group(1))
+        return n, n * (n - 1) // 2, lambda: complete_graph(n)
     if m := _KAB_RE.match(text):
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
+        a, b = int(m.group(1)), int(m.group(2))
+        return a + b, a * b, lambda: complete_bipartite(a, b)
     if m := _GRID_RE.match(text):
-        return grid_graph(int(m.group(1)), int(m.group(2)))
+        r, c = int(m.group(1)), int(m.group(2))
+        return r * c, r * (c - 1) + (r - 1) * c, lambda: grid_graph(r, c)
     if text.lower() == "petersen":
-        return petersen_graph()
+        return 10, 15, petersen_graph
     raise GraphParseError(f"unknown builtin graph name {name!r}")
+
+
+def builtin_graph(name: str) -> MultiGraph:
+    """Look up a builtin graph by name (K<n>, K<a>,<b>, K3,3,1, petersen, grid<r>x<c>)."""
+    n, m, build = _builtin(name)
+    _check_size(n, m, name.strip())
+    return build()
+
+
+def builtin_name(g: MultiGraph) -> str | None:
+    """g's name if it is a builtin name that reads back as g itself; a name
+    whose graph differs from g in size is rejected without building it."""
+    try:
+        n, m, build = _builtin(g.name or "")
+    except GraphParseError:
+        return None
+    return g.name if (n, m) == (g.n, g.m) and build() == g else None
 
 
 def parse_edge_list(text: str, name: str | None = None) -> MultiGraph:

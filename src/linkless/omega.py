@@ -35,9 +35,9 @@ from .projection import (
     NonRegularProjection,
     PairIndex,
     ProjectedDiagram,
-    crossing_matrix,
     edge_endpoints,
     link_tables,
+    linking_number,
     pair_index,
     project,
     strand_crossings,
@@ -192,11 +192,12 @@ def loop_pair_link(
     loop_b: Sequence[Point3],
     seed: int = 0,
 ) -> tuple[int, int]:
-    """(lk, omega) for two disjoint closed polylines, retrying directions:
-    the signed sum and the parity of the crossings where loop A passes over
-    loop B."""
+    """(lk, lk mod 2) for two disjoint closed polylines, retrying directions.
+    Each loop is drawn as a one-edge circuit on a vertex of its own, and lk
+    is read off the checked lk table."""
     strands = [(0, [*loop_a, loop_a[0]]), (1, [*loop_b, loop_b[0]])]  # each loop closed
-    crossings = _first_regular(lambda d: strand_crossings(strands, d),
-                               seed, "no regular projection for the loop pair")
-    lk, count = crossing_matrix(crossings).get(0, {}).get(1, (0, 0))
-    return lk, count & 1
+    diagram = _first_regular(
+        lambda d: ProjectedDiagram(d, {0: (0, 0), 1: (1, 1)}, strand_crossings(strands, d)),
+        seed, "no regular projection for the loop pair")
+    lk = linking_number(diagram, Circuit((0,), (0,)), Circuit((1,), (1,)))
+    return lk, lk & 1

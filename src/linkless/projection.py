@@ -46,8 +46,8 @@ lk(J, K) is the sum of s_K(f) row[f] over the edges f of K.  It is the
 one place that checks a pair's crossing parity against lk mod 2.  The
 traversal signs depend only on the graph, so a `PairIndex` holds them
 with the pairs, built once per graph (``omega.graph_pairs``).
-`linking_number` and `omega_pair` are one-pair calls of it, and
-``omega.loop_pair_link`` reads cell L[0][1] of two loops.
+`linking_number` and `omega_pair` are one-pair calls of it, and so is
+``omega.loop_pair_link``, which draws two loops as one-edge circuits.
 """
 
 from __future__ import annotations

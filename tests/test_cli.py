@@ -136,6 +136,18 @@ def test_embed_and_omega_roundtrip(tmp_path, capsys):
     assert report["pair_count"] == 10
 
 
+def test_embed_of_an_edge_list_file_reads_back(tmp_path, capsys):
+    # the file stem "tet" names no builtin graph, so the edge list is written
+    graph_file, out_file = tmp_path / "tet.txt", tmp_path / "e.json"
+    graph_file.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    code, _, _ = run_cli(capsys, "embed", str(graph_file), "-o", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["graph"] == graph_file.read_text()
+    code, out, err = run_cli(capsys, "omega", str(out_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pair_count"] == 0
+
+
 def test_embed_file_is_what_json_dumps_writes(tmp_path, capsys):
     out_file = tmp_path / "k7.json"
     code, out, _ = run_cli(capsys, "embed", "K7", "--seed", "2", "-o", str(out_file))
@@ -456,7 +468,8 @@ def _sorts_edges_by_id(node) -> bool:
 def test_derived_state_stays_with_the_module_that_builds_it():
     # only `embedding` names its validation internals and only `omega` its
     # direction search, only `omega` builds a graph's pair index
-    # (`graph_pairs`) and only `projection` checks lk parities, no module
+    # (`graph_pairs`), only `projection` reads the crossing matrix and
+    # checks lk parities, no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # and no report carries wall-clock timings
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
@@ -464,7 +477,8 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "direction_stream": {"omega.py"}, "DIRECTION_ATTEMPTS": {"omega.py"},
               "disjoint_circuit_pairs": {"circuits.py", "omega.py", "__init__.py"},
               "pair_index": {"projection.py", "omega.py"},
-              "edge_endpoints": {"projection.py", "omega.py"}}
+              "edge_endpoints": {"projection.py", "omega.py"},
+              "crossing_matrix": {"projection.py"}}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -509,6 +523,17 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "embed", "K4", "-o", str(target))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" + "9" * 5000 + "]", "[" * 200_000 + "]" * 200_000],
+                         ids=["over-long integer", "deep nesting"])
+def test_malformed_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "e.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "omega", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: embedding file is not valid JSON")
     assert "Traceback" not in err
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from linkless import embedding
+from linkless import embedding, multigraph
 from linkless.embedding import (
     EmbeddingError,
     RetryLimitExceeded,
@@ -258,6 +258,37 @@ def test_json_roundtrip_with_waypoints_and_fractions():
     doc = embedding_to_json_dict(emb)
     back = embedding_from_json_dict(json.loads(json.dumps(doc)))
     assert back.edge_paths == emb.edge_paths
+
+
+@pytest.mark.parametrize("graph", [
+    parse_graph("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n", name="tet"),
+    # a file stem naming a builtin graph of another size, and one of the same size
+    parse_graph("6 14\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(1, 7), 2)
+                                    if (u, v) != (5, 6)), name="K6"),
+    complete_graph(4).relabeled({1: 2, 2: 1, 3: 3, 4: 4}),
+], ids=["tet", "K6-e named K6", "relabelled K4"])
+def test_json_roundtrip_of_graphs_named_by_file_stems(graph):
+    emb = random_embedding(graph, 3)
+    doc = embedding_to_json_dict(emb)
+    assert doc["graph"] == multigraph.format_edge_list(graph)
+    back = embedding_from_json_dict(json.loads(json.dumps(doc)))
+    assert back.graph == graph
+    assert back.edge_paths == emb.edge_paths
+
+
+def test_builtin_name_builds_no_graph_of_another_size(monkeypatch):
+    built, real = [], multigraph.complete_graph
+
+    def recording(n):
+        built.append(n)
+        return real(n)
+
+    k6 = complete_graph(6)
+    monkeypatch.setattr(multigraph, "complete_graph", recording)
+    assert multigraph.builtin_name(parse_graph("3 3\n1 2\n2 3\n1 3\n", name="K1000")) is None
+    assert built == []
+    assert multigraph.builtin_name(k6) == "K6"
+    assert built == [6]
 
 
 def test_json_rejects_bad_documents():

@@ -302,6 +302,16 @@ def test_every_lk_table_checks_its_parities(monkeypatch, run):
         run(g, random_embedding(g, 0))
 
 
+def test_loop_pair_link_checks_its_parity(monkeypatch):
+    # a Hopf link of two triangles; loop A is strand 0, loop B strand 1
+    loop_a = [(2, 0, 0), (-1, 2, 0), (-1, -2, 0)]
+    loop_b = [(0, 3, 0), (0, 1, 2), (0, 1, -2)]
+    assert abs(omega.loop_pair_link(loop_a, loop_b)[0]) == 1
+    _plant_odd_count(monkeypatch, 0, 1)
+    with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
+        omega.loop_pair_link(loop_a, loop_b)
+
+
 def test_detour_table_checks_its_parities_against_lk(monkeypatch):
     # the reroute loop's old edge over the first circuit's first edge
     g = complete_graph(6)

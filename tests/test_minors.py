@@ -40,6 +40,8 @@ from linkless.multigraph import (
 )
 from linkless.planarity import planar_certificate_errors
 
+FAMILY = {m.name: m for m in petersen_family()}
+
 
 def random_graph(n, p, rng, base=1):
     pairs = [
@@ -260,7 +262,7 @@ def test_classifier_table():
         assert verdict.verdict == want, name
         if want == "linked":
             assert verdict.witness_member is not None
-            member = petersen_family().member_named(verdict.witness_member)
+            member = FAMILY[verdict.witness_member]
             assert verify_minor_model(parse_graph(name), member.graph,
                                       verdict.witness_model)
 
@@ -538,12 +540,12 @@ def _search_outcome(search, work, target, limit):
         return "exhausted", exc.nodes
 
 
-@pytest.mark.parametrize("name", [m.name for m in petersen_family()])
+@pytest.mark.parametrize("name", list(FAMILY))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), small=st.integers(0, 300))
 def test_branch_set_search_matches_the_recursive_reference(name, data, small):
     # same branch sets, same nodes spent, same node count at exhaustion
-    hs = petersen_family().member_named(name).graph.simplified()
+    hs = FAMILY[name].graph.simplified()
     work = data.draw(_search_hosts(hs), label="host")
     for limit in (small, 50_000):
         got = _search_outcome(_search_branch_sets, work, _Member(hs), limit)
@@ -585,7 +587,7 @@ def test_mader_dense_graphs_have_k6_minors():
             assert model is not None and verify_minor_model(g, k6, model)
             verdict = is_intrinsically_linked(g)
             assert verdict.verdict == "linked"
-            member = petersen_family().member_named(verdict.witness_member)
+            member = FAMILY[verdict.witness_member]
             assert verify_minor_model(g, member.graph, verdict.witness_model)
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -127,13 +128,13 @@ def test_closure_of_triangle():
     c3 = graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")
     fam = petersen_closure([c3])
     assert len(fam) == 2  # C3 and the claw K_{1,3}, which is triangle-free
-    assert fam.members[1].graph.degree_sequence() == (1, 1, 1, 3)
+    assert fam[1].graph.degree_sequence() == (1, 1, 1, 3)
 
 
 def test_family_has_seven_members():
     fam = petersen_family()
-    assert len(fam) == 7
-    assert len(fam.canonical_keys) == 7
+    assert isinstance(fam, tuple) and len(fam) == 7
+    assert len({m.canonical for m in fam}) == 7
     for member in fam:
         assert member.graph.m == 15
 
@@ -142,11 +143,12 @@ def test_family_names_and_landmarks():
     fam = petersen_family()
     names = [m.name for m in fam]
     assert names == ["K6", "P7", "K3,3,1", "P8a", "P8b", "P9", "petersen"]
-    assert are_isomorphic(fam.member_named("K6").graph, complete_graph(6))
-    assert are_isomorphic(fam.member_named("K3,3,1").graph, k331_graph())
-    pet = fam.member_named("petersen")
+    by_name = {m.name: m for m in fam}
+    assert are_isomorphic(by_name["K6"].graph, complete_graph(6))
+    assert are_isomorphic(by_name["K3,3,1"].graph, k331_graph())
+    pet = by_name["petersen"]
     assert pet.graph.n == 10
-    assert pet.is_triangle_free
+    assert not triangles(pet.graph)
     assert are_isomorphic(pet.graph, petersen_graph())
 
 
@@ -165,16 +167,29 @@ def test_family_stable_under_seed_relabeling():
 
     fam = petersen_family()
     relabeled = petersen_closure([shuffled(complete_graph(6)), shuffled(k331_graph())])
-    assert relabeled.canonical_keys == fam.canonical_keys
+    assert {m.canonical for m in relabeled} == {m.canonical for m in fam}
 
 
 def test_closure_from_k6_alone_misses_k331():
-    sub = petersen_closure([complete_graph(6)])
-    fam = petersen_family()
-    assert sub.canonical_keys < fam.canonical_keys
+    sub = {m.canonical for m in petersen_closure([complete_graph(6)])}
+    assert sub < {m.canonical for m in petersen_family()}
     assert len(sub) == 6
-    assert canonical_form(k331_graph()) not in sub.canonical_keys
-    assert canonical_form(petersen_graph()) in sub.canonical_keys
+    assert canonical_form(k331_graph()) not in sub
+    assert canonical_form(petersen_graph()) in sub
+
+
+def test_closure_builds_each_member_once(monkeypatch):
+    # members are built after the search, already named
+    built = []
+
+    @dataclass(frozen=True)
+    class Counting(moves.FamilyMember):
+        def __post_init__(self):
+            built.append(self.name)
+
+    monkeypatch.setattr(moves, "FamilyMember", Counting)
+    fam = petersen_closure([complete_graph(6), k331_graph()])
+    assert built == [m.name for m in fam] == [m.name for m in petersen_family()]
 
 
 def test_closure_bound(monkeypatch):
