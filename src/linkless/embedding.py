@@ -48,10 +48,18 @@ from .geometry import (
     segments3_intersect,
     shared_endpoint_segments_overlap,
 )
-from .multigraph import Edge, MultiGraph, builtin_name, format_edge_list, parse_graph
+from .multigraph import (
+    Edge,
+    MultiGraph,
+    builtin_name,
+    builtin_size,
+    format_edge_list,
+    parse_graph,
+)
 
 COORDINATE_BOUND = 10**6  # random vertices live in a cube of side 2e6
 RETRY_LIMIT = 64
+MISSING_LISTED = 5  # edge ids an error about missing paths names
 
 
 class EmbeddingError(ValueError):
@@ -340,6 +348,13 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
             and isinstance(edge_doc, list)):
         raise EmbeddingError("embedding document needs a graph string, a vertices "
                              "object and an edges list")
+    size = builtin_size(graph_text)
+    if size is not None and (size[0] > len(vertex_doc) or size[1] > len(edge_doc)):
+        # checked before the graph is built, whose size the document then
+        # bounds: a short name can denote a huge graph
+        raise EmbeddingError(
+            f"graph {graph_text.strip()} has {size[0]} vertices and {size[1]} edges, "
+            f"but the document lists {len(vertex_doc)} vertices and {len(edge_doc)} edges")
     g = parse_graph(graph_text)
     points: dict[int, Point3] = {}
     for key, p in vertex_doc.items():
@@ -368,7 +383,9 @@ def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
         paths[e.id] = (points[e.u],) + (
             waypoints if e.u == u else tuple(reversed(waypoints))
         ) + (points[e.v],)
-    missing = {e.id for e in g.edges} - set(paths)
+    missing = sorted({e.id for e in g.edges} - set(paths))
     if missing:
-        raise EmbeddingError(f"paths missing for edges {sorted(missing)}")
+        listed = ", ".join(map(str, missing[:MISSING_LISTED]))
+        more = f" and {len(missing) - MISSING_LISTED} more" if len(missing) > MISSING_LISTED else ""
+        raise EmbeddingError(f"paths missing for edges {listed}{more}")
     return SpatialEmbedding(g, points, paths)

@@ -10,11 +10,16 @@ the per-pair bookkeeping identity
 where J' is the circuit J with edge e replaced by the new arc e', and D
 is the closed loop e + e'; lk(D, K) for all K comes from one projection of
 D and those circuits.  The identity follows from the bilinearity of
-lk, so it holds on every graph and a violation means a kernel bug.  Summed
-over the pairs through e, omega changes by the sum of omega(D, K), which
-is even on the family; an odd sum on another graph is reported as
+lk, so it holds on every graph and a violation means a kernel bug.
+Summed over the pairs through e, omega changes by the sum of omega(D, K),
+which is even on the family; an odd sum on another graph is reported as
 ``even-cover`` and ``omega-changed``.  Trials use per-trial seeds derived
 as seed XOR index, so results do not depend on execution order.
+
+The omega table after a reroute is read from the diagrams before it,
+spliced for the moved edge, while the D diagram is a fresh crossing pass,
+so the identity checks every splice against an independent computation
+in every trial.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from .embedding import SpatialEmbedding, random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _detour_links, _omega_with_pairs, graph_pairs
+from .omega import _detour_links, _omega_with_pairs, _reroute_reports, graph_pairs
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,9 @@ def edge_swap_check(
     Given a graph, every trial embeds it afresh (a graph without edges
     raises GraphError); given an embedding, all trials reroute it.  The
     detour is `random_detour`'s, so a trial that finds no valid midpoint
-    within its retry limit raises RetryLimitExceeded.
+    within its retry limit raises RetryLimitExceeded.  A trial makes three
+    full crossing passes (the main and check diagrams before, the D
+    diagram) and two splices (the diagrams after), see `_reroute_reports`.
     """
     base = graph if isinstance(graph, SpatialEmbedding) else None
     g = graph.graph if base is not None else graph
@@ -156,8 +163,7 @@ def edge_swap_check(
         midpoint, emb2, rejected = random_detour(emb, e.id, rng)
         retries += rejected
 
-        before = _omega_with_pairs(emb, index, seed=trial_seed)
-        after = _omega_with_pairs(emb2, index, seed=trial_seed)
+        before, after = _reroute_reports(emb, emb2, e.id, index, trial_seed)
 
         def violate(kind: str, detail: str) -> None:
             violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {

@@ -430,10 +430,25 @@ def parse_edge_list(text: str, name: str | None = None) -> MultiGraph:
     return graph_from_pairs(pairs, vertices=vertices, name=name)
 
 
+def _names_builtin(stripped: str) -> bool:
+    # one line that does not start with a digit, so no edge-list header
+    return "\n" not in stripped and not re.match(r"^\d", stripped)
+
+
+def builtin_size(text: str) -> tuple[int, int] | None:
+    """The vertex and edge counts of the builtin graph `parse_graph` reads
+    ``text`` as, without building it; None for an edge-list document."""
+    stripped = text.strip()
+    if not _names_builtin(stripped):
+        return None
+    n, m, _ = _builtin(stripped)
+    return n, m
+
+
 def parse_graph(text: str, name: str | None = None) -> MultiGraph:
     """Parse a builtin name or an edge-list document into a graph."""
     stripped = text.strip()
-    if "\n" not in stripped and not re.match(r"^\d", stripped):
+    if _names_builtin(stripped):
         return builtin_graph(stripped)
     return parse_edge_list(stripped, name=name)
 

@@ -12,7 +12,10 @@ matrix.  Its lk table comes from one checked pass over the pairs
 (``projection.link_tables``), and each omega and the total are read off
 it.  ``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
 reroute's lk(D, K), for all circuits K, comes from one diagram of D and
-the K's too.
+the K's too, drawn by a full crossing pass.  The reports before and after
+a reroute (``_reroute_reports``) share their directions: the after
+diagrams are the before ones spliced (``projection.reproject``), and only
+when a splice is not regular are they searched for afresh.
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -40,6 +43,7 @@ from .projection import (
     linking_number,
     pair_index,
     project,
+    reproject,
     strand_crossings,
 )
 
@@ -170,12 +174,22 @@ def _omega_with_pairs(
     direction: Point3 | None = None,
     seed: int = 0,
 ) -> OmegaReport:
+    return _report(emb, index, *_diagrams(emb, direction, seed))
+
+
+def _diagrams(emb: SpatialEmbedding, direction: Point3 | None,
+              seed: int) -> tuple[ProjectedDiagram, ProjectedDiagram]:
+    # the main projection (along ``direction`` if given, where non-regular
+    # raises) and the check projection, which avoids the main direction
     if direction is not None:
-        diag = project(emb, direction)  # non-regular directions raise
+        diag = project(emb, direction)
     else:
         diag = regular_projection(emb, seed=seed)
-    check = regular_projection(emb, seed=seed + 1, avoid=[diag.direction])
+    return diag, regular_projection(emb, seed=seed + 1, avoid=[diag.direction])
 
+
+def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
+            check: ProjectedDiagram) -> OmegaReport:
     entries = []
     table, check_table = link_tables([diag, check], index)
     for (j, k), lk, lk2 in zip(index.pairs, table, check_table):
@@ -185,6 +199,20 @@ def _omega_with_pairs(
         entries.append(PairEntry(j, k, lk))
     name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
     return OmegaReport(name, diag.direction, check.direction, tuple(entries))
+
+
+def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
+                     index: PairIndex, seed: int) -> tuple[OmegaReport, OmegaReport]:
+    """The omega reports of ``emb`` and of ``moved``, which differs from it
+    only in the path of edge ``eid``.  The after diagrams are the before
+    ones spliced (`reproject`), along the same two directions; if either
+    splice is not regular, they are searched for afresh from ``seed``."""
+    before = _diagrams(emb, None, seed)
+    try:
+        after = tuple(reproject(d, moved, eid) for d in before)
+    except NonRegularProjection:
+        after = _diagrams(moved, None, seed)
+    return _report(emb, index, *before), _report(moved, index, *after)
 
 
 def loop_pair_link(

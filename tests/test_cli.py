@@ -465,11 +465,18 @@ def _sorts_edges_by_id(node) -> bool:
             and node.args[0].attr == "edges")
 
 
+# the NonRegularProjection messages of the crossing kernel's pair test
+PAIR_TEST_MESSAGES = ("tangential contact between segments", "triple point",
+                      "segments sharing an endpoint overlap in projection")
+
+
 def test_derived_state_stays_with_the_module_that_builds_it():
     # only `embedding` names its validation internals and only `omega` its
     # direction search, only `omega` builds a graph's pair index
-    # (`graph_pairs`), only `projection` reads the crossing matrix and
-    # checks lk parities, no module
+    # (`graph_pairs`), only `projection` reads the crossing matrix, builds
+    # or reads a diagram's segment table, checks lk parities and raises
+    # the pair test's messages (each in one place, so the full pass and
+    # the splice share one pair test), only `omega` splices, no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # and no report carries wall-clock timings
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
@@ -478,10 +485,17 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "disjoint_circuit_pairs": {"circuits.py", "omega.py", "__init__.py"},
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
-              "crossing_matrix": {"projection.py"}}
+              "crossing_matrix": {"projection.py"},
+              "segment_table": {"projection.py"}, "SegmentTable": {"projection.py"},
+              "reproject": {"projection.py", "omega.py"}}
+    raised: dict[str, list[str]] = {}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "NonRegularProjection" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                raised.setdefault(node.args[0].value, []).append(path.name)
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, ast.alias) else None)
@@ -494,6 +508,8 @@ def test_derived_state_stays_with_the_module_that_builds_it():
                 f"{path.name}:{node.lineno} checks lk parities outside projection.py")
             assert not _sorts_edges_by_id(node), (
                 f"{path.name}:{node.lineno} sorts edges by id")
+    for message in PAIR_TEST_MESSAGES:
+        assert raised.get(message) == ["projection.py"], (message, raised.get(message))
 
 
 @pytest.mark.parametrize("argv", [
@@ -535,6 +551,23 @@ def test_malformed_json_exits_2(tmp_path, capsys, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: embedding file is not valid JSON")
     assert "Traceback" not in err
+
+
+def test_a_builtin_name_of_another_size_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # the name's counts are compared with the document's before anything
+    # is built, and the message stays short
+    import linkless.multigraph as multigraph
+
+    def refuse(n):
+        raise AssertionError(f"built K{n}")
+
+    monkeypatch.setattr(multigraph, "complete_graph", refuse)
+    path = tmp_path / "e.json"
+    path.write_text('{"graph": "K1400", "vertices": {"1": ["0","0","0"]}, "edges": []}')
+    code, out, err = run_cli(capsys, "omega", str(path))
+    assert (code, out) == (2, "")
+    assert "graph K1400 has 1400 vertices and 979300 edges" in err
+    assert len(err) < 200
 
 
 def test_unreadable_embedding_exits_2(tmp_path, capsys, monkeypatch):

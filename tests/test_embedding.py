@@ -276,6 +276,15 @@ def test_json_roundtrip_of_graphs_named_by_file_stems(graph):
     assert back.edge_paths == emb.edge_paths
 
 
+def test_missing_paths_name_a_few_edge_ids():
+    g = complete_graph(8)
+    doc = {"graph": multigraph.format_edge_list(g), "edges": [],
+           "vertices": {str(v): ["0", "0", str(v)] for v in g.vertices}}
+    with pytest.raises(EmbeddingError) as err:
+        embedding_from_json_dict(doc)
+    assert str(err.value) == "paths missing for edges 0, 1, 2, 3, 4 and 23 more"
+
+
 def test_builtin_name_builds_no_graph_of_another_size(monkeypatch):
     built, real = [], multigraph.complete_graph
 

@@ -213,24 +213,30 @@ def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
-    # per trial: main and check projections before and after, plus one
-    # diagram for all (D, K)
+    # per trial: full crossing passes for the main and check projections
+    # before and for one diagram of all (D, K); the two after diagrams are
+    # the before ones spliced
     strands = []
-    real = projection.strand_crossings
+    splices = []
+    real_pass, real_splice = projection._crossing_pass, omega.reproject
 
     def counted(strand_list, direction, markers=()):
-        result = real(strand_list, direction, markers)
         strands.append(len(strand_list))
-        return result
+        return real_pass(strand_list, direction, markers)
 
-    monkeypatch.setattr(projection, "strand_crossings", counted)
-    monkeypatch.setattr(omega, "strand_crossings", counted)
+    def counted_splice(diagram, emb, eid):
+        splices.append(eid)
+        return real_splice(diagram, emb, eid)
+
+    monkeypatch.setattr(projection, "_crossing_pass", counted)
+    monkeypatch.setattr(omega, "reproject", counted_splice)
     report = edge_swap_check(graph, trials=10, seed=0)
     assert report.passed
-    assert len(strands) == 10 * 5
+    assert len(strands) == 10 * 3
+    assert len(splices) == 10 * 2
     if graph.name == "K6":
         # D's two strands and the K4 on the other four vertices
-        assert Counter(strands) == {15: 40, 8: 10}
+        assert Counter(strands) == {15: 20, 8: 10}
 
 
 def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):

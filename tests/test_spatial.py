@@ -37,6 +37,7 @@ from linkless.omega import (
 )
 from linkless.projection import (
     NonRegularProjection,
+    ProjectedDiagram,
     _clear_denominators,
     _traversal_signs,
     edge_endpoints,
@@ -466,6 +467,25 @@ def test_clearing_denominators_keeps_integer_points_as_they_are():
         [(3, 12, -2), (6, 0, 0)]
     assert _clear_denominators([(Fraction(4, 2), 1, 1)]) == [(2, 1, 1)]
     assert all(type(c) is int for c in _clear_denominators([(Fraction(4, 2), 1, 1)])[0])
+
+
+@pytest.mark.parametrize("field, planted", [(9, lambda sign: 3 * sign), (9, lambda sign: 0),
+                                           (8, lambda over: over + 2)],
+                         ids=["sign x3", "sign 0", "over 2"])
+def test_a_record_with_an_odd_sign_or_over_is_a_kernel_bug(field, planted):
+    # A sign times 3 keeps each count's parity and scales every lk alike in
+    # both projections, so neither the parity check nor the comparison of
+    # the two tables could see it; the crossing matrix rejects the record.
+    emb = random_embedding(complete_graph(6), 0)
+    main = regular_projection(emb, seed=0)
+    check = regular_projection(emb, seed=1, avoid=[main.direction])
+    bad = [ProjectedDiagram(d.direction, d.edge_endpoints, tuple(
+        r[:field] + (planted(r[field]),) + r[field + 1:] for r in d.crossings))
+        for d in (main, check)]
+    assert all(d.crossings for d in bad)
+    index = pair_index(main.edge_endpoints, disjoint_circuit_pairs(emb.graph))
+    with pytest.raises(AssertionError, match="kernel bug"):
+        link_tables(bad, index)
 
 
 def test_link_tables_reject_diagrams_of_different_graphs():
