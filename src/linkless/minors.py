@@ -14,6 +14,41 @@ vertices' neighbourhoods and the number of host edges touching the
 vertices still free, both updated as one vertex joins.  Only the
 assignment of branch sets recurses, once per H-vertex.
 
+Three more rules cut only subtrees that hold no model, and the first
+model of the search without them is a model they keep, so they change
+node counts but never which model is found:
+
+- Cycle rank.  Deleting or contracting an edge never raises
+  m - n + c (edges, vertices, components).  A connected H with
+  m_H - n_H + 1 above the host's is ruled out before any node is spent.
+- Twin symmetry.  Two H-vertices whose neighbourhoods are equal apart
+  from each other are twins, and swapping their branch sets maps models
+  to models.  So each twin class is placed with its branch sets' lowest
+  host vertices increasing: a later twin's subsets may not use a vertex
+  at or below the lowest of the earlier twin's set.  The first model of
+  the unpruned search obeys this, since a swapped model would have come
+  first.  K6 is one class of 6; K3,3,1, P7 and P8a have two classes of
+  3; P8b two of 2; P9 and the Petersen graph none.
+- Edge slack.  In a model on the host w searched, call the host edges
+  that are neither edges of a spanning tree of a branch set nor the one
+  witness per H-edge wasted, and call the D host vertices in no branch
+  set unused.  Counting edges, the wasted edges number
+  (m_w - n_w) - (m_H - n_H) + D, the slack plus D.  Every edge at an
+  unused vertex is wasted, and when w has minimum degree >= 2 there are
+  at least D of them, so the wasted edges between and inside branch
+  sets number at most the slack.  A candidate wastes its edges inside
+  beyond a tree and its edges into placed branch sets beyond one per
+  required neighbour.  That count never falls as the candidate grows:
+  every added vertex brings one inside edge for the tree and one placed
+  edge for each required neighbour it newly reaches.  The candidates of
+  different levels waste disjoint edges.  The search subtracts one edge
+  for every required neighbour even before the candidate reaches it, a
+  lower bound.  A candidate whose waste passes what the earlier levels
+  left of the slack is dropped, unvisited, with every subset grown from
+  it; one that only reaches it is kept.  On a host with a vertex of
+  degree 0 or 1 (``has_minor`` keeps them for a target such as a path)
+  the rule is off.
+
 A graph is intrinsically linked exactly when it has a Petersen-family
 minor.  The classifier works per connected component.  Before any search
 it tries three routes to "unlinked": a size prefilter (fewer than 15
@@ -216,8 +251,8 @@ class _Member:
     member.  Levels count the H-vertices placed so far, in ``order``.
     """
 
-    __slots__ = ("graph", "order", "required", "future_deg", "demand", "unrealized_after",
-                 "pending")
+    __slots__ = ("graph", "order", "twin_before", "required", "future_deg", "demand",
+                 "unrealized_after", "pending")
 
     def __init__(self, hs: MultiGraph):
         order = _h_assignment_order(hs)
@@ -226,6 +261,13 @@ class _Member:
         h_nbrs = [[pos[w] for w in sorted(hs.neighbors(hv))] for hv in order]
         self.graph = hs
         self.order = order
+        # twin_before[level]: the last earlier level of order[level]'s twin
+        # class, or -1; its branch set must start at a lower host vertex
+        self.twin_before = [-1] * k
+        for twins in _twin_classes(hs):
+            levels = sorted(pos[hv] for hv in twins)
+            for before, level in zip(levels, levels[1:]):
+                self.twin_before[level] = before
         self.required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
         self.future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
         # demand[level]: (j, d) for each placed order[j] with d > 0 H-neighbours
@@ -265,6 +307,18 @@ def _h_assignment_order(h: MultiGraph) -> list[int]:
     return order
 
 
+def _twin_classes(h: MultiGraph) -> list[list[int]]:
+    """The classes of two or more H-vertices whose neighbourhoods are equal
+    apart from each other: equal open neighbourhoods (false twins) or equal
+    closed ones (true twins).  No vertex has both kinds of twin."""
+    classes: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    for v in sorted(h.vertices):
+        nbrs = h.neighbors(v)
+        classes.setdefault((False, nbrs), []).append(v)
+        classes.setdefault((True, nbrs | {v}), []).append(v)
+    return sorted(vs for vs in classes.values() if len(vs) > 1)
+
+
 def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
     """Find branch sets for member.graph inside the simple host work.
 
@@ -272,7 +326,8 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
     Each candidate branch set is carried with the union of its vertices'
     neighbourhoods and with the number of host edges that touch the
     vertices still free once it is placed, both updated per added vertex,
-    so a search node costs a fixed number of big-int operations.
+    so a search node costs a fixed number of big-int operations.  The
+    cycle-rank, twin and edge-slack rules of the module docstring apply.
     """
     verts = sorted(work.vertices)
     n = len(verts)
@@ -285,6 +340,7 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
 
     order, required, future_deg = member.order, member.required, member.future_deg
     demand, unrealized_after, pending = member.demand, member.unrealized_after, member.pending
+    twin_before = member.twin_before
     k = len(order)
     full = (1 << n) - 1
     branch: list[int] = [0] * k
@@ -332,13 +388,19 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
                     return False
         return True
 
-    def candidates(avail: int, level: int, touching: int) -> Iterator[tuple[int, int, int]]:
-        """Connected subsets of avail, each with its neighbourhood union and
-        the count of host edges touching avail minus the subset.
+    def candidates(avail: int, level: int, touching: int,
+                   least: int) -> Iterator[tuple[int, int, int, int]]:
+        """Connected subsets of avail, each with its neighbourhood union,
+        the count of host edges touching avail minus the subset, and its
+        size.
 
         Subsets grow from their lowest seed by frontier vertices, lowest
         bit first; a vertex skipped at one branch is banned below it, so
-        each subset is reached once.  One budget node per subset visited.
+        each subset is reached once.  Seeds at or below the lowest vertex
+        of the level's earlier twin are banned.  A subset whose touch
+        count plus size is below ``least`` wastes more edges than the
+        slack allows, and so does every subset grown from it: neither is
+        visited.  One budget node per subset visited.
         """
         req_masks = [branch_nbr[j] & avail for j in required[level]]
         max_size = avail.bit_count() - (k - level - 1)
@@ -346,8 +408,10 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
             return
         need_boundary = future_deg[level]
         outside = full & ~avail
-        banned_seeds = 0
-        seeds = avail
+        twin = twin_before[level]
+        below = (branch[twin] & -branch[twin]) - 1 if twin >= 0 else 0
+        banned_seeds = avail & below
+        seeds = avail & ~below
         while seeds:
             seed = seeds & -seeds
             seeds ^= seed
@@ -360,6 +424,9 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
                 if visit is not None:
                     subset, union, frontier, banned, touch = visit
                     visit = None
+                    size = subset.bit_count()
+                    if touch + size < least:
+                        continue
                     budget.spend()
                     for rm in req_masks:
                         if not subset & rm:
@@ -367,8 +434,8 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
                     else:
                         if (not need_boundary
                                 or (union & avail & ~subset).bit_count() >= need_boundary):
-                            yield subset, union, touch
-                    if subset.bit_count() < max_size:
+                            yield subset, union, touch, size
+                    if size < max_size:
                         stack.append([subset, union, frontier, banned, touch])
                     continue
                 if not stack:
@@ -389,20 +456,31 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
                          touch - (x & (subset | outside)).bit_count())
             banned_seeds |= seed
 
-    def assign(level: int, avail: int, touching: int):
+    def assign(level: int, avail: int, touching: int, cap: int):
         if level == k:
             return list(branch)
-        for subset, union, touch in candidates(avail, level, touching):
+        # a candidate wastes (touching - touch) - (size - 1) - len(required)
+        # edges, a lower bound until it touches every required branch set;
+        # it may waste at most cap, leaving cap - waste to later levels
+        least = touching + 1 - len(required[level]) - cap
+        for subset, union, touch, size in candidates(avail, level, touching, least):
             branch[level] = subset
             branch_nbr[level] = union & ~subset
             rest = avail & ~subset
             if feasible(rest, level + 1, touch):
-                found = assign(level + 1, rest, touch)
+                found = assign(level + 1, rest, touch, touch + size - least)
                 if found is not None:
                     return found
         return None
 
-    masks = assign(0, full, sum(b.bit_count() for b in nbr) // 2)
+    m = sum(b.bit_count() for b in nbr) // 2
+    excess = member.graph.m - member.graph.n
+    if excess + 1 > m - n + len(components(full)):
+        return None  # H's cycle rank exceeds the host's
+    # with minimum degree >= 2 the branch sets of a model waste at most
+    # slack edges; otherwise the cap of m edges never binds
+    cap = m - n - excess if min((b.bit_count() for b in nbr), default=0) >= 2 else m
+    masks = assign(0, full, m, cap)
     if masks is None:
         return None
     sets = {}

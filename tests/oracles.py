@@ -8,8 +8,11 @@ oracle and its all-permutations isomorphism key ship with acceptance
 criterion 7 in ``linkless.acceptance``; tests import them from there.
 ``_search_branch_sets`` is the branch-set search as it was written before
 its subset enumeration kept an explicit stack: a recursive generator per
-vertex added, and a scan of every host edge per feasibility check.  It is
-the reference that the package's search must match node for node.
+vertex added, and a scan of every host edge per feasibility check.  Run
+with ``rules`` (the cycle-rank, twin and edge-slack pruning), it is the
+reference that the package's search must match node for node; run
+without, it is the unpruned search whose verdicts and models the pruned
+one must keep.
 ``_validate``, ``_check_edge`` and ``_check_paths_disjoint`` are the
 embedding checks as they were written before the pair walk went flat: one
 `_check_paths_disjoint` call per pair of paths, one `_boxes_apart` call
@@ -285,8 +288,14 @@ def _h_assignment_order(h: MultiGraph) -> list[int]:
     return order
 
 
-def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
-    """Find branch sets for hs inside work, or None after exhaustive search."""
+def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget, rules: bool = False):
+    """Find branch sets for hs inside work, or None after exhaustive search.
+
+    With ``rules``, the search also applies the package's cycle-rank, twin
+    and edge-slack rules, each computed here from scratch: the ranks from
+    the edge and component counts, twins by comparing neighbourhoods pair
+    by pair, and a subset's wasted edges by scanning every host edge.
+    """
     verts = sorted(work.vertices)
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -322,6 +331,15 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
             if i < j and (i >= level or j >= level))
         for level in range(k + 1)
     ]
+    # twin_before[i]: the last level j < i whose H-vertex is a twin of
+    # order[i], or None
+    twin_before: list[int | None] = [None] * k
+    if rules:
+        for i in range(k):
+            for j in range(i):
+                a, b = order[i], order[j]
+                if hs.neighbors(a) - {b} == hs.neighbors(b) - {a}:
+                    twin_before[i] = j
 
     full = (1 << n) - 1
     branch: list[int] = [0] * k
@@ -377,7 +395,15 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
                 return False
         return True
 
-    def candidates(avail: int, level: int) -> Iterator[int]:
+    def waste(subset: int, avail: int, level: int) -> int:
+        # edges inside subset beyond a spanning tree, plus edges from it to
+        # placed branch sets beyond one per required neighbour
+        placed = full & ~avail
+        inside = sum(1 for em in edge_masks if em & subset == em)
+        across = sum(1 for em in edge_masks if em & subset and em & placed)
+        return inside - (subset.bit_count() - 1) + across - len(required[level])
+
+    def candidates(avail: int, level: int, cap: int) -> Iterator[int]:
         req_masks = [branch_nbr[j] & avail for j in required[level]]
         if any(rm == 0 for rm in req_masks):
             return
@@ -396,6 +422,8 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
             return True
 
         def grow(subset: int, frontier: int, banned: int) -> Iterator[int]:
+            if cap is not None and waste(subset, avail, level) > cap:
+                return
             budget.spend()
             if ok(subset):
                 yield subset
@@ -415,6 +443,11 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
 
         seeds = avail
         banned_seeds = 0
+        if twin_before[level] is not None:
+            # only subsets whose lowest vertex lies above the twin's
+            twin_low = min(_bits(branch[twin_before[level]]))
+            banned_seeds = avail & ((1 << twin_low) - 1)
+            seeds = avail & ~banned_seeds
         while seeds:
             seed = seeds & -seeds
             seeds ^= seed
@@ -422,20 +455,27 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget):
                             banned_seeds)
             banned_seeds |= seed
 
-    def assign(level: int, avail: int):
+    def assign(level: int, avail: int, cap: int | None):
         if level == k:
             return list(branch)
-        for subset in candidates(avail, level):
+        for subset in candidates(avail, level, cap):
             branch[level] = subset
             branch_nbr[level] = neighbors_of(subset)
             rest = avail & ~subset
             if feasible(rest, level + 1):
-                found = assign(level + 1, rest)
+                left = None if cap is None else cap - waste(subset, avail, level)
+                found = assign(level + 1, rest, left)
                 if found is not None:
                     return found
         return None
 
-    masks = assign(0, full)
+    cap = None
+    if rules:
+        if hs.m - hs.n + 1 > len(edge_masks) - n + len(components(full)):
+            return None
+        if n and min(b.bit_count() for b in nbr) >= 2:
+            cap = (len(edge_masks) - n) - (hs.m - hs.n)
+    masks = assign(0, full, cap)
     if masks is None:
         return None
     sets = {}

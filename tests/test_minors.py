@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 import sys
@@ -5,7 +6,7 @@ import types
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linkless.acceptance as acceptance
@@ -20,6 +21,8 @@ from linkless.minors import (
     _Member,
     _reduce_host,
     _search_branch_sets,
+    _search_reduced,
+    _twin_classes,
     has_minor,
     is_intrinsically_linked,
     minor_minimality_report,
@@ -97,16 +100,9 @@ def test_disconnected_target_rejected():
 
 
 def test_budget_exhaustion_is_loud():
+    # grid5x5 (cycle rank 16) clears the rank rule for K6 (rank 10)
     with pytest.raises(SearchBudgetExceeded):
-        has_minor(parse_graph("grid4x4"), complete_graph(6), budget=50)
-
-
-def test_budget_holds_after_a_definitive_failure():
-    # an exhaustive "no" is not remembered: the same search under a tiny
-    # budget runs out again instead of answering from an earlier call
-    assert has_minor(parse_graph("grid4x4"), complete_graph(6)) is None
-    with pytest.raises(SearchBudgetExceeded):
-        has_minor(parse_graph("grid4x4"), complete_graph(6), budget=1)
+        has_minor(parse_graph("grid5x5"), complete_graph(6), budget=50)
 
 
 def _k5_bridge_k5(offset=0):
@@ -116,12 +112,21 @@ def _k5_bridge_k5(offset=0):
     return [(u + offset, v + offset) for u, v in pairs]
 
 
+def test_budget_holds_after_a_definitive_failure():
+    # an exhaustive "no" is not remembered: the same search under a tiny
+    # budget runs out again instead of answering from an earlier call
+    g = graph_from_pairs(_k5_bridge_k5())
+    assert has_minor(g, complete_graph(6)) is None
+    with pytest.raises(SearchBudgetExceeded):
+        has_minor(g, complete_graph(6), budget=1)
+
+
 def test_node_counts_do_not_depend_on_earlier_calls():
     g = graph_from_pairs(_k5_bridge_k5())
     assert (g.n, g.m) == (10, 21)
     first = is_intrinsically_linked(g)
     second = is_intrinsically_linked(g)
-    assert (first.verdict, first.decided_by, first.nodes) == ("unlinked", "search", 15572)
+    assert (first.verdict, first.decided_by, first.nodes) == ("unlinked", "search", 11818)
     assert second.to_json_dict() == first.to_json_dict()
 
 
@@ -129,7 +134,7 @@ def test_repeated_components_each_pay_their_own_search():
     one = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5()))
     twins = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5() + _k5_bridge_k5(10)))
     assert (twins.verdict, twins.decided_by) == ("unlinked", "components")
-    assert twins.nodes == 2 * one.nodes == 31144
+    assert twins.nodes == 2 * one.nodes == 23636
     assert twins.per_member == one.per_member
 
 
@@ -544,12 +549,67 @@ def _search_outcome(search, work, target, limit):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), small=st.integers(0, 300))
 def test_branch_set_search_matches_the_recursive_reference(name, data, small):
-    # same branch sets, same nodes spent, same node count at exhaustion
+    # same branch sets, same nodes spent, same node count at exhaustion, as
+    # the reference run with the same cycle-rank, twin and edge-slack rules
     hs = FAMILY[name].graph.simplified()
     work = data.draw(_search_hosts(hs), label="host")
+    reference = functools.partial(oracles._search_branch_sets, rules=True)
     for limit in (small, 50_000):
         got = _search_outcome(_search_branch_sets, work, _Member(hs), limit)
-        assert got == _search_outcome(oracles._search_branch_sets, work, hs, limit)
+        assert got == _search_outcome(reference, work, hs, limit)
+
+
+@pytest.mark.parametrize("name", list(FAMILY))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rules_keep_the_model_of_the_search_without_them(name, data):
+    # the cycle-rank, twin and edge-slack rules cut only subtrees without a
+    # model, and the first model of the unpruned search has its twins in
+    # order, so the search finds that model, or none where it finds none
+    hs = FAMILY[name].graph.simplified()
+    work = data.draw(_search_hosts(hs), label="host")
+    plain, plain_nodes = _search_outcome(oracles._search_branch_sets, work, hs, 100_000)
+    assume(plain != "exhausted")
+    origin = {v: frozenset({v}) for v in work.vertices}
+    model, nodes = _search_reduced(work, work, origin, _Member(hs), 100_000)
+    assert nodes <= plain_nodes
+    if plain is None:
+        assert model is None
+    else:
+        assert model is not None and model.branch_sets == plain
+        assert minor_model_errors(work, hs, model) == []
+
+
+def test_twin_classes_of_the_family():
+    sizes = {name: sorted(len(c) for c in _twin_classes(m.graph.simplified()))
+             for name, m in FAMILY.items()}
+    assert sizes == {"K6": [6], "K3,3,1": [3, 3], "P7": [3, 3], "P8a": [3, 3],
+                     "P8b": [2, 2], "P9": [], "petersen": []}
+    # K3,3,1's sides are false twins, K6's vertices true twins
+    assert _twin_classes(FAMILY["K3,3,1"].graph.simplified()) == [[1, 2, 3], [4, 5, 6]]
+    member = _Member(FAMILY["K6"].graph.simplified())
+    assert member.twin_before == [-1, 0, 1, 2, 3, 4]
+
+
+def test_cycle_rank_rules_out_k6_in_petersen_at_zero_nodes():
+    # rank 15 - 6 + 1 = 10 of K6 exceeds rank 15 - 10 + 1 = 6 of the host
+    assert _has_minor_impl(petersen_graph(), complete_graph(6), 1) == (None, 0)
+    assert has_minor(parse_graph("grid4x4"), complete_graph(6), budget=0) is None
+
+
+def test_models_that_waste_no_edge_survive_the_slack_bound():
+    # slack 0: K4,4 holds K3,3,1 only by one contraction, whose branch set
+    # of two vertices wastes nothing, and each member holds itself only by
+    # singletons; growth that adds no waste must stay allowed
+    k44 = complete_bipartite(4, 4)
+    hosts = [(k44, FAMILY["K3,3,1"].graph)]
+    hosts += [(m.graph, m.graph) for m in petersen_family()]
+    for g, h in hosts:
+        assert g.m - g.n == h.m - h.n
+        model = has_minor(g, h)
+        assert model is not None and minor_model_errors(g, h, model) == []
+    model = has_minor(k44, FAMILY["K3,3,1"].graph)
+    assert sorted(len(bs) for bs in model.branch_sets.values()) == [1] * 6 + [2]
 
 
 def test_monotone_under_edge_addition():

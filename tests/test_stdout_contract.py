@@ -153,6 +153,8 @@ CASES = [
     # through several members before a witness or a definitive "no"
     ("minor-petersen-K6-budget", ["minor", "petersen", "K6", "--budget", "100"]),
     ("classify-petersen-budget", ["classify", "petersen", "--budget", "100"]),
+    ("minor-grid5x5-K6-budget", ["minor", "grid5x5", "K6", "--budget", "100"]),
+    ("classify-K6,6-budget", ["classify", "K6,6", "--budget", "10"]),
     ("classify-P9-decorated", ["classify", "{P9+decorations}"]),
     ("classify-P9-decorated-budget", ["classify", "{P9+decorations}", "--budget", "100"]),
     ("classify-near-miss", ["classify", "{petersen-e+decorations}"]),
