@@ -7,6 +7,8 @@ bitmask-encoded vertex subsets, pruning by adjacency requirements,
 boundary capacity, remaining-vertex counts, and component feasibility.
 Search effort is metered in nodes, one per candidate subset visited;
 running out of budget raises instead of masquerading as a definitive "no".
+``has_minor`` answers "no" at zero nodes when H is not planar and G is,
+since every minor of a planar graph is planar.
 
 The cost of a node does not grow with the host.  Candidate subsets are
 enumerated with an explicit stack, and each carries the union of its
@@ -539,6 +541,9 @@ def _has_minor_impl(g: MultiGraph, h: MultiGraph, budget_limit: int):
     if hs.n == 0:
         return MinorModel({}, {}), 0
     if hs.n > gs.n or hs.m > gs.m:
+        return None, 0
+    # every minor of a planar graph is planar; the small target goes first
+    if planar_rotation(hs) is None and planar_rotation(gs) is not None:
         return None, 0
     if hs.n == 1:
         v = min(gs.vertices)

@@ -8,6 +8,21 @@ around each vertex in a plane embedding.  All three depth-first passes
 (orientation, testing, embedding) keep explicit stacks, so long paths and
 wheels with thousands of vertices pass.
 
+The passes run on integer-indexed lists, not on dicts keyed by vertex
+pairs.  Vertices are numbered 0..n-1 in the order of the adjacency they
+are given, and edge ids 0..m-1 in the order the first pass orients them:
+tree edges away from the root, back edges towards an ancestor.  Per-vertex
+state (``height``, the ``parent`` edge, the ``out`` edges) and per-edge
+state (``src``, ``dst``, ``lowpt``, ``lowpt2``, ``nesting``, ``ref``,
+``side``, ``lowpt_edge``, ``stack_bottom``) are lists indexed by those
+numbers, and -1 stands for "none".  A conflict pair is a 4-slot list
+[left.low, left.high, right.low, right.high] of edge ids.  The embedding
+pass links half-edges (2e at the tail of edge e, 2e + 1 at its head) into
+one ring per vertex.  The depth-first orders, the nesting sort and the
+side resolution are those of Brandes' pseudocode, so the rotation system
+of a graph depends only on its adjacency lists; ``tests/oracles.py`` keeps
+a dict-based version of the test as the reference that it must match.
+
 A ``PlanarCertificate`` is such a rotation system, either of the whole
 graph or of the graph minus one apex vertex.  ``planar_certificate_errors``
 checks one without sharing any code with the test: every rotation must be
@@ -102,7 +117,9 @@ def planar_rotation(g: MultiGraph) -> dict[int, tuple[int, ...]] | None:
     None means the graph is not planar.
     """
     gs = g.simplified()
-    return _rotation({v: sorted(gs.neighbors(v)) for v in gs.vertices})
+    labels = list(gs.vertices)
+    index = {v: i for i, v in enumerate(labels)}
+    return _rotation(labels, [[index[w] for w in sorted(gs.neighbors(v))] for v in labels])
 
 
 def apex_rotation(adj: Mapping[int, list[int]], apex: int) -> dict[int, tuple[int, ...]] | None:
@@ -112,343 +129,306 @@ def apex_rotation(adj: Mapping[int, list[int]], apex: int) -> dict[int, tuple[in
     that tries many apex candidates builds the adjacency once and no graph
     per candidate.
     """
-    return _rotation({v: [w for w in ws if w != apex] for v, ws in adj.items() if v != apex})
+    labels = [v for v in adj if v != apex]
+    index = {v: i for i, v in enumerate(labels)}
+    return _rotation(labels, [[index[w] for w in ws if w != apex]
+                              for v, ws in adj.items() if v != apex])
 
 
-def _rotation(adj: dict[int, list[int]]) -> dict[int, tuple[int, ...]] | None:
-    """The left-right test on sorted neighbour lists, after the edge bound."""
-    n, m = len(adj), sum(map(len, adj.values())) // 2
+def _rotation(labels: list[int], nbrs: list[list[int]]) -> dict[int, tuple[int, ...]] | None:
+    """The left-right test on numbered vertices, after the edge bound.
+
+    Vertex i is ``labels[i]`` and ``nbrs[i]`` lists its neighbours' numbers
+    in the order the depth-first searches take them.
+    """
+    n, m = len(nbrs), sum(map(len, nbrs)) // 2
     if n >= 3 and m > 3 * n - 6:
         return None
-    return _LeftRight(adj).run()
+    roots, height, parent, out, src, dst, lowpt, nesting = _orient(labels, nbrs, m)
+    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
+    sides = _test(roots, ordered, height, parent, src, dst, lowpt)
+    if sides is None:
+        return None
+    return _embed(labels, roots, parent, out, src, dst, nesting, *sides)
 
 
 # -- the left-right test -------------------------------------------------------
 #
-# Edges are directed pairs (v, w) once the first pass has oriented them: tree
-# edges point away from the DFS root, back edges point to an ancestor.  Names
-# follow Brandes (2009).
+# Names follow Brandes (2009); the state layout is in the module docstring.
 
 
-class _Interval:
-    """A run of same-side back edges, from ``low`` (lowest lowpt) to ``high``."""
+def _orient(labels: list[int], nbrs: list[list[int]], m: int):
+    """Pass 1: orient every edge, with heights, lowpoints and nesting depths.
 
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-
-class _ConflictPair:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Interval | None = None, right: _Interval | None = None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-
-class _LeftRight:
-    def __init__(self, adj: dict[int, list[int]]):
-        self.adj = adj
-        self.roots: list[int] = []
-        self.height: dict[int, int] = {}
-        self.parent_edge: dict[int, tuple[int, int]] = {}
-        self.out: dict[int, list[int]] = {v: [] for v in adj}
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting: dict[tuple[int, int], int] = {}
-        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.side: dict[tuple[int, int], int] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
-        self.conflicts: list[_ConflictPair] = []
-        self.ordered: dict[int, list[int]] = {}
-
-    def run(self) -> dict[int, tuple[int, ...]] | None:
-        for v in sorted(self.adj):
-            if v not in self.height:
-                self.roots.append(v)
-                self._orient(v)
-        self._order_by_nesting()
-        for root in self.roots:
-            if not self._test(root):
-                return None
-        return self._embed()
-
-    def _order_by_nesting(self) -> None:
-        self.ordered = {
-            v: sorted(ws, key=lambda w, v=v: self.nesting[(v, w)])
-            for v, ws in self.out.items()
-        }
-
-    # -- pass 1: orientation, heights, lowpoints, nesting depths -------------
-
-    def _orient(self, root: int) -> None:
-        adj, height, lowpt, lowpt2 = self.adj, self.height, self.lowpt, self.lowpt2
+    Roots are taken in increasing label order.  An edge to a vertex not yet
+    reached is a tree edge; one to an ancestor other than the parent is a
+    back edge.  The parent and every deeper neighbour have oriented the
+    edge already (a depth-first search of an undirected graph has no cross
+    edges), so heights alone say which edges are new.
+    """
+    n = len(nbrs)
+    height, parent, pos = [-1] * n, [-1] * n, [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    src, dst, lowpt, lowpt2, nesting = [0] * m, [0] * m, [0] * m, [0] * m, [0] * m
+    e = 0  # the next edge id
+    roots = []
+    for root in sorted(range(n), key=labels.__getitem__):
+        if height[root] >= 0:
+            continue
+        roots.append(root)
         height[root] = 0
-        pos = {root: 0}
         stack = [root]
         while stack:
             v = stack[-1]
-            i = pos[v]
-            if i == len(adj[v]):
-                stack.pop()
-                e = self.parent_edge.get(v)
-                if e is not None:
-                    self._edge_done(e[0], e)
-                    pos[e[0]] += 1
-                continue
-            w = adj[v][i]
-            if (v, w) in lowpt or (w, v) in lowpt:
-                pos[v] = i + 1
-                continue
-            vw = (v, w)
-            self.out[v].append(w)
-            lowpt[vw] = lowpt2[vw] = height[v]
-            if w not in height:  # tree edge: descend, finish it on the way back
-                self.parent_edge[w] = vw
-                height[w] = height[v] + 1
-                pos[w] = 0
-                stack.append(w)
-                continue
-            lowpt[vw] = height[w]  # back edge
-            self._edge_done(v, vw)
-            pos[v] = i + 1
-
-    def _edge_done(self, v: int, vw: tuple[int, int]) -> None:
-        """Nesting depth of vw, and its lowpoints passed up to v's parent edge."""
-        lowpt, lowpt2 = self.lowpt, self.lowpt2
-        self.nesting[vw] = 2 * lowpt[vw] + (1 if lowpt2[vw] < self.height[v] else 0)
-        e = self.parent_edge.get(v)
-        if e is None:
-            return
-        if lowpt[vw] < lowpt[e]:
-            lowpt2[e] = min(lowpt[e], lowpt2[vw])
-            lowpt[e] = lowpt[vw]
-        elif lowpt[vw] > lowpt[e]:
-            lowpt2[e] = min(lowpt2[e], lowpt[vw])
-        else:
-            lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-
-    # -- pass 2: testing ---------------------------------------------------------
-
-    def _top(self) -> _ConflictPair | None:
-        return self.conflicts[-1] if self.conflicts else None
-
-    def _test(self, root: int) -> bool:
-        ordered, parent_edge, lowpt, height = (
-            self.ordered, self.parent_edge, self.lowpt, self.height)
-        pos = {root: 0}
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            i = pos[v]
-            if i < len(ordered[v]):
-                w = ordered[v][i]
-                ei = (v, w)
-                self.stack_bottom[ei] = self._top()
-                if parent_edge.get(w) == ei:  # tree edge: descend
-                    pos[w] = 0
-                    stack.append(w)
+            hv = height[v]
+            ws = nbrs[v]
+            i, deg = pos[v], len(ws)
+            while i < deg:
+                w = ws[i]
+                i += 1
+                hw = height[w]
+                if 0 <= hw and hw >= hv - 1:  # the parent, or deeper
                     continue
-                self.lowpt_edge[ei] = ei
-                self.conflicts.append(_ConflictPair(right=_Interval(ei, ei)))
-                if not self._integrate(v, i, ei):
-                    return False
-                pos[v] = i + 1
-                continue
-            stack.pop()
-            e = parent_edge.get(v)
-            if e is None:
-                continue
-            u = e[0]
-            self._trim_back_edges(u)
-            if lowpt[e] < height[u]:  # e has a return edge; e goes on its highest one's side
-                top = self.conflicts[-1]
-                hl, hr = top.left.high, top.right.high
-                if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
-                    self.ref[e] = hl
-                else:
-                    self.ref[e] = hr
-            if not self._integrate(u, pos[u], e):
-                return False
-            pos[u] += 1
-        return True
-
-    def _integrate(self, v: int, i: int, ei: tuple[int, int]) -> bool:
-        """Add the constraints of ei, the i-th outgoing edge of v."""
-        if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-            e = self.parent_edge[v]
-            if i == 0:
-                self.lowpt_edge[e] = self.lowpt_edge[ei]
+                src[e] = v
+                dst[e] = w
+                out[v].append(e)
+                lowpt2[e] = hv
+                if hw < 0:  # tree edge: descend, finish it on the way back
+                    lowpt[e] = hv
+                    parent[w] = e
+                    height[w] = hv + 1
+                    pos[v] = i
+                    stack.append(w)
+                    e += 1
+                    break
+                lowpt[e] = hw  # back edge, done at once
+                nesting[e] = 2 * hw
+                _pass_up(parent[v], hw, hv, lowpt, lowpt2)
+                e += 1
             else:
-                return self._add_constraints(ei, e)
-        return True
+                stack.pop()
+                f = parent[v]
+                if f >= 0:
+                    u = src[f]
+                    nesting[f] = 2 * lowpt[f] + (lowpt2[f] < height[u])
+                    if parent[u] >= 0:
+                        _pass_up(parent[u], lowpt[f], lowpt2[f], lowpt, lowpt2)
+    return roots, height, parent, out, src, dst, lowpt, nesting
 
-    def _conflicting(self, interval: _Interval, b: tuple[int, int]) -> bool:
-        return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
 
-    def _lowest(self, p: _ConflictPair) -> int:
-        if p.left.empty():
-            return self.lowpt[p.right.low]
-        if p.right.empty():
-            return self.lowpt[p.left.low]
-        return min(self.lowpt[p.left.low], self.lowpt[p.right.low])
+def _pass_up(e: int, low: int, low2: int, lowpt: list[int], lowpt2: list[int]) -> None:
+    """Merge the lowpoints (low, low2) of an edge out of e's head into e's."""
+    if low < lowpt[e]:
+        lowpt2[e] = min(lowpt[e], low2)
+        lowpt[e] = low
+    elif low > lowpt[e]:
+        lowpt2[e] = min(lowpt2[e], low)
+    else:
+        lowpt2[e] = min(lowpt2[e], low2)
 
-    def _add_constraints(self, ei: tuple[int, int], e: tuple[int, int]) -> bool:
-        lowpt, ref, conflicts = self.lowpt, self.ref, self.conflicts
-        p = _ConflictPair()
-        # merge the return edges of ei into p.right
+
+def _test(roots: list[int], ordered: list[list[int]], height: list[int], parent: list[int],
+          src: list[int], dst: list[int], lowpt: list[int]):
+    """Pass 2: the constraints of every edge, as (ref, side), or None if not planar.
+
+    A conflict pair on the stack ``conflicts`` is a list [left.low,
+    left.high, right.low, right.high] of edge ids, -1 for none, and a side
+    is empty when both its slots are -1.  A pair is changed in place, as
+    ``stack_bottom`` compares pairs by identity.
+    """
+    m = len(src)
+    ref, side, lowpt_edge, stack_bottom = [-1] * m, [1] * m, [-1] * m, [None] * m
+    conflicts: list[list[int]] = []
+
+    def add_constraints(ei: int, e: int) -> bool:
+        pll = plh = prl = prh = -1
+        low_e, bottom = lowpt[e], stack_bottom[ei]
+        # merge the return edges of ei into the right side of the new pair
         while True:
-            q = conflicts.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                return False
-            if lowpt[q.right.low] > lowpt[e]:
-                if p.right.empty():
-                    p.right.high = q.right.high
+            ll, lh, rl, rh = conflicts.pop()
+            if ll >= 0 or lh >= 0:
+                ll, lh, rl, rh = rl, rh, ll, lh
+                if ll >= 0 or lh >= 0:
+                    return False
+            if lowpt[rl] > low_e:
+                if prl < 0 and prh < 0:
+                    prh = rh
                 else:
-                    ref[p.right.low] = q.right.high
-                p.right.low = q.right.low
+                    ref[prl] = rh
+                prl = rl
             else:  # align
-                ref[q.right.low] = self.lowpt_edge[e]
-            if self._top() is self.stack_bottom[ei]:
+                ref[rl] = lowpt_edge[e]
+            if (conflicts[-1] if conflicts else None) is bottom:
                 break
-        # merge the conflicting return edges of earlier edges into p.left
-        while conflicts and (self._conflicting(conflicts[-1].left, ei)
-                             or self._conflicting(conflicts[-1].right, ei)):
-            q = conflicts.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                return False
-            if p.right.low is not None:
-                ref[p.right.low] = q.right.high
-            if q.right.low is not None:
-                p.right.low = q.right.low
-            if p.left.empty():
-                p.left.high = q.left.high
+        # merge the conflicting return edges of earlier edges into its left side
+        low_i = lowpt[ei]
+        while conflicts:
+            ll, lh, rl, rh = conflicts[-1]
+            if not (lh >= 0 and lowpt[lh] > low_i or rh >= 0 and lowpt[rh] > low_i):
+                break
+            conflicts.pop()
+            if rh >= 0 and lowpt[rh] > low_i:
+                ll, lh, rl, rh = rl, rh, ll, lh
+                if rh >= 0 and lowpt[rh] > low_i:
+                    return False
+            if prl >= 0:
+                ref[prl] = rh
+            if rl >= 0:
+                prl = rl
+            if pll < 0 and plh < 0:
+                plh = lh
             else:
-                ref[p.left.low] = q.left.high
-            p.left.low = q.left.low
-        if not (p.left.empty() and p.right.empty()):
-            conflicts.append(p)
+                ref[pll] = lh
+            pll = ll
+        if pll >= 0 or plh >= 0 or prl >= 0 or prh >= 0:
+            conflicts.append([pll, plh, prl, prh])
         return True
 
-    def _trim_back_edges(self, u: int) -> None:
+    def trim_back_edges(u: int) -> None:
         """Drop the back edges that end at u, the parent of the edge just done."""
-        conflicts, ref, side = self.conflicts, self.ref, self.side
-        while conflicts and self._lowest(conflicts[-1]) == self.height[u]:
-            p = conflicts.pop()
-            if p.left.low is not None:
-                side[p.left.low] = -1
+        hu = height[u]
+        while conflicts:
+            ll, lh, rl, rh = conflicts[-1]
+            if ll < 0 and lh < 0:
+                lowest = lowpt[rl]
+            elif rl < 0 and rh < 0:
+                lowest = lowpt[ll]
+            else:
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            conflicts.pop()
+            if ll >= 0:
+                side[ll] = -1
         if not conflicts:
             return
-        p = conflicts.pop()
-        while p.left.high is not None and p.left.high[1] == u:
-            p.left.high = ref.get(p.left.high)
-        if p.left.high is None and p.left.low is not None:  # just emptied
-            ref[p.left.low] = p.right.low
-            side[p.left.low] = -1
-            p.left.low = None
-        while p.right.high is not None and p.right.high[1] == u:
-            p.right.high = ref.get(p.right.high)
-        if p.right.high is None and p.right.low is not None:
-            ref[p.right.low] = p.left.low
-            side[p.right.low] = -1
-            p.right.low = None
-        conflicts.append(p)
+        p = conflicts[-1]
+        ll, lh, rl, rh = p
+        while lh >= 0 and dst[lh] == u:
+            lh = ref[lh]
+        if lh < 0 and ll >= 0:  # just emptied
+            ref[ll] = rl
+            side[ll] = -1
+            ll = -1
+        while rh >= 0 and dst[rh] == u:
+            rh = ref[rh]
+        if rh < 0 and rl >= 0:
+            ref[rl] = ll
+            side[rl] = -1
+            rl = -1
+        p[:] = ll, lh, rl, rh
 
-    # -- pass 3: embedding -------------------------------------------------------
-
-    def _sign(self, e: tuple[int, int]) -> int:
-        """Resolve e's side through its chain of references (iteratively)."""
-        ref, side = self.ref, self.side
-        chain = []
-        while ref.get(e) is not None:
-            chain.append(e)
-            e = ref[e]
-        s = side.get(e, 1)
-        for f in reversed(chain):
-            s = side.get(f, 1) * s
-            side[f] = s
-            ref[f] = None
-        return s
-
-    def _embed(self) -> dict[int, tuple[int, ...]]:
-        for v, ws in self.out.items():
-            for w in ws:
-                self.nesting[(v, w)] *= self._sign((v, w))
-        self._order_by_nesting()
-        ordered = self.ordered
-        # each vertex's cyclic order as a doubly linked ring
-        nxt: dict[int, dict[int, int]] = {v: {} for v in self.adj}
-        prv: dict[int, dict[int, int]] = {v: {} for v in self.adj}
-        first: dict[int, int] = {}
-
-        def insert_after(v: int, w: int, ref: int | None) -> None:
-            if ref is None:
-                nxt[v][w] = prv[v][w] = w
-                first[v] = w
-                return
-            after = nxt[v][ref]
-            nxt[v][ref] = w
-            prv[v][w] = ref
-            nxt[v][w] = after
-            prv[v][after] = w
-
-        for v, ws in ordered.items():
-            prev = None
-            for w in ws:
-                insert_after(v, w, prev)
-                prev = w
-
-        left_ref: dict[int, int] = {}
-        right_ref: dict[int, int] = {}
-        for root in self.roots:
-            pos = {root: 0}
-            stack = [root]
-            while stack:
-                v = stack[-1]
-                i = pos[v]
-                if i == len(ordered[v]):
-                    stack.pop()
+    pos = [0] * len(ordered)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            es = ordered[v]
+            i = pos[v]
+            if i < len(es):
+                ei = es[i]
+                stack_bottom[ei] = conflicts[-1] if conflicts else None
+                if parent[dst[ei]] == ei:  # tree edge: descend
+                    stack.append(dst[ei])
                     continue
-                pos[v] = i + 1
-                w = ordered[v][i]
-                ei = (v, w)
-                if self.parent_edge.get(w) == ei:  # tree edge: v goes first at w
-                    if w in first:
-                        insert_after(w, v, prv[w][first[w]])
-                        first[w] = v
-                    else:
-                        insert_after(w, v, None)
-                    left_ref[v] = right_ref[v] = w
-                    pos[w] = 0
-                    stack.append(w)
-                elif self.side.get(ei, 1) == 1:  # back edge on the right
-                    insert_after(w, v, right_ref[w])
-                else:  # back edge on the left
-                    insert_after(w, v, prv[w][left_ref[w]])
-                    left_ref[w] = v
+                lowpt_edge[ei] = ei
+                conflicts.append([-1, -1, ei, ei])
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = src[ei]
+                trim_back_edges(v)
+                if lowpt[ei] < height[v]:  # ei goes on the side of its highest return edge
+                    hl, hr = conflicts[-1][1], conflicts[-1][3]
+                    ref[ei] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
+                i = pos[v]
+            pos[v] = i + 1
+            # add the constraints of ei, the i-th outgoing edge of v
+            if lowpt[ei] < height[v]:  # ei has a return edge
+                e = parent[v]
+                if i == 0:
+                    lowpt_edge[e] = lowpt_edge[ei]
+                elif not add_constraints(ei, e):
+                    return None
+    return ref, side
 
-        rotation = {}
-        for v in self.adj:
-            order = []
-            if v in first:
-                w = first[v]
-                while True:
-                    order.append(w)
-                    w = nxt[v][w]
-                    if w == first[v]:
-                        break
-            rotation[v] = tuple(order)
-        return rotation
+
+def _embed(labels: list[int], roots: list[int], parent: list[int], out: list[list[int]],
+           src: list[int], dst: list[int], nesting: list[int], ref: list[int],
+           side: list[int]) -> dict[int, tuple[int, ...]]:
+    """Pass 3: the rotation system, from the sides and the signed nesting depths.
+
+    The cyclic order around each vertex is a doubly linked ring of half-edges:
+    2e is edge e at its tail, 2e + 1 at its head.
+    """
+    m = len(src)
+    for e in range(m):  # resolve each side through its chain of references
+        if ref[e] >= 0:
+            chain = [e]
+            f = ref[e]
+            while ref[f] >= 0:
+                chain.append(f)
+                f = ref[f]
+            s = side[f]
+            for f in reversed(chain):
+                s *= side[f]
+                side[f] = s
+                ref[f] = -1
+        nesting[e] *= side[e]
+    nxt, prv, first = [0] * (2 * m), [0] * (2 * m), [-1] * len(out)
+    ordered = []
+    for v, es in enumerate(out):
+        es = sorted(es, key=nesting.__getitem__)
+        ordered.append(es)
+        if es:
+            ring = [2 * e for e in es]
+            first[v] = ring[0]
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                nxt[a] = b
+                prv[b] = a
+
+    left_ref, right_ref, pos = [0] * len(out), [0] * len(out), [0] * len(out)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = pos[v]
+            if i == len(ordered[v]):
+                stack.pop()
+                continue
+            pos[v] = i + 1
+            e = ordered[v][i]
+            w, h = dst[e], 2 * e + 1
+            if parent[w] == e:  # tree edge: v goes first at w
+                a = first[w]
+                first[w] = h
+                left_ref[v] = right_ref[v] = 2 * e
+                stack.append(w)
+                if a < 0:
+                    nxt[h] = prv[h] = h
+                    continue
+                a = prv[a]
+            elif side[e] == 1:  # back edge on the right
+                a = right_ref[w]
+            else:  # back edge on the left
+                a = prv[left_ref[w]]
+                left_ref[w] = h
+            b = nxt[a]
+            nxt[a], prv[h], nxt[h], prv[b] = h, a, b, h
+
+    tip = [0] * (2 * m)  # the label at the far end of each half-edge
+    tip[0::2] = [labels[w] for w in dst]
+    tip[1::2] = [labels[v] for v in src]
+    rotation = {}
+    for v, h in enumerate(first):
+        order = []
+        if h >= 0:
+            while True:
+                order.append(tip[h])
+                h = nxt[h]
+                if h == first[v]:
+                    break
+        rotation[labels[v]] = tuple(order)
+    return rotation

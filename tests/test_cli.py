@@ -102,8 +102,9 @@ def test_minor_subcommand(capsys):
     code, out, _ = run_cli(capsys, "minor", "petersen", "K6")
     assert json.loads(out)["found"] is False
 
-    # grid5x5 clears the cycle-rank rule for K6, so the budget runs out
-    code, out, _ = run_cli(capsys, "minor", "grid5x5", "K6", "--budget", "10")
+    # K4,5 is not planar and clears the cycle-rank rule for K6, so the
+    # budget runs out
+    code, out, _ = run_cli(capsys, "minor", "K4,5", "K6", "--budget", "10")
     assert code == 0
     assert json.loads(out)["found"] is None
 
@@ -400,11 +401,12 @@ def test_circuit_enumeration_work_is_bounded(capsys, graph):
 
 def test_minor_on_a_large_host_runs_out_of_budget_without_a_traceback(tmp_path, capsys):
     # the subset enumeration once recursed per vertex added to a branch
-    # set, so a budget of a few thousand nodes overflowed the stack here
+    # set, so a budget of a few thousand nodes overflowed the stack here;
+    # one edge across the grid makes the host non-planar, so it is searched
     import time
 
-    path = tmp_path / "grid34x34.graph"
-    path.write_text(format_edge_list(builtin_graph("grid34x34")))
+    path = tmp_path / "grid34x34+e.graph"
+    path.write_text(format_edge_list(builtin_graph("grid34x34").add_edge(351, 701)))
     start = time.process_time()
     code, out, err = run_cli(capsys, "minor", str(path), "K6", "--budget", "3000")
     assert time.process_time() - start < 5.0

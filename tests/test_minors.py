@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import linkless.acceptance as acceptance
 import linkless.canonical as canonical
+import linkless.minors as minors
 from linkless.acceptance import _delete_contract_oracle
 import oracles
 from linkless.minors import (
@@ -41,7 +42,7 @@ from linkless.multigraph import (
     parse_graph,
     petersen_graph,
 )
-from linkless.planarity import planar_certificate_errors
+from linkless.planarity import planar_certificate_errors, planar_rotation
 
 FAMILY = {m.name: m for m in petersen_family()}
 
@@ -100,9 +101,10 @@ def test_disconnected_target_rejected():
 
 
 def test_budget_exhaustion_is_loud():
-    # grid5x5 (cycle rank 16) clears the rank rule for K6 (rank 10)
+    # K4,5 is not planar, clears the rank rule for K6 (rank 16 against 10),
+    # and its K6 search ends "none" only after about 5000 nodes
     with pytest.raises(SearchBudgetExceeded):
-        has_minor(parse_graph("grid5x5"), complete_graph(6), budget=50)
+        has_minor(parse_graph("K4,5"), complete_graph(6), budget=50)
 
 
 def _k5_bridge_k5(offset=0):
@@ -368,6 +370,35 @@ def test_decided_by_and_certificate():
     assert (two.decided_by, two.certificate) == ("components", None)
 
 
+@st.composite
+def _connected_hosts(draw):
+    """Connected simple graphs on 6-11 vertices with scattered labels."""
+    n = draw(st.integers(6, 11))
+    labels = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n, unique=True))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]  # a spanning tree
+    ends = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=3 * n))
+    return graph_from_pairs([(labels[a], labels[b]) for a, b in pairs if a != b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected_hosts())
+def test_apex_route_agrees_with_networkx(g):
+    # the route answers exactly for the hosts that clear the prefilter, are
+    # not planar and become planar when some one vertex is deleted
+    nx = pytest.importorskip("networkx")
+    gs = g.simplified()
+    host = nx.Graph([e.pair() for e in gs.edges])
+    planar = nx.check_planarity(host)[0]
+    apex = any(nx.check_planarity(host.subgraph(set(host) - {v}))[0] for v in host)
+    verdict = is_intrinsically_linked(g, budget=100)
+    passes = gs.m >= 15 and gs.n >= 6
+    assert (verdict.decided_by == "apex") == (passes and not planar and apex)
+    assert (verdict.decided_by == "planar") == (passes and planar)
+    if verdict.certificate is not None:
+        assert planar_certificate_errors(g, verdict.certificate) == []
+
+
 def test_classify_computes_no_canonical_form(monkeypatch):
     # the family members share one reduced host and nothing is keyed on
     # it; the family itself is built (and keyed) once, before counting
@@ -395,6 +426,13 @@ def test_shared_host_matches_per_member_search():
     hosts += [random_graph(rng.randint(7, 10), 0.55, rng) for _ in range(8)]
     for g in hosts:
         verdict = is_intrinsically_linked(g, budget=20_000, prefilter=False)
+        if planar_rotation(g) is not None:
+            # has_minor answers a planar host from planarity, while
+            # prefilter=False runs every search; the searches must agree
+            assert verdict.verdict == "unlinked"
+            for member in petersen_family():
+                assert _has_minor_impl(g, member.graph, 0) == (None, 0)
+            continue
         nodes, outcome = 0, {}
         for member in petersen_family():
             try:
@@ -589,6 +627,24 @@ def test_twin_classes_of_the_family():
     assert _twin_classes(FAMILY["K3,3,1"].graph.simplified()) == [[1, 2, 3], [4, 5, 6]]
     member = _Member(FAMILY["K6"].graph.simplified())
     assert member.twin_before == [-1, 0, 1, 2, 3, 4]
+
+
+def test_planar_host_has_no_minor_that_is_not_planar(monkeypatch):
+    # grid5x5 clears the rank rule for K6, but no planar graph has a K6 (or
+    # K3,3) minor, so the answer spends no node
+    grid = parse_graph("grid5x5")
+    assert _has_minor_impl(grid, complete_graph(6), 1) == (None, 0)
+    assert has_minor(grid, complete_bipartite(3, 3), budget=0) is None
+    # a host that is not planar is still searched
+    with pytest.raises(SearchBudgetExceeded):
+        has_minor(parse_graph("K4,5"), complete_graph(6), budget=0)
+    # a planar target is searched for, and the host is then never tested
+    tested = []
+    monkeypatch.setattr(minors, "planar_rotation",
+                        lambda g: tested.append(g.n) or planar_rotation(g))
+    c4 = graph_from_pairs([(1, 2), (2, 3), (3, 4), (4, 1)])
+    assert has_minor(grid, c4) is not None
+    assert tested == [4]
 
 
 def test_cycle_rank_rules_out_k6_in_petersen_at_zero_nodes():

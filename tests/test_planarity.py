@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from linkless.multigraph import (
     complete_bipartite,
     complete_graph,
@@ -9,7 +12,12 @@ from linkless.multigraph import (
     grid_graph,
     petersen_graph,
 )
-from linkless.planarity import PlanarCertificate, planar_certificate_errors, planar_rotation
+from linkless.planarity import (
+    PlanarCertificate,
+    apex_rotation,
+    planar_certificate_errors,
+    planar_rotation,
+)
 
 
 def random_graph(n, p, rng):
@@ -146,3 +154,35 @@ def test_apex_certificates():
     assert planar_certificate_errors(k33_plus, PlanarCertificate(None, rotation))
     # nor the graph minus another vertex
     assert planar_certificate_errors(k33_plus, PlanarCertificate(2, rotation))
+
+
+def assert_kernel_matches_the_reference(g):
+    """The rotation of g and of g minus each vertex (as the apex route asks
+    for it) equal the dict-based reference's, or both are None."""
+    gs = g.simplified()
+    adj = {v: sorted(gs.neighbors(v)) for v in gs.vertices}
+    assert planar_rotation(g) == oracles.left_right_rotation(adj), g
+    for apex in adj:
+        rest = {v: [w for w in ws if w != apex] for v, ws in adj.items() if v != apex}
+        assert apex_rotation(adj, apex) == oracles.left_right_rotation(rest), (g, apex)
+
+
+def test_matches_the_reference_kernel_on_the_cross_check_corpus():
+    for g in cross_check_corpus():
+        assert_kernel_matches_the_reference(g)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs on up to 12 vertices with scattered labels, loops and repeats."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return graph_from_pairs([(labels[a], labels[b]) for a, b in pairs], vertices=labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_graphs())
+def test_matches_the_reference_kernel_on_random_graphs(g):
+    assert_kernel_matches_the_reference(g)

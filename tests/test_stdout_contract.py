@@ -153,7 +153,10 @@ CASES = [
     # through several members before a witness or a definitive "no"
     ("minor-petersen-K6-budget", ["minor", "petersen", "K6", "--budget", "100"]),
     ("classify-petersen-budget", ["classify", "petersen", "--budget", "100"]),
+    # a planar host has no K6 minor, so this "no" spends no node; K4,5 is
+    # not planar and its K6 search runs out
     ("minor-grid5x5-K6-budget", ["minor", "grid5x5", "K6", "--budget", "100"]),
+    ("minor-K4,5-K6-budget", ["minor", "K4,5", "K6", "--budget", "100"]),
     ("classify-K6,6-budget", ["classify", "K6,6", "--budget", "10"]),
     ("classify-P9-decorated", ["classify", "{P9+decorations}"]),
     ("classify-P9-decorated-budget", ["classify", "{P9+decorations}", "--budget", "100"]),
