@@ -148,9 +148,17 @@ class MultiGraph:
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
+    @cached_property
+    def _pair_edges(self) -> dict[tuple[int, int], tuple[Edge, ...]]:
+        """The edges of each endpoint pair (sorted), in id order, built on
+        first use."""
+        pairs: dict[tuple[int, int], list[Edge]] = {}
+        for e in self.edges:
+            pairs.setdefault(e.pair(), []).append(e)
+        return {key: tuple(es) for key, es in pairs.items()}
+
     def edges_between(self, u: int, v: int) -> tuple[Edge, ...]:
-        key = (u, v) if u <= v else (v, u)
-        return tuple(e for e in self.edges if e.pair() == key)
+        return self._pair_edges.get((u, v) if u <= v else (v, u), ())
 
     def has_edge(self, u: int, v: int) -> bool:
         return any(e.other(u) == v for e in self._incident.get(u, ()))

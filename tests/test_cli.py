@@ -484,6 +484,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # and no report carries wall-clock timings
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
+              "_general_position": {"embedding.py"},
               "COORDINATE_BOUND": {"embedding.py"}, "RETRY_LIMIT": {"embedding.py"},
               "direction_stream": {"omega.py"}, "DIRECTION_ATTEMPTS": {"omega.py"},
               "disjoint_circuit_pairs": {"circuits.py", "omega.py", "__init__.py"},

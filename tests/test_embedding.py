@@ -32,6 +32,7 @@ from linkless.multigraph import (
     graph_from_pairs,
     k331_graph,
     parse_graph,
+    petersen_graph,
 )
 
 import oracles
@@ -409,29 +410,37 @@ def test_incremental_reroute_check_matches_full_validation(case):
 
 def test_reroute_checks_each_other_path_once(monkeypatch):
     # one pair walk per checked edge, against the ids it is handed; building
-    # an embedding makes the records of each path once, and a reroute makes
-    # only the new path's, reading the others' from the embedding
+    # an embedding that the certificate declines makes the records of each
+    # path once, and a reroute makes only the new path's, reading the
+    # others' from the embedding.  A certified build walks nothing and
+    # makes the records when the first reroute reads them.
     walks, built = [], []
     walk, segments = embedding._check_against, embedding._segments
     monkeypatch.setattr(embedding, "_check_against", lambda e, segs, others: walks.append(
         (e.id, [f.id for f, _ in others])) or walk(e, segs, others))
     monkeypatch.setattr(embedding, "_segments",
                         lambda path: built.append(path) or segments(path))
-    g = complete_graph(6)
-    emb = random_embedding(g, 3)
-    ids = sorted(emb.edge_paths)
-    walks.clear()
-    built.clear()
-    straight_line_embedding(g, emb.vertex_points)
-    # construction: each edge against the smaller ids, so each pair once
-    assert walks == [(eid, ids[:i]) for i, eid in enumerate(ids)]
-    assert sorted(built) == sorted(emb.edge_paths.values())
-    for eid in (0, 7, 14):
+    # the Petersen graph drawn straight walks by the count rule, K6 does not
+    for g, certified in ((petersen_graph(), False), (complete_graph(6), True)):
+        points = random_embedding(g, 3).vertex_points
         walks.clear()
         built.clear()
-        reroute_edge(emb, eid, emb.path(eid))
-        assert walks == [(eid, [f for f in ids if f != eid])]
-        assert built == [emb.path(eid)]
+        emb = straight_line_embedding(g, points)
+        ids = sorted(emb.edge_paths)
+        assert embedding._general_position(g, points, emb.edge_paths) == certified
+        if certified:
+            assert walks == built == []
+        else:
+            # construction: each edge against the smaller ids, so each pair once
+            assert walks == [(eid, ids[:i]) for i, eid in enumerate(ids)]
+            assert sorted(built) == sorted(emb.edge_paths.values())
+        for eid in (0, 7, 14):
+            lazy = [emb.path(f) for f in ids] if certified and eid == 0 else []
+            walks.clear()
+            built.clear()
+            reroute_edge(emb, eid, emb.path(eid))
+            assert walks == [(eid, [f for f in ids if f != eid])]
+            assert built == lazy + [emb.path(eid)]
 
 
 def test_a_reroute_checks_against_the_paths_it_stores():
@@ -885,3 +894,89 @@ def test_random_embedding_accepts_and_rejects_the_same_draws(monkeypatch):
             assert (log, result) == outcomes(oracles._validate, g, seed)
             rejected += sum(message is not None for message in log)
     assert rejected > 100
+
+
+@st.composite
+def _cube_embeddings(draw):
+    """A graph on 3-6 vertices, some of them isolated, with its vertices on
+    distinct points of [-2, 2]^3 and each edge straight or bent through one
+    or two waypoints of the same cube: many quadruples are coplanar and
+    many triples collinear."""
+    n = draw(st.integers(3, 6))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          max_size=10, unique=True))
+    g = graph_from_pairs(pairs, vertices=range(1, n + 1))
+    points = dict(zip(range(1, n + 1),
+                      draw(st.lists(_CUBE_POINTS, min_size=n, max_size=n, unique=True))))
+    paths = {e.id: (points[e.u], *draw(st.lists(_CUBE_POINTS, max_size=2)), points[e.v])
+             for e in g.edges}
+    return g, points, paths
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_cube_embeddings())
+def test_general_position_certificate_accepts_only_what_the_walk_accepts(case):
+    g, points, paths = case
+    expected = _error(lambda: oracles._validate(g, points, paths))
+    certified = embedding._general_position(g, points, paths)
+    event(f"certified: {certified}, walk: {'accepts' if expected is None else 'rejects'}")
+    if certified:
+        assert expected is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_general_position", lambda *args: False)
+            walked = embedding._validate(g, points, paths)
+        assert SpatialEmbedding(g, points, paths)._records == walked
+    else:
+        assert _error(lambda: SpatialEmbedding(g, points, paths)) == expected
+
+
+def _paths(g, points, waypoints=None):
+    """g's edges as paths from u to v, through the waypoints given per
+    edge id, straight otherwise."""
+    waypoints = waypoints or {}
+    return {e.id: (points[e.u], *waypoints.get(e.id, ()), points[e.v]) for e in g.edges}
+
+
+_K4 = complete_graph(4)
+_K4_POINTS = {1: (0, 0, 0), 2: (2, 4, 8), 3: (1, 1, 1), 4: (3, 9, 27)}  # on t -> (t, t^2, t^3)
+_FOLDED = graph_from_pairs([(1, 2), (2, 3)])
+_SKEW = graph_from_pairs([(1, 2), (3, 4)])
+_SKEW_POINTS = {1: (0, 0, 0), 2: (1, 0, 0), 3: (0, 1, 1), 4: (0, 2, -1)}
+
+
+def _general_position_cases():
+    k6 = random_embedding(complete_graph(6), 1)
+    petersen = random_embedding(petersen_graph(), 1)
+    reversed_path = {**_paths(_K4, _K4_POINTS), 0: (_K4_POINTS[2], _K4_POINTS[1])}
+    with_isolated = graph_from_pairs([e.pair() for e in _K4.edges], vertices=range(1, 6))
+    return [
+        # name, graph, points, paths, certified, the walk's error
+        ("K6 straight", k6.graph, k6.vertex_points, k6.edge_paths, True, None),
+        ("K6 with a bent edge", k6.graph, k6.vertex_points,
+         _paths(k6.graph, k6.vertex_points, {3: [(7, -5, 11)]}), True, None),
+        ("Petersen straight: C(10, 4) > C(15, 2)", petersen.graph, petersen.vertex_points,
+         petersen.edge_paths, False, None),
+        ("skew pair: C(4, 4) == C(2, 2)", _SKEW, _SKEW_POINTS, _paths(_SKEW, _SKEW_POINTS),
+         True, None),
+        ("N = 3, folded", _FOLDED, {1: (0, 0, 0), 2: (2, 0, 0), 3: (1, 0, 0)},
+         {0: ((0, 0, 0), (2, 0, 0)), 1: ((2, 0, 0), (1, 0, 0))},
+         False, "edges 0 and 1 overlap at vertex"),
+        ("path from the wrong end", _K4, _K4_POINTS, reversed_path,
+         False, "edge 0 path must run from vertex 1 to vertex 2"),
+        ("waypoint on a vertex point", _K4, _K4_POINTS,
+         _paths(_K4, _K4_POINTS, {0: [_K4_POINTS[3]]}),
+         False, "edges 0 and 1 touch at a non-vertex point"),
+        ("waypoint on another waypoint", _K4, _K4_POINTS,
+         _paths(_K4, _K4_POINTS, {0: [(5, -7, 2)], 5: [(5, -7, 2)]}),
+         False, "edges 0 and 5 touch at a non-vertex point"),
+        ("isolated vertex on an edge", with_isolated, {**_K4_POINTS, 5: (1, 2, 4)},
+         _paths(with_isolated, _K4_POINTS), False, "vertex 5 lies on edge 0"),
+    ]
+
+
+@pytest.mark.parametrize("case", _general_position_cases(), ids=lambda case: case[0])
+def test_general_position_certificate_cases(case):
+    _, g, points, paths, certified, error = case
+    assert embedding._general_position(g, points, paths) == certified
+    assert _error(lambda: oracles._validate(g, points, paths)) == error
+    assert _error(lambda: SpatialEmbedding(g, points, paths)) == error

@@ -143,6 +143,20 @@ def test_degree_and_neighbours_read_one_table():
             lookup(5)
 
 
+def test_edges_between_reads_one_pair_table():
+    # edges given out of id order: a loop, parallel edges both ways round
+    g = MultiGraph(frozenset({1, 2, 3, 4}), (Edge(5, 2, 1), Edge(1, 1, 1), Edge(3, 1, 2),
+                                             Edge(0, 3, 2), Edge(4, 1, 2)))
+    for u in range(6):
+        for v in range(6):
+            key = (u, v) if u <= v else (v, u)
+            assert g.edges_between(u, v) == tuple(e for e in g.edges if e.pair() == key)
+    assert [e.id for e in g.edges_between(2, 1)] == [3, 4, 5]
+    assert g.edges_between(1, 1) == (Edge(1, 1, 1),)
+    assert g.edges_between(1, 4) == g.edges_between(1, 9) == ()
+    assert "_pair_edges" in vars(g)
+
+
 def test_delete_edge():
     g = complete_graph(6)
     h = g.delete_edge(0)
