@@ -14,7 +14,9 @@ embedding keeps the segment records those checks built, per path in id
 order.  An embedding is immutable (its maps are read-only), so
 `reroute_edge` runs the routine only for the moved edge, against the
 stored records of the other E - 1 paths, and stores the new path's
-records in the result.  `random_detour` draws a reroute check's detour.
+records in the result.  `random_detour` draws a reroute check's detour:
+it reroutes, then walks the new path's stored records against the old
+path's alone, so each drawn arc is checked once.
 
 Before that walk, `_general_position` may certify the embedding at once.
 It lists the N points of the embedding, the vertex points (isolated
@@ -344,12 +346,15 @@ def random_detour(emb: SpatialEmbedding, eid: int,
     g = emb.graph
     e = g.edge(eid)
     pu, pv = emb.vertex_points[e.u], emb.vertex_points[e.v]
-    old = [emb._records[g.edges.index(e)]]
+    i = g.edges.index(e)
+    old = [emb._records[i]]
     for rejected in range(RETRY_LIMIT):
         midpoint = _random_point(rng)
         try:
-            _check_edge(g, emb.vertex_points, e, (pu, midpoint, pv), old)
-            return midpoint, reroute_edge(emb, eid, (pu, midpoint, pv)), rejected
+            moved = reroute_edge(emb, eid, (pu, midpoint, pv))
+            # the arc's own checks ran in the reroute; only the old path is left
+            _check_against(e, moved._records[i][1], old)
+            return midpoint, moved, rejected
         except EmbeddingError:
             continue
     raise RetryLimitExceeded(

@@ -16,10 +16,11 @@ which is even on the family; an odd sum on another graph is reported as
 ``even-cover`` and ``omega-changed``.  Trials use per-trial seeds derived
 as seed XOR index, so results do not depend on execution order.
 
-The omega table after a reroute is read from the diagrams before it,
-spliced for the moved edge, while the D diagram is a fresh crossing pass,
-so the identity checks every splice against an independent computation
-in every trial.
+The omega tables before and after a reroute are read from the same
+crossing passes, each over the embedding and the new arc, while the D
+diagram comes from a crossing pass and a direction search of its own, so
+the identity checks the arc's crossings against an independent
+computation in every trial.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def edge_swap_check(
     raises GraphError); given an embedding, all trials reroute it.  The
     detour is `random_detour`'s, so a trial that finds no valid midpoint
     within its retry limit raises RetryLimitExceeded.  A trial makes three
-    full crossing passes (the main and check diagrams before, the D
-    diagram) and two splices (the diagrams after), see `_reroute_reports`.
+    full crossing passes: the main and the check pass, each of which gives
+    a diagram before and after the reroute (see `_reroute_reports`), and
+    the D diagram.
     """
     base = graph if isinstance(graph, SpatialEmbedding) else None
     g = graph.graph if base is not None else graph

@@ -13,9 +13,10 @@ matrix.  Its lk table comes from one checked pass over the pairs
 it.  ``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
 reroute's lk(D, K), for all circuits K, comes from one diagram of D and
 the K's too, drawn by a full crossing pass.  The reports before and after
-a reroute (``_reroute_reports``) share their directions: the after
-diagrams are the before ones spliced (``projection.reproject``), and only
-when a splice is not regular are they searched for afresh.
+a reroute (``_reroute_reports``) share their directions: each direction
+gives both diagrams from one pass over the embedding's strands and the
+new path (``projection.project_reroute``), and a direction counts as
+regular only when that whole pass is.
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -43,7 +45,7 @@ from .projection import (
     linking_number,
     pair_index,
     project,
-    reproject,
+    project_reroute,
     strand_crossings,
 )
 
@@ -204,15 +206,17 @@ def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
 def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
                      index: PairIndex, seed: int) -> tuple[OmegaReport, OmegaReport]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``eid``.  The after diagrams are the before
-    ones spliced (`reproject`), along the same two directions; if either
-    splice is not regular, they are searched for afresh from ``seed``."""
-    before = _diagrams(emb, None, seed)
-    try:
-        after = tuple(reproject(d, moved, eid) for d in before)
-    except NonRegularProjection:
-        after = _diagrams(moved, None, seed)
-    return _report(emb, index, *before), _report(moved, index, *after)
+    only in the path of edge ``eid``, each pair of diagrams read off one
+    `project_reroute` pass: the main pass along the first direction from
+    ``seed`` where it is regular, the check pass along the first from
+    ``seed + 1`` where it is regular and that is not parallel to the main
+    one."""
+    attempt = partial(project_reroute, emb, moved, eid)
+    failure = "no regular projection direction found"
+    main = _first_regular(attempt, seed, failure)
+    check = _first_regular(attempt, seed + 1, failure, [main[0].direction])
+    return (_report(emb, index, main[0], check[0]),
+            _report(moved, index, main[1], check[1]))
 
 
 def loop_pair_link(

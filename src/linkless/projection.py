@@ -37,40 +37,42 @@ image point is used to find triple points and is not kept.  A
 `ProjectedDiagram` holds the records as they are, with edge ids as strand
 keys.
 
-One pair test, `_cross`, serves two passes that differ only in the
-segment pairs they hand it.  The full pass (`strand_crossings`,
-`project`) tests every pair.  A diagram from `project` also keeps, hidden
-from comparison, the `SegmentTable` that pass built: point ids, image
-coordinates, the denominator scale, the segment records and the marker
-ids.  `reproject` splices that table when one edge has moved: it keeps
-every record and segment off that edge, projects only the new path's
-points and tests only the pairs that include one of its segments.  Its
-result equals a fresh `project` record for record, in the same order.
+A one-edge reroute is drawn by `project_reroute`, one pass over the
+embedding's strands and, last, the moved edge's new path.  Since the new
+path comes last, dropping its records leaves the records of `project` on
+the embedding in the same order.  They are the same integers when the
+new path brings no denominator the embedding lacks (every integer
+detour); otherwise the pass clears a larger scale, k times the
+embedding's, and each t_num and t_den is k^2 times `project`'s.
+Dropping the old path's records instead, with the new path's relabelled
+as the edge, leaves the crossing matrix of `project` on the moved
+embedding.  The pass tests every segment pair that either diagram tests,
+so it is regular only when both diagrams are.
 
 Over/under is read in one place, `crossing_matrix`: for every strand e
 and every strand f it passes over, the signed sum and the number of those
 crossings.  It rejects a record whose over is not 0 or 1 or whose sign is
-not +-1 as a kernel bug, since spliced diagrams reuse stored records and
-a sign times an odd number would keep every parity the checks below
-read.  Each diagram builds that matrix on first use.  `link_tables`
-computes lk of every circuit pair in one pass: each J gets one row, the
-sum of s_J(e) L[e][f] over the edges e of J (s the traversal signs), and
-lk(J, K) is the sum of s_K(f) row[f] over the edges f of K.  It is the
-one place that checks a pair's crossing parity against lk mod 2.  The
-traversal signs depend only on the graph, so a `PairIndex` holds them
-with the pairs, built once per graph (``omega.graph_pairs``).
-`linking_number` and `omega_pair` are one-pair calls of it, and so is
-``omega.loop_pair_link``, which draws two loops as one-edge circuits.
+not +-1 as a kernel bug, since `project_reroute` rebuilds the records it
+relabels and a sign times an odd number would keep every parity the
+checks below read.  Each diagram builds that matrix on first use.
+`link_tables` computes lk of every circuit pair in one pass: each J gets
+one row, the sum of s_J(e) L[e][f] over the edges e of J (s the
+traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the edges
+f of K.  It is the one place that checks a pair's crossing parity against
+lk mod 2.  The traversal signs depend only on the graph, so a
+`PairIndex` holds them with the pairs, built once per graph
+(``omega.graph_pairs``).  `linking_number` and `omega_pair` are one-pair
+calls of it, and so is ``omega.loop_pair_link``, which draws two loops as
+one-edge circuits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
@@ -82,71 +84,60 @@ class NonRegularProjection(RuntimeError):
     """The projection direction is degenerate for this configuration."""
 
 
-def _scale(points: Iterable[Point3]) -> int:
-    """The least positive integer q making every point times q integral."""
-    return math.lcm(*{c.denominator for p in points for c in p})
-
-
-def _times(points: Iterable[Point3], q: int) -> list[tuple[int, int, int]]:
-    """[p * q] for a q that makes every point integral."""
-    return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
-
-
-def _scaled(points: Iterable[Point3]) -> tuple[int, list[tuple[int, int, int]]]:
-    """(q, [p * q]) for the least positive integer q making every point
-    integral; all-integer points are returned as they are, with q = 1."""
+def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
+    """[p * q] for the least positive integer q making every point integral;
+    all-integer points are returned as they are."""
     points = list(points)
     if set(map(type, chain.from_iterable(points))) <= {int}:
-        return 1, points
-    q = _scale(points)
-    return q, _times(points, q)
-
-
-def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
-    """The points of `_scaled`."""
-    return _scaled(points)[1]
+        return points
+    q = math.lcm(*{c.denominator for p in points for c in p})
+    return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
 # One crossing as ten integers; see `strand_crossings`.
 CrossingRecord = tuple
 
 
-class SegmentTable(NamedTuple):
-    """What a crossing pass built besides its records, kept for `reproject`.
+def strand_crossings(
+    strands: Sequence[tuple[object, Sequence[Point3]]],
+    direction: Point3,
+    markers: Iterable[Point3] = (),
+) -> tuple[CrossingRecord, ...]:
+    """All transversal crossings between strand images, or NonRegularProjection.
 
-    ``ids`` numbers every distinct point in order of first appearance and
-    ``xs``, ``ys``, ``hs`` are its image coordinates and depth, in points
-    scaled by ``scale`` and projected along the cleared direction of
-    ``frame`` = (u, v, direction).  ``segs`` holds one record per segment
-    in segment order, (key, index, a, b, ax, ay, ah, bx, by, bh) with point
-    ids a and b, and ``marker_ids`` the ids of the markers.
+    Strands are (key, points) pairs.  Markers are vertex locations that
+    must land on no other marker and on no segment image they are not an
+    endpoint of.  The segment pair tests already rule this out for every
+    point that ends a segment (see the module docstring), so only
+    vertices on no strand need to be passed.
+
+    Each crossing is a record (strand_s, segment_s, t_num_s, t_den_s,
+    strand_t, segment_t, t_num_t, t_den_t, over, sign): segment s of
+    strand_s meets segment t of strand_t at the parameters t_num/t_den
+    along each (strictly between 0 and 1, t_den > 0), with s before t in
+    segment order.  over is 0 when s is nearer the viewer and 1 when t
+    is, and sign is the right-handed sign for the strands' stored
+    directions.
     """
-
-    ids: dict
-    xs: list
-    ys: list
-    hs: list
-    scale: int
-    frame: tuple
-    segs: list
-    marker_ids: list
-
-
-def _project_points(points: Iterable[tuple[int, int, int]], frame: tuple,
-                    xs: list[int], ys: list[int], hs: list[int]) -> None:
-    """Append each integer point's image coordinates and depth."""
-    (ux, uy, uz), (vx, vy, vz), (dx, dy, dz) = frame
-    for x, y, z in points:
+    marker_list = list(markers)
+    # every distinct point once, numbered in order of first appearance
+    ids: dict[Point3, int] = {}
+    for _, pts in strands:
+        for p in pts:
+            ids.setdefault(p, len(ids))
+    for m in marker_list:
+        ids.setdefault(m, len(ids))
+    cleared = _clear_denominators(ids)
+    (d,) = _clear_denominators([direction])
+    (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
+    dx, dy, dz = d
+    xs, ys, hs = [], [], []
+    for x, y, z in cleared:
         xs.append(ux * x + uy * y + uz * z)
         ys.append(vx * x + vy * y + vz * z)
         hs.append(dx * x + dy * y + dz * z)
 
-
-def _strand_segments(strands: Iterable[tuple[object, Sequence[Point3]]],
-                     ids: Mapping[Point3, int],
-                     xs: list[int], ys: list[int], hs: list[int]) -> list[tuple]:
-    """The `SegmentTable` records of the strands' segments, or
-    NonRegularProjection if one is seen end-on."""
+    # (key, index, a, b, ax, ay, ah, bx, by, bh) with point ids a, b
     segs = []
     for key, pts in strands:
         chain = [ids[p] for p in pts]
@@ -155,13 +146,12 @@ def _strand_segments(strands: Iterable[tuple[object, Sequence[Point3]]],
                 raise NonRegularProjection(
                     f"segment {idx} of strand {key} is seen end-on")
             segs.append((key, idx, a, b, xs[a], ys[a], hs[a], xs[b], ys[b], hs[b]))
-    return segs
 
-
-def _check_markers(marker_ids: Iterable[int], xs: list[int], ys: list[int],
-                   segs: Iterable[tuple]) -> None:
-    """NonRegularProjection if a marker's image lies on the image of a
-    segment it does not end."""
+    marker_ids = [ids[m] for m in marker_list]
+    images: dict[tuple[int, int], int] = {}
+    for m in marker_ids:
+        if images.setdefault((xs[m], ys[m]), m) != m:
+            raise NonRegularProjection("two vertices project to the same point")
     for m in marker_ids:
         mx, my = xs[m], ys[m]
         for _, _, a, b, ax, ay, _, bx, by, _ in segs:
@@ -171,16 +161,11 @@ def _check_markers(marker_ids: Iterable[int], xs: list[int], ys: list[int],
                     min(ax, bx) <= mx <= max(ax, bx) and min(ay, by) <= my <= max(ay, by):
                 raise NonRegularProjection("a vertex projects onto an edge")
 
-
-def _cross(pairs: Iterable[tuple[tuple, Sequence[tuple]]],
-           seen_points: set[tuple[int, int, int]], records: list[CrossingRecord]) -> None:
-    """The segment pair test, on each segment s with each segment t of the
-    ones paired with it (all after s in segment order): append the record
-    of each crossing, in pair order, or raise NonRegularProjection.  A
-    crossing image already in ``seen_points`` is a triple point."""
-    for (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh), later in pairs:
+    records: list[CrossingRecord] = []
+    seen_points: set[tuple[int, int, int]] = set()
+    for i, (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh) in enumerate(segs):
         ex, ey = bx - ax, by - ay
-        for key_t, idx_t, ta, tb, cx, cy, ch, fx, fy, fh in later:
+        for key_t, idx_t, ta, tb, cx, cy, ch, fx, fy, fh in segs[i + 1:]:
             if sa == ta or sa == tb or sb == ta or sb == tb:
                 if (sa == ta or sa == tb) and (sb == ta or sb == tb):
                     raise NonRegularProjection("coincident segments")
@@ -235,65 +220,7 @@ def _cross(pairs: Iterable[tuple[tuple, Sequence[tuple]]],
             positive = (o2 > o1) == (over == 0)
             records.append((key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t,
                             over, 1 if positive else -1))
-
-
-def _crossing_pass(
-    strands: Sequence[tuple[object, Sequence[Point3]]],
-    direction: Point3,
-    markers: Iterable[Point3] = (),
-) -> tuple[tuple[CrossingRecord, ...], SegmentTable]:
-    """`strand_crossings`' records and the `SegmentTable` built for them."""
-    marker_list = list(markers)
-    # every distinct point once, numbered in order of first appearance
-    ids: dict[Point3, int] = {}
-    for _, pts in strands:
-        for p in pts:
-            ids.setdefault(p, len(ids))
-    for m in marker_list:
-        ids.setdefault(m, len(ids))
-    scale, cleared = _scaled(ids)
-    (d,) = _clear_denominators([direction])
-    frame = (*projection_frame(d), d)
-    xs: list[int] = []
-    ys: list[int] = []
-    hs: list[int] = []
-    _project_points(cleared, frame, xs, ys, hs)
-    segs = _strand_segments(strands, ids, xs, ys, hs)
-
-    marker_ids = [ids[m] for m in marker_list]
-    images: dict[tuple[int, int], int] = {}
-    for m in marker_ids:
-        if images.setdefault((xs[m], ys[m]), m) != m:
-            raise NonRegularProjection("two vertices project to the same point")
-    _check_markers(marker_ids, xs, ys, segs)
-
-    records: list[CrossingRecord] = []
-    _cross(((s, segs[i + 1:]) for i, s in enumerate(segs)), set(), records)
-    return tuple(records), SegmentTable(ids, xs, ys, hs, scale, frame, segs, marker_ids)
-
-
-def strand_crossings(
-    strands: Sequence[tuple[object, Sequence[Point3]]],
-    direction: Point3,
-    markers: Iterable[Point3] = (),
-) -> tuple[CrossingRecord, ...]:
-    """All transversal crossings between strand images, or NonRegularProjection.
-
-    Strands are (key, points) pairs.  Markers are vertex locations that
-    must land on no other marker and on no segment image they are not an
-    endpoint of.  The segment pair tests already rule this out for every
-    point that ends a segment (see the module docstring), so only
-    vertices on no strand need to be passed.
-
-    Each crossing is a record (strand_s, segment_s, t_num_s, t_den_s,
-    strand_t, segment_t, t_num_t, t_den_t, over, sign): segment s of
-    strand_s meets segment t of strand_t at the parameters t_num/t_den
-    along each (strictly between 0 and 1, t_den > 0), with s before t in
-    segment order.  over is 0 when s is nearer the viewer and 1 when t
-    is, and sign is the right-handed sign for the strands' stored
-    directions.
-    """
-    return _crossing_pass(strands, direction, markers)[0]
+    return tuple(records)
 
 
 def crossing_matrix(
@@ -328,15 +255,12 @@ class ProjectedDiagram:
     """Crossing data of one regular projection of an embedded graph.
 
     ``crossings`` holds the integer records of `strand_crossings`, with
-    edge ids as strand keys.  A diagram built by `project` or `reproject`
-    also keeps the `SegmentTable` of its crossing pass, which `reproject`
-    splices; it takes no part in comparison.
+    edge ids as strand keys.
     """
 
     direction: Point3
     edge_endpoints: Mapping[int, tuple[int, int]]
     crossings: tuple[CrossingRecord, ...]
-    segment_table: SegmentTable | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def crossing_matrix(self) -> dict[int, dict[int, tuple[int, int]]]:
@@ -348,61 +272,46 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
     """Project an embedding along a direction; the projection must be regular."""
     strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
     markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
-    crossings, table = _crossing_pass(strands, direction, markers)
-    return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossings, table)
+    return ProjectedDiagram(direction, edge_endpoints(emb.graph),
+                            strand_crossings(strands, direction, markers))
 
 
-# a record's segment pair, in segment order when strand keys increase along it
-_SEGMENT_ORDER = itemgetter(0, 1, 4, 5)
+def project_reroute(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
+                    direction: Point3) -> tuple[ProjectedDiagram, ProjectedDiagram]:
+    """Diagrams of ``emb`` and of ``moved`` along ``direction``, from one
+    crossing pass, where ``moved`` differs from ``emb`` only in the path
+    of edge ``eid`` and its new path meets the old one only at their ends.
 
-
-def reproject(diagram: ProjectedDiagram, emb: SpatialEmbedding, eid: int) -> ProjectedDiagram:
-    """``project(emb, diagram.direction)``, where ``diagram`` projects an
-    embedding that differs from ``emb`` only in the path of edge ``eid``.
-
-    The diagram's segment table is spliced: every record and segment not
-    on ``eid`` is kept, only the new path's points are projected, and the
-    pair test runs only on the pairs that include one of its segments.
-    The records are then put in segment order (edge ids increase along
-    it).  A triple point with a new segment in it puts that segment
-    through two other segment images at one point, so the pair test meets
-    it as two new crossings with the same image (or as a contact or an
-    overlap); only new crossings need hashing.  So the result equals a
-    fresh `project`, and NonRegularProjection is raised exactly when
-    `project` raises it.  A diagram without a table, or an ``emb`` whose
-    points the table's scale does not clear exactly, gets a full pass.
+    The pass runs over the strands of ``emb`` and, last, the new path
+    under a key no edge has.  Dropping the new path's records leaves the
+    records of ``project(emb, direction)`` in order (the same integers
+    unless the new path brings a new denominator); dropping the old
+    path's and relabelling the new path's as ``eid`` leaves a diagram with
+    the crossing matrix of ``project(moved, direction)``.  The pass tests
+    every segment pair of both diagrams, so it raises NonRegularProjection
+    whenever either `project` would.  It may also raise when both are
+    regular: where the old and new paths meet irregularly in the image,
+    or where a crossing on one of them has the image of a crossing on the
+    other.
     """
-    table = diagram.segment_table
-    path = emb.edge_paths[eid]
-    # a record's integers depend on the scale, so it must be the one a
-    # full pass would clear ``emb`` with
-    fits = table is not None and (
-        table.scale == 1 and set(map(type, chain.from_iterable(path))) <= {int}
-        or _scale(chain(emb.vertex_points.values(), *emb.edge_paths.values())) == table.scale)
-    if not fits:
-        return project(emb, diagram.direction)
-    ids, xs, ys, hs, scale, frame, segs, marker_ids = table
-    ids, xs, ys, hs = dict(ids), xs[:], ys[:], hs[:]
-    fresh = [p for p in dict.fromkeys(path) if p not in ids]
-    for p in fresh:
-        ids[p] = len(ids)
-    _project_points(fresh if scale == 1 else _times(fresh, scale), frame, xs, ys, hs)
-    moved = _strand_segments([(eid, path)], ids, xs, ys, hs)
-    _check_markers(marker_ids, xs, ys, moved)
-
-    start = next(i for i, s in enumerate(segs) if s[0] == eid)
-    end = start + 1
-    while end < len(segs) and segs[end][0] == eid:
-        end += 1
-    spliced = segs[:start] + moved + segs[end:]
-    records = [r for r in diagram.crossings if r[0] != eid and r[4] != eid]
-    _cross([(s, moved) for s in segs[:start]]
-           + [(s, spliced[start + i + 1:]) for i, s in enumerate(moved)],
-           set(), records)
-    records.sort(key=_SEGMENT_ORDER)
-    return ProjectedDiagram(
-        diagram.direction, diagram.edge_endpoints, tuple(records),
-        SegmentTable(ids, xs, ys, hs, scale, frame, spliced, marker_ids))
+    arc = max(emb.edge_paths) + 1
+    strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
+    strands.append((arc, moved.edge_paths[eid]))
+    markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
+    records = strand_crossings(strands, direction, markers)
+    before, after = [], []
+    for r in records:
+        # the new path is the last strand: a record with it as strand_s
+        # has it as strand_t too
+        if r[4] != arc:
+            before.append(r)
+            if r[0] != eid and r[4] != eid:
+                after.append(r)
+        elif r[0] != eid:
+            after.append((eid if r[0] == arc else r[0], *r[1:4], eid, *r[5:]))
+    endpoints = edge_endpoints(emb.graph)
+    return (ProjectedDiagram(direction, endpoints, tuple(before)),
+            ProjectedDiagram(direction, endpoints, tuple(after)))
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],

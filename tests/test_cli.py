@@ -477,10 +477,9 @@ PAIR_TEST_MESSAGES = ("tangential contact between segments", "triple point",
 def test_derived_state_stays_with_the_module_that_builds_it():
     # only `embedding` names its validation internals and only `omega` its
     # direction search, only `omega` builds a graph's pair index
-    # (`graph_pairs`), only `projection` reads the crossing matrix, builds
-    # or reads a diagram's segment table, checks lk parities and raises
-    # the pair test's messages (each in one place, so the full pass and
-    # the splice share one pair test), only `omega` splices, no module
+    # (`graph_pairs`), only `projection` reads the crossing matrix, checks
+    # lk parities and raises the pair test's messages (each in one place),
+    # only `omega` draws a reroute's diagrams (`project_reroute`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # and no report carries wall-clock timings
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
@@ -491,8 +490,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
               "crossing_matrix": {"projection.py"},
-              "segment_table": {"projection.py"}, "SegmentTable": {"projection.py"},
-              "reproject": {"projection.py", "omega.py"}}
+              "project_reroute": {"projection.py", "omega.py"}}
     raised: dict[str, list[str]] = {}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

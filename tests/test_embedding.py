@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -528,6 +529,30 @@ def test_random_detour_draws_as_the_two_step_reference(case):
     else:
         event(f"{kind}: accepted{' after rejects' if got[2] else ''}")
         assert got[3] == SpatialEmbedding(emb.graph, emb.vertex_points, got[1])._records
+
+
+def test_random_detour_checks_each_drawn_arc_once(monkeypatch):
+    # the arc's own checks run once per draw, inside `reroute_edge`; the
+    # old path is then walked against the arc's stored records alone
+    monkeypatch.setattr(embedding, "COORDINATE_BOUND", 6)
+    emb = random_embedding(complete_graph(6), 1)
+    checked, drawn = [], []
+    simple, draw = embedding._check_path_simple, embedding._random_point
+    monkeypatch.setattr(embedding, "_check_path_simple",
+                        lambda eid, path: checked.append(path) or simple(eid, path))
+    monkeypatch.setattr(embedding, "_random_point",
+                        lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    rejected = 0
+    rng = random.Random(3)
+    for e in emb.graph.edges:
+        checked.clear()
+        drawn.clear()
+        pu, pv = emb.point(e.u), emb.point(e.v)
+        midpoint, _, tries = random_detour(emb, e.id, rng)
+        assert checked == [(pu, m, pv) for m in drawn]
+        assert drawn[-1] == midpoint and len(drawn) == tries + 1
+        rejected += tries
+    assert rejected > 0
 
 
 def _reference_paths_disjoint(e, path_e, f, path_f, points):

@@ -213,30 +213,26 @@ def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
-    # per trial: full crossing passes for the main and check projections
-    # before and for one diagram of all (D, K); the two after diagrams are
-    # the before ones spliced
+    # per trial: one full crossing pass for the main and one for the check
+    # direction, each over the embedding and the new arc and each giving
+    # the diagrams before and after, and one diagram of all (D, K); every
+    # diagram comes from a full pass, none is spliced
     strands = []
-    splices = []
-    real_pass, real_splice = projection._crossing_pass, omega.reproject
+    real_pass = projection.strand_crossings
 
     def counted(strand_list, direction, markers=()):
         strands.append(len(strand_list))
         return real_pass(strand_list, direction, markers)
 
-    def counted_splice(diagram, emb, eid):
-        splices.append(eid)
-        return real_splice(diagram, emb, eid)
-
-    monkeypatch.setattr(projection, "_crossing_pass", counted)
-    monkeypatch.setattr(omega, "reproject", counted_splice)
+    monkeypatch.setattr(projection, "strand_crossings", counted)
+    monkeypatch.setattr(omega, "strand_crossings", counted)
     report = edge_swap_check(graph, trials=10, seed=0)
     assert report.passed
     assert len(strands) == 10 * 3
-    assert len(splices) == 10 * 2
     if graph.name == "K6":
-        # D's two strands and the K4 on the other four vertices
-        assert Counter(strands) == {15: 20, 8: 10}
+        # the 15 edges and the arc; D's two strands and the K4 on the
+        # other four vertices
+        assert Counter(strands) == {16: 20, 8: 10}
 
 
 def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):

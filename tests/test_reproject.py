@@ -1,18 +1,23 @@
-"""`reproject` splices a diagram for a one-edge reroute; it must equal a
-fresh `project` record for record, raise NonRegularProjection exactly
-when `project` does, and `edge_swap_check` must stay correct with it.
+"""`project_reroute` draws an embedding and a one-edge reroute of it from
+one crossing pass: its before diagram must be `project`'s record for
+record, its after diagram must have the crossing matrix of `project` on
+the moved embedding, it must raise NonRegularProjection whenever either
+`project` does, and `edge_swap_check` must stay correct with it.
 
 Embeddings are drawn from a seed: vertex and waypoint coordinates in a
 box whose side is small enough, in some draws, that directions with
 small components are often non-regular, optionally with rational
-coordinates, and on graphs with isolated vertices (markers).
+coordinates, and on graphs with isolated vertices (markers).  Each new
+path meets the old one only at the edge's ends, as `random_detour`'s do.
 """
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +25,24 @@ from hypothesis import strategies as st
 
 import linkless.experiments as experiments
 import linkless.omega as omega
-import linkless.projection as projection
-from linkless.embedding import EmbeddingError, SpatialEmbedding, random_embedding, reroute_edge
+from linkless import embedding
+from linkless.embedding import (
+    EmbeddingError,
+    SpatialEmbedding,
+    random_detour,
+    random_embedding,
+    reroute_edge,
+)
 from linkless.experiments import edge_swap_check
+from linkless.geometry import cross3, is_zero3
 from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
 from linkless.projection import (
     NonRegularProjection,
     ProjectedDiagram,
     project,
-    reproject,
+    project_reroute,
 )
+from oracles import decode
 
 GRAPHS = {
     "K6": complete_graph(6),
@@ -58,10 +71,10 @@ def _random_graph(rng):
 
 
 def _draw(rng, g, bound, denominators, waypoints, arc_denominators=None):
-    """A valid embedding of g and a valid reroute of one of its edges, the
-    arc's waypoints drawn with ``arc_denominators`` (default: as the
-    embedding's points), or None when none was found in a bounded number
-    of draws."""
+    """A valid embedding of g and a valid reroute of one of its edges whose
+    arc meets the old path only at the edge's ends, the arc's waypoints
+    drawn with ``arc_denominators`` (default: as the embedding's points),
+    or None when none was found in a bounded number of draws."""
     for _ in range(40):
         points = {v: _point(rng, bound, denominators) for v in g.vertices}
         paths = {e.id: (points[e.u],
@@ -83,7 +96,10 @@ def _draw(rng, g, bound, denominators, waypoints, arc_denominators=None):
                  for _ in range(rng.randint(0, 2))),
                emb.vertex_points[e.v])
         try:
-            return emb, reroute_edge(emb, e.id, arc), e.id
+            moved = reroute_edge(emb, e.id, arc)
+            i = g.edges.index(e)
+            embedding._check_against(e, moved._records[i][1], [emb._records[i]])
+            return emb, moved, e.id
         except EmbeddingError:
             continue
     return None
@@ -96,25 +112,33 @@ def _outcome(thunk):
         return type(exc)
 
 
+def _scale(emb, *paths):
+    # the least integer that clears every point of the embedding and paths
+    points = chain(emb.vertex_points.values(), *emb.edge_paths.values(), *paths)
+    return math.lcm(*(c.denominator for p in points for c in p))
+
+
 def compare(emb, moved, eid, direction):
-    """'regular' or 'non-regular' as `project` finds the moved embedding;
-    None when the original one is not regular along the direction.  The
-    splice must agree with `project` either way."""
-    try:
-        before = project(emb, direction)
-    except NonRegularProjection:
-        return None
-    fresh = _outcome(lambda: project(moved, direction))
-    spliced = _outcome(lambda: reproject(before, moved, eid))
-    if fresh is NonRegularProjection:
-        assert spliced is NonRegularProjection
+    """'non-regular' when `project` is not regular on one of the two
+    embeddings, 'old and new paths' when both are regular but the pass is
+    not, else 'regular'.  The pass must raise in the first case and agree
+    with `project` in the last."""
+    fresh = [_outcome(lambda: project(e, direction)) for e in (emb, moved)]
+    both = _outcome(lambda: project_reroute(emb, moved, eid, direction))
+    if NonRegularProjection in fresh:
+        assert both is NonRegularProjection
         return "non-regular"
-    assert isinstance(spliced, ProjectedDiagram)
-    assert spliced.crossings == fresh.crossings  # record for record, in order
-    assert spliced == fresh
-    # the result carries a table of its own, so a second splice works too
-    again = _outcome(lambda: reproject(spliced, emb, eid))
-    assert again == project(emb, direction)
+    if both is NonRegularProjection:
+        return "old and new paths"
+    before, after = both
+    # the same crossings, in order, and the same integers unless the arc
+    # brings a denominator the embedding lacks
+    assert [decode(r) for r in before.crossings] == [decode(r) for r in fresh[0].crossings]
+    if _scale(emb, moved.path(eid)) == _scale(emb):
+        assert before == fresh[0]  # record for record
+    assert after.direction == fresh[1].direction
+    assert after.edge_endpoints == fresh[1].edge_endpoints
+    assert after.crossing_matrix == fresh[1].crossing_matrix
     return "regular"
 
 
@@ -156,23 +180,6 @@ def test_the_sweep_covers_regular_and_non_regular_splices():
         assert seen[kind, "regular"] > 0 and seen[kind, "non-regular"] > 0, seen
 
 
-def test_a_new_scale_gets_a_full_pass(monkeypatch):
-    # the old path's waypoint is the only point with denominator 7: after
-    # the reroute the embedding clears with scale 1, as `project` clears it
-    g = graph_from_pairs([(1, 2), (3, 4)])
-    points = {1: (0, 0, 0), 2: (10, 0, 0), 3: (5, -5, 3), 4: (5, 5, 3)}
-    emb = SpatialEmbedding(g, points, {0: ((0, 0, 0), (Fraction(36, 7), 1, 9), (10, 0, 0)),
-                                       1: ((5, -5, 3), (5, 5, 3))})
-    moved = reroute_edge(emb, 0, ((0, 0, 0), (4, 1, 7), (10, 0, 0)))
-    before = project(emb, (0, 0, 1))
-    passes = []
-    real = projection._crossing_pass
-    monkeypatch.setattr(projection, "_crossing_pass",
-                        lambda *args: passes.append(1) or real(*args))
-    assert reproject(before, moved, 0) == project(moved, (0, 0, 1))
-    assert len(passes) == 2
-
-
 # (fault, graph edges, vertex points, the new path of edge 0): along
 # (0, 0, 1) the embedding with straight edges is regular and the moved
 # one is not, for this one reason
@@ -205,12 +212,13 @@ def test_each_fault_of_the_new_path_is_caught(fault, pairs, points, path):
     g = graph_from_pairs(pairs, vertices=sorted(points))
     emb = SpatialEmbedding(g, points, {e.id: (points[e.u], points[e.v]) for e in g.edges})
     moved = reroute_edge(emb, 0, path)
-    before = project(emb, (0, 0, 1))
+    project(emb, (0, 0, 1))
     with pytest.raises(NonRegularProjection, match=fault) as fresh:
         project(moved, (0, 0, 1))
-    with pytest.raises(NonRegularProjection) as spliced:
-        reproject(before, moved, 0)
-    assert str(spliced.value) == str(fresh.value)
+    with pytest.raises(NonRegularProjection) as both:
+        project_reroute(emb, moved, 0, (0, 0, 1))
+    # the pass draws the new path after both edges, as strand 2
+    assert str(both.value) == str(fresh.value).replace("strand 0", "strand 2")
 
 
 def test_a_rational_arc_in_an_integer_embedding():
@@ -219,7 +227,29 @@ def test_a_rational_arc_in_an_integer_embedding():
                            {0: ((0, 0, 0), (10, 0, 0)), 1: ((5, -5, 3), (5, 5, 3))})
     moved = reroute_edge(emb, 0, ((0, 0, 0), (Fraction(9, 2), 1, Fraction(7, 3)), (10, 0, 0)))
     for d in [(0, 0, 1), (1, 2, 3)]:
-        assert reproject(project(emb, d), moved, 0) == project(moved, d)
+        before, after = project_reroute(emb, moved, 0, d)
+        assert after.crossing_matrix == project(moved, d).crossing_matrix
+        # the pass clears the arc's scale, 6, so each parameter's integers
+        # are 6^2 times those of `project` on the integer embedding
+        fresh = project(emb, d).crossings
+        assert fresh
+        assert before.crossings == tuple(
+            (*r[:2], 36 * r[2], 36 * r[3], *r[4:6], 36 * r[6], 36 * r[7], *r[8:])
+            for r in fresh)
+
+
+def test_the_check_pass_avoids_the_main_direction():
+    # both searches start at (0, 0, 1); the reports before and after share
+    # the two directions, and the check direction is not parallel to the main one
+    g = complete_graph(6)
+    index = omega.graph_pairs(g)
+    for seed in range(5):
+        emb = random_embedding(g, seed)
+        _, moved, _ = random_detour(emb, seed, random.Random(seed))
+        before, after = omega._reroute_reports(emb, moved, seed, index, seed)
+        assert before.direction == after.direction == (0, 0, 1)
+        assert before.check_direction == after.check_direction
+        assert not is_zero3(cross3(before.direction, before.check_direction))
 
 
 def _detour_above_u(emb, eid, rng):
@@ -235,8 +265,8 @@ K6_MINUS_EDGE = graph_from_pairs(
 
 
 # (graph, embedding seed, trials, reports with a violation, sha256 of the
-# report's JSON with sorted keys as the code before splicing wrote it,
-# which searched every after diagram afresh from the trial seed)
+# report's JSON with sorted keys as the code wrote it when every after
+# diagram was searched for afresh from the trial seed)
 FALLBACK_CASES = [
     (complete_graph(6), 3, 6, set(),
      "d90a092486a6248ed9ec78e292af3a2a53382fc18ced707ca72af494cab6565c"),
@@ -252,18 +282,19 @@ def test_an_arc_non_regular_at_the_before_direction_falls_back(
     emb = random_embedding(graph, emb_seed)
     monkeypatch.setattr(experiments, "random_detour", _detour_above_u)
     raised = []
-    real = omega.reproject
+    real = omega.project_reroute
 
-    def watched(diagram, moved, eid):
+    def watched(emb, moved, eid, direction):
         try:
-            return real(diagram, moved, eid)
+            return real(emb, moved, eid, direction)
         except NonRegularProjection:
-            raised.append(diagram.direction)
+            raised.append(direction)
             raise
 
-    monkeypatch.setattr(omega, "reproject", watched)
+    monkeypatch.setattr(omega, "project_reroute", watched)
     doc = edge_swap_check(emb, trials=trials, seed=0).to_json_dict()
-    assert raised == [(0, 0, 1)] * trials  # every main splice, so no check splice ran
+    # both searches of every trial start at (0, 0, 1) and pass it by
+    assert raised == [(0, 0, 1)] * (2 * trials)
     assert {v["trial"] for v in doc["violations"]} == failing
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
@@ -300,18 +331,24 @@ def test_a_splice_that_drops_the_arcs_crossings_breaks_the_pair_identity(monkeyp
         midpoint, reroute_edge(emb, eid, (points[u], midpoint, points[v])), 0))
 
     # the premise: edge uv crosses nothing in either before diagram
-    before = omega._diagrams(emb, None, 0)
-    assert all(e.id not in (r[0], r[4]) for diagram in before for r in diagram.crossings)
+    drawn = []
+    real = omega.project_reroute
+
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(omega, "project_reroute", recorded)
     assert edge_swap_check(emb, trials=1, seed=0).passed
+    assert len(drawn) == 2  # the main and the check pass
+    assert all(e.id not in (r[0], r[4]) for before, _ in drawn for r in before.crossings)
 
-    real = omega.reproject
+    def drops_the_arc(emb, moved, eid, direction):
+        before, after = real(emb, moved, eid, direction)
+        return before, ProjectedDiagram(after.direction, after.edge_endpoints, tuple(
+            r for r in after.crossings if eid not in (r[0], r[4])))
 
-    def drops_the_arc(diagram, moved, eid):
-        spliced = real(diagram, moved, eid)
-        return ProjectedDiagram(spliced.direction, spliced.edge_endpoints, tuple(
-            r for r in spliced.crossings if eid not in (r[0], r[4])))
-
-    monkeypatch.setattr(omega, "reproject", drops_the_arc)
+    monkeypatch.setattr(omega, "project_reroute", drops_the_arc)
     report = edge_swap_check(emb, trials=1, seed=0)
     kinds = Counter(violation.kind for violation in report.violations)
     assert kinds["pair-identity"] > 0

@@ -138,6 +138,9 @@ CASES = [
     ("experiment-petersen", ["experiment", "petersen", "--trials", "4", "--seed", "1"]),
     ("reroute-K6", ["reroute-check", "K6", "--trials", "20", "--seed", "4"]),
     ("reroute-K3,3,1", ["reroute-check", "K3,3,1", "--trials", "10", "--seed", "1"]),
+    # the straight Petersen embedding is accepted by the segment-pair walk,
+    # not by the general-position certificate
+    ("reroute-petersen", ["reroute-check", "petersen", "--trials", "4", "--seed", "1"]),
     ("embed-K6", ["embed", "K6", "--seed", "1"]),
     ("embed-K7", ["embed", "K7", "--seed", "2"]),
     ("omega-K6", ["omega", "{K6}"]),
