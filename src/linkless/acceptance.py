@@ -152,27 +152,28 @@ def criterion_6_minor_minimality() -> CriterionResult:
     return _timed(6, "every family member is minor-minimal", run)
 
 
-def _brute_iso_key(g: MultiGraph) -> tuple:
+def _brute_iso_key(g: MultiGraph) -> tuple[int, int, int]:
     """Isomorphism key by brute force over all permutations; isolated
     vertices are ignored so the key matches the minor notion.
 
-    The key is (active vertex count, smallest relabelled edge list).
+    The key is (active vertex count, edge count, smallest upper-triangle
+    adjacency bitmask over all orderings of the active vertices).
     """
     return _brute_iso_key_of_pairs(tuple(sorted(e.pair() for e in g.simplified().edges)))
 
 
 @cache
-def _brute_iso_key_of_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple:
+def _brute_iso_key_of_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
     # Remembered for the life of the process: the oracle meets the same
     # labelled graphs again within one search and across searches.
     verts = sorted({v for pair in pairs for v in pair})
-    best = None
-    for perm in permutations(range(len(verts))):
-        pos = dict(zip(verts, perm))
-        key = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in pairs))
-        if best is None or key < best:
-            best = key
-    return (len(verts), best)
+    k = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    bit = [[1 << min(i, j) * k + max(i, j) for j in range(k)] for i in range(k)]
+    edges = [(index[u], index[v]) for u, v in pairs]
+    best = min(sum(bit[perm[u]][perm[v]] for u, v in edges)
+               for perm in permutations(range(k)))
+    return (k, len(edges), best)
 
 
 def _delete_contract_oracle(g: MultiGraph, h: MultiGraph) -> bool:
@@ -183,7 +184,7 @@ def _delete_contract_oracle(g: MultiGraph, h: MultiGraph) -> bool:
     fewer edges or active vertices than h.
     """
     target = _brute_iso_key(h)
-    h_active, h_edges = target[0], len(target[1])
+    h_active, h_edges, _ = target
     seen = set()
     stack = [g.simplified()]
     while stack:
@@ -194,7 +195,7 @@ def _delete_contract_oracle(g: MultiGraph, h: MultiGraph) -> bool:
         seen.add(key)
         if key == target:
             return True
-        if len(key[1]) < h_edges or key[0] < h_active:
+        if key[1] < h_edges or key[0] < h_active:
             continue
         for e in cur.edges:
             stack.append(cur.delete_edge(e.id))

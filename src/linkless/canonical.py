@@ -6,7 +6,10 @@ color classes are refined by neighbor-color multisets, a stuck class is
 split by individualizing each member in turn, and the minimum leaf matrix
 wins.  Classes that are complete-or-empty toward every other class never
 need splitting (any internal permutation is an automorphism), which keeps
-complete graphs and their relatives from exploding the search.
+complete graphs and their relatives from exploding the search: a complete
+or empty graph is one such class at the root, so it packs the identity
+order without a branch.  A key is n as one byte, then the matrix's upper
+triangle row by row as a big-endian bit string, zero-padded to whole bytes.
 
 Two simple graphs receive equal keys exactly when they are isomorphic.
 Intended for the small graphs this package traffics in; hard-limited to
@@ -37,15 +40,7 @@ def canonical_form(g: MultiGraph) -> bytes:
     for e in gs.edges:
         nbrs[index[e.u]].append(index[e.v])
         nbrs[index[e.v]].append(index[e.u])
-    adj_mask = [0] * n
-    for i, ns in enumerate(nbrs):
-        for j in ns:
-            adj_mask[i] |= 1 << j
-
-    m = gs.m
-    if m == 0 or m == n * (n - 1) // 2:
-        # every ordering gives the same matrix
-        return _pack_key(n, list(range(n)), adj_mask)
+    adj_mask = [sum(1 << j for j in ns) for ns in nbrs]
 
     best: bytes | None = None
     nodes = 0
@@ -77,13 +72,13 @@ def canonical_form(g: MultiGraph) -> bytes:
             if len(cl) == 1:
                 continue
             i = cl[0]
-            inner = bin(adj_mask[i] & masks[a]).count("1")
+            inner = (adj_mask[i] & masks[a]).bit_count()
             if inner not in (0, len(cl) - 1):
                 return False
             for b, other in enumerate(cls_list):
                 if b == a or len(other) == 1:
                     continue
-                cross = bin(adj_mask[i] & masks[b]).count("1")
+                cross = (adj_mask[i] & masks[b]).bit_count()
                 if cross not in (0, len(other)):
                     return False
         return True
@@ -113,23 +108,14 @@ def canonical_form(g: MultiGraph) -> bytes:
 
 
 def _pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:
-    bits = []
+    bits = 0
     for p in range(n):
         row = adj_mask[order[p]]
         for q in range(p + 1, n):
-            bits.append(1 if row >> order[q] & 1 else 0)
-    packed = bytearray([n])
-    acc = 0
-    count = 0
-    for b in bits:
-        acc = acc << 1 | b
-        count += 1
-        if count == 8:
-            packed.append(acc)
-            acc = count = 0
-    if count:
-        packed.append(acc << (8 - count))
-    return bytes(packed)
+            bits = bits << 1 | row >> order[q] & 1
+    pairs = n * (n - 1) // 2
+    size = (pairs + 7) // 8
+    return bytes([n]) + (bits << (8 * size - pairs)).to_bytes(size, "big")
 
 
 def are_isomorphic(g: MultiGraph, h: MultiGraph) -> bool:

@@ -5,7 +5,9 @@ vertices to one new vertex; it preserves the edge count and adds a vertex.
 Closing {K6, K3,3,1} under Delta-Y moves yields seven isomorphism classes,
 the Petersen family.  This module generates it by breadth-first search
 over one map from canonical key to (graph, derivation), builds each
-member once after the search, and returns the family as a tuple.
+member once after the search, and returns the family as a tuple.  A move
+builds one graph and each class one canonical form; one pinned table of
+the seven keys names the members and verifies the family on every load.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canonical import canonical_form
-from .multigraph import GraphError, MultiGraph, complete_graph, k331_graph, petersen_graph
+from .multigraph import Edge, GraphError, MultiGraph, complete_graph, k331_graph
 
 DEFAULT_CLOSURE_BOUND = 64
 
@@ -27,36 +29,35 @@ class ClosureSizeExceeded(RuntimeError):
 
 def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
     """Vertex triples spanning a triangle, in lexicographic order."""
-    out = []
-    for a, b, c in combinations(sorted(g.vertices), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            out.append((a, b, c))
-    return out
+    def above(v):
+        return sorted(w for w in g.neighbors(v) if w > v)
+
+    return [(a, b, c) for a in sorted(g.vertices) for b in above(a)
+            for c in above(b) if c in g.neighbors(a)]
 
 
 def delta_y(g: MultiGraph, triangle: tuple[int, int, int]) -> MultiGraph:
     """Replace a triangle by a new degree-3 vertex joined to its corners.
 
-    The new vertex id is max(existing) + 1.  Between each pair of triangle
-    corners, the connecting edge with the smallest id is the one removed.
+    The new vertex id w is max(existing) + 1.  Between each pair of
+    triangle corners, the connecting edge with the smallest id is the one
+    removed.  The edges w-a, w-b, w-c (a < b < c) follow the kept edges
+    with ids max(kept ids) + 1, + 2, + 3.
     """
     a, b, c = sorted(triangle)
     if len({a, b, c}) != 3:
         raise GraphError("triangle vertices must be distinct")
-    removed = []
+    removed = set()
     for u, v in ((a, b), (a, c), (b, c)):
         edges = g.edges_between(u, v)
         if not edges:
             raise GraphError(f"{triangle} is not a triangle: no edge {u}-{v}")
-        removed.append(edges[0].id)
+        removed.add(edges[0].id)
+    kept = tuple(e for e in g.edges if e.id not in removed)
     w = max(g.vertices) + 1
-    out = g
-    for eid in removed:
-        out = out.delete_edge(eid)
-    out = out.add_vertex(w)
-    for corner in (a, b, c):
-        out = out.add_edge(w, corner)
-    return out
+    top = kept[-1].id if kept else -1
+    return MultiGraph(g.vertices | {w},
+                      kept + tuple(Edge(top + i, w, x) for i, x in enumerate((a, b, c), 1)))
 
 
 def y_delta(g: MultiGraph, v: int) -> MultiGraph:
@@ -80,6 +81,20 @@ def y_delta(g: MultiGraph, v: int) -> MultiGraph:
     return out
 
 
+# The Petersen family's canonical keys and names, in family order.  The
+# closure names its members from this table, and `petersen_family` checks
+# on every load that the closure reaches exactly these keys.
+_FAMILY_NAMES: dict[bytes, str] = {
+    bytes.fromhex("06fffe"): "K6",
+    bytes.fromhex("07e0eff8"): "P7",
+    bytes.fromhex("07e4efd8"): "K3,3,1",
+    bytes.fromhex("087039df80"): "P8a",
+    bytes.fromhex("08c2c19fb0"): "P8b",
+    bytes.fromhex("09c4448a6a70"): "P9",
+    bytes.fromhex("0ae0180c0d4a60"): "petersen",
+}
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     name: str
@@ -93,8 +108,10 @@ def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
 
     The first seed or derivation to reach a class keeps it, so derivations
     record a shortest move sequence.  Members come sorted by (vertex count,
-    key) and are named K6, K3,3,1 and petersen by key, the rest P<n> with
-    suffixes a, b, ... when several share n.
+    key).  A member of the Petersen family takes its name from the pinned
+    table.  Any other class is named P<n>, with a suffix a, b, ... when
+    another class shares n; the family members of that n take the first
+    letters, so no two classes share a name.
     """
     classes: dict[bytes, tuple[MultiGraph, tuple[str, ...]]] = {}
     for i, seed in enumerate(seeds):
@@ -117,42 +134,25 @@ def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
                 classes[key] = (child, derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",))
         level = list(classes.values())[size:]
 
-    specials = {canonical_form(g): g.name for g in (complete_graph(6), k331_graph(), petersen_graph())}
     ordered = sorted(classes.items(), key=lambda item: (item[1][0].n, item[0]))
-    plain = Counter(g.n for key, (g, _) in ordered if key not in specials)
-    named = Counter()
+    shared = Counter(g.n for g, _ in classes.values())
+    named = Counter(g.n for key, (g, _) in classes.items() if key in _FAMILY_NAMES)
     members = []
     for key, (g, derivation) in ordered:
-        name = specials.get(key)
+        name = _FAMILY_NAMES.get(key)
         if name is None:
-            suffix = chr(ord("a") + named[g.n]) if plain[g.n] > 1 else ""
+            suffix = chr(ord("a") + named[g.n]) if shared[g.n] > 1 else ""
             named[g.n] += 1
             name = f"P{g.n}{suffix}"
         members.append(FamilyMember(name, g, key, derivation))
     return tuple(members)
 
 
-# Canonical keys of the seven family members (hex), pinned so that the
-# cached family can be verified on every load.
-EXPECTED_FAMILY_KEYS: tuple[str, ...] = (
-    "06fffe",          # K6
-    "07e0eff8",        # P7
-    "07e4efd8",        # K3,3,1
-    "087039df80",      # P8a
-    "08c2c19fb0",      # P8b
-    "09c4448a6a70",    # P9
-    "0ae0180c0d4a60",  # petersen
-)
-
-
 @lru_cache(maxsize=1)
 def petersen_family() -> tuple[FamilyMember, ...]:
     """The seven-member Delta-Y closure of {K6, K3,3,1}, cached and verified."""
     family = petersen_closure([complete_graph(6), k331_graph()])
-    if len(family) != 7:
-        raise AssertionError(f"Petersen family closure found {len(family)} classes")
-    got = sorted(m.canonical.hex() for m in family)
-    if got != sorted(EXPECTED_FAMILY_KEYS):
+    if {m.canonical: m.name for m in family} != _FAMILY_NAMES:
         raise AssertionError("Petersen family keys changed; canonical form drifted")
     return family
 

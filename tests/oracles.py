@@ -29,6 +29,11 @@ segment records of the old path built afresh, then by ``reroute_edge``.
 written before it ran on integer-indexed lists: per-edge state in dicts
 keyed by (v, w) pairs, and interval and conflict-pair objects.  The
 package's test must return the same rotation system on every input.
+``triangles`` and ``delta_y`` are the Delta-Y move's helpers as they were
+written before a move built one graph: every vertex triple tested for
+three edges, and three deletions, a new vertex and three additions, one
+graph each.  ``pack_key`` is the canonical key's byte packer as it was
+written before it used ``int.to_bytes``: one bit list, packed byte by byte.
 """
 
 from __future__ import annotations
@@ -1045,3 +1050,46 @@ class _LeftRight:
                         break
             rotation[v] = tuple(order)
         return rotation
+
+
+def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
+    out = []
+    for a, b, c in combinations(sorted(g.vertices), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            out.append((a, b, c))
+    return out
+
+
+def delta_y(g: MultiGraph, triangle: tuple[int, int, int]) -> MultiGraph:
+    a, b, c = sorted(triangle)
+    removed = []
+    for u, v in ((a, b), (a, c), (b, c)):
+        removed.append(g.edges_between(u, v)[0].id)
+    w = max(g.vertices) + 1
+    out = g
+    for eid in removed:
+        out = out.delete_edge(eid)
+    out = out.add_vertex(w)
+    for corner in (a, b, c):
+        out = out.add_edge(w, corner)
+    return out
+
+
+def pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:
+    bits = []
+    for p in range(n):
+        row = adj_mask[order[p]]
+        for q in range(p + 1, n):
+            bits.append(1 if row >> order[q] & 1 else 0)
+    packed = bytearray([n])
+    acc = 0
+    count = 0
+    for b in bits:
+        acc = acc << 1 | b
+        count += 1
+        if count == 8:
+            packed.append(acc)
+            acc = count = 0
+    if count:
+        packed.append(acc << (8 - count))
+    return bytes(packed)

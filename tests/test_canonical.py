@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from linkless.acceptance import _brute_iso_key
-from linkless.canonical import VertexLimitExceeded, are_isomorphic, canonical_form
+from linkless.canonical import VertexLimitExceeded, _pack_key, are_isomorphic, canonical_form
 from linkless.multigraph import (
     complete_bipartite,
     complete_graph,
@@ -107,3 +108,28 @@ def test_delete_then_readd_restores_key():
     for e in list(g.edges)[:5]:
         h = g.delete_edge(e.id).add_edge(e.u, e.v, eid=e.id)
         assert canonical_form(h) == canonical_form(g)
+
+
+def test_pack_key_matches_the_reference_packer():
+    rng = random.Random(11)
+    for n in range(11):
+        for _ in range(40):
+            adj = [0] * n
+            for i, j in combinations(range(n), 2):
+                if rng.random() < 0.5:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            order = list(range(n))
+            rng.shuffle(order)
+            assert _pack_key(n, order, adj) == oracles.pack_key(n, order, adj)
+
+
+def test_complete_and_empty_graphs_pack_the_identity_order():
+    # the root's single class is homogeneous, so the search packs the
+    # identity order without branching
+    for n in range(17):
+        full = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+        identity = list(range(n))
+        assert canonical_form(complete_graph(n)) == oracles.pack_key(n, identity, full)
+        empty = graph_from_pairs((), vertices=range(1, n + 1))
+        assert canonical_form(empty) == oracles.pack_key(n, identity, [0] * n)

@@ -481,7 +481,8 @@ def test_derived_state_stays_with_the_module_that_builds_it():
     # lk parities and raises the pair test's messages (each in one place),
     # only `omega` draws a reroute's diagrams (`project_reroute`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
-    # and no report carries wall-clock timings
+    # no report carries wall-clock timings, only `moves` names the pinned
+    # family table and only `canonical` packs keys
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
               "_general_position": {"embedding.py"},
               "COORDINATE_BOUND": {"embedding.py"}, "RETRY_LIMIT": {"embedding.py"},
@@ -490,7 +491,8 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
               "crossing_matrix": {"projection.py"},
-              "project_reroute": {"projection.py", "omega.py"}}
+              "project_reroute": {"projection.py", "omega.py"},
+              "_FAMILY_NAMES": {"moves.py"}, "_pack_key": {"canonical.py"}}
     raised: dict[str, list[str]] = {}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
+import oracles
 from linkless import moves
 from linkless.canonical import are_isomorphic, canonical_form
 from linkless.moves import (
@@ -53,6 +54,46 @@ def test_delta_y_removes_the_smallest_id_between_two_corners():
     out = delta_y(g, (1, 2, 3))
     assert [e.id for e in out.edges_between(1, 2)] == [5]
     assert sorted(e.pair() for e in out.edges) == [(1, 2), (1, 4), (2, 4), (3, 4)]
+
+
+def test_delta_y_matches_the_reference_move():
+    # the reference builds seven graphs per move; the result must be the
+    # same graph down to edge ids, ends and order.  The last host doubles
+    # the triangle side 1-2 (ids 7 and 0) and carries a loop with the top id
+    doubled = MultiGraph(frozenset({1, 2, 3, 4}), (
+        Edge(0, 2, 1), Edge(1, 1, 3), Edge(2, 2, 3), Edge(3, 1, 4), Edge(5, 3, 4),
+        Edge(6, 2, 4), Edge(7, 1, 2), Edge(9, 4, 4)))
+    hosts = [m.graph for m in petersen_family()] + [complete_graph(7), doubled]
+    moved = 0
+    for g in hosts:
+        tris = triangles(g)
+        assert tris == oracles.triangles(g)
+        for tri in tris:
+            got, want = delta_y(g, tri), oracles.delta_y(g, tri)
+            assert (got.vertices, got.edges, got.name) == (want.vertices, want.edges, want.name)
+            moved += 1
+    assert moved == 44 + 35 + 4
+
+
+def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch):
+    # one canonical form per seed and per Delta-Y child, no other graph
+    # keyed to name the members, and one graph built per move
+    seeds = [complete_graph(6), k331_graph()]
+    keyed, built = [], []
+    init = MultiGraph.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(moves, "canonical_form", lambda g: keyed.append(g) or canonical_form(g))
+    monkeypatch.setattr(MultiGraph, "__post_init__", counting_init)
+    fam = petersen_closure(seeds)
+    monkeypatch.undo()
+    moves_made = sum(len(triangles(m.graph)) for m in fam)
+    assert moves_made == 44
+    assert len(keyed) == len(seeds) + moves_made
+    assert len(built) == moves_made
 
 
 def test_delta_y_requires_triangle():
@@ -129,6 +170,18 @@ def test_closure_of_triangle():
     fam = petersen_closure([c3])
     assert len(fam) == 2  # C3 and the claw K_{1,3}, which is triangle-free
     assert fam[1].graph.degree_sequence() == (1, 1, 1, 3)
+
+
+def test_closure_names_stay_unique_beside_family_members():
+    # two triangles and an edge on 8 vertices: with K6, the closure holds
+    # six family members and other classes of 8, 9 and 10 vertices, which
+    # are lettered after the family members of their size
+    x = graph_from_pairs([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (7, 8)])
+    fam = petersen_closure([complete_graph(6), x])
+    family = {m.canonical: m.name for m in petersen_family()}
+    assert len({m.name for m in fam}) == len(fam) == 9
+    assert all(m.name == family[m.canonical] for m in fam if m.canonical in family)
+    assert [m.name for m in fam if m.canonical not in family] == ["P8c", "P9b", "P10b"]
 
 
 def test_family_has_seven_members():

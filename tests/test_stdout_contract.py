@@ -8,7 +8,9 @@ change that alters stdout on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_stdout_contract.py
 
-and says why in its change notes.  The ``omega`` cases read the
+and says why in its change notes; ``--check`` compares instead of
+recording, and exits 1 on a difference.  Neither needs pytest, so both
+run under the oldest supported interpreter.  The ``omega`` cases read the
 embeddings that the ``embed`` cases print, so those files never need to
 be stored.  The other cases on "{...}" names read the edge lists in
 ``EDGE_LISTS`` and the embeddings in ``EMBEDDINGS``, written to a
@@ -24,9 +26,8 @@ import io
 import json
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
-
-import pytest
 
 from linkless import cli
 from linkless.cli import main
@@ -200,7 +201,7 @@ def run_cases() -> dict[str, dict]:
     return results
 
 
-@pytest.fixture(scope="module")
+@cache
 def recorded_run():
     """The results of every case, and each document printed with its text."""
     emitted = []
@@ -211,30 +212,44 @@ def recorded_run():
         emitted.append((copy.deepcopy(doc), text))
         return text
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_dumps", recording)
+    cli._dumps = recording
+    try:
         return run_cases(), emitted
+    finally:
+        cli._dumps = encode
 
 
-@pytest.fixture(scope="module")
-def results(recorded_run):
-    return recorded_run[0]
+def pytest_generate_tests(metafunc):
+    # one test per case, with the case name as its id
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", [name for name, _ in CASES])
 
 
-def test_printed_text_is_what_json_dumps_writes(recorded_run):
-    results, emitted = recorded_run
+def test_printed_text_is_what_json_dumps_writes():
+    results, emitted = recorded_run()
     assert len(emitted) == sum(result["exit"] != 2 for result in results.values())
     for doc, text in emitted:
         assert text == json.dumps(doc, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("name", [name for name, _ in CASES])
-def test_stdout_and_exit_code_match_the_record(results, name):
+def test_stdout_and_exit_code_match_the_record(name):
     recorded = json.loads(DIGESTS.read_text())
     assert set(recorded) == {name for name, _ in CASES}
-    assert results[name] == recorded[name]
+    assert recorded_run()[0][name] == recorded[name]
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(run_cases(), indent=2, sort_keys=True) + "\n")
-    sys.exit(0)
+    if sys.argv[1:] not in ([], ["--check"]):
+        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        sys.exit(2)
+    results = run_cases()
+    if not sys.argv[1:]:
+        DIGESTS.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        sys.exit(0)
+    recorded = json.loads(DIGESTS.read_text())
+    names = sorted(set(results) | set(recorded))
+    differ = [name for name in names if results.get(name) != recorded.get(name)]
+    for name in differ:
+        print(f"{name}: recorded {recorded.get(name)}, got {results.get(name)}")
+    print(f"{len(names) - len(differ)} of {len(names)} cases match the record")
+    sys.exit(1 if differ else 0)
