@@ -8,19 +8,18 @@ the per-pair bookkeeping identity
     omega(J', K) = omega(J, K) + omega(D, K)  (mod 2)
 
 where J' is the circuit J with edge e replaced by the new arc e', and D
-is the closed loop e + e'; lk(D, K) for all K comes from one projection of
-D and those circuits.  The identity follows from the bilinearity of
+is the closed loop e + e'.  The identity follows from the bilinearity of
 lk, so it holds on every graph and a violation means a kernel bug.
 Summed over the pairs through e, omega changes by the sum of omega(D, K),
 which is even on the family; an odd sum on another graph is reported as
 ``even-cover`` and ``omega-changed``.  Trials use per-trial seeds derived
 as seed XOR index, so results do not depend on execution order.
 
-The omega tables before and after a reroute are read from the same
-crossing passes, each over the embedding and the new arc, while the D
-diagram comes from a crossing pass and a direction search of its own, so
-the identity checks the arc's crossings against an independent
-computation in every trial.
+A trial makes two crossing passes, the main and the check pass, each
+over the embedding and the new arc in one direction.  The omega tables
+before and after the reroute are read off both diagrams, which must agree
+pair by pair, and lk(D, K) off the check diagram, so the identity checks
+how the tables read the old edge and the new arc against the loop D.
 """
 
 from __future__ import annotations
@@ -140,10 +139,10 @@ def edge_swap_check(
     Given a graph, every trial embeds it afresh (a graph without edges
     raises GraphError); given an embedding, all trials reroute it.  The
     detour is `random_detour`'s, so a trial that finds no valid midpoint
-    within its retry limit raises RetryLimitExceeded.  A trial makes three
-    full crossing passes: the main and the check pass, each of which gives
-    a diagram before and after the reroute (see `_reroute_reports`), and
-    the D diagram.
+    within its retry limit raises RetryLimitExceeded.  A trial makes two
+    full crossing passes, the main and the check pass, and reads the omega
+    tables before and after the reroute off both and lk(D, K) off the
+    check diagram (see `_reroute_reports`).
     """
     base = graph if isinstance(graph, SpatialEmbedding) else None
     g = graph.graph if base is not None else graph
@@ -165,7 +164,7 @@ def edge_swap_check(
         midpoint, emb2, rejected = random_detour(emb, e.id, rng)
         retries += rejected
 
-        before, after = _reroute_reports(emb, emb2, e.id, index, trial_seed)
+        before, after, check = _reroute_reports(emb, emb2, e.id, index, trial_seed)
 
         def violate(kind: str, detail: str) -> None:
             violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {
@@ -182,8 +181,7 @@ def edge_swap_check(
 
         opposite = [k if e.id in j.edge_ids else j if e.id in k.edge_ids else None
                     for j, k in index.pairs]  # the circuit facing the one through e, if any
-        links = iter(_detour_links(emb, e.id, emb2.path(e.id),
-                                   [c for c in opposite if c is not None], trial_seed))
+        links = iter(_detour_links(check, e.id, [c for c in opposite if c is not None]))
         cover_parity = 0
         for complementary, entry_before, entry_after in zip(opposite, before.pairs, after.pairs):
             j, k = entry_before.j, entry_before.k

@@ -11,12 +11,14 @@ Each projection is computed once and carries its edge-pair crossing
 matrix.  Its lk table comes from one checked pass over the pairs
 (``projection.link_tables``), and each omega and the total are read off
 it.  ``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
-reroute's lk(D, K), for all circuits K, comes from one diagram of D and
-the K's too, drawn by a full crossing pass.  The reports before and after
-a reroute (``_reroute_reports``) share their directions: each direction
-gives both diagrams from one pass over the embedding's strands and the
-new path (``projection.project_reroute``), and a direction counts as
-regular only when that whole pass is.
+reroute is drawn by one crossing pass per direction over the embedding's
+strands and the new path (``projection.project_reroute``), and a
+direction counts as regular only when that whole pass is.  The reports
+before and after it (``_reroute_reports``) read the main and the check
+diagram through two views of the graph's pair index, the second with the
+new path's key in place of the moved edge's id, and lk(D, K) for every
+circuit K is read off the check diagram with D the two-edge circuit of
+the old and new paths (``_detour_links``).
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -27,14 +29,14 @@ every direction it has drawn for the same embedding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
-from .geometry import Point3, cross3, format_point, is_zero3
+from .geometry import GeometryError, Point3, cross3, format_point, is_zero3
 from .multigraph import MultiGraph
 from .projection import (
     NonRegularProjection,
@@ -70,7 +72,10 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
     """``attempt(d)`` for the first of DIRECTION_ATTEMPTS seeded directions d
     where it does not raise NonRegularProjection.  A direction parallel to
     one in ``avoid`` gives a picture already drawn, so it is skipped and not
-    counted."""
+    counted; a zero vector in ``avoid``, parallel to every direction, raises
+    GeometryError."""
+    if any(is_zero3(a) for a in avoid):
+        raise GeometryError("projection direction must be nonzero")
     directions = (d for d in direction_stream(seed)
                   if not any(is_zero3(cross3(d, a)) for a in avoid))
     for d in islice(directions, DIRECTION_ATTEMPTS):
@@ -81,21 +86,13 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
     raise RetryLimitExceeded(f"{failure} in {DIRECTION_ATTEMPTS} attempts")
 
 
-def _detour_links(emb: SpatialEmbedding, eid: int, arc: Sequence[Point3],
-                  circuits: Sequence[Circuit], seed: int) -> list[int]:
-    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, from one
-    regular projection; D runs from u to v along the edge and back along ``arc``."""
-    arc_id = max(emb.edge_paths) + 1
-    endpoints = edge_endpoints(emb.graph)
-    endpoints[arc_id] = endpoints[eid]
-    paths = {**emb.edge_paths, arc_id: arc}
-    loop = Circuit(endpoints[eid], (eid, arc_id))
-    drawn = [loop, *circuits]
-    strands = [(f, paths[f]) for f in sorted({f for c in drawn for f in c.edge_ids})]
-    # every vertex drawn ends a drawn segment, so no marker is needed
-    diagram = _first_regular(
-        lambda d: ProjectedDiagram(d, endpoints, strand_crossings(strands, d)),
-        seed, "no regular projection of the reroute loop")
+def _detour_links(diagram: ProjectedDiagram, eid: int,
+                  circuits: Sequence[Circuit]) -> list[int]:
+    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, read
+    off a `project_reroute` diagram; D runs from u to v along the edge and
+    back along the new path."""
+    endpoints = diagram.edge_endpoints
+    loop = Circuit(endpoints[eid], (eid, max(endpoints)))  # the new path has the top key
     return link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
 
 
@@ -204,19 +201,24 @@ def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
 
 
 def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
-                     index: PairIndex, seed: int) -> tuple[OmegaReport, OmegaReport]:
+                     index: PairIndex, seed: int
+                     ) -> tuple[OmegaReport, OmegaReport, ProjectedDiagram]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``eid``, each pair of diagrams read off one
-    `project_reroute` pass: the main pass along the first direction from
+    only in the path of edge ``eid``, and the check diagram, from two
+    `project_reroute` passes: the main pass along the first direction from
     ``seed`` where it is regular, the check pass along the first from
     ``seed + 1`` where it is regular and that is not parallel to the main
-    one."""
+    one.  Both reports read both diagrams through ``index``, the report of
+    ``moved`` with the new path's key in place of ``eid``."""
     attempt = partial(project_reroute, emb, moved, eid)
     failure = "no regular projection direction found"
     main = _first_regular(attempt, seed, failure)
-    check = _first_regular(attempt, seed + 1, failure, [main[0].direction])
-    return (_report(emb, index, main[0], check[0]),
-            _report(moved, index, main[1], check[1]))
+    check = _first_regular(attempt, seed + 1, failure, [main.direction])
+    arc = max(main.edge_endpoints)  # the new path's key
+    before = replace(index, endpoints=main.edge_endpoints)
+    after = replace(before, signs=tuple(
+        tuple((arc if e == eid else e, sign) for e, sign in signs) for signs in index.signs))
+    return _report(emb, before, main, check), _report(moved, after, main, check), check
 
 
 def loop_pair_link(

@@ -38,23 +38,20 @@ image point is used to find triple points and is not kept.  A
 keys.
 
 A one-edge reroute is drawn by `project_reroute`, one pass over the
-embedding's strands and, last, the moved edge's new path.  Since the new
-path comes last, dropping its records leaves the records of `project` on
-the embedding in the same order.  They are the same integers when the
-new path brings no denominator the embedding lacks (every integer
-detour); otherwise the pass clears a larger scale, k times the
-embedding's, and each t_num and t_den is k^2 times `project`'s.
-Dropping the old path's records instead, with the new path's relabelled
-as the edge, leaves the crossing matrix of `project` on the moved
-embedding.  The pass tests every segment pair that either diagram tests,
-so it is regular only when both diagrams are.
+embedding's strands and, last, the moved edge's new path, keyed one
+above every edge id and given the moved edge's ends.  That one diagram
+holds both embeddings and the loop D of the old and new paths: circuits
+read through the old edge's id see the embedding before the reroute,
+circuits with the new path's key in its place see it after, and D is the
+two-edge circuit of both.  The pass tests every segment pair that either
+embedding's `project` tests, so it is regular only when both are.
 
 Over/under is read in one place, `crossing_matrix`: for every strand e
 and every strand f it passes over, the signed sum and the number of those
 crossings.  It rejects a record whose over is not 0 or 1 or whose sign is
-not +-1 as a kernel bug, since `project_reroute` rebuilds the records it
-relabels and a sign times an odd number would keep every parity the
-checks below read.  Each diagram builds that matrix on first use.
+not +-1 as a kernel bug, since a sign times an odd number would keep
+every parity the checks below read.  Each diagram builds that matrix on
+first use.
 `link_tables` computes lk of every circuit pair in one pass: each J gets
 one row, the sum of s_J(e) L[e][f] over the edges e of J (s the
 traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the edges
@@ -277,18 +274,15 @@ def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
 
 
 def project_reroute(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
-                    direction: Point3) -> tuple[ProjectedDiagram, ProjectedDiagram]:
-    """Diagrams of ``emb`` and of ``moved`` along ``direction``, from one
-    crossing pass, where ``moved`` differs from ``emb`` only in the path
-    of edge ``eid`` and its new path meets the old one only at their ends.
+                    direction: Point3) -> ProjectedDiagram:
+    """One diagram of ``emb`` and of the new path of edge ``eid`` in
+    ``moved`` along ``direction``, where ``moved`` differs from ``emb``
+    only in that path and the new path meets the old one only at their
+    ends.
 
-    The pass runs over the strands of ``emb`` and, last, the new path
-    under a key no edge has.  Dropping the new path's records leaves the
-    records of ``project(emb, direction)`` in order (the same integers
-    unless the new path brings a new denominator); dropping the old
-    path's and relabelling the new path's as ``eid`` leaves a diagram with
-    the crossing matrix of ``project(moved, direction)``.  The pass tests
-    every segment pair of both diagrams, so it raises NonRegularProjection
+    The new path is the last strand, keyed ``max(edge id) + 1`` with the
+    ends of ``eid`` (see the module docstring).  The pass tests every
+    segment pair of both embeddings, so it raises NonRegularProjection
     whenever either `project` would.  It may also raise when both are
     regular: where the old and new paths meet irregularly in the image,
     or where a crossing on one of them has the image of a crossing on the
@@ -298,20 +292,9 @@ def project_reroute(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
     strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
     strands.append((arc, moved.edge_paths[eid]))
     markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
-    records = strand_crossings(strands, direction, markers)
-    before, after = [], []
-    for r in records:
-        # the new path is the last strand: a record with it as strand_s
-        # has it as strand_t too
-        if r[4] != arc:
-            before.append(r)
-            if r[0] != eid and r[4] != eid:
-                after.append(r)
-        elif r[0] != eid:
-            after.append((eid if r[0] == arc else r[0], *r[1:4], eid, *r[5:]))
     endpoints = edge_endpoints(emb.graph)
-    return (ProjectedDiagram(direction, endpoints, tuple(before)),
-            ProjectedDiagram(direction, endpoints, tuple(after)))
+    endpoints[arc] = endpoints[eid]
+    return ProjectedDiagram(direction, endpoints, strand_crossings(strands, direction, markers))
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],

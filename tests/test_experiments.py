@@ -2,7 +2,6 @@ import contextlib
 import io
 import random
 import types
-from collections import Counter
 
 import pytest
 
@@ -17,6 +16,7 @@ from linkless.embedding import (
     random_embedding,
 )
 from linkless.experiments import conway_gordon_experiment, edge_swap_check
+from linkless.geometry import cross3, is_zero3
 from linkless.moves import petersen_family
 from linkless.multigraph import complete_graph, k331_graph
 from linkless.omega import DIRECTION_ATTEMPTS, loop_pair_link
@@ -163,23 +163,30 @@ def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
     assert report.passed
 
 
-# -- lk(D, K) of a reroute, read from one diagram ------------------------------
+# -- lk(D, K) of a reroute, read off its check diagram -------------------------
 
 def _random_detour(emb, rng, edge=None):
-    """(edge, arc): a valid two-segment detour of ``edge`` (default: a random
-    edge) through a random midpoint, drawn as ``edge_swap_check`` draws it."""
+    """(edge, moved): a valid two-segment detour of ``edge`` (default: a
+    random edge) through a random midpoint, drawn as ``edge_swap_check``
+    draws it, and the embedding with the edge moved onto it."""
     edges = emb.graph.edges
     e = edge if edge is not None else edges[rng.randrange(len(edges))]
-    return e, random_detour(emb, e.id, rng)[1].path(e.id)
+    return e, random_detour(emb, e.id, rng)[1]
 
 
-def _detour_links_against_oracles(emb, e, arc, seed):
-    """lk(D, K) from the one diagram for every circuit K avoiding e's ends,
+def _check_diagram(emb, e, moved, seed):
+    # the diagram a reroute trial reads lk(D, K) off
+    return omega._reroute_reports(emb, moved, e.id, omega.graph_pairs(emb.graph), seed)[2]
+
+
+def _detour_links_against_oracles(emb, e, moved, seed):
+    """lk(D, K) from the check diagram for every circuit K avoiding e's ends,
     checked against one `loop_pair_link` projection per K and the Gauss
-    integral of the polylines, D = old path out, arc back."""
+    integral of the polylines, D = old path out, new path back."""
     circuits = [c for c in enumerate_circuits(emb.graph) if not c.vertices & {e.u, e.v}]
-    links = omega._detour_links(emb, e.id, arc, circuits, seed)
+    links = omega._detour_links(_check_diagram(emb, e, moved, seed), e.id, circuits)
     assert len(links) == len(circuits) > 0
+    arc = moved.path(e.id)
     d_loop = [*emb.path(e.id), *arc[-2:0:-1]]
     for k, lk in zip(circuits, links):
         k_loop = circuit_polyline(emb, k)
@@ -194,8 +201,8 @@ def test_detour_links_match_per_pair_projections_and_gauss(graph):
     links = []
     for seed in range(40):
         emb = random_embedding(graph, seed)
-        e, arc = _random_detour(emb, rng)
-        links += _detour_links_against_oracles(emb, e, arc, seed)
+        e, moved = _random_detour(emb, rng)
+        links += _detour_links_against_oracles(emb, e, moved, seed)
     assert any(lk != 0 for lk in links)
 
 
@@ -206,33 +213,32 @@ def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
     rng = random.Random(12)
     links = []
     for seed in range(40):
-        e, arc = _random_detour(emb, rng, edge)
-        links += _detour_links_against_oracles(emb, e, arc, seed)
+        e, moved = _random_detour(emb, rng, edge)
+        links += _detour_links_against_oracles(emb, e, moved, seed)
     assert any(lk != 0 for lk in links)
 
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
-    # per trial: one full crossing pass for the main and one for the check
-    # direction, each over the embedding and the new arc and each giving
-    # the diagrams before and after, and one diagram of all (D, K); every
-    # diagram comes from a full pass, none is spliced
-    strands = []
+    # per trial: exactly two crossing passes, the main and the check pass,
+    # each over the graph's edges and the new arc, in two non-parallel
+    # directions; the check diagram also gives every lk(D, K), so no pass
+    # draws D on its own
+    passes = []
     real_pass = projection.strand_crossings
 
     def counted(strand_list, direction, markers=()):
-        strands.append(len(strand_list))
+        passes.append((len(strand_list), direction))
         return real_pass(strand_list, direction, markers)
 
     monkeypatch.setattr(projection, "strand_crossings", counted)
     monkeypatch.setattr(omega, "strand_crossings", counted)
     report = edge_swap_check(graph, trials=10, seed=0)
     assert report.passed
-    assert len(strands) == 10 * 3
-    if graph.name == "K6":
-        # the 15 edges and the arc; D's two strands and the K4 on the
-        # other four vertices
-        assert Counter(strands) == {16: 20, 8: 10}
+    assert len(passes) == 10 * 2
+    assert {size for size, _ in passes} == {graph.m + 1}
+    for (_, main), (_, check) in zip(passes[::2], passes[1::2]):
+        assert not is_zero3(cross3(main, check))
 
 
 def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
@@ -262,10 +268,11 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
     rng = random.Random(11)
     for seed in range(10):
         emb = random_embedding(graph, seed)
-        e, arc = _random_detour(emb, rng)
+        e, moved = _random_detour(emb, rng)
         circuits = [c for c in enumerate_circuits(graph) if not c.vertices & {e.u, e.v}]
+        diagram = _check_diagram(emb, e, moved, seed)
         calls.clear()
-        links = omega._detour_links(emb, e.id, arc, circuits, seed)
+        links = omega._detour_links(diagram, e.id, circuits)
         [(diagrams, index)] = calls
         table = real(diagrams, index)[0]
         assert table == links
@@ -318,11 +325,13 @@ def test_detour_table_checks_its_parities_against_lk(monkeypatch):
     # the reroute loop's old edge over the first circuit's first edge
     g = complete_graph(6)
     emb, e = random_embedding(g, 0), g.edges[0]
-    arc = random_detour(emb, e.id, random.Random(0))[1].path(e.id)
+    moved = random_detour(emb, e.id, random.Random(0))[1]
     circuits = [c for c in enumerate_circuits(g) if not c.vertices & {e.u, e.v}]
+    direction = _check_diagram(emb, e, moved, 0).direction
     _plant_odd_count(monkeypatch, e.id, circuits[0].edge_ids[0])
+    diagram = projection.project_reroute(emb, moved, e.id, direction)
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
-        omega._detour_links(emb, e.id, arc, circuits, 0)
+        omega._detour_links(diagram, e.id, circuits)
 
 
 def test_the_check_projection_catches_an_lk_difference(monkeypatch):
@@ -340,13 +349,18 @@ def test_the_check_projection_catches_an_lk_difference(monkeypatch):
 
 
 def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypatch, capsys):
+    # every pass that draws the new arc (one strand more than the graph's
+    # edges) is non-regular, so the main search gives up
     attempts = []
+    real_pass = projection.strand_crossings
 
-    def never_regular(*args):
-        attempts.append(args[1])
-        raise NonRegularProjection("forced")
+    def never_regular_with_the_arc(strands, direction, markers=()):
+        if len(strands) > 15:
+            attempts.append(direction)
+            raise NonRegularProjection("forced")
+        return real_pass(strands, direction, markers)
 
-    monkeypatch.setattr(omega, "strand_crossings", never_regular)
+    monkeypatch.setattr(projection, "strand_crossings", never_regular_with_the_arc)
     with pytest.raises(RetryLimitExceeded, match=f"in {DIRECTION_ATTEMPTS} attempts"):
         edge_swap_check(complete_graph(6), trials=1, seed=0)
     assert len(attempts) == len(set(attempts)) == DIRECTION_ATTEMPTS
@@ -355,5 +369,5 @@ def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypa
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "error: no regular projection of the reroute loop" in err
+    assert "error: no regular projection direction found" in err
     assert "Traceback" not in err

@@ -1,8 +1,11 @@
-"""`project_reroute` draws an embedding and a one-edge reroute of it from
-one crossing pass: its before diagram must be `project`'s record for
-record, its after diagram must have the crossing matrix of `project` on
-the moved embedding, it must raise NonRegularProjection whenever either
-`project` does, and `edge_swap_check` must stay correct with it.
+"""`project_reroute` draws an embedding and a one-edge reroute of it as one
+diagram, with the new path as one more strand: without the new path's
+records it must be `project`'s record for record, without the old path's
+and with the new path's read as the edge it must have the crossing
+matrix of `project` on the moved embedding, its lk tables read through
+the reroute's pair views must be those of `project`, it must raise
+NonRegularProjection whenever either `project` does, and
+`edge_swap_check` must stay correct with it.
 
 Embeddings are drawn from a seed: vertex and waypoint coordinates in a
 box whose side is small enough, in some draws, that directions with
@@ -39,6 +42,7 @@ from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
 from linkless.projection import (
     NonRegularProjection,
     ProjectedDiagram,
+    crossing_matrix,
     project,
     project_reroute,
 )
@@ -118,27 +122,40 @@ def _scale(emb, *paths):
     return math.lcm(*(c.denominator for p in points for c in p))
 
 
+def _split(diagram, eid):
+    """The records without the new path's, and the records without the old
+    path's with the new path's relabelled as ``eid``."""
+    arc = max(diagram.edge_endpoints)
+    before = tuple(r for r in diagram.crossings if arc not in (r[0], r[4]))
+    after = tuple((eid if r[0] == arc else r[0], *r[1:4], eid if r[4] == arc else r[4], *r[5:])
+                  for r in diagram.crossings if eid not in (r[0], r[4]))
+    return before, after
+
+
 def compare(emb, moved, eid, direction):
     """'non-regular' when `project` is not regular on one of the two
     embeddings, 'old and new paths' when both are regular but the pass is
     not, else 'regular'.  The pass must raise in the first case and agree
     with `project` in the last."""
     fresh = [_outcome(lambda: project(e, direction)) for e in (emb, moved)]
-    both = _outcome(lambda: project_reroute(emb, moved, eid, direction))
+    drawn = _outcome(lambda: project_reroute(emb, moved, eid, direction))
     if NonRegularProjection in fresh:
-        assert both is NonRegularProjection
+        assert drawn is NonRegularProjection
         return "non-regular"
-    if both is NonRegularProjection:
+    if drawn is NonRegularProjection:
         return "old and new paths"
-    before, after = both
+    # the new path is keyed one above every edge id, with the edge's ends
+    endpoints = fresh[0].edge_endpoints
+    arc = max(emb.edge_paths) + 1
+    assert drawn.direction == direction
+    assert drawn.edge_endpoints == {**endpoints, arc: endpoints[eid]}
+    before, after = _split(drawn, eid)
     # the same crossings, in order, and the same integers unless the arc
     # brings a denominator the embedding lacks
-    assert [decode(r) for r in before.crossings] == [decode(r) for r in fresh[0].crossings]
+    assert [decode(r) for r in before] == [decode(r) for r in fresh[0].crossings]
     if _scale(emb, moved.path(eid)) == _scale(emb):
-        assert before == fresh[0]  # record for record
-    assert after.direction == fresh[1].direction
-    assert after.edge_endpoints == fresh[1].edge_endpoints
-    assert after.crossing_matrix == fresh[1].crossing_matrix
+        assert before == fresh[0].crossings  # record for record
+    assert crossing_matrix(after) == fresh[1].crossing_matrix
     return "regular"
 
 
@@ -149,7 +166,7 @@ def compare(emb, moved, eid, direction):
        denominators=st.sampled_from([(1,), (1, 2, 3), (5, 7)]),
        waypoints=st.integers(0, 2),
        arc_denominators=st.sampled_from([(1,), (1, 2, 3), (5, 7)]))
-def test_splice_equals_a_fresh_projection(seed, graph, bound, denominators, waypoints,
+def test_the_pass_matches_fresh_projections(seed, graph, bound, denominators, waypoints,
                                           arc_denominators):
     rng = random.Random(seed)
     g = GRAPHS[graph] if graph in GRAPHS else _random_graph(rng)
@@ -162,7 +179,7 @@ def test_splice_equals_a_fresh_projection(seed, graph, bound, denominators, wayp
             compare(*drawn, d)
 
 
-def test_the_sweep_covers_regular_and_non_regular_splices():
+def test_the_sweep_covers_regular_and_non_regular_passes():
     # the same comparison on a seeded sweep, which must meet both outcomes
     # on every kind of draw
     seen = Counter()
@@ -180,10 +197,37 @@ def test_the_sweep_covers_regular_and_non_regular_splices():
         assert seen[kind, "regular"] > 0 and seen[kind, "non-regular"] > 0, seen
 
 
+def test_the_reports_read_the_tables_of_fresh_projections():
+    # the reports before and after a reroute, read off two passes through
+    # the pair views, against reports of `project` on each embedding along
+    # the same two directions, on every kind of draw
+    compared, changed = Counter(), Counter()
+    rng = random.Random(6)
+    for kind, bound, denominators, waypoints in [
+            ("straight", 4, (1,), 0), ("polyline", 6, (1,), 2),
+            ("rational", 3, (1, 2, 3), 1), ("markers", 3, (1,), 1)]:
+        for seed in range(12):
+            name = "K6+isolated" if kind == "markers" else ("K6", "K3,3,1")[seed % 2]
+            drawn = _draw(rng, GRAPHS[name], bound, denominators, waypoints)
+            if drawn is None:
+                continue
+            emb, moved, eid = drawn
+            index = omega.graph_pairs(GRAPHS[name])
+            before, after, check = omega._reroute_reports(emb, moved, eid, index, seed)
+            directions = before.direction, before.check_direction
+            assert check.direction == directions[1]
+            for report, e in [(before, emb), (after, moved)]:
+                assert report == omega._report(e, index, *(project(e, d) for d in directions))
+            compared[kind] += 1
+            changed[kind] += before.pairs != after.pairs
+    for kind in ("straight", "polyline", "rational", "markers"):
+        assert compared[kind] >= 8 and changed[kind] >= 2, (compared, changed)
+
+
 # (fault, graph edges, vertex points, the new path of edge 0): along
 # (0, 0, 1) the embedding with straight edges is regular and the moved
 # one is not, for this one reason
-SPLICE_FAULTS = [
+ARC_FAULTS = [
     ("end-on", [(1, 2), (3, 4)],
      {1: (0, 0, 0), 2: (10, 0, 0), 3: (5, -5, 3), 4: (5, 5, 3)},
      ((0, 0, 0), (0, 0, 5), (10, 0, 0))),
@@ -206,8 +250,8 @@ SPLICE_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("fault, pairs, points, path", SPLICE_FAULTS,
-                         ids=[case[0] for case in SPLICE_FAULTS])
+@pytest.mark.parametrize("fault, pairs, points, path", ARC_FAULTS,
+                         ids=[case[0] for case in ARC_FAULTS])
 def test_each_fault_of_the_new_path_is_caught(fault, pairs, points, path):
     g = graph_from_pairs(pairs, vertices=sorted(points))
     emb = SpatialEmbedding(g, points, {e.id: (points[e.u], points[e.v]) for e in g.edges})
@@ -227,13 +271,13 @@ def test_a_rational_arc_in_an_integer_embedding():
                            {0: ((0, 0, 0), (10, 0, 0)), 1: ((5, -5, 3), (5, 5, 3))})
     moved = reroute_edge(emb, 0, ((0, 0, 0), (Fraction(9, 2), 1, Fraction(7, 3)), (10, 0, 0)))
     for d in [(0, 0, 1), (1, 2, 3)]:
-        before, after = project_reroute(emb, moved, 0, d)
-        assert after.crossing_matrix == project(moved, d).crossing_matrix
+        before, after = _split(project_reroute(emb, moved, 0, d), 0)
+        assert crossing_matrix(after) == project(moved, d).crossing_matrix
         # the pass clears the arc's scale, 6, so each parameter's integers
         # are 6^2 times those of `project` on the integer embedding
         fresh = project(emb, d).crossings
         assert fresh
-        assert before.crossings == tuple(
+        assert before == tuple(
             (*r[:2], 36 * r[2], 36 * r[3], *r[4:6], 36 * r[6], 36 * r[7], *r[8:])
             for r in fresh)
 
@@ -246,8 +290,9 @@ def test_the_check_pass_avoids_the_main_direction():
     for seed in range(5):
         emb = random_embedding(g, seed)
         _, moved, _ = random_detour(emb, seed, random.Random(seed))
-        before, after = omega._reroute_reports(emb, moved, seed, index, seed)
+        before, after, check = omega._reroute_reports(emb, moved, seed, index, seed)
         assert before.direction == after.direction == (0, 0, 1)
+        assert check.direction == before.check_direction
         assert before.check_direction == after.check_direction
         assert not is_zero3(cross3(before.direction, before.check_direction))
 
@@ -314,7 +359,7 @@ def _rerouted_edge(monkeypatch, g, seed):
     return g.edge(drawn.value.args[0])
 
 
-def test_a_splice_that_drops_the_arcs_crossings_breaks_the_pair_identity(monkeypatch):
+def test_a_loop_read_without_the_arcs_crossings_breaks_the_pair_identity(monkeypatch):
     g = complete_graph(6)
     e = _rerouted_edge(monkeypatch, g, 0)
     u, v = e.u, e.v
@@ -330,7 +375,7 @@ def test_a_splice_that_drops_the_arcs_crossings_breaks_the_pair_identity(monkeyp
     monkeypatch.setattr(experiments, "random_detour", lambda emb, eid, rng: (
         midpoint, reroute_edge(emb, eid, (points[u], midpoint, points[v])), 0))
 
-    # the premise: edge uv crosses nothing in either before diagram
+    # the premise: edge uv crosses nothing in either diagram
     drawn = []
     real = omega.project_reroute
 
@@ -341,14 +386,16 @@ def test_a_splice_that_drops_the_arcs_crossings_breaks_the_pair_identity(monkeyp
     monkeypatch.setattr(omega, "project_reroute", recorded)
     assert edge_swap_check(emb, trials=1, seed=0).passed
     assert len(drawn) == 2  # the main and the check pass
-    assert all(e.id not in (r[0], r[4]) for before, _ in drawn for r in before.crossings)
+    assert all(e.id not in (r[0], r[4]) for diagram in drawn for r in diagram.crossings)
 
-    def drops_the_arc(emb, moved, eid, direction):
-        before, after = real(emb, moved, eid, direction)
-        return before, ProjectedDiagram(after.direction, after.edge_endpoints, tuple(
-            r for r in after.crossings if eid not in (r[0], r[4])))
+    real_links = experiments._detour_links
 
-    monkeypatch.setattr(omega, "project_reroute", drops_the_arc)
+    def drops_the_arc(diagram, eid, circuits):
+        arc = max(diagram.edge_endpoints)
+        return real_links(ProjectedDiagram(diagram.direction, diagram.edge_endpoints, tuple(
+            r for r in diagram.crossings if arc not in (r[0], r[4]))), eid, circuits)
+
+    monkeypatch.setattr(experiments, "_detour_links", drops_the_arc)
     report = edge_swap_check(emb, trials=1, seed=0)
     kinds = Counter(violation.kind for violation in report.violations)
     assert kinds["pair-identity"] > 0

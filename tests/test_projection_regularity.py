@@ -13,7 +13,6 @@ from itertools import combinations, count, islice
 import pytest
 
 import linkless.omega as omega
-from linkless.circuits import enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
     RetryLimitExceeded,
@@ -23,9 +22,10 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
+from linkless.geometry import GeometryError
 from linkless.multigraph import graph_from_pairs
 from linkless.omega import DIRECTION_ATTEMPTS, direction_stream, loop_pair_link, regular_projection
-from linkless.projection import NonRegularProjection, project, strand_crossings
+from linkless.projection import NonRegularProjection, project, project_reroute, strand_crossings
 from oracles import crossing_oracle, decode, vertex_image_faults
 
 THREE_EDGES = graph_from_pairs([(1, 2), (3, 4), (5, 6)])
@@ -172,6 +172,16 @@ def test_directions_parallel_to_avoid_are_not_attempts(never_regular, monkeypatc
     assert never_regular == [(i, 1, 0) for i in range(1, 65)]
 
 
+def test_a_zero_direction_to_avoid_is_refused():
+    # every direction is parallel to the zero vector, so the search could
+    # never yield one; it refuses the vector as `project` does
+    emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
+    with pytest.raises(GeometryError, match="projection direction must be nonzero"):
+        regular_projection(emb, avoid=[(0, 0, 1), (0, 0, 0)])
+    with pytest.raises(GeometryError, match="projection direction must be nonzero"):
+        project(emb, (0, 0, 0))
+
+
 # axis directions and small integer ones
 SMALL_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, 1, -1),
                     (1, 1, 1), (1, -2, 1), (2, 1, -1), (1, 2, 3), (-3, 1, 2)]
@@ -237,8 +247,8 @@ def test_regular_projections_keep_every_vertex_image_apart():
 
 
 def test_detour_pictures_keep_every_vertex_image_apart():
-    # the strand sets omega._detour_links draws, which it projects with no
-    # markers: the moved edge, a detour arc and the circuits avoiding its ends
+    # the strand sets `project_reroute` draws: every edge and, as one more
+    # strand, a detour arc, with the isolated vertices as markers
     rng = random.Random(16)
     regular = nonregular = 0
     for emb in _small_embeddings(rng, 150):
@@ -247,17 +257,19 @@ def test_detour_pictures_keep_every_vertex_image_apart():
         arc = (emb.point(e.u), rng.choice(_CUBE), emb.point(e.v))
         try:
             _check_edge(g, emb.vertex_points, e, arc, [(e, _segments(emb.path(e.id)))])
-            reroute_edge(emb, e.id, arc)
+            moved = reroute_edge(emb, e.id, arc)
         except EmbeddingError:
             continue
-        circuits = [c for c in enumerate_circuits(g) if not c.vertices & {e.u, e.v}]
-        drawn = sorted({f for c in circuits for f in c.edge_ids} | {e.id})
-        strands = [(f, emb.path(f)) for f in drawn] + [(max(emb.edge_paths) + 1, arc)]
-        vertices = sorted({emb.point(v) for c in circuits for v in c.vertex_seq}
-                          | {arc[0], arc[-1]})
+        strands = [(f.id, emb.path(f.id)) for f in g.edges] + [(max(emb.edge_paths) + 1, arc)]
+        vertices = [emb.point(v) for v in sorted(g.vertices)]
+        markers = [emb.point(v) for v in g.isolated_vertices]
         for d in SMALL_DIRECTIONS:
-            if _check_regular_picture(strands, vertices, d, []):
+            if _check_regular_picture(strands, vertices, d, markers):
+                assert project_reroute(emb, moved, e.id, d).crossings == \
+                    strand_crossings(strands, d, markers)
                 regular += 1
             else:
+                with pytest.raises(NonRegularProjection):
+                    project_reroute(emb, moved, e.id, d)
                 nonregular += 1
     assert regular > 100 and nonregular > 100

@@ -107,6 +107,9 @@ EDGE_LISTS = {
 26 27
 22 23
 """,
+    # K6 on 1-6 and vertex 7 on no edge, which every projection draws as a marker
+    "{K6+isolated}": "7 15\n" + "".join(
+        f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)),
 }
 
 # Embedding files written by hand: K6 with rational vertices and polyline
@@ -174,6 +177,7 @@ CASES = [
     # reroutes that change omega: exit 1 with omega-changed and even-cover
     ("reroute-K6-e", ["reroute-check", "{K6-e}", "--trials", "10", "--seed", "3"]),
     ("omega-K6-polyline", ["omega", "{K6-polyline}"]),
+    ("reroute-K6+isolated", ["reroute-check", "{K6+isolated}", "--trials", "10", "--seed", "2"]),
 ]
 
 
