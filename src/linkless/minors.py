@@ -4,7 +4,8 @@ A graph H is a minor of G exactly when G carries disjoint connected
 "branch sets", one per H-vertex, with a G-edge between the branch sets of
 every H-edge.  The search assigns branch sets one H-vertex at a time over
 bitmask-encoded vertex subsets, pruning by adjacency requirements,
-boundary capacity, remaining-vertex counts, and component feasibility.
+remaining-vertex counts, free neighbours of the placed branch sets
+(demand) and host edges touching the free vertices (touching).
 Search effort is metered in nodes, one per candidate subset visited;
 running out of budget raises instead of masquerading as a definitive "no".
 ``has_minor`` answers "no" at zero nodes when H is not planar and G is,
@@ -253,8 +254,7 @@ class _Member:
     member.  Levels count the H-vertices placed so far, in ``order``.
     """
 
-    __slots__ = ("graph", "order", "twin_before", "required", "future_deg", "demand",
-                 "unrealized_after", "pending")
+    __slots__ = ("graph", "order", "twin_before", "required", "demand", "unrealized_after")
 
     def __init__(self, hs: MultiGraph):
         order = _h_assignment_order(hs)
@@ -271,7 +271,6 @@ class _Member:
             for before, level in zip(levels, levels[1:]):
                 self.twin_before[level] = before
         self.required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
-        self.future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
         # demand[level]: (j, d) for each placed order[j] with d > 0 H-neighbours
         # still unassigned once levels 0..level-1 are placed
         self.demand = [
@@ -283,12 +282,6 @@ class _Member:
         self.unrealized_after = [
             sum(1 for i in range(k) for j in h_nbrs[i]
                 if i < j and (i >= level or j >= level))
-            for level in range(k + 1)
-        ]
-        # pending[level]: for each unplaced H-vertex with a placed neighbour,
-        # the levels of its placed neighbours
-        self.pending = [
-            [req for i in range(level, k) if (req := [j for j in self.required[i] if j < level])]
             for level in range(k + 1)
         ]
 
@@ -329,6 +322,7 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
     neighbourhoods and with the number of host edges that touch the
     vertices still free once it is placed, both updated per added vertex,
     so a search node costs a fixed number of big-int operations.  The
+    adjacency, vertex-count, demand and touching checks and the
     cycle-rank, twin and edge-slack rules of the module docstring apply.
     """
     verts = sorted(work.vertices)
@@ -340,30 +334,12 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
             nbr[index[e.u]] |= 1 << index[e.v]
             nbr[index[e.v]] |= 1 << index[e.u]
 
-    order, required, future_deg = member.order, member.required, member.future_deg
-    demand, unrealized_after, pending = member.demand, member.unrealized_after, member.pending
-    twin_before = member.twin_before
+    order, required, twin_before = member.order, member.required, member.twin_before
+    demand, unrealized_after = member.demand, member.unrealized_after
     k = len(order)
     full = (1 << n) - 1
     branch: list[int] = [0] * k
     branch_nbr: list[int] = [0] * k
-
-    def components(mask: int) -> list[int]:
-        comps = []
-        left = mask
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= nbr[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = grown & mask & ~comp
-                comp |= frontier
-            comps.append(comp)
-            left &= ~comp
-        return comps
 
     def feasible(avail: int, level: int, touching: int) -> bool:
         # each placed branch set must keep one free attachment vertex per
@@ -373,22 +349,7 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
             if (branch_nbr[j] & avail).bit_count() < need:
                 return False
         # touching: how many host edges have an endpoint in avail
-        if touching < unrealized_after[level]:
-            return False
-        if pending[level]:
-            # each unplaced H-vertex with placed neighbours needs one free
-            # component that touches all of their branch sets
-            comps = components(avail)
-            for req in pending[level]:
-                for comp in comps:
-                    for j in req:
-                        if not comp & branch_nbr[j]:
-                            break
-                    else:
-                        break
-                else:
-                    return False
-        return True
+        return touching >= unrealized_after[level]
 
     def candidates(avail: int, level: int, touching: int,
                    least: int) -> Iterator[tuple[int, int, int, int]]:
@@ -408,7 +369,6 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
         max_size = avail.bit_count() - (k - level - 1)
         if max_size < 1:
             return
-        need_boundary = future_deg[level]
         outside = full & ~avail
         twin = twin_before[level]
         below = (branch[twin] & -branch[twin]) - 1 if twin >= 0 else 0
@@ -434,9 +394,7 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
                         if not subset & rm:
                             break
                     else:
-                        if (not need_boundary
-                                or (union & avail & ~subset).bit_count() >= need_boundary):
-                            yield subset, union, touch, size
+                        yield subset, union, touch, size
                     if size < max_size:
                         stack.append([subset, union, frontier, banned, touch])
                     continue
@@ -477,7 +435,7 @@ def _search_branch_sets(work: MultiGraph, member: _Member, budget: _Budget):
 
     m = sum(b.bit_count() for b in nbr) // 2
     excess = member.graph.m - member.graph.n
-    if excess + 1 > m - n + len(components(full)):
+    if excess + 1 > m - n + len(work.connected_components()):
         return None  # H's cycle rank exceeds the host's
     # with minimum degree >= 2 the branch sets of a model waste at most
     # slack edges; otherwise the cap of m edges never binds
@@ -666,7 +624,8 @@ def is_intrinsically_linked(
                                           prefilter=prefilter)
             total_nodes += sub.nodes
             for name, res in sub.per_member.items():
-                if merged.get(name) != "found":
+                # a member's outcome ranks found, then budget-exhausted, then none
+                if res == "found" or merged.get(name) not in ("found", "budget-exhausted"):
                     merged[name] = res
             if sub.verdict == "linked":
                 return LinkVerdict("linked", sub.witness_member, sub.witness_model,

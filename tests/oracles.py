@@ -322,7 +322,6 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget, rules
         for hv in order
     ]
     required = [[j for j in h_nbrs[i] if j < i] for i in range(k)]
-    future_deg = [sum(1 for j in h_nbrs[i] if j > i) for i in range(k)]
     # demand_after[j][level]: how many H-neighbors of order[j] are still
     # unassigned once levels 0..level-1 are placed
     demand_after = [
@@ -391,17 +390,6 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget, rules
             touching = sum(1 for em in edge_masks if em & avail)
             if touching < needed_edges:
                 return False
-        comps = None
-        for i in range(level, k):
-            req = [j for j in required[i] if j < level]
-            if not req:
-                continue
-            if comps is None:
-                comps = components(avail)
-            if not any(
-                all(comp & branch_nbr[j] for j in req) for comp in comps
-            ):
-                return False
         return True
 
     def waste(subset: int, avail: int, level: int) -> int:
@@ -419,14 +407,10 @@ def _search_branch_sets(work: MultiGraph, hs: MultiGraph, budget: _Budget, rules
         max_size = avail.bit_count() - (k - level - 1)
         if max_size < 1:
             return
-        need_boundary = future_deg[level]
 
         def ok(subset: int) -> bool:
             for rm in req_masks:
                 if not subset & rm:
-                    return False
-            if need_boundary:
-                if (neighbors_of(subset) & avail & ~subset).bit_count() < need_boundary:
                     return False
             return True
 

@@ -128,7 +128,7 @@ def test_node_counts_do_not_depend_on_earlier_calls():
     assert (g.n, g.m) == (10, 21)
     first = is_intrinsically_linked(g)
     second = is_intrinsically_linked(g)
-    assert (first.verdict, first.decided_by, first.nodes) == ("unlinked", "search", 11818)
+    assert (first.verdict, first.decided_by, first.nodes) == ("unlinked", "search", 14302)
     assert second.to_json_dict() == first.to_json_dict()
 
 
@@ -136,8 +136,25 @@ def test_repeated_components_each_pay_their_own_search():
     one = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5()))
     twins = is_intrinsically_linked(graph_from_pairs(_k5_bridge_k5() + _k5_bridge_k5(10)))
     assert (twins.verdict, twins.decided_by) == ("unlinked", "components")
-    assert twins.nodes == 2 * one.nodes == 23636
+    assert twins.nodes == 2 * one.nodes == 28604
     assert twins.per_member == one.per_member
+
+
+def test_a_later_component_does_not_hide_an_exhausted_search():
+    # the K5-bridge-K5 runs out of budget on K3,3,1; the bridged pair of
+    # K3,3s after it finishes its K3,3,1 search with no minor
+    k33s = [(u, v) for a in (101, 107) for u in range(a, a + 3) for v in range(a + 3, a + 6)]
+    g = graph_from_pairs(_k5_bridge_k5() + k33s + [(106, 107)])
+    first, second = (is_intrinsically_linked(g.induced(c), budget=1000)
+                     for c in g.connected_components())
+    assert (first.per_member["K3,3,1"], second.per_member["K3,3,1"]) == (
+        "budget-exhausted", "none")
+    verdict = is_intrinsically_linked(g, budget=1000)
+    assert (verdict.verdict, verdict.decided_by) == ("unknown", "components")
+    assert verdict.per_member == {
+        name: max(first.per_member[name], second.per_member[name],
+                  key=["none", "budget-exhausted", "found"].index)
+        for name in first.per_member}
 
 
 def test_verify_rejects_bad_models():

@@ -133,6 +133,19 @@ EMBEDDINGS = {
     }),
 }
 
+# The stem of each file above.  The CLI names a graph after its file's stem,
+# so a stem is part of the stdout; each entry keeps its own, and a new entry
+# takes a new one and renames no other file.
+FILE_STEMS = {
+    "{P9+decorations}": "graph0",
+    "{petersen-e+decorations}": "graph1",
+    "{K5-bridge-K5}": "graph2",
+    "{K6-e}": "graph3",
+    "{K5-bridge-K5+K3,3,1}": "graph4",
+    "{K6+isolated}": "graph5",
+    "{K6-polyline}": "graph6",
+}
+
 # (case name, argv); "{K6}" and "{K7}" stand for the file holding the
 # stdout of the "embed-K6" and "embed-K7" cases, the other "{...}" names
 # for the files of EDGE_LISTS and EMBEDDINGS
@@ -186,8 +199,8 @@ def run_cases() -> dict[str, dict]:
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         files: dict[str, str] = {}
-        for i, (key, text) in enumerate({**EDGE_LISTS, **EMBEDDINGS}.items()):
-            path = Path(tmp) / f"graph{i}.txt"
+        for key, text in {**EDGE_LISTS, **EMBEDDINGS}.items():
+            path = Path(tmp) / f"{FILE_STEMS[key]}.txt"
             path.write_text(text)
             files[key] = str(path)
         for name, argv in CASES:
@@ -234,6 +247,11 @@ def test_printed_text_is_what_json_dumps_writes():
     assert len(emitted) == sum(result["exit"] != 2 for result in results.values())
     for doc, text in emitted:
         assert text == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_every_file_has_its_own_stem():
+    assert FILE_STEMS.keys() == {**EDGE_LISTS, **EMBEDDINGS}.keys()
+    assert len(set(FILE_STEMS.values())) == len(FILE_STEMS)
 
 
 def test_stdout_and_exit_code_match_the_record(name):
