@@ -11,6 +11,17 @@ or empty graph is one such class at the root, so it packs the identity
 order without a branch.  A key is n as one byte, then the matrix's upper
 triangle row by row as a big-endian bit string, zero-padded to whole bytes.
 
+The search prunes by automorphisms (McKay 1981).  It records one whenever
+a leaf packs a key equal to the best so far: the map from that leaf's
+order to the best order keeps every adjacency.  A leaf whose classes are
+homogeneous also gives the transpositions inside each of its classes.  A
+node skips a child that the recorded automorphisms fixing the node's
+individualized vertices map onto a child already explored.  The skipped
+subtree is the image of an explored one under an automorphism, so its
+leaves pack the same keys and the minimum is the one the full search
+finds.  The recorded automorphisms come back as generators, vertex maps
+on the graph's own ids.
+
 Two simple graphs receive equal keys exactly when they are isomorphic.
 Intended for the small graphs this package traffics in; hard-limited to
 16 vertices.
@@ -30,6 +41,21 @@ class VertexLimitExceeded(GraphError):
 
 def canonical_form(g: MultiGraph) -> bytes:
     """Isomorphism-invariant key of the loop-free, parallel-collapsed reduction."""
+    return canonical_labeling(g)[0]
+
+
+def canonical_labeling(g: MultiGraph) -> tuple[bytes, tuple[dict[int, int], ...]]:
+    """The canonical key and automorphisms of the simple reduction.
+
+    The automorphisms are the ones the search recorded, as vertex maps on
+    `g`'s ids; they generate a group of automorphisms, not necessarily all.
+    """
+    key, generators, _ = _canonical_search(g)
+    return key, generators
+
+
+def _canonical_search(g: MultiGraph) -> tuple[bytes, tuple[dict[int, int], ...], int]:
+    """Key, generators and the number of search nodes visited."""
     gs = g.simplified()
     n = gs.n
     if n > VERTEX_LIMIT:
@@ -43,7 +69,15 @@ def canonical_form(g: MultiGraph) -> bytes:
     adj_mask = [sum(1 << j for j in ns) for ns in nbrs]
 
     best: bytes | None = None
+    best_order: list[int] = []
+    # automorphisms as index maps, in the order found
+    automorphisms: list[tuple[int, ...]] = []
+    identity = tuple(range(n))
     nodes = 0
+
+    def record(image: tuple[int, ...]) -> None:
+        if image != identity and image not in automorphisms:
+            automorphisms.append(image)
 
     def refine(colors: list[int]) -> list[int]:
         while True:
@@ -83,28 +117,65 @@ def canonical_form(g: MultiGraph) -> bytes:
                     return False
         return True
 
-    def search(colors: list[int]) -> None:
-        nonlocal best, nodes
+    def leaf(cls_list: list[list[int]]) -> None:
+        nonlocal best, best_order
+        order = [i for cl in cls_list for i in cl]
+        key = _pack_key(n, order, adj_mask)
+        if best is None or key < best:
+            best, best_order = key, order
+        elif key == best:
+            image = [0] * n
+            for i, j in zip(order, best_order):
+                image[i] = j
+            record(tuple(image))
+        if len(cls_list) < n:
+            for cl in cls_list:
+                for v in cl[1:]:
+                    swap = list(identity)
+                    swap[cl[0]], swap[v] = v, cl[0]
+                    record(tuple(swap))
+
+    def search(colors: list[int], path: list[int]) -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > _NODE_LIMIT:
             raise RuntimeError("canonical labeling search exploded")
         cls_list = classes_of(colors)
         target = next((cl for cl in cls_list if len(cl) > 1), None)
         if target is None or homogeneous(cls_list):
-            order = [i for cl in cls_list for i in cl]
-            key = _pack_key(n, order, adj_mask)
-            if best is None or key < best:
-                best = key
+            leaf(cls_list)
             return
+        # orbits of the recorded automorphisms that fix the path pointwise,
+        # as a union-find forest updated as the children record more
+        root = list(range(n))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        used = 0
+        explored: list[int] = []
         for v in target:
+            for image in automorphisms[used:]:
+                if all(image[u] == u for u in path):
+                    for i, j in enumerate(image):
+                        root[find(i)] = find(j)
+            used = len(automorphisms)
+            if any(find(v) == find(w) for w in explored):
+                continue
+            explored.append(v)
             branched = refine([
                 colors[i] * 2 + (0 if i == v else 1) for i in range(n)
             ])
-            search(branched)
+            search(branched, path + [v])
 
-    search(refine([0] * n))
+    search(refine([0] * n), [])
     assert best is not None
-    return best
+    generators = tuple({verts[i]: verts[j] for i, j in enumerate(image)}
+                       for image in automorphisms)
+    return best, generators, nodes
 
 
 def _pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:

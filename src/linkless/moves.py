@@ -4,10 +4,13 @@ A Delta-Y move removes the three edges of a triangle and joins its
 vertices to one new vertex; it preserves the edge count and adds a vertex.
 Closing {K6, K3,3,1} under Delta-Y moves yields seven isomorphism classes,
 the Petersen family.  This module generates it by breadth-first search
-over one map from canonical key to (graph, derivation), builds each
-member once after the search, and returns the family as a tuple.  A move
-builds one graph and each class one canonical form; one pinned table of
-the seven keys names the members and verifies the family on every load.
+over one map from canonical key to (graph, derivation, automorphisms),
+builds each member once after the search, and returns the family as a
+tuple.  Triangles that an automorphism of the parent maps onto each other
+give isomorphic children, so each parent moves only the first triangle of
+each orbit; a move builds one graph and keys it with one canonical
+labeling.  One pinned table of the seven keys names the members and
+verifies the family on every load.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import canonical_form
+from .canonical import canonical_form, canonical_labeling
 from .multigraph import Edge, GraphError, MultiGraph, complete_graph, k331_graph
 
 DEFAULT_CLOSURE_BOUND = 64
@@ -112,33 +115,42 @@ def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
     table.  Any other class is named P<n>, with a suffix a, b, ... when
     another class shares n; the family members of that n take the first
     letters, so no two classes share a name.
+
+    A parent moves only the first triangle, in `triangles` order, of each
+    orbit under the automorphisms its canonical labeling found.  A later
+    triangle of an orbit gives a child isomorphic to the first one's, which
+    the same parent moved just before, so its class is already kept and
+    moving it would add nothing: the classes, their derivations and the
+    closure bound's check are those of moving every triangle.
     """
-    classes: dict[bytes, tuple[MultiGraph, tuple[str, ...]]] = {}
+    classes: dict[bytes, tuple[MultiGraph, tuple[str, ...], tuple[dict[int, int], ...]]] = {}
     for i, seed in enumerate(seeds):
-        classes.setdefault(canonical_form(seed), (seed, (seed.name or f"seed{i}",)))
+        key, generators = canonical_labeling(seed)
+        classes.setdefault(key, (seed, (seed.name or f"seed{i}",), generators))
 
     # the dict's insertion order is the queue: each pass walks the classes
     # the previous pass added
     level = list(classes.values())
     while level:
         size = len(classes)
-        for g, derivation in level:
-            for tri in triangles(g):
+        for g, derivation, generators in level:
+            for tri in _orbit_firsts(g, generators):
                 child = delta_y(g, tri)
-                key = canonical_form(child)
+                key, child_generators = canonical_labeling(child)
                 if key in classes:
                     continue
                 if len(classes) >= DEFAULT_CLOSURE_BOUND:
                     raise ClosureSizeExceeded(
                         f"Delta-Y closure exceeded {DEFAULT_CLOSURE_BOUND} isomorphism classes")
-                classes[key] = (child, derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",))
+                classes[key] = (child, derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",),
+                                child_generators)
         level = list(classes.values())[size:]
 
     ordered = sorted(classes.items(), key=lambda item: (item[1][0].n, item[0]))
-    shared = Counter(g.n for g, _ in classes.values())
-    named = Counter(g.n for key, (g, _) in classes.items() if key in _FAMILY_NAMES)
+    shared = Counter(g.n for g, _, _ in classes.values())
+    named = Counter(g.n for key, (g, _, _) in classes.items() if key in _FAMILY_NAMES)
     members = []
-    for key, (g, derivation) in ordered:
+    for key, (g, derivation, _) in ordered:
         name = _FAMILY_NAMES.get(key)
         if name is None:
             suffix = chr(ord("a") + named[g.n]) if shared[g.n] > 1 else ""
@@ -146,6 +158,33 @@ def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
             name = f"P{g.n}{suffix}"
         members.append(FamilyMember(name, g, key, derivation))
     return tuple(members)
+
+
+def _orbit_firsts(g: MultiGraph,
+                  generators: tuple[dict[int, int], ...]) -> list[tuple[int, int, int]]:
+    """The first triangle, in `triangles` order, of each orbit under the generators.
+
+    The generators are automorphisms of the simple reduction.  One of them
+    need not keep the multiplicity of a triangle's sides, which decides
+    what a move leaves, so a graph that is not simple moves every triangle.
+    """
+    tris = triangles(g)
+    if not g.is_simple:
+        return tris
+    firsts, seen = [], set()
+    for tri in tris:
+        if tri in seen:
+            continue
+        firsts.append(tri)
+        orbit = [tri]
+        seen.add(tri)
+        for t in orbit:
+            for gamma in generators:
+                image = tuple(sorted(gamma[v] for v in t))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return firsts
 
 
 @lru_cache(maxsize=1)

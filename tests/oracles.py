@@ -34,11 +34,20 @@ written before a move built one graph: every vertex triple tested for
 three edges, and three deletions, a new vertex and three additions, one
 graph each.  ``pack_key`` is the canonical key's byte packer as it was
 written before it used ``int.to_bytes``: one bit list, packed byte by byte.
+``canonical_form_reference`` is the canonical-form search as it was written
+before it pruned by automorphisms: every child of every node is searched,
+and keys are packed by ``pack_key`` above.  The package's keys must equal
+its keys byte for byte.
+``petersen_closure_reference`` is the Delta-Y closure as it was written
+before it moved one triangle per orbit: every triangle of every class is
+moved with ``delta_y`` above and every child keyed with
+``canonical_form_reference``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
@@ -56,6 +65,7 @@ from linkless.geometry import (
     shared_endpoint_segments_overlap,
     sub3,
 )
+from linkless.moves import _FAMILY_NAMES, FamilyMember
 from linkless.multigraph import Edge, MultiGraph
 
 
@@ -1077,3 +1087,113 @@ def pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:
     if count:
         packed.append(acc << (8 - count))
     return bytes(packed)
+
+
+# -- the canonical-form search without automorphism pruning (reference) ------
+
+
+def canonical_form_reference(g: MultiGraph) -> bytes:
+    gs = g.simplified()
+    n = gs.n
+    if n > 16:
+        raise ValueError(f"{n} vertices exceeds the 16-vertex limit")
+    verts = sorted(gs.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for e in gs.edges:
+        nbrs[index[e.u]].append(index[e.v])
+        nbrs[index[e.v]].append(index[e.u])
+    adj_mask = [sum(1 << j for j in ns) for ns in nbrs]
+
+    best: bytes | None = None
+    nodes = 0
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            sigs = [
+                (colors[i], tuple(sorted(colors[j] for j in nbrs[i])))
+                for i in range(n)
+            ]
+            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                return colors
+            colors = new
+
+    def classes_of(colors: list[int]) -> list[list[int]]:
+        buckets: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            buckets.setdefault(c, []).append(i)
+        return [buckets[c] for c in sorted(buckets)]
+
+    def homogeneous(cls_list: list[list[int]]) -> bool:
+        # Each multi-member class must be complete or empty internally and
+        # toward every other multi-member class; stable refinement already
+        # makes counts uniform within a class, so one member is enough.
+        masks = [sum(1 << i for i in cl) for cl in cls_list]
+        for a, cl in enumerate(cls_list):
+            if len(cl) == 1:
+                continue
+            i = cl[0]
+            inner = (adj_mask[i] & masks[a]).bit_count()
+            if inner not in (0, len(cl) - 1):
+                return False
+            for b, other in enumerate(cls_list):
+                if b == a or len(other) == 1:
+                    continue
+                cross = (adj_mask[i] & masks[b]).bit_count()
+                if cross not in (0, len(other)):
+                    return False
+        return True
+
+    def search(colors: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > 2_000_000:
+            raise RuntimeError("canonical labeling search exploded")
+        cls_list = classes_of(colors)
+        target = next((cl for cl in cls_list if len(cl) > 1), None)
+        if target is None or homogeneous(cls_list):
+            order = [i for cl in cls_list for i in cl]
+            key = pack_key(n, order, adj_mask)
+            if best is None or key < best:
+                best = key
+            return
+        for v in target:
+            branched = refine([
+                colors[i] * 2 + (0 if i == v else 1) for i in range(n)
+            ])
+            search(branched)
+
+    search(refine([0] * n))
+    assert best is not None
+    return best
+
+
+# -- the Delta-Y closure over every triangle (reference) ---------------------
+
+
+def petersen_closure_reference(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
+    classes: dict[bytes, tuple[MultiGraph, tuple[str, ...]]] = {}
+    for i, seed in enumerate(seeds):
+        classes.setdefault(canonical_form_reference(seed),
+                           (seed, (seed.name or f"seed{i}",)))
+    level = list(classes.values())
+    while level:
+        size = len(classes)
+        for g, derivation in level:
+            for tri in triangles(g):
+                child = delta_y(g, tri)
+                classes.setdefault(canonical_form_reference(child),
+                                   (child, derivation + ("dY(%d,%d,%d)" % tri,)))
+        level = list(classes.values())[size:]
+    shared = Counter(g.n for g, _ in classes.values())
+    named = Counter(g.n for key, (g, _) in classes.items() if key in _FAMILY_NAMES)
+    members = []
+    for key, (g, derivation) in sorted(classes.items(), key=lambda kv: (kv[1][0].n, kv[0])):
+        name = _FAMILY_NAMES.get(key)
+        if name is None:
+            name = f"P{g.n}" + (chr(ord("a") + named[g.n]) if shared[g.n] > 1 else "")
+            named[g.n] += 1
+        members.append(FamilyMember(name, g, key, derivation))
+    return tuple(members)

@@ -2,10 +2,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from linkless.acceptance import _brute_iso_key
-from linkless.canonical import VertexLimitExceeded, _pack_key, are_isomorphic, canonical_form
+from linkless.canonical import (
+    VertexLimitExceeded,
+    _canonical_search,
+    _pack_key,
+    are_isomorphic,
+    canonical_form,
+    canonical_labeling,
+)
+from linkless.moves import petersen_family
 from linkless.multigraph import (
     complete_bipartite,
     complete_graph,
@@ -21,6 +31,90 @@ def shuffled_copy(g, rng):
     images = verts[:]
     rng.shuffle(images)
     return g.relabeled(dict(zip(verts, images)))
+
+
+def hypercube(d):
+    return graph_from_pairs([(u, u | 1 << b) for u in range(1 << d) for b in range(d)
+                             if not u >> b & 1])
+
+
+def rook_graph(k):
+    # cells of a k x k board, joined when they share a row or a column
+    return graph_from_pairs([(i, j) for i, j in combinations(range(k * k), 2)
+                             if i // k == j // k or i % k == j % k])
+
+
+def clebsch_graph():
+    # the folded 5-cube: 4-bit words joined at Hamming distance 1 or 4
+    return graph_from_pairs([(u, v) for u, v in combinations(range(16), 2)
+                             if (u ^ v).bit_count() in (1, 4)])
+
+
+def shrikhande_graph():
+    # Z4 x Z4, joined by the differences +-(0,1), +-(1,0), +-(1,1)
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return graph_from_pairs([(u, v) for u, v in combinations(range(16), 2)
+                             if ((v // 4 - u // 4) % 4, (v - u) % 4) in steps])
+
+
+SYMMETRIC = {
+    "petersen": petersen_graph,
+    "Q3": lambda: hypercube(3),
+    "Q4": lambda: hypercube(4),
+    "rook4x4": lambda: rook_graph(4),
+    "clebsch": clebsch_graph,
+    "shrikhande": shrikhande_graph,
+    "C16": lambda: graph_from_pairs([(i, (i + 1) % 16) for i in range(16)]),
+    "K8,8": lambda: complete_bipartite(8, 8),
+    "K4,4": lambda: complete_bipartite(4, 4),
+    "K16-e": lambda: complete_graph(16).delete_edge(3),
+}
+
+
+def assert_generators_are_automorphisms(g):
+    gs = g.simplified()
+    edges = {frozenset(e.pair()) for e in gs.edges}
+    for gamma in canonical_labeling(g)[1]:
+        assert sorted(gamma) == sorted(gs.vertices)
+        assert sorted(gamma.values()) == sorted(gs.vertices)
+        assert {frozenset((gamma[e.u], gamma[e.v])) for e in gs.edges} == edges
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """A graph on up to 10 vertices with scattered labels, loops and
+    repeats, and the same graph under a drawn relabelling."""
+    n = draw(st.integers(1, 10))
+    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    g = graph_from_pairs([(labels[a], labels[b]) for a, b in pairs], vertices=labels)
+    images = draw(st.permutations(labels))
+    return g, g.relabeled(dict(zip(labels, images)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_pairs())
+def test_keys_match_the_unpruned_reference_on_random_graphs(pair):
+    g, h = pair
+    key = canonical_form(g)
+    assert key == oracles.canonical_form_reference(g)
+    assert canonical_form(h) == oracles.canonical_form_reference(h) == key
+    assert_generators_are_automorphisms(g)
+    assert_generators_are_automorphisms(h)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_keys_match_the_unpruned_reference_on_symmetric_graphs(name):
+    g = SYMMETRIC[name]()
+    assert canonical_form(g) == oracles.canonical_form_reference(g)
+    assert_generators_are_automorphisms(g)
+
+
+def test_keys_match_the_unpruned_reference_on_the_family():
+    for member in petersen_family():
+        assert member.canonical == oracles.canonical_form_reference(member.graph)
+        assert_generators_are_automorphisms(member.graph)
 
 
 def test_k33_labelings_agree():
@@ -101,6 +195,23 @@ def test_near_complete_graphs_stay_fast():
         assert canonical_form(shuffled_copy(k10e, rng)) == key10
         assert canonical_form(shuffled_copy(k16e, rng)) == key16
     assert canonical_form(complete_graph(16)) != key16
+    # the root's two classes are homogeneous: one node each
+    assert _canonical_search(k10e)[2] == _canonical_search(k16e)[2] == 1
+
+
+# search nodes with automorphism pruning; the unpruned search takes 221,
+# 657, 2,033, 3,297, 305, 81, 49, 17 and 9
+SEARCH_NODES = {"petersen": 22, "Q4": 25, "rook4x4": 43, "clebsch": 41,
+                "shrikhande": 21, "Q3": 14, "C16": 7, "K8,8": 4, "K4,4": 4}
+
+
+def test_symmetric_graphs_search_few_nodes():
+    import time
+
+    start = time.perf_counter()
+    nodes = {name: _canonical_search(SYMMETRIC[name]())[2] for name in SEARCH_NODES}
+    assert time.perf_counter() - start < 2.0
+    assert nodes == SEARCH_NODES
 
 
 def test_delete_then_readd_restores_key():

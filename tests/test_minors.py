@@ -418,18 +418,22 @@ def test_apex_route_agrees_with_networkx(g):
 
 def test_classify_computes_no_canonical_form(monkeypatch):
     # the family members share one reduced host and nothing is keyed on
-    # it; the family itself is built (and keyed) once, before counting
+    # it; the family itself is built (and keyed) once, before counting.
+    # Both entry points of the search are counted, wherever they are held
     petersen_family()
     calls = []
 
-    def counting(g):
-        calls.append(g.n)
-        return original(g)
+    def counting(original):
+        def wrapper(g):
+            calls.append(g.n)
+            return original(g)
+        return wrapper
 
-    original = canonical.canonical_form
-    for name, module in list(sys.modules.items()):
-        if name.startswith("linkless") and getattr(module, "canonical_form", None) is original:
-            monkeypatch.setattr(module, "canonical_form", counting)
+    for attr in ("canonical_form", "canonical_labeling"):
+        original = getattr(canonical, attr)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("linkless") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counting(original))
     verdict = is_intrinsically_linked(petersen_graph())
     assert verdict.witness_member == "petersen"
     assert calls == []

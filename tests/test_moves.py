@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from linkless import moves
-from linkless.canonical import are_isomorphic, canonical_form
+from linkless.canonical import are_isomorphic, canonical_form, canonical_labeling
 from linkless.moves import (
     ClosureSizeExceeded,
     delta_y,
@@ -76,8 +76,9 @@ def test_delta_y_matches_the_reference_move():
 
 
 def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch):
-    # one canonical form per seed and per Delta-Y child, no other graph
-    # keyed to name the members, and one graph built per move
+    # one canonical labeling per seed and per move, one graph built per
+    # move, and no other graph keyed to name the members.  A parent moves
+    # one triangle per orbit: 6 moves where moving every triangle made 44
     seeds = [complete_graph(6), k331_graph()]
     keyed, built = [], []
     init = MultiGraph.__post_init__
@@ -87,13 +88,38 @@ def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch)
         init(self)
 
     monkeypatch.setattr(moves, "canonical_form", lambda g: keyed.append(g) or canonical_form(g))
+    monkeypatch.setattr(moves, "canonical_labeling",
+                        lambda g: keyed.append(g) or canonical_labeling(g))
     monkeypatch.setattr(MultiGraph, "__post_init__", counting_init)
     fam = petersen_closure(seeds)
     monkeypatch.undo()
-    moves_made = sum(len(triangles(m.graph)) for m in fam)
-    assert moves_made == 44
-    assert len(keyed) == len(seeds) + moves_made
-    assert len(built) == moves_made
+    assert sum(len(triangles(m.graph)) for m in fam) == 44
+    assert len(keyed) == len(seeds) + 6
+    assert len(built) == 6
+
+
+CLOSURE_SEEDS = {
+    "K6 and K3,3,1": lambda: [complete_graph(6), k331_graph()],
+    "K6": lambda: [complete_graph(6)],
+    "triangle": lambda: [graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")],
+    "relabelled": lambda: relabelled_seeds(random.Random(3)),
+    "K6 and two triangles": lambda: [complete_graph(6), graph_from_pairs(
+        [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (7, 8)])],
+    # K4 with side 1-2 doubled: the simple reduction's automorphisms map
+    # that side onto single ones, so every triangle of it must be moved
+    "doubled side": lambda: [graph_from_pairs(
+        [(1, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])],
+}
+
+
+@pytest.mark.parametrize("seeds", sorted(CLOSURE_SEEDS))
+def test_orbit_closure_matches_the_all_triangles_closure(seeds):
+    def summary(fam):
+        return [(m.name, m.canonical, m.derivation, m.graph.vertices, m.graph.edges)
+                for m in fam]
+
+    got = petersen_closure(CLOSURE_SEEDS[seeds]())
+    assert summary(got) == summary(oracles.petersen_closure_reference(CLOSURE_SEEDS[seeds]()))
 
 
 def test_delta_y_requires_triangle():
@@ -209,17 +235,19 @@ def test_family_closed():
     assert family_closed_under_delta_y(petersen_family())
 
 
-def test_family_stable_under_seed_relabeling():
-    rng = random.Random(3)
-
+def relabelled_seeds(rng):
     def shuffled(g):
         verts = sorted(g.vertices)
         images = verts[:]
         rng.shuffle(images)
         return g.relabeled(dict(zip(verts, images)))
 
+    return [shuffled(complete_graph(6)), shuffled(k331_graph())]
+
+
+def test_family_stable_under_seed_relabeling():
     fam = petersen_family()
-    relabeled = petersen_closure([shuffled(complete_graph(6)), shuffled(k331_graph())])
+    relabeled = petersen_closure(relabelled_seeds(random.Random(3)))
     assert {m.canonical for m in relabeled} == {m.canonical for m in fam}
 
 
