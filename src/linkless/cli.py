@@ -4,6 +4,11 @@ Structured JSON goes to stdout (sorted keys, so identical inputs and
 seeds give byte-identical output); human-oriented diagnostics go to
 stderr.  Exit codes: 0 when the requested verdict or report was computed,
 1 when a checking subcommand found violations, 2 for usage/input errors.
+
+Every document is written by `_encode`, which gives the text of
+``json.dumps(doc, sort_keys=True, indent=2)`` with less work per value:
+an int or str child of a dict or list is written inline in its parent's
+loop, as one append with its separator (and key), not by a recursive call.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ def _encode(obj, pad: str, out: list[str]) -> None:
     nested at indentation ``pad``, to ``out``.
 
     With ``indent`` json runs its pure-Python encoder; this writes the same
-    text with less work per value.  Containers json would treat otherwise
-    (subclasses, keys that are not strings) and every scalar but strings,
-    ints, booleans and None are handed to json itself.
+    text with less work per value (see the module docstring).  Containers
+    json would treat otherwise (subclasses, keys that are not strings) and
+    every scalar but strings, ints, booleans and None are handed to json
+    itself.
     """
     kind = type(obj)
     if kind is str:
@@ -61,11 +67,18 @@ def _encode(obj, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         sep = "{\n" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _encode(value, inner, out)
+        for key in sorted(obj):  # the keys are distinct strings
+            value = obj[key]
+            kind = type(value)
+            quoted = encode_basestring_ascii(key)
+            # an int formats as int.__repr__ does; a bool is not an int here
+            if kind is int:
+                out.append(f"{sep}{quoted}: {value}")
+            elif kind is str:
+                out.append(f"{sep}{quoted}: {encode_basestring_ascii(value)}")
+            else:
+                out.append(f"{sep}{quoted}: ")
+                _encode(value, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
     elif kind is list or kind is tuple:
@@ -75,8 +88,14 @@ def _encode(obj, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         sep = "[\n" + inner
         for value in obj:
-            out.append(sep)
-            _encode(value, inner, out)
+            kind = type(value)
+            if kind is int:
+                out.append(f"{sep}{value}")
+            elif kind is str:
+                out.append(f"{sep}{encode_basestring_ascii(value)}")
+            else:
+                out.append(sep)
+                _encode(value, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     else:

@@ -408,16 +408,18 @@ def embedding_to_json_dict(emb: SpatialEmbedding) -> dict:
 
 
 def embedding_from_json_dict(doc: dict) -> SpatialEmbedding:
+    shape = "embedding document needs a graph string, a vertices object and an edges list"
+    if not isinstance(doc, dict):  # null, a number, a string or a list
+        raise EmbeddingError(shape)
     try:
         graph_text = doc["graph"]
         vertex_doc = doc["vertices"]
         edge_doc = doc["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise EmbeddingError(f"embedding document missing field: {exc}") from None
     if not (isinstance(graph_text, str) and isinstance(vertex_doc, dict)
             and isinstance(edge_doc, list)):
-        raise EmbeddingError("embedding document needs a graph string, a vertices "
-                             "object and an edges list")
+        raise EmbeddingError(shape)
     size = builtin_size(graph_text)
     if size is not None and (size[0] > len(vertex_doc) or size[1] > len(edge_doc)):
         # checked before the graph is built, whose size the document then

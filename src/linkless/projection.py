@@ -58,7 +58,11 @@ traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the edges
 f of K.  It is the one place that checks a pair's crossing parity against
 lk mod 2.  The traversal signs depend only on the graph, so a
 `PairIndex` holds them with the pairs, built once per graph
-(``omega.graph_pairs``).  `linking_number` and `omega_pair` are one-pair
+(``omega.graph_pairs``).  `pair_index` works out each distinct circuit's
+slot, vertex set and traversal signs once, and checks each pair's
+disjointness against the two vertex sets, so a pair costs two lookups and
+one set test.  It does not read ``Circuit.vertices``, a cached property
+whose first read takes a lock.  `linking_number` and `omega_pair` are one-pair
 calls of it, and so is ``omega.loop_pair_link``, which draws two loops as
 one-edge circuits.
 """
@@ -334,20 +338,30 @@ def pair_index(endpoints: Mapping[int, tuple[int, int]],
                pairs: Iterable[tuple[Circuit, Circuit]]) -> PairIndex:
     """Index vertex-disjoint circuit pairs of the graph with these edge
     endpoints; GraphError if a pair shares a vertex or uses an edge not in
-    ``endpoints``."""
+    ``endpoints``.  A distinct circuit (by identity) gets its slot and
+    vertex set when it first appears, and its signs once every pair is
+    checked."""
     pairs = tuple(pairs)  # keeps every circuit alive, so ids stay unique
     position: dict[int, int] = {}
-    signs: list[tuple[tuple[int, int], ...]] = []
+    distinct: list[Circuit] = []
+    vertex_sets: list[frozenset[int]] = []
     slots = []
     for j, k in pairs:
-        if not j.vertices.isdisjoint(k.vertices):
+        at_j = position.get(id(j))
+        if at_j is None:
+            at_j = position[id(j)] = len(distinct)
+            distinct.append(j)
+            vertex_sets.append(frozenset(j.vertex_seq))
+        at_k = position.get(id(k))
+        if at_k is None:
+            at_k = position[id(k)] = len(distinct)
+            distinct.append(k)
+            vertex_sets.append(frozenset(k.vertex_seq))
+        if not vertex_sets[at_j].isdisjoint(vertex_sets[at_k]):
             raise GraphError("circuits share a vertex; linking is undefined")
-        for c in (j, k):
-            if id(c) not in position:
-                position[id(c)] = len(signs)
-                signs.append(tuple(_traversal_signs(endpoints, c)))
-        slots.append((position[id(j)], position[id(k)]))
-    return PairIndex(endpoints, pairs, tuple(signs), tuple(slots))
+        slots.append((at_j, at_k))
+    signs = tuple(tuple(_traversal_signs(endpoints, c)) for c in distinct)
+    return PairIndex(endpoints, pairs, signs, tuple(slots))
 
 
 def link_tables(diagrams: Sequence[ProjectedDiagram],

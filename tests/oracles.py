@@ -42,6 +42,10 @@ its keys byte for byte.
 before it moved one triangle per orbit: every triangle of every class is
 moved with ``delta_y`` above and every child keyed with
 ``canonical_form_reference``.
+``pair_index_reference`` is the circuit-pair index as it was written
+before it kept each circuit's vertex set: per pair it reads both
+circuits' cached ``vertices`` and looks each circuit up twice.  The
+package's index must hold the same pairs, signs, slots and endpoints.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ from linkless.geometry import (
     sub3,
 )
 from linkless.moves import _FAMILY_NAMES, FamilyMember
-from linkless.multigraph import Edge, MultiGraph
+from linkless.multigraph import Edge, GraphError, MultiGraph
+from linkless.projection import PairIndex
 
 
 def circuit_edge_sets(g: MultiGraph) -> set[frozenset[int]]:
@@ -1197,3 +1202,32 @@ def petersen_closure_reference(seeds: list[MultiGraph]) -> tuple[FamilyMember, .
             named[g.n] += 1
         members.append(FamilyMember(name, g, key, derivation))
     return tuple(members)
+
+
+# -- the circuit-pair index, per pair (reference) ------------------------------
+
+
+def _traversal_signs_reference(endpoints, circuit) -> list[tuple[int, int]]:
+    out = []
+    for v, eid in zip(circuit.vertex_seq, circuit.edge_ids):
+        ends = endpoints.get(eid)
+        if ends is None:
+            raise GraphError(f"circuit edge {eid} is not in the diagram")
+        out.append((eid, 1 if v == ends[0] else -1))
+    return out
+
+
+def pair_index_reference(endpoints, pairs) -> PairIndex:
+    pairs = tuple(pairs)
+    position: dict[int, int] = {}
+    signs: list[tuple[tuple[int, int], ...]] = []
+    slots = []
+    for j, k in pairs:
+        if not j.vertices.isdisjoint(k.vertices):
+            raise GraphError("circuits share a vertex; linking is undefined")
+        for c in (j, k):
+            if id(c) not in position:
+                position[id(c)] = len(signs)
+                signs.append(tuple(_traversal_signs_reference(endpoints, c)))
+        slots.append((position[id(j)], position[id(k)]))
+    return PairIndex(endpoints, pairs, tuple(signs), tuple(slots))

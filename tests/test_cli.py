@@ -176,6 +176,17 @@ def test_encoder_writes_what_json_dumps_writes(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+def test_encoder_keeps_bools_ints_strings_and_none_apart():
+    # ints and strings are written inline by their parent, which tests
+    # ``type(value) is int``: True must still print as true, not as 1
+    siblings = {"a": True, "b": 1, "c": "1", "d": None, "e": False, "f": 0}
+    doc = {"dict": siblings, "tuple": (True, 1, "1", None, False, 0)}
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) == (
+        '{\n  "dict": {\n    "a": true,\n    "b": 1,\n    "c": "1",\n    "d": null,\n'
+        '    "e": false,\n    "f": 0\n  },\n  "tuple": [\n    true,\n    1,\n    "1",\n'
+        '    null,\n    false,\n    0\n  ]\n}')
+
+
 def test_embed_to_stdout_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "embed", "K3,3", "--seed", "2")
     _, out2, _ = run_cli(capsys, "embed", "K3,3", "--seed", "2")
@@ -561,6 +572,16 @@ def test_malformed_json_exits_2(tmp_path, capsys, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: embedding file is not valid JSON")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["null", "3", '"x"', "[1,2]"])
+def test_an_embedding_document_that_is_no_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "e.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "omega", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("input error: embedding document needs a graph string, "
+                   "a vertices object and an edges list\n")
 
 
 def test_a_builtin_name_of_another_size_exits_2_at_once(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkless.circuits import disjoint_circuit_pairs, enumerate_circuits
+from linkless.circuits import Circuit, disjoint_circuit_pairs, enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
     random_embedding,
@@ -52,6 +52,7 @@ from oracles import (
     crossing_oracle,
     decode,
     gauss_linking_number,
+    pair_index_reference,
     scanned_lk,
 )
 
@@ -442,6 +443,73 @@ def test_pair_index_holds_each_circuits_traversal_signs(graph):
     for (j, k), (at_j, at_k) in zip(pairs, index.slots, strict=True):
         assert list(index.signs[at_j]) == _traversal_signs(endpoints, j)
         assert list(index.signs[at_k]) == _traversal_signs(endpoints, k)
+
+
+@st.composite
+def _scattered_multigraphs(draw):
+    # loops, parallel edges, isolated vertices, scattered and negative ids
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))
+    vertex = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    copies = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return graph_from_pairs(draw(st.permutations(pairs + copies)), vertices=ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scattered_multigraphs())
+def test_pair_index_matches_the_reference_on_multigraphs(g):
+    endpoints = edge_endpoints(g)
+    pairs = disjoint_circuit_pairs(g)
+    index = pair_index(endpoints, pairs)
+    assert index == pair_index_reference(endpoints, pairs)
+    assert index.endpoints is endpoints
+
+
+def _reversed(c):
+    # the same cycle walked the other way from the same first vertex
+    n = len(c.vertex_seq)
+    return Circuit(c.vertex_seq[:1] + c.vertex_seq[:0:-1],
+                   tuple(c.edge_ids[i] for i in range(n - 1, -1, -1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([complete_graph(6), k331_graph(), complete_graph(7)]), st.randoms())
+def test_pair_index_matches_the_reference_on_shuffled_copies(g, rng):
+    # equal but distinct circuits get slots of their own, as in the reference
+    def variant(c):
+        roll = rng.random()
+        if roll < 0.3:
+            return Circuit(c.vertex_seq, c.edge_ids)
+        return _reversed(c) if roll < 0.5 else c
+    pairs = [(variant(j), variant(k)) for j, k in disjoint_circuit_pairs(g)]
+    pairs = [(k, j) if rng.random() < 0.5 else (j, k) for j, k in pairs]
+    rng.shuffle(pairs)
+    endpoints = edge_endpoints(g)
+    index = pair_index(endpoints, pairs)
+    assert index == pair_index_reference(endpoints, pairs)
+    assert len(index.signs) == len({id(c) for pair in pairs for c in pair})
+
+
+def test_reversing_a_circuit_flips_its_signs():
+    g = complete_graph(6)
+    j, k = disjoint_circuit_pairs(g)[0]
+    signs = pair_index(edge_endpoints(g), [(j, k), (_reversed(j), k)]).signs
+    assert sorted((e, -sign) for e, sign in signs[0]) == sorted(signs[2])
+
+
+@pytest.mark.parametrize("seen", [True, False], ids=["circuits seen before", "new circuits"])
+def test_an_overlapping_pair_last_raises(seen):
+    g = complete_graph(7)
+    pairs = disjoint_circuit_pairs(g)
+    j = pairs[0][0]
+    k = next(c for pair in pairs for c in pair
+             if c is not j and set(c.vertex_seq) & set(j.vertex_seq))
+    if not seen:
+        j, k = Circuit(j.vertex_seq, j.edge_ids), Circuit(k.vertex_seq, k.edge_ids)
+    for build in (pair_index, pair_index_reference):
+        build(edge_endpoints(g), pairs)
+        with pytest.raises(GraphError, match="share a vertex"):
+            build(edge_endpoints(g), pairs + [(j, k)])
 
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph(), complete_graph(7)],
