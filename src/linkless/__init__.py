@@ -5,14 +5,15 @@ Three coordinated toolsets:
 * graph machinery: multigraphs, circuit enumeration, minors with
   certificates, planarity with certificates, canonical forms for small
   graphs;
-* the Delta-Y engine generating the seven-graph Petersen family, whose
-  members are exactly the minor-minimal intrinsically linked graphs;
+* the Delta-Y move and the seven-graph Petersen family, whose members
+  are exactly the minor-minimal intrinsically linked graphs, held as
+  pinned derivations that each load replays and checks;
 * exact rational PL embeddings with regular projections, diagrammatic
   linking numbers, and the mod-2 invariant omega used to reproduce the
   classical K6 / K3,3,1 linking results numerically.
 """
 
-from .canonical import VertexLimitExceeded, are_isomorphic, canonical_form
+from .canonical import VertexLimitExceeded, canonical_form
 from .circuits import (
     Circuit,
     CircuitCapExceeded,
@@ -47,15 +48,7 @@ from .minors import (
     minor_model_errors,
     verify_minor_model,
 )
-from .moves import (
-    ClosureSizeExceeded,
-    FamilyMember,
-    delta_y,
-    petersen_closure,
-    petersen_family,
-    triangles,
-    y_delta,
-)
+from .moves import FamilyMember, delta_y, petersen_family, triangles
 from .multigraph import (
     Edge,
     GraphError,
@@ -87,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Circuit",
     "CircuitCapExceeded",
-    "ClosureSizeExceeded",
     "DEFAULT_BUDGET",
     "Edge",
     "EmbeddingError",
@@ -108,7 +100,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "SpatialEmbedding",
     "VertexLimitExceeded",
-    "are_isomorphic",
     "builtin_graph",
     "canonical_form",
     "complete_bipartite",
@@ -133,7 +124,6 @@ __all__ = [
     "omega_pair",
     "parse_edge_list",
     "parse_graph",
-    "petersen_closure",
     "petersen_family",
     "petersen_graph",
     "planar_certificate_errors",
@@ -145,5 +135,4 @@ __all__ = [
     "straight_line_embedding",
     "triangles",
     "verify_minor_model",
-    "y_delta",
 ]

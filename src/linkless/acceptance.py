@@ -200,7 +200,7 @@ def _delete_contract_oracle(g: MultiGraph, h: MultiGraph) -> bool:
         for e in cur.edges:
             stack.append(cur.delete_edge(e.id))
             if not e.is_loop:
-                stack.append(cur.contract_edge(e.id, simplify=True))
+                stack.append(cur.contract_edge(e.id))
     return False
 
 

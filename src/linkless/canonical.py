@@ -19,8 +19,9 @@ node skips a child that the recorded automorphisms fixing the node's
 individualized vertices map onto a child already explored.  The skipped
 subtree is the image of an explored one under an automorphism, so its
 leaves pack the same keys and the minimum is the one the full search
-finds.  The recorded automorphisms come back as generators, vertex maps
-on the graph's own ids.
+finds.  `_canonical_search` returns the recorded automorphisms beside the
+key, as vertex maps on the graph's own ids, so that they can be checked;
+`canonical_form`, the one public entry, returns the key alone.
 
 Two simple graphs receive equal keys exactly when they are isomorphic.
 Intended for the small graphs this package traffics in; hard-limited to
@@ -41,17 +42,7 @@ class VertexLimitExceeded(GraphError):
 
 def canonical_form(g: MultiGraph) -> bytes:
     """Isomorphism-invariant key of the loop-free, parallel-collapsed reduction."""
-    return canonical_labeling(g)[0]
-
-
-def canonical_labeling(g: MultiGraph) -> tuple[bytes, tuple[dict[int, int], ...]]:
-    """The canonical key and automorphisms of the simple reduction.
-
-    The automorphisms are the ones the search recorded, as vertex maps on
-    `g`'s ids; they generate a group of automorphisms, not necessarily all.
-    """
-    key, generators, _ = _canonical_search(g)
-    return key, generators
+    return _canonical_search(g)[0]
 
 
 def _canonical_search(g: MultiGraph) -> tuple[bytes, tuple[dict[int, int], ...], int]:
@@ -188,7 +179,3 @@ def _pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:
     size = (pairs + 7) // 8
     return bytes([n]) + (bits << (8 * size - pairs)).to_bytes(size, "big")
 
-
-def are_isomorphic(g: MultiGraph, h: MultiGraph) -> bool:
-    """Whether the simple reductions of two graphs are isomorphic."""
-    return canonical_form(g) == canonical_form(h)

@@ -694,7 +694,7 @@ def minor_minimality_report(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> Mini
     if base.verdict != "linked":
         raise GraphError("minimality report requires an intrinsically linked graph")
     moves = [("delete", e, g.delete_edge(e.id)) for e in g.edges]
-    moves += [("contract", e, g.contract_edge(e.id, simplify=True))
+    moves += [("contract", e, g.contract_edge(e.id))
               for e in g.edges if not e.is_loop]
     children = tuple(
         ChildVerdict(operation, e.id, (e.u, e.v),

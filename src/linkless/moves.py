@@ -3,31 +3,19 @@
 A Delta-Y move removes the three edges of a triangle and joins its
 vertices to one new vertex; it preserves the edge count and adds a vertex.
 Closing {K6, K3,3,1} under Delta-Y moves yields seven isomorphism classes,
-the Petersen family.  This module generates it by breadth-first search
-over one map from canonical key to (graph, derivation, automorphisms),
-builds each member once after the search, and returns the family as a
-tuple.  Triangles that an automorphism of the parent maps onto each other
-give isomorphic children, so each parent moves only the first triangle of
-each orbit; a move builds one graph and keys it with one canonical
-labeling.  One pinned table of the seven keys names the members and
-verifies the family on every load.
+the Petersen family.  The family is pinned data: one table gives each
+member's canonical key, name and derivation, the seed's name followed by
+the Delta-Y moves that reach the member.  A load replays the table, one
+seed or one move per member, and keys each member to check it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .canonical import canonical_form, canonical_labeling
+from .canonical import canonical_form
 from .multigraph import Edge, GraphError, MultiGraph, complete_graph, k331_graph
-
-DEFAULT_CLOSURE_BOUND = 64
-
-
-class ClosureSizeExceeded(RuntimeError):
-    """Delta-Y closure grew past the configured bound (wrong seeds?)."""
 
 
 def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
@@ -63,39 +51,18 @@ def delta_y(g: MultiGraph, triangle: tuple[int, int, int]) -> MultiGraph:
                       kept + tuple(Edge(top + i, w, x) for i, x in enumerate((a, b, c), 1)))
 
 
-def y_delta(g: MultiGraph, v: int) -> MultiGraph:
-    """Inverse move: remove a degree-3 vertex and triangulate its neighbors.
-
-    Parallel edges that would arise when two neighbors are already
-    adjacent are collapsed, keeping the result simple.
-    """
-    incident = g.incident(v)
-    if any(e.is_loop for e in incident):
-        raise GraphError(f"vertex {v} carries a loop")
-    if len(incident) != 3:
-        raise GraphError(f"vertex {v} has degree {len(incident)}, need exactly 3")
-    nbrs = sorted(e.other(v) for e in incident)
-    if len(set(nbrs)) != 3:
-        raise GraphError(f"vertex {v} has a repeated neighbor")
-    out = g.delete_vertex(v)
-    for u, w in combinations(nbrs, 2):
-        if not out.has_edge(u, w):
-            out = out.add_edge(u, w)
-    return out
-
-
-# The Petersen family's canonical keys and names, in family order.  The
-# closure names its members from this table, and `petersen_family` checks
-# on every load that the closure reaches exactly these keys.
-_FAMILY_NAMES: dict[bytes, str] = {
-    bytes.fromhex("06fffe"): "K6",
-    bytes.fromhex("07e0eff8"): "P7",
-    bytes.fromhex("07e4efd8"): "K3,3,1",
-    bytes.fromhex("087039df80"): "P8a",
-    bytes.fromhex("08c2c19fb0"): "P8b",
-    bytes.fromhex("09c4448a6a70"): "P9",
-    bytes.fromhex("0ae0180c0d4a60"): "petersen",
-}
+# The Petersen family in family order (vertex count, then key): canonical
+# key, name and derivation.  Each derivation extends an earlier member's
+# by one move, so a load makes one move per member that is not a seed.
+_FAMILY: tuple[tuple[str, str, tuple[str, ...]], ...] = (
+    ("06fffe", "K6", ("K6",)),
+    ("07e0eff8", "P7", ("K6", "dY(1,2,3)")),
+    ("07e4efd8", "K3,3,1", ("K3,3,1",)),
+    ("087039df80", "P8a", ("K6", "dY(1,2,3)", "dY(4,5,6)")),
+    ("08c2c19fb0", "P8b", ("K3,3,1", "dY(1,4,7)")),
+    ("09c4448a6a70", "P9", ("K3,3,1", "dY(1,4,7)", "dY(2,5,7)")),
+    ("0ae0180c0d4a60", "petersen", ("K3,3,1", "dY(1,4,7)", "dY(2,5,7)", "dY(3,6,7)")),
+)
 
 
 @dataclass(frozen=True)
@@ -106,94 +73,25 @@ class FamilyMember:
     derivation: tuple[str, ...]  # seed name followed by dY(a,b,c) steps
 
 
-def petersen_closure(seeds: list[MultiGraph]) -> tuple[FamilyMember, ...]:
-    """Breadth-first Delta-Y closure of the seeds, one member per iso class.
-
-    The first seed or derivation to reach a class keeps it, so derivations
-    record a shortest move sequence.  Members come sorted by (vertex count,
-    key).  A member of the Petersen family takes its name from the pinned
-    table.  Any other class is named P<n>, with a suffix a, b, ... when
-    another class shares n; the family members of that n take the first
-    letters, so no two classes share a name.
-
-    A parent moves only the first triangle, in `triangles` order, of each
-    orbit under the automorphisms its canonical labeling found.  A later
-    triangle of an orbit gives a child isomorphic to the first one's, which
-    the same parent moved just before, so its class is already kept and
-    moving it would add nothing: the classes, their derivations and the
-    closure bound's check are those of moving every triangle.
-    """
-    classes: dict[bytes, tuple[MultiGraph, tuple[str, ...], tuple[dict[int, int], ...]]] = {}
-    for i, seed in enumerate(seeds):
-        key, generators = canonical_labeling(seed)
-        classes.setdefault(key, (seed, (seed.name or f"seed{i}",), generators))
-
-    # the dict's insertion order is the queue: each pass walks the classes
-    # the previous pass added
-    level = list(classes.values())
-    while level:
-        size = len(classes)
-        for g, derivation, generators in level:
-            for tri in _orbit_firsts(g, generators):
-                child = delta_y(g, tri)
-                key, child_generators = canonical_labeling(child)
-                if key in classes:
-                    continue
-                if len(classes) >= DEFAULT_CLOSURE_BOUND:
-                    raise ClosureSizeExceeded(
-                        f"Delta-Y closure exceeded {DEFAULT_CLOSURE_BOUND} isomorphism classes")
-                classes[key] = (child, derivation + (f"dY({tri[0]},{tri[1]},{tri[2]})",),
-                                child_generators)
-        level = list(classes.values())[size:]
-
-    ordered = sorted(classes.items(), key=lambda item: (item[1][0].n, item[0]))
-    shared = Counter(g.n for g, _, _ in classes.values())
-    named = Counter(g.n for key, (g, _, _) in classes.items() if key in _FAMILY_NAMES)
-    members = []
-    for key, (g, derivation, _) in ordered:
-        name = _FAMILY_NAMES.get(key)
-        if name is None:
-            suffix = chr(ord("a") + named[g.n]) if shared[g.n] > 1 else ""
-            named[g.n] += 1
-            name = f"P{g.n}{suffix}"
-        members.append(FamilyMember(name, g, key, derivation))
-    return tuple(members)
-
-
-def _orbit_firsts(g: MultiGraph,
-                  generators: tuple[dict[int, int], ...]) -> list[tuple[int, int, int]]:
-    """The first triangle, in `triangles` order, of each orbit under the generators.
-
-    The generators are automorphisms of the simple reduction.  One of them
-    need not keep the multiplicity of a triangle's sides, which decides
-    what a move leaves, so a graph that is not simple moves every triangle.
-    """
-    tris = triangles(g)
-    if not g.is_simple:
-        return tris
-    firsts, seen = [], set()
-    for tri in tris:
-        if tri in seen:
-            continue
-        firsts.append(tri)
-        orbit = [tri]
-        seen.add(tri)
-        for t in orbit:
-            for gamma in generators:
-                image = tuple(sorted(gamma[v] for v in t))
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-    return firsts
-
-
 @lru_cache(maxsize=1)
 def petersen_family() -> tuple[FamilyMember, ...]:
-    """The seven-member Delta-Y closure of {K6, K3,3,1}, cached and verified."""
-    family = petersen_closure([complete_graph(6), k331_graph()])
-    if {m.canonical: m.name for m in family} != _FAMILY_NAMES:
-        raise AssertionError("Petersen family keys changed; canonical form drifted")
-    return family
+    """The seven members of the Delta-Y closure of {K6, K3,3,1}, cached.
+
+    Each member is built from the seed or the member whose derivation its
+    own extends, and its key is checked against the pinned one.
+    """
+    built = {("K6",): complete_graph(6), ("K3,3,1",): k331_graph()}
+    family = []
+    for key, name, derivation in _FAMILY:
+        if derivation not in built:
+            corners = tuple(int(x) for x in derivation[-1][3:-1].split(","))
+            built[derivation] = delta_y(built[derivation[:-1]], corners)
+        g = built[derivation]
+        if canonical_form(g).hex() != key:
+            raise AssertionError(f"Petersen family member {name} changed key; "
+                                 "canonical form or Delta-Y move drifted")
+        family.append(FamilyMember(name, g, bytes.fromhex(key), derivation))
+    return tuple(family)
 
 
 def family_closed_under_delta_y(family: tuple[FamilyMember, ...]) -> bool:

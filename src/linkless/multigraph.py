@@ -200,12 +200,11 @@ class MultiGraph:
             tuple(e for e in self.edges if v not in (e.u, e.v)),
         )
 
-    def contract_edge(self, eid: int, simplify: bool = True) -> "MultiGraph":
+    def contract_edge(self, eid: int) -> "MultiGraph":
         """Merge the endpoints of a non-loop edge into the smaller vertex id.
 
-        With ``simplify`` (the default, suited to minor testing) loops and
-        parallel duplicates in the result are dropped; duplicates keep the
-        edge with the smallest id.
+        Loops and parallel duplicates in the result are dropped, as minor
+        testing wants; duplicates keep the edge with the smallest id.
         """
         e = self.edge(eid)
         if e.is_loop:
@@ -218,8 +217,7 @@ class MultiGraph:
             u = keep if f.u == gone else f.u
             v = keep if f.v == gone else f.v
             remapped.append(Edge(f.id, u, v))
-        g = MultiGraph(self.vertices - {gone}, tuple(remapped))
-        return g.simplified() if simplify else g
+        return MultiGraph(self.vertices - {gone}, tuple(remapped)).simplified()
 
     def simplified(self) -> "MultiGraph":
         """Drop loops and collapse parallel edges (keeping the smallest id).

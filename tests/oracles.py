@@ -38,10 +38,12 @@ written before it used ``int.to_bytes``: one bit list, packed byte by byte.
 before it pruned by automorphisms: every child of every node is searched,
 and keys are packed by ``pack_key`` above.  The package's keys must equal
 its keys byte for byte.
-``petersen_closure_reference`` is the Delta-Y closure as it was written
-before it moved one triangle per orbit: every triangle of every class is
-moved with ``delta_y`` above and every child keyed with
-``canonical_form_reference``.
+``petersen_closure_reference`` is the Delta-Y closure as the package ran
+it before the family became a pinned table: every triangle of every class
+is moved with ``delta_y`` above and every child keyed with
+``canonical_form_reference``.  Members of the Petersen family take their
+names from the package's table, other classes are named P<n>.  The
+table must equal this closure of {K6, K3,3,1}.
 ``pair_index_reference`` is the circuit-pair index as it was written
 before it kept each circuit's vertex set: per pair it reads both
 circuits' cached ``vertices`` and looks each circuit up twice.  The
@@ -69,7 +71,7 @@ from linkless.geometry import (
     shared_endpoint_segments_overlap,
     sub3,
 )
-from linkless.moves import _FAMILY_NAMES, FamilyMember
+from linkless.moves import _FAMILY, FamilyMember
 from linkless.multigraph import Edge, GraphError, MultiGraph
 from linkless.projection import PairIndex
 
@@ -1192,11 +1194,12 @@ def petersen_closure_reference(seeds: list[MultiGraph]) -> tuple[FamilyMember, .
                 classes.setdefault(canonical_form_reference(child),
                                    (child, derivation + ("dY(%d,%d,%d)" % tri,)))
         level = list(classes.values())[size:]
+    family_names = {bytes.fromhex(key): name for key, name, _ in _FAMILY}
     shared = Counter(g.n for g, _ in classes.values())
-    named = Counter(g.n for key, (g, _) in classes.items() if key in _FAMILY_NAMES)
+    named = Counter(g.n for key, (g, _) in classes.items() if key in family_names)
     members = []
     for key, (g, derivation) in sorted(classes.items(), key=lambda kv: (kv[1][0].n, kv[0])):
-        name = _FAMILY_NAMES.get(key)
+        name = family_names.get(key)
         if name is None:
             name = f"P{g.n}" + (chr(ord("a") + named[g.n]) if shared[g.n] > 1 else "")
             named[g.n] += 1

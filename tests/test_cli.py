@@ -493,9 +493,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
     # only `omega` draws a reroute's diagrams (`project_reroute`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # no report carries wall-clock timings, only `moves` names the pinned
-    # family table, only `canonical` packs keys and defines the search, and
-    # only `moves` calls `canonical_labeling` (the closure keeps the
-    # automorphisms it finds; nothing else needs them)
+    # family table, and only `canonical` packs keys and defines the search
     owners = {"_check_edge": {"embedding.py"}, "_segments": {"embedding.py"},
               "_general_position": {"embedding.py"},
               "COORDINATE_BOUND": {"embedding.py"}, "RETRY_LIMIT": {"embedding.py"},
@@ -505,9 +503,8 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "edge_endpoints": {"projection.py", "omega.py"},
               "crossing_matrix": {"projection.py"},
               "project_reroute": {"projection.py", "omega.py"},
-              "_FAMILY_NAMES": {"moves.py"}, "_pack_key": {"canonical.py"},
-              "_canonical_search": {"canonical.py"},
-              "canonical_labeling": {"canonical.py", "moves.py"}}
+              "_FAMILY": {"moves.py"}, "_pack_key": {"canonical.py"},
+              "_canonical_search": {"canonical.py"}}
     raised: dict[str, list[str]] = {}
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -5,16 +5,8 @@ import pytest
 
 import oracles
 from linkless import moves
-from linkless.canonical import are_isomorphic, canonical_form, canonical_labeling
-from linkless.moves import (
-    ClosureSizeExceeded,
-    delta_y,
-    family_closed_under_delta_y,
-    petersen_closure,
-    petersen_family,
-    triangles,
-    y_delta,
-)
+from linkless.canonical import canonical_form
+from linkless.moves import delta_y, family_closed_under_delta_y, petersen_family, triangles
 from linkless.multigraph import (
     Edge,
     GraphError,
@@ -75,11 +67,17 @@ def test_delta_y_matches_the_reference_move():
     assert moved == 44 + 35 + 4
 
 
-def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch):
-    # one canonical labeling per seed and per move, one graph built per
-    # move, and no other graph keyed to name the members.  A parent moves
-    # one triangle per orbit: 6 moves where moving every triangle made 44
-    seeds = [complete_graph(6), k331_graph()]
+@pytest.fixture
+def fresh_load():
+    # a load under test, and the real family again for the tests after it
+    petersen_family.cache_clear()
+    yield
+    petersen_family.cache_clear()
+
+
+def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch, fresh_load):
+    # a load keys each of the 7 members once and builds 7 graphs, the two
+    # seeds and one Delta-Y move per other member, with no closure search
     keyed, built = [], []
     init = MultiGraph.__post_init__
 
@@ -88,38 +86,41 @@ def test_closure_keys_each_class_once_and_builds_one_graph_per_move(monkeypatch)
         init(self)
 
     monkeypatch.setattr(moves, "canonical_form", lambda g: keyed.append(g) or canonical_form(g))
-    monkeypatch.setattr(moves, "canonical_labeling",
-                        lambda g: keyed.append(g) or canonical_labeling(g))
     monkeypatch.setattr(MultiGraph, "__post_init__", counting_init)
-    fam = petersen_closure(seeds)
+    fam = petersen_family()
     monkeypatch.undo()
-    assert sum(len(triangles(m.graph)) for m in fam) == 44
-    assert len(keyed) == len(seeds) + 6
-    assert len(built) == 6
+    assert [g.n for g in keyed] == [m.graph.n for m in fam] == [6, 7, 7, 8, 8, 9, 10]
+    assert len(built) == 7
+    assert {id(g) for g in built} == {id(m.graph) for m in fam}
 
 
-CLOSURE_SEEDS = {
-    "K6 and K3,3,1": lambda: [complete_graph(6), k331_graph()],
-    "K6": lambda: [complete_graph(6)],
-    "triangle": lambda: [graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")],
-    "relabelled": lambda: relabelled_seeds(random.Random(3)),
-    "K6 and two triangles": lambda: [complete_graph(6), graph_from_pairs(
-        [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (7, 8)])],
-    # K4 with side 1-2 doubled: the simple reduction's automorphisms map
-    # that side onto single ones, so every triangle of it must be moved
-    "doubled side": lambda: [graph_from_pairs(
-        [(1, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])],
-}
+@pytest.mark.parametrize("drift", ["canonical_form", "delta_y"])
+def test_load_check_names_the_member_that_drifted(monkeypatch, fresh_load, drift):
+    # P9 keys differently, or the move to the Petersen graph loses an edge
+    if drift == "canonical_form":
+        name = "P9"
+        monkeypatch.setattr(moves, "canonical_form",
+                            lambda g: b"\0" if g.n == 9 else canonical_form(g))
+    else:
+        name = "petersen"
+
+        def lossy(g, tri):
+            h = delta_y(g, tri)
+            return h.delete_edge(h.edges[-1].id) if g.n == 9 else h
+
+        monkeypatch.setattr(moves, "delta_y", lossy)
+    with pytest.raises(AssertionError, match=f"member {name} changed key"):
+        petersen_family()
 
 
-@pytest.mark.parametrize("seeds", sorted(CLOSURE_SEEDS))
-def test_orbit_closure_matches_the_all_triangles_closure(seeds):
+def test_family_matches_the_reference_closure():
+    # the pinned table is the all-triangles Delta-Y closure of {K6, K3,3,1}
     def summary(fam):
         return [(m.name, m.canonical, m.derivation, m.graph.vertices, m.graph.edges)
                 for m in fam]
 
-    got = petersen_closure(CLOSURE_SEEDS[seeds]())
-    assert summary(got) == summary(oracles.petersen_closure_reference(CLOSURE_SEEDS[seeds]()))
+    reference = oracles.petersen_closure_reference([complete_graph(6), k331_graph()])
+    assert summary(petersen_family()) == summary(reference)
 
 
 def test_delta_y_requires_triangle():
@@ -152,64 +153,6 @@ def test_delta_y_random_instances():
         checked += 1
 
 
-def test_y_delta_inverts_delta_y():
-    for g in [complete_graph(6), k331_graph(), complete_graph(4)]:
-        tris = triangles(g)
-        tri = tris[0]
-        h = delta_y(g, tri)
-        back = y_delta(h, max(h.vertices))
-        assert are_isomorphic(back, g)
-
-
-def test_y_delta_on_claw():
-    claw = graph_from_pairs([(1, 2), (1, 3), (1, 4)])
-    tri = y_delta(claw, 1)
-    assert (tri.n, tri.m) == (3, 3)
-    assert triangles(tri) == [(2, 3, 4)]
-
-
-def test_y_delta_on_petersen_vertex():
-    # girth 5 means no neighbor pair is adjacent: 3 edges out, 3 edges in
-    p = petersen_graph()
-    g = y_delta(p, 1)
-    assert (g.n, g.m) == (9, 15)
-
-
-def test_y_delta_preconditions():
-    square = graph_from_pairs([(1, 2), (2, 3), (3, 4), (4, 1)])
-    with pytest.raises(GraphError):
-        y_delta(square, 1)  # degree 2
-    multi = graph_from_pairs([(1, 2), (1, 2), (1, 3)])
-    with pytest.raises(GraphError):
-        y_delta(multi, 1)  # repeated neighbor
-
-
-def test_y_delta_on_k4_collapses_parallels():
-    # neighbors of any K4 vertex are already mutually adjacent
-    g = y_delta(complete_graph(4), 4)
-    assert are_isomorphic(g, complete_graph(3))
-    assert g.m == 3
-
-
-def test_closure_of_triangle():
-    c3 = graph_from_pairs([(1, 2), (2, 3), (3, 1)], name="C3")
-    fam = petersen_closure([c3])
-    assert len(fam) == 2  # C3 and the claw K_{1,3}, which is triangle-free
-    assert fam[1].graph.degree_sequence() == (1, 1, 1, 3)
-
-
-def test_closure_names_stay_unique_beside_family_members():
-    # two triangles and an edge on 8 vertices: with K6, the closure holds
-    # six family members and other classes of 8, 9 and 10 vertices, which
-    # are lettered after the family members of their size
-    x = graph_from_pairs([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (7, 8)])
-    fam = petersen_closure([complete_graph(6), x])
-    family = {m.canonical: m.name for m in petersen_family()}
-    assert len({m.name for m in fam}) == len(fam) == 9
-    assert all(m.name == family[m.canonical] for m in fam if m.canonical in family)
-    assert [m.name for m in fam if m.canonical not in family] == ["P8c", "P9b", "P10b"]
-
-
 def test_family_has_seven_members():
     fam = petersen_family()
     assert isinstance(fam, tuple) and len(fam) == 7
@@ -223,12 +166,12 @@ def test_family_names_and_landmarks():
     names = [m.name for m in fam]
     assert names == ["K6", "P7", "K3,3,1", "P8a", "P8b", "P9", "petersen"]
     by_name = {m.name: m for m in fam}
-    assert are_isomorphic(by_name["K6"].graph, complete_graph(6))
-    assert are_isomorphic(by_name["K3,3,1"].graph, k331_graph())
+    assert by_name["K6"].canonical == canonical_form(complete_graph(6))
+    assert by_name["K3,3,1"].canonical == canonical_form(k331_graph())
     pet = by_name["petersen"]
     assert pet.graph.n == 10
     assert not triangles(pet.graph)
-    assert are_isomorphic(pet.graph, petersen_graph())
+    assert pet.canonical == canonical_form(petersen_graph())
 
 
 def test_family_closed():
@@ -247,20 +190,20 @@ def relabelled_seeds(rng):
 
 def test_family_stable_under_seed_relabeling():
     fam = petersen_family()
-    relabeled = petersen_closure(relabelled_seeds(random.Random(3)))
-    assert {m.canonical for m in relabeled} == {m.canonical for m in fam}
+    relabeled = oracles.petersen_closure_reference(relabelled_seeds(random.Random(3)))
+    assert [(m.name, m.canonical) for m in relabeled] == [(m.name, m.canonical) for m in fam]
 
 
 def test_closure_from_k6_alone_misses_k331():
-    sub = {m.canonical for m in petersen_closure([complete_graph(6)])}
+    sub = {m.canonical for m in oracles.petersen_closure_reference([complete_graph(6)])}
     assert sub < {m.canonical for m in petersen_family()}
     assert len(sub) == 6
     assert canonical_form(k331_graph()) not in sub
     assert canonical_form(petersen_graph()) in sub
 
 
-def test_closure_builds_each_member_once(monkeypatch):
-    # members are built after the search, already named
+def test_closure_builds_each_member_once(monkeypatch, fresh_load):
+    # a load builds each member once, already named, in family order
     built = []
 
     @dataclass(frozen=True)
@@ -269,14 +212,8 @@ def test_closure_builds_each_member_once(monkeypatch):
             built.append(self.name)
 
     monkeypatch.setattr(moves, "FamilyMember", Counting)
-    fam = petersen_closure([complete_graph(6), k331_graph()])
-    assert built == [m.name for m in fam] == [m.name for m in petersen_family()]
-
-
-def test_closure_bound(monkeypatch):
-    monkeypatch.setattr(moves, "DEFAULT_CLOSURE_BOUND", 3)
-    with pytest.raises(ClosureSizeExceeded):
-        petersen_closure([complete_graph(6), k331_graph()])
+    fam = petersen_family()
+    assert built == [m.name for m in fam] == ["K6", "P7", "K3,3,1", "P8a", "P8b", "P9", "petersen"]
 
 
 def test_derivations_replay():
