@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .embedding import SpatialEmbedding, random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _detour_links, _omega_with_pairs, _reroute_reports, graph_pairs
+from .omega import _detour_links, _omega_with_pairs, _reroute_reports, graph_pairs, reroute_table
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def edge_swap_check(
     if not g.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
     index = graph_pairs(g)
+    tables: dict = {}  # the RerouteTable of each moved edge, built on its first trial
 
     violations: list[RerouteViolation] = []
     preserved = 0
@@ -164,7 +165,8 @@ def edge_swap_check(
         midpoint, emb2, rejected = random_detour(emb, e.id, rng)
         retries += rejected
 
-        before, after, check = _reroute_reports(emb, emb2, e.id, index, trial_seed)
+        table = tables.get(e.id) or tables.setdefault(e.id, reroute_table(index, e.id))
+        before, after, check = _reroute_reports(emb, emb2, table, trial_seed)
 
         def violate(kind: str, detail: str) -> None:
             violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {
@@ -179,25 +181,15 @@ def edge_swap_check(
             violate("omega-changed",
                     f"omega went {before.total} -> {after.total} rerouting edge {e.id}")
 
-        opposite = [k if e.id in j.edge_ids else j if e.id in k.edge_ids else None
-                    for j, k in index.pairs]  # the circuit facing the one through e, if any
-        links = iter(_detour_links(check, e.id, [c for c in opposite if c is not None]))
         cover_parity = 0
-        for complementary, entry_before, entry_after in zip(opposite, before.pairs, after.pairs):
-            j, k = entry_before.j, entry_before.k
-            if complementary is None:
-                if entry_before.omega != entry_after.omega:
-                    violate("pair-identity",
-                            f"pair {j.vertex_seq}/{k.vertex_seq} avoids edge {e.id} "
-                            "but its omega changed")
-                continue
-            om_dk = next(links) % 2
+        for at, lk_dk in zip(table.positions, _detour_links(check, e.id, table.opposite)):
+            om_dk = lk_dk % 2
             cover_parity ^= om_dk
-            identities += 1
-            if (entry_after.omega - entry_before.omega) % 2 != om_dk:
+            change = after.pairs[at].omega - before.pairs[at].omega
+            if change % 2 != om_dk:
                 violate("pair-identity",
-                        f"omega(J',K)-omega(J,K)={entry_after.omega - entry_before.omega} "
-                        f"but omega(D,K)={om_dk}")
+                        f"omega(J',K)-omega(J,K)={change} but omega(D,K)={om_dk}")
+        identities += len(table.positions)
         covers += 1
         if cover_parity != 0:
             violate("even-cover", "sum of omega(K_i, D) over complementary circuits is odd")

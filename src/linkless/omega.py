@@ -15,10 +15,11 @@ reroute is drawn by one crossing pass per direction over the embedding's
 strands and the new path (``projection.project_reroute``), and a
 direction counts as regular only when that whole pass is.  The reports
 before and after it (``_reroute_reports``) read the main and the check
-diagram through two views of the graph's pair index, the second with the
-new path's key in place of the moved edge's id, and lk(D, K) for every
-circuit K is read off the check diagram with D the two-edge circuit of
-the old and new paths (``_detour_links``).
+diagram through the two views of a ``RerouteTable``, built once per
+moved edge.  The second holds only the pairs through the edge, with the
+new path's key in place of its id; every other pair keeps its entry.
+lk(D, K) for every circuit K is read off the check diagram with D the
+two-edge circuit of the old and new paths (``_detour_links``).
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -200,25 +201,52 @@ def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
     return OmegaReport(name, diag.direction, check.direction, tuple(entries))
 
 
-def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
-                     index: PairIndex, seed: int
-                     ) -> tuple[OmegaReport, OmegaReport, ProjectedDiagram]:
+@dataclass(frozen=True)
+class RerouteTable:
+    """A graph's pair index prepared once for reroutes of edge ``eid``:
+    ``before`` reads a `project_reroute` diagram as the embedding, and
+    ``after`` as the moved one for the pairs through the edge only, which
+    sit at ``positions`` among the pairs and face the circuits ``opposite``."""
+
+    eid: int
+    before: PairIndex
+    after: PairIndex
+    positions: tuple[int, ...]
+    opposite: tuple[Circuit, ...]
+
+
+def reroute_table(index: PairIndex, eid: int) -> RerouteTable:
+    """The `RerouteTable` of edge ``eid`` of the graph ``index`` indexes."""
+    arc = max(index.endpoints) + 1  # the new path's key
+    before = replace(index, endpoints={**index.endpoints, arc: index.endpoints[eid]})
+    positions = tuple(at for at, (j, k) in enumerate(index.pairs)
+                      if eid in j.edge_ids or eid in k.edge_ids)
+    after = replace(before, pairs=tuple(index.pairs[at] for at in positions),
+                    slots=tuple(index.slots[at] for at in positions),
+                    signs=tuple(tuple((arc if e == eid else e, sign) for e, sign in signs)
+                                for signs in index.signs))
+    opposite = tuple(k if eid in j.edge_ids else j for j, k in after.pairs)
+    return RerouteTable(eid, before, after, positions, opposite)
+
+
+def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: RerouteTable,
+                     seed: int) -> tuple[OmegaReport, OmegaReport, ProjectedDiagram]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``eid``, and the check diagram, from two
+    only in the path of edge ``table.eid``, and the check diagram, from two
     `project_reroute` passes: the main pass along the first direction from
     ``seed`` where it is regular, the check pass along the first from
     ``seed + 1`` where it is regular and that is not parallel to the main
-    one.  Both reports read both diagrams through ``index``, the report of
-    ``moved`` with the new path's key in place of ``eid``."""
-    attempt = partial(project_reroute, emb, moved, eid)
+    one.  The report of ``moved`` recomputes only the pairs through the
+    edge, on both diagrams, and shares every other entry with ``emb``'s."""
+    attempt = partial(project_reroute, emb, moved, table.eid)
     failure = "no regular projection direction found"
     main = _first_regular(attempt, seed, failure)
     check = _first_regular(attempt, seed + 1, failure, [main.direction])
-    arc = max(main.edge_endpoints)  # the new path's key
-    before = replace(index, endpoints=main.edge_endpoints)
-    after = replace(before, signs=tuple(
-        tuple((arc if e == eid else e, sign) for e, sign in signs) for signs in index.signs))
-    return _report(emb, before, main, check), _report(moved, after, main, check), check
+    before = _report(emb, table.before, main, check)
+    entries = list(before.pairs)
+    for at, entry in zip(table.positions, _report(moved, table.after, main, check).pairs):
+        entries[at] = entry
+    return before, replace(before, pairs=tuple(entries)), check
 
 
 def loop_pair_link(

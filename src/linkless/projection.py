@@ -25,15 +25,21 @@ The crossing kernel works in integers only.  Rational inputs have their
 denominators cleared once per call: points and direction are each scaled
 by a positive integer, an orientation-preserving affine change that keeps
 every crossing, its segment parameters, over/under and sign.  Each
-distinct point is projected once.  Depth order is decided by integer
-cross-multiplication, and triple points are found by hashing crossing
-images in gcd-reduced homogeneous coordinates.
+distinct point is projected once, and each segment keeps a list of the
+image orientations of all points against its line, off which a segment
+pair reads its four.  Coincident segments are caught first, by one set
+of end pairs.  A pair with a zero orientation is tested for touching or
+overlapping images only when one of the two lists has a zero off its
+segment's own ends; otherwise the zero is a shared end.  Depth order is
+decided by integer cross-multiplication.  Three images meet in a point
+exactly when the first of the segments has two crossings at one
+parameter n/w: a repeat of the correctly rounded float n/w, confirmed in
+exact arithmetic.
 
 `strand_crossings` emits each crossing as one record of ten integers,
 (strand_s, segment_s, t_num_s, t_den_s, strand_t, segment_t, t_num_t,
 t_den_t, over, sign): the two segments in segment order, the parameter
-t_num/t_den along each, which of them passes over, and the sign.  The
-image point is used to find triple points and is not kept.  A
+t_num/t_den along each, which of them passes over, and the sign.  A
 `ProjectedDiagram` holds the records as they are, with edge ids as strand
 keys.
 
@@ -138,80 +144,84 @@ def strand_crossings(
         ys.append(vx * x + vy * y + vz * z)
         hs.append(dx * x + dy * y + dz * z)
 
-    # (key, index, a, b, ax, ay, ah, bx, by, bh) with point ids a, b
-    segs = []
+    # (key, index, a, b, ah, bh) with point ids a, b and depths ah, bh, and per
+    # segment the image orientation of every point against its line
+    segs, rows = [], []
+    images = list(zip(xs, ys))
     for key, pts in strands:
         chain = [ids[p] for p in pts]
         for idx, (a, b) in enumerate(zip(chain, chain[1:])):
-            if xs[a] == xs[b] and ys[a] == ys[b]:
+            ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+            if ax == bx and ay == by:
                 raise NonRegularProjection(
                     f"segment {idx} of strand {key} is seen end-on")
-            segs.append((key, idx, a, b, xs[a], ys[a], hs[a], xs[b], ys[b], hs[b]))
+            segs.append((key, idx, a, b, hs[a], hs[b]))
+            ex, ey = bx - ax, by - ay
+            c = ex * ay - ey * ax
+            rows.append([ex * y - ey * x - c for x, y in images])
+    if len({(a, b) if a < b else (b, a) for _, _, a, b, _, _ in segs}) < len(segs):
+        raise NonRegularProjection("coincident segments")
 
-    marker_ids = [ids[m] for m in marker_list]
-    images: dict[tuple[int, int], int] = {}
+    marker_ids = {ids[m] for m in marker_list}
+    if len({images[m] for m in marker_ids}) < len(marker_ids):
+        raise NonRegularProjection("two vertices project to the same point")
     for m in marker_ids:
-        if images.setdefault((xs[m], ys[m]), m) != m:
-            raise NonRegularProjection("two vertices project to the same point")
-    for m in marker_ids:
-        mx, my = xs[m], ys[m]
-        for _, _, a, b, ax, ay, _, bx, by, _ in segs:
-            if m == a or m == b:
-                continue
-            if (bx - ax) * (my - ay) == (by - ay) * (mx - ax) and \
-                    min(ax, bx) <= mx <= max(ax, bx) and min(ay, by) <= my <= max(ay, by):
+        mx, my = images[m]
+        for (_, _, a, b, _, _), row in zip(segs, rows):
+            if m != a and m != b and row[m] == 0 and min(xs[a], xs[b]) <= mx <= max(
+                    xs[a], xs[b]) and min(ys[a], ys[b]) <= my <= max(ys[a], ys[b]):
                 raise NonRegularProjection("a vertex projects onto an edge")
 
+    # a zero in a segment's list off its own ends: without one on either
+    # segment, a pair with a zero orientation shares an end and is regular
+    flat = [row.count(0) > 2 for row in rows]
     records: list[CrossingRecord] = []
-    seen_points: set[tuple[int, int, int]] = set()
-    for i, (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh) in enumerate(segs):
-        ex, ey = bx - ax, by - ay
-        for key_t, idx_t, ta, tb, cx, cy, ch, fx, fy, fh in segs[i + 1:]:
-            if sa == ta or sa == tb or sb == ta or sb == tb:
-                if (sa == ta or sa == tb) and (sb == ta or sb == tb):
-                    raise NonRegularProjection("coincident segments")
-                # image-collinear and on the same side of the shared point
-                if sa == ta or sa == tb:
-                    px, py, qx, qy = ax, ay, bx, by
-                else:
-                    px, py, qx, qy = bx, by, ax, ay
-                rx, ry = (fx, fy) if sa == ta or sb == ta else (cx, cy)
-                if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
-                        (qx - px) * (rx - px) + (qy - py) * (ry - py) > 0:
-                    raise NonRegularProjection(
-                        "segments sharing an endpoint overlap in projection")
-                continue
-            o1 = ex * (cy - ay) - ey * (cx - ax)
-            o2 = ex * (fy - ay) - ey * (fx - ax)
+    for i, (key_s, idx_s, sa, sb, ah, bh) in enumerate(segs):
+        row_s, flat_s = rows[i], flat[i]
+        at: dict = {}  # the parameters of s's crossings so far, by float value
+        for j in range(i + 1, len(segs)):
+            key_t, idx_t, ta, tb, ch, fh = segs[j]
+            o1, o2 = row_s[ta], row_s[tb]
             if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
                 continue
-            gx, gy = fx - cx, fy - cy
-            o3 = gx * (ay - cy) - gy * (ax - cx)
-            o4 = gx * (by - cy) - gy * (bx - cx)
+            row_t = rows[j]
+            o3, o4 = row_t[sa], row_t[sb]
             if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
                 continue
-            if o1 == 0 and o2 == 0:
-                # collinear images: regular only if the ranges are disjoint,
-                # which the strict-separation tests above could not see
-                if abs(ex) + abs(gx) >= abs(ey) + abs(gy):
-                    overlap = _overlap_1d(ax, bx, cx, fx)
-                else:
-                    overlap = _overlap_1d(ay, by, cy, fy)
-                if overlap:
-                    raise NonRegularProjection("collinear overlapping segments")
-                continue
-            if not (o1 * o2 < 0 and o3 * o4 < 0):
+            if not (o1 and o2 and o3 and o4):
+                if not (flat_s or flat[j]):
+                    continue
+                if sa == ta or sa == tb or sb == ta or sb == tb:
+                    # image-collinear and on the same side of the shared point
+                    p, q = (sa, sb) if sa == ta or sa == tb else (sb, sa)
+                    r = tb if sa == ta or sb == ta else ta
+                    px, py, qx, qy, rx, ry = xs[p], ys[p], xs[q], ys[q], xs[r], ys[r]
+                    if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
+                            (qx - px) * (rx - px) + (qy - py) * (ry - py) > 0:
+                        raise NonRegularProjection(
+                            "segments sharing an endpoint overlap in projection")
+                    continue
+                if o1 == 0 and o2 == 0:
+                    # collinear images: regular only if their ranges are disjoint
+                    axis = xs if abs(xs[sb] - xs[sa]) + abs(xs[tb] - xs[ta]) >= \
+                        abs(ys[sb] - ys[sa]) + abs(ys[tb] - ys[ta]) else ys
+                    if _overlap_1d(axis[sa], axis[sb], axis[ta], axis[tb]):
+                        raise NonRegularProjection("collinear overlapping segments")
+                    continue
                 raise NonRegularProjection("tangential contact between segments")
             # parameters n/w with w > 0: o3/(o3 - o4) along s, o1/(o1 - o2) along t
-            n_s, w_s = (o3, o3 - o4) if o3 > 0 else (-o3, o4 - o3)
+            n_s, w_s = param = (o3, o3 - o4) if o3 > 0 else (-o3, o4 - o3)
             n_t, w_t = (o1, o1 - o2) if o1 > 0 else (-o1, o2 - o1)
-            px = ax * w_s + n_s * ex
-            py = ay * w_s + n_s * ey
-            g = math.gcd(px, py, w_s)
-            point = (px // g, py // g, w_s // g)
-            if point in seen_points:
-                raise NonRegularProjection("triple point")
-            seen_points.add(point)
+            # a triple point is two crossings of s at one parameter, found by its
+            # float (int/int rounds correctly) and confirmed exactly; a parameter
+            # that only shares its float is kept as a reduced fraction
+            seen = at.setdefault(n_s / w_s, param)
+            if seen is not param:
+                g = math.gcd(n_s, w_s)
+                exact = (n_s // g, w_s // g)
+                if seen[0] * w_s == n_s * seen[1] or exact in at:
+                    raise NonRegularProjection("triple point")
+                at[exact] = exact
             depth_s = (ah * w_s + n_s * (bh - ah)) * w_t
             depth_t = (ch * w_t + n_t * (fh - ch)) * w_s
             if depth_s == depth_t:

@@ -48,6 +48,11 @@ table must equal this closure of {K6, K3,3,1}.
 before it kept each circuit's vertex set: per pair it reads both
 circuits' cached ``vertices`` and looks each circuit up twice.  The
 package's index must hold the same pairs, signs, slots and endpoints.
+``strand_crossings_reference`` is the crossing kernel as it was written
+before it kept one orientation list per segment: every segment pair runs
+the full pair body, shared ends first, and triple points are found by
+hashing every crossing image in gcd-reduced homogeneous coordinates.
+Wherever it returns, the package's kernel must return the same records.
 """
 
 from __future__ import annotations
@@ -68,12 +73,13 @@ from linkless.geometry import (
     is_zero3,
     orient3d,
     point_on_segment3,
+    projection_frame,
     shared_endpoint_segments_overlap,
     sub3,
 )
 from linkless.moves import _FAMILY, FamilyMember
 from linkless.multigraph import Edge, GraphError, MultiGraph
-from linkless.projection import PairIndex
+from linkless.projection import NonRegularProjection, PairIndex, _clear_denominators
 
 
 def circuit_edge_sets(g: MultiGraph) -> set[frozenset[int]]:
@@ -1234,3 +1240,112 @@ def pair_index_reference(endpoints, pairs) -> PairIndex:
                 signs.append(tuple(_traversal_signs_reference(endpoints, c)))
         slots.append((position[id(j)], position[id(k)]))
     return PairIndex(endpoints, pairs, tuple(signs), tuple(slots))
+
+
+# -- the crossing kernel with a full test per segment pair (reference) ---------
+
+
+def strand_crossings_reference(strands, direction: Point3,
+                               markers: Iterable[Point3] = ()) -> tuple[tuple, ...]:
+    marker_list = list(markers)
+    # every distinct point once, numbered in order of first appearance
+    ids: dict[Point3, int] = {}
+    for _, pts in strands:
+        for p in pts:
+            ids.setdefault(p, len(ids))
+    for m in marker_list:
+        ids.setdefault(m, len(ids))
+    cleared = _clear_denominators(ids)
+    (d,) = _clear_denominators([direction])
+    (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
+    dx, dy, dz = d
+    xs, ys, hs = [], [], []
+    for x, y, z in cleared:
+        xs.append(ux * x + uy * y + uz * z)
+        ys.append(vx * x + vy * y + vz * z)
+        hs.append(dx * x + dy * y + dz * z)
+
+    # (key, index, a, b, ax, ay, ah, bx, by, bh) with point ids a, b
+    segs = []
+    for key, pts in strands:
+        chain = [ids[p] for p in pts]
+        for idx, (a, b) in enumerate(zip(chain, chain[1:])):
+            if xs[a] == xs[b] and ys[a] == ys[b]:
+                raise NonRegularProjection(
+                    f"segment {idx} of strand {key} is seen end-on")
+            segs.append((key, idx, a, b, xs[a], ys[a], hs[a], xs[b], ys[b], hs[b]))
+
+    marker_ids = [ids[m] for m in marker_list]
+    images: dict[tuple[int, int], int] = {}
+    for m in marker_ids:
+        if images.setdefault((xs[m], ys[m]), m) != m:
+            raise NonRegularProjection("two vertices project to the same point")
+    for m in marker_ids:
+        mx, my = xs[m], ys[m]
+        for _, _, a, b, ax, ay, _, bx, by, _ in segs:
+            if m == a or m == b:
+                continue
+            if (bx - ax) * (my - ay) == (by - ay) * (mx - ax) and \
+                    min(ax, bx) <= mx <= max(ax, bx) and min(ay, by) <= my <= max(ay, by):
+                raise NonRegularProjection("a vertex projects onto an edge")
+
+    records: list[tuple] = []
+    seen_points: set[tuple[int, int, int]] = set()
+    for i, (key_s, idx_s, sa, sb, ax, ay, ah, bx, by, bh) in enumerate(segs):
+        ex, ey = bx - ax, by - ay
+        for key_t, idx_t, ta, tb, cx, cy, ch, fx, fy, fh in segs[i + 1:]:
+            if sa == ta or sa == tb or sb == ta or sb == tb:
+                if (sa == ta or sa == tb) and (sb == ta or sb == tb):
+                    raise NonRegularProjection("coincident segments")
+                # image-collinear and on the same side of the shared point
+                if sa == ta or sa == tb:
+                    px, py, qx, qy = ax, ay, bx, by
+                else:
+                    px, py, qx, qy = bx, by, ax, ay
+                rx, ry = (fx, fy) if sa == ta or sb == ta else (cx, cy)
+                if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
+                        (qx - px) * (rx - px) + (qy - py) * (ry - py) > 0:
+                    raise NonRegularProjection(
+                        "segments sharing an endpoint overlap in projection")
+                continue
+            o1 = ex * (cy - ay) - ey * (cx - ax)
+            o2 = ex * (fy - ay) - ey * (fx - ax)
+            if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+                continue
+            gx, gy = fx - cx, fy - cy
+            o3 = gx * (ay - cy) - gy * (ax - cx)
+            o4 = gx * (by - cy) - gy * (bx - cx)
+            if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+                continue
+            if o1 == 0 and o2 == 0:
+                # collinear images: regular only if the ranges are disjoint,
+                # which the strict-separation tests above could not see
+                if abs(ex) + abs(gx) >= abs(ey) + abs(gy):
+                    overlap = _overlap_1d(ax, bx, cx, fx)
+                else:
+                    overlap = _overlap_1d(ay, by, cy, fy)
+                if overlap:
+                    raise NonRegularProjection("collinear overlapping segments")
+                continue
+            if not (o1 * o2 < 0 and o3 * o4 < 0):
+                raise NonRegularProjection("tangential contact between segments")
+            # parameters n/w with w > 0: o3/(o3 - o4) along s, o1/(o1 - o2) along t
+            n_s, w_s = (o3, o3 - o4) if o3 > 0 else (-o3, o4 - o3)
+            n_t, w_t = (o1, o1 - o2) if o1 > 0 else (-o1, o2 - o1)
+            px = ax * w_s + n_s * ex
+            py = ay * w_s + n_s * ey
+            g = math.gcd(px, py, w_s)
+            point = (px // g, py // g, w_s // g)
+            if point in seen_points:
+                raise NonRegularProjection("triple point")
+            seen_points.add(point)
+            depth_s = (ah * w_s + n_s * (bh - ah)) * w_t
+            depth_t = (ch * w_t + n_t * (fh - ch)) * w_s
+            if depth_s == depth_t:
+                raise EmbeddingError("strand segments intersect in space")
+            over = 0 if depth_s > depth_t else 1
+            # o2 - o1 is the image cross product of the s and t tangents
+            positive = (o2 > o1) == (over == 0)
+            records.append((key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t,
+                            over, 1 if positive else -1))
+    return tuple(records)

@@ -176,7 +176,8 @@ def _random_detour(emb, rng, edge=None):
 
 def _check_diagram(emb, e, moved, seed):
     # the diagram a reroute trial reads lk(D, K) off
-    return omega._reroute_reports(emb, moved, e.id, omega.graph_pairs(emb.graph), seed)[2]
+    return omega._reroute_reports(
+        emb, moved, omega.reroute_table(omega.graph_pairs(emb.graph), e.id), seed)[2]
 
 
 def _detour_links_against_oracles(emb, e, moved, seed):

@@ -3,8 +3,9 @@ diagram, with the new path as one more strand: without the new path's
 records it must be `project`'s record for record, without the old path's
 and with the new path's read as the edge it must have the crossing
 matrix of `project` on the moved embedding, its lk tables read through
-the reroute's pair views must be those of `project`, it must raise
-NonRegularProjection whenever either `project` does, and
+the reroute's pair views must be those of `project`, the table after
+the reroute must recompute only the pairs through the moved edge, it
+must raise NonRegularProjection whenever either `project` does, and
 `edge_swap_check` must stay correct with it.
 
 Embeddings are drawn from a seed: vertex and waypoint coordinates in a
@@ -213,7 +214,8 @@ def test_the_reports_read_the_tables_of_fresh_projections():
                 continue
             emb, moved, eid = drawn
             index = omega.graph_pairs(GRAPHS[name])
-            before, after, check = omega._reroute_reports(emb, moved, eid, index, seed)
+            before, after, check = omega._reroute_reports(
+                emb, moved, omega.reroute_table(index, eid), seed)
             directions = before.direction, before.check_direction
             assert check.direction == directions[1]
             for report, e in [(before, emb), (after, moved)]:
@@ -290,11 +292,58 @@ def test_the_check_pass_avoids_the_main_direction():
     for seed in range(5):
         emb = random_embedding(g, seed)
         _, moved, _ = random_detour(emb, seed, random.Random(seed))
-        before, after, check = omega._reroute_reports(emb, moved, seed, index, seed)
+        before, after, check = omega._reroute_reports(
+            emb, moved, omega.reroute_table(index, seed), seed)
         assert before.direction == after.direction == (0, 0, 1)
         assert check.direction == before.check_direction
         assert before.check_direction == after.check_direction
         assert not is_zero3(cross3(before.direction, before.check_direction))
+
+
+@pytest.mark.parametrize("graph, through", [(complete_graph(6), {4}), (k331_graph(), {3, 5})],
+                         ids=["K6", "K3,3,1"])
+def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
+        monkeypatch, graph, through):
+    # per trial, the after table runs on both diagrams over the pairs
+    # through the moved edge (4 of K6's 10, 3 or 5 of K3,3,1's 9), and
+    # every other entry after the reroute is the entry before it
+    index = omega.graph_pairs(graph)
+    calls = []
+    real = omega.link_tables
+    monkeypatch.setattr(omega, "link_tables", lambda diagrams, index: calls.append(
+        (len(diagrams), len(index.slots))) or real(diagrams, index))
+    seen = set()
+    for seed in range(12):
+        emb = random_embedding(graph, seed)
+        _, moved, _ = random_detour(emb, seed % graph.m, random.Random(seed))
+        table = omega.reroute_table(index, seed % graph.m)
+        calls.clear()
+        before, after, _ = omega._reroute_reports(emb, moved, table, seed)
+        assert calls == [(2, len(index.pairs)), (2, len(table.positions))]
+        seen.add(len(table.positions))
+        for at, (entry_before, entry_after) in enumerate(zip(before.pairs, after.pairs)):
+            assert (entry_after is entry_before) == (at not in table.positions)
+            assert (entry_after.j, entry_after.k) == index.pairs[at]
+    assert seen == through
+
+
+def test_a_wrong_lk_on_a_pair_through_the_edge_is_caught(monkeypatch):
+    g = complete_graph(6)
+    index = omega.graph_pairs(g)
+    emb = random_embedding(g, 0)
+    _, moved, _ = random_detour(emb, 0, random.Random(0))
+    table = omega.reroute_table(index, 0)
+    real = omega.link_tables
+
+    def planted(diagrams, index):
+        tables = real(diagrams, index)
+        if index is table.after:  # the check diagram's lk of one pair, off by 2
+            tables[1][0] += 2
+        return tables
+
+    monkeypatch.setattr(omega, "link_tables", planted)
+    with pytest.raises(AssertionError, match="lk differs between projections"):
+        omega._reroute_reports(emb, moved, table, 0)
 
 
 def _detour_above_u(emb, eid, rng):
