@@ -34,7 +34,6 @@ each of the C(C-1)/2 circuit pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .multigraph import MultiGraph
 
@@ -58,13 +57,6 @@ class Circuit:
 
     vertex_seq: tuple[int, ...]
     edge_ids: tuple[int, ...]
-
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.vertex_seq)
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
 
     @property
     def sort_key(self) -> tuple:

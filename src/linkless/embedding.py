@@ -1,10 +1,11 @@
 """Exact piecewise-linear spatial embeddings of simple graphs.
 
 Vertices sit at exact rational points, edges run along polylines whose
-endpoints are the vertex positions.  Construction validates the full set
-of embedding invariants exactly: distinct vertex locations, no polyline
-self-intersections, pairwise-disjoint open edge paths meeting only at
-shared endpoint vertices, and no vertex lying on a foreign edge.
+endpoints are the vertex positions, and every coordinate is an int or a
+Fraction (any other raises EmbeddingError).  Construction validates the
+full set of embedding invariants exactly: distinct vertex locations, no
+polyline self-intersections, pairwise-disjoint open edge paths meeting
+only at shared endpoint vertices, and no vertex lying on a foreign edge.
 
 Beyond the whole-graph checks, one routine, `_check_edge`, checks one
 path: on its own, against the isolated vertices, and against a given set
@@ -63,6 +64,7 @@ from typing import Iterable, Mapping
 from .geometry import (
     Point3,
     format_point,
+    is_exact,
     normalize_rat,
     parse_point,
     point_on_segment3,
@@ -99,6 +101,8 @@ def _norm_point(p) -> Point3:
         p = tuple(p)
         if len(p) != 3:
             raise EmbeddingError(f"a point needs three coordinates: {p!r}")
+    if not all(map(is_exact, p)):
+        raise EmbeddingError(f"coordinates must be ints or Fractions: {p!r}")
     return tuple(normalize_rat(c) for c in p)  # type: ignore[return-value]
 
 
@@ -121,12 +125,6 @@ class SpatialEmbedding:
     def _records(self) -> tuple[tuple[Edge, list[tuple]], ...]:
         """(edge, `_segments` of its path) for every edge, in id order."""
         return tuple((e, _segments(self.edge_paths[e.id])) for e in self.graph.edges)
-
-    def point(self, v: int) -> Point3:
-        return self.vertex_points[v]
-
-    def path(self, eid: int) -> tuple[Point3, ...]:
-        return self.edge_paths[eid]
 
 
 def _validate(graph: MultiGraph, points: dict[int, Point3],

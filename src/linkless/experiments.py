@@ -17,9 +17,9 @@ as seed XOR index, so results do not depend on execution order.
 
 A trial makes two crossing passes, the main and the check pass, each
 over the embedding and the new arc in one direction.  The omega tables
-before and after the reroute are read off both diagrams, which must agree
-pair by pair, and lk(D, K) off the check diagram, so the identity checks
-how the tables read the old edge and the new arc against the loop D.
+before and after the reroute and lk(D, K) are read off both diagrams,
+which must agree pair by pair, so the identity checks how the tables read
+the old edge and the new arc against the loop D.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .embedding import SpatialEmbedding, random_detour, random_embedding
+from .embedding import random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _detour_links, _omega_with_pairs, _reroute_reports, graph_pairs, reroute_table
+from .omega import _omega_with_pairs, _reroute_reports, graph_pairs, reroute_table
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class RerouteReport:
 
 
 def edge_swap_check(
-    graph: MultiGraph | SpatialEmbedding,
+    graph: MultiGraph,
     trials: int = 200,
     seed: int = 0,
 ) -> RerouteReport:
@@ -136,19 +136,16 @@ def edge_swap_check(
     The even-cover check asks sum_i omega(K_i, D) = 0 mod 2 over the pairs
     (J_i, K_i) whose J_i uses the edge, which holds on the family.
 
-    Given a graph, every trial embeds it afresh (a graph without edges
-    raises GraphError); given an embedding, all trials reroute it.  The
-    detour is `random_detour`'s, so a trial that finds no valid midpoint
-    within its retry limit raises RetryLimitExceeded.  A trial makes two
-    full crossing passes, the main and the check pass, and reads the omega
-    tables before and after the reroute off both and lk(D, K) off the
-    check diagram (see `_reroute_reports`).
+    Every trial embeds the graph afresh (a graph without edges raises
+    GraphError).  The detour is `random_detour`'s, so a trial that finds no
+    valid midpoint within its retry limit raises RetryLimitExceeded.  A
+    trial makes two full crossing passes, the main and the check pass, and
+    reads the omega tables before and after the reroute and lk(D, K) off
+    both (see `_reroute_reports`).
     """
-    base = graph if isinstance(graph, SpatialEmbedding) else None
-    g = graph.graph if base is not None else graph
-    if not g.edges:
+    if not graph.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
-    index = graph_pairs(g)
+    index = graph_pairs(graph)
     tables: dict = {}  # the RerouteTable of each moved edge, built on its first trial
 
     violations: list[RerouteViolation] = []
@@ -159,14 +156,14 @@ def edge_swap_check(
 
     for t in range(trials):
         trial_seed = seed ^ t
-        emb = base if base is not None else random_embedding(g, trial_seed)
+        emb = random_embedding(graph, trial_seed)
         rng = random.Random(f"reroute:{seed}:{t}")
-        e = g.edges[rng.randrange(g.m)]
+        e = graph.edges[rng.randrange(graph.m)]
         midpoint, emb2, rejected = random_detour(emb, e.id, rng)
         retries += rejected
 
         table = tables.get(e.id) or tables.setdefault(e.id, reroute_table(index, e.id))
-        before, after, check = _reroute_reports(emb, emb2, table, trial_seed)
+        before, after, loop_links = _reroute_reports(emb, emb2, table, trial_seed)
 
         def violate(kind: str, detail: str) -> None:
             violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {
@@ -182,7 +179,7 @@ def edge_swap_check(
                     f"omega went {before.total} -> {after.total} rerouting edge {e.id}")
 
         cover_parity = 0
-        for at, lk_dk in zip(table.positions, _detour_links(check, e.id, table.opposite)):
+        for at, lk_dk in zip(table.positions, loop_links):
             om_dk = lk_dk % 2
             cover_parity ^= om_dk
             change = after.pairs[at].omega - before.pairs[at].omega
@@ -195,5 +192,5 @@ def edge_swap_check(
             violate("even-cover", "sum of omega(K_i, D) over complementary circuits is odd")
 
     return RerouteReport(
-        g.name or "graph", trials, seed, preserved,
+        graph.name or "graph", trials, seed, preserved,
         identities, covers, retries, tuple(violations))

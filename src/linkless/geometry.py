@@ -26,6 +26,12 @@ class GeometryError(ValueError):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def is_exact(x) -> bool:
+    """Whether x is a coordinate the kernel computes with: an int or a
+    Fraction (a bool or a float is not one)."""
+    return type(x) is int or type(x) is Fraction
+
+
 def normalize_rat(x: Rat) -> Rat:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)

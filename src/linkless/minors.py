@@ -64,6 +64,7 @@ with ``planar_certificate_errors`` before the verdict is returned.
 Otherwise it runs the seven member searches in a fixed order and returns
 the first witness, a definitive "unlinked", or "unknown" when some member
 search ran out of budget.  ``LinkVerdict.decided_by`` names the route.
+Every call tries every route; no option skips one.
 
 Every member has minimum degree >= 3 and at least 6 vertices, so the host
 reduction is the same for all seven: the classifier simplifies the host
@@ -601,18 +602,13 @@ def _certified(g: MultiGraph, certificate: PlanarCertificate) -> LinkVerdict:
     return LinkVerdict("unlinked", None, None, 0, {}, route, certificate)
 
 
-def is_intrinsically_linked(
-    g: MultiGraph,
-    budget: int = DEFAULT_BUDGET,
-    prefilter: bool = True,
-) -> LinkVerdict:
+def is_intrinsically_linked(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> LinkVerdict:
     """Decide intrinsic linkedness by certificates, then Petersen-family minor search.
 
     "linked" comes with a verified witness; "unlinked" comes from the size
     prefilter, a verified planar or apex certificate, or member searches
     that all completed with no minor found; "unknown" is reported when
-    some search ran out of budget, never silently.  ``prefilter=False``
-    skips the prefilter and the certificates and runs every search.
+    some search ran out of budget, never silently.
     """
     components = g.connected_components()
     if len(components) > 1:
@@ -620,8 +616,7 @@ def is_intrinsically_linked(
         merged: dict[str, str] = {}
         outcome = "unlinked"
         for comp in components:
-            sub = is_intrinsically_linked(g.induced(comp), budget=budget,
-                                          prefilter=prefilter)
+            sub = is_intrinsically_linked(g.induced(comp), budget=budget)
             total_nodes += sub.nodes
             for name, res in sub.per_member.items():
                 # a member's outcome ranks found, then budget-exhausted, then none
@@ -635,23 +630,21 @@ def is_intrinsically_linked(
         return LinkVerdict(outcome, None, None, total_nodes, merged, "components")
 
     gs = g.simplified()
-    if prefilter and (gs.m < 15 or gs.n < 6):
+    if gs.m < 15 or gs.n < 6:
         return LinkVerdict("unlinked", None, None, 0,
                            {"prefilter": "below-threshold"}, "prefilter")
 
-    if prefilter:
-        rotation = planar_rotation(gs)
-        if rotation is not None:
-            return _certified(g, PlanarCertificate(None, rotation))
+    rotation = planar_rotation(gs)
+    if rotation is not None:
+        return _certified(g, PlanarCertificate(None, rotation))
 
     # Every member has minimum degree >= 3 and >= 6 vertices, so one
     # reduction of the host serves the apex route and all seven searches.
     members, min_degree, min_n = _family_search()
     work, origin = _reduce_host(gs, min_degree, min_n)
-    if prefilter:
-        certificate = _apex_certificate(gs, work, origin)
-        if certificate is not None:
-            return _certified(g, certificate)
+    certificate = _apex_certificate(gs, work, origin)
+    if certificate is not None:
+        return _certified(g, certificate)
 
     nodes = 0
     per_member: dict[str, str] = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -160,9 +160,6 @@ class MultiGraph:
     def edges_between(self, u: int, v: int) -> tuple[Edge, ...]:
         return self._pair_edges.get((u, v) if u <= v else (v, u), ())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(e.other(u) == v for e in self._incident.get(u, ()))
-
     @cached_property
     def is_simple(self) -> bool:
         pairs = set()
@@ -172,25 +169,12 @@ class MultiGraph:
             pairs.add(e.pair())
         return True
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in self.vertices))
-
     # -- surgery ---------------------------------------------------------
 
     def delete_edge(self, eid: int) -> "MultiGraph":
         """Remove one edge; vertices are kept, including any left isolated."""
         self.edge(eid)
         return MultiGraph(self.vertices, tuple(e for e in self.edges if e.id != eid))
-
-    def add_edge(self, u: int, v: int, eid: int | None = None) -> "MultiGraph":
-        if u not in self.vertices or v not in self.vertices:
-            raise GraphError(f"cannot add edge {u}-{v}: endpoint missing")
-        if eid is None:
-            eid = max((e.id for e in self.edges), default=-1) + 1
-        return MultiGraph(self.vertices, self.edges + (Edge(eid, u, v),))
-
-    def add_vertex(self, v: int) -> "MultiGraph":
-        return MultiGraph(self.vertices | {v}, self.edges)
 
     def delete_vertex(self, v: int) -> "MultiGraph":
         if v not in self.vertices:
@@ -240,18 +224,6 @@ class MultiGraph:
         if not ks <= self.vertices:
             raise GraphError("induced subgraph on unknown vertices")
         return MultiGraph(ks, tuple(e for e in self.edges if e.u in ks and e.v in ks))
-
-    def relabeled(self, mapping: Mapping[int, int]) -> "MultiGraph":
-        """Apply a vertex bijection; edge ids are preserved."""
-        if set(mapping) != set(self.vertices):
-            raise GraphError("relabeling must cover exactly the vertex set")
-        if len(set(mapping.values())) != len(mapping):
-            raise GraphError("relabeling must be injective")
-        return MultiGraph(
-            frozenset(mapping.values()),
-            tuple(Edge(e.id, mapping[e.u], mapping[e.v]) for e in self.edges),
-            name=self.name,
-        )
 
     # -- connectivity ----------------------------------------------------
 

@@ -17,9 +17,10 @@ direction counts as regular only when that whole pass is.  The reports
 before and after it (``_reroute_reports``) read the main and the check
 diagram through the two views of a ``RerouteTable``, built once per
 moved edge.  The second holds only the pairs through the edge, with the
-new path's key in place of its id; every other pair keeps its entry.
-lk(D, K) for every circuit K is read off the check diagram with D the
-two-edge circuit of the old and new paths (``_detour_links``).
+new path's key in place of its id, and then the pairs (D, K) of the loop
+D, the two-edge circuit of the old and new paths, with the circuit K
+opposite each; every other pair keeps its entry.  So lk(D, K) is read off
+both diagrams and checked between them, as every other lk is.
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -85,16 +86,6 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
         except NonRegularProjection:
             continue
     raise RetryLimitExceeded(f"{failure} in {DIRECTION_ATTEMPTS} attempts")
-
-
-def _detour_links(diagram: ProjectedDiagram, eid: int,
-                  circuits: Sequence[Circuit]) -> list[int]:
-    """lk(D, K) for each circuit K avoiding the ends u, v of edge ``eid``, read
-    off a `project_reroute` diagram; D runs from u to v along the edge and
-    back along the new path."""
-    endpoints = diagram.edge_endpoints
-    loop = Circuit(endpoints[eid], (eid, max(endpoints)))  # the new path has the top key
-    return link_tables([diagram], pair_index(endpoints, [(loop, k) for k in circuits]))[0]
 
 
 def regular_projection(
@@ -206,47 +197,56 @@ class RerouteTable:
     """A graph's pair index prepared once for reroutes of edge ``eid``:
     ``before`` reads a `project_reroute` diagram as the embedding, and
     ``after`` as the moved one for the pairs through the edge only, which
-    sit at ``positions`` among the pairs and face the circuits ``opposite``."""
+    sit at ``positions`` among the pairs, followed by one pair (D, K) for
+    each of them: the loop D, out along the edge and back along the new
+    path, and the pair's circuit K opposite the edge."""
 
     eid: int
     before: PairIndex
     after: PairIndex
     positions: tuple[int, ...]
-    opposite: tuple[Circuit, ...]
 
 
 def reroute_table(index: PairIndex, eid: int) -> RerouteTable:
     """The `RerouteTable` of edge ``eid`` of the graph ``index`` indexes."""
     arc = max(index.endpoints) + 1  # the new path's key
-    before = replace(index, endpoints={**index.endpoints, arc: index.endpoints[eid]})
+    ends = index.endpoints[eid]
+    before = replace(index, endpoints={**index.endpoints, arc: ends})
     positions = tuple(at for at, (j, k) in enumerate(index.pairs)
                       if eid in j.edge_ids or eid in k.edge_ids)
-    after = replace(before, pairs=tuple(index.pairs[at] for at in positions),
-                    slots=tuple(index.slots[at] for at in positions),
-                    signs=tuple(tuple((arc if e == eid else e, sign) for e, sign in signs)
-                                for signs in index.signs))
-    opposite = tuple(k if eid in j.edge_ids else j for j, k in after.pairs)
-    return RerouteTable(eid, before, after, positions, opposite)
+    pairs = [index.pairs[at] for at in positions]
+    slots = [index.slots[at] for at in positions]
+    loop = Circuit(ends, (eid, arc))  # D, in a slot after every circuit of the graph
+    for (j, k), (at_j, at_k) in list(zip(pairs, slots)):
+        pairs.append((loop, k) if eid in j.edge_ids else (loop, j))
+        slots.append((len(index.signs), at_k if eid in j.edge_ids else at_j))
+    after = replace(before, pairs=tuple(pairs), slots=tuple(slots),
+                    signs=(*(tuple((arc if e == eid else e, sign) for e, sign in signs)
+                             for signs in index.signs), ((eid, 1), (arc, -1))))
+    return RerouteTable(eid, before, after, positions)
 
 
 def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: RerouteTable,
-                     seed: int) -> tuple[OmegaReport, OmegaReport, ProjectedDiagram]:
+                     seed: int) -> tuple[OmegaReport, OmegaReport, list[int]]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``table.eid``, and the check diagram, from two
-    `project_reroute` passes: the main pass along the first direction from
-    ``seed`` where it is regular, the check pass along the first from
-    ``seed + 1`` where it is regular and that is not parallel to the main
-    one.  The report of ``moved`` recomputes only the pairs through the
-    edge, on both diagrams, and shares every other entry with ``emb``'s."""
+    only in the path of edge ``table.eid``, and lk(D, K) of the loop pairs
+    of the table's ``after`` view, from two `project_reroute` passes: the main
+    pass along the first direction from ``seed`` where it is regular, the
+    check pass along the first from ``seed + 1`` where it is regular and
+    that is not parallel to the main one.  The report of ``moved``
+    recomputes only the pairs through the edge, on both diagrams, and
+    shares every other entry with ``emb``'s."""
     attempt = partial(project_reroute, emb, moved, table.eid)
     failure = "no regular projection direction found"
     main = _first_regular(attempt, seed, failure)
     check = _first_regular(attempt, seed + 1, failure, [main.direction])
     before = _report(emb, table.before, main, check)
+    after = _report(moved, table.after, main, check).pairs
     entries = list(before.pairs)
-    for at, entry in zip(table.positions, _report(moved, table.after, main, check).pairs):
+    for at, entry in zip(table.positions, after):
         entries[at] = entry
-    return before, replace(before, pairs=tuple(entries)), check
+    loop_links = [entry.lk for entry in after[len(table.positions):]]
+    return before, replace(before, pairs=tuple(entries)), loop_links
 
 
 def loop_pair_link(

@@ -65,12 +65,11 @@ f of K.  It is the one place that checks a pair's crossing parity against
 lk mod 2.  The traversal signs depend only on the graph, so a
 `PairIndex` holds them with the pairs, built once per graph
 (``omega.graph_pairs``).  `pair_index` works out each distinct circuit's
-slot, vertex set and traversal signs once, and checks each pair's
-disjointness against the two vertex sets, so a pair costs two lookups and
-one set test.  It does not read ``Circuit.vertices``, a cached property
-whose first read takes a lock.  `linking_number` and `omega_pair` are one-pair
-calls of it, and so is ``omega.loop_pair_link``, which draws two loops as
-one-edge circuits.
+slot, vertex set and traversal signs once (a `Circuit` keeps no vertex
+set), and checks each pair's disjointness against the two vertex sets, so
+a pair costs two lookups and one set test.  `linking_number` and
+`omega_pair` are one-pair calls of it, and so is ``omega.loop_pair_link``,
+which draws two loops as one-edge circuits.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
-from .geometry import Point3, _overlap_1d, projection_frame
+from .geometry import GeometryError, Point3, _overlap_1d, is_exact, projection_frame
 from .multigraph import GraphError, MultiGraph
 
 
@@ -124,7 +123,8 @@ def strand_crossings(
     along each (strictly between 0 and 1, t_den > 0), with s before t in
     segment order.  over is 0 when s is nearer the viewer and 1 when t
     is, and sign is the right-handed sign for the strands' stored
-    directions.
+    directions.  A direction that is not three ints or Fractions raises
+    GeometryError.
     """
     marker_list = list(markers)
     # every distinct point once, numbered in order of first appearance
@@ -134,6 +134,8 @@ def strand_crossings(
             ids.setdefault(p, len(ids))
     for m in marker_list:
         ids.setdefault(m, len(ids))
+    if len(direction) != 3 or not all(map(is_exact, direction)):
+        raise GeometryError(f"a direction needs three ints or Fractions: {direction!r}")
     cleared = _clear_denominators(ids)
     (d,) = _clear_denominators([direction])
     (ux, uy, uz), (vx, vy, vz) = projection_frame(d)

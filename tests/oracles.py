@@ -703,7 +703,7 @@ def two_step_detour(emb, eid: int, rng):
     """(midpoint, rerouted embedding, rejected midpoints), as
     ``embedding.random_detour`` returns them."""
     e = emb.graph.edge(eid)
-    pu, pv = emb.point(e.u), emb.point(e.v)
+    pu, pv = emb.vertex_points[e.u], emb.vertex_points[e.v]
     bound = embedding.COORDINATE_BOUND
     for rejected in range(embedding.RETRY_LIMIT):
         midpoint = (rng.randint(-bound, bound), rng.randint(-bound, bound),
@@ -712,7 +712,7 @@ def two_step_detour(emb, eid: int, rng):
             # the new arc must also meet the old path only at the edge
             # endpoints, otherwise the loop D is not embedded
             embedding._check_edge(emb.graph, emb.vertex_points, e, (pu, midpoint, pv),
-                                  [(e, embedding._segments(emb.path(eid)))])
+                                  [(e, embedding._segments(emb.edge_paths[eid]))])
             return midpoint, embedding.reroute_edge(emb, eid, (pu, midpoint, pv)), rejected
         except EmbeddingError:
             pass
@@ -1062,7 +1062,7 @@ class _LeftRight:
 def triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
     out = []
     for a, b, c in combinations(sorted(g.vertices), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+        if g.edges_between(a, b) and g.edges_between(a, c) and g.edges_between(b, c):
             out.append((a, b, c))
     return out
 
@@ -1076,10 +1076,10 @@ def delta_y(g: MultiGraph, triangle: tuple[int, int, int]) -> MultiGraph:
     out = g
     for eid in removed:
         out = out.delete_edge(eid)
-    out = out.add_vertex(w)
-    for corner in (a, b, c):
-        out = out.add_edge(w, corner)
-    return out
+    edges = list(out.edges)
+    for corner in (a, b, c):  # each new edge one above every id so far
+        edges.append(Edge(max((e.id for e in edges), default=-1) + 1, w, corner))
+    return MultiGraph(out.vertices | {w}, tuple(edges))
 
 
 def pack_key(n: int, order: list[int], adj_mask: list[int]) -> bytes:
@@ -1232,7 +1232,7 @@ def pair_index_reference(endpoints, pairs) -> PairIndex:
     signs: list[tuple[tuple[int, int], ...]] = []
     slots = []
     for j, k in pairs:
-        if not j.vertices.isdisjoint(k.vertices):
+        if not set(j.vertex_seq).isdisjoint(k.vertex_seq):
             raise GraphError("circuits share a vertex; linking is undefined")
         for c in (j, k):
             if id(c) not in position:

@@ -26,7 +26,7 @@ def test_k6_has_197_circuits():
     assert len(circuits) == 197
     by_len = {}
     for c in circuits:
-        by_len[len(c)] = by_len.get(len(c), 0) + 1
+        by_len[len(c.edge_ids)] = by_len.get(len(c.edge_ids), 0) + 1
     assert by_len == {3: 20, 4: 45, 5: 72, 6: 60}
 
 
@@ -40,7 +40,7 @@ def test_triangle_and_tree():
 def test_loop_and_parallel_circuits():
     g = graph_from_pairs([(1, 1), (1, 2), (1, 2)])
     circuits = enumerate_circuits(g)
-    lengths = sorted(len(c) for c in circuits)
+    lengths = sorted(len(c.edge_ids) for c in circuits)
     assert lengths == [1, 2]
 
 
@@ -98,7 +98,7 @@ def test_enumerated_circuits_are_in_normal_form():
             vertices=verts))
     for g in graphs:
         for c in enumerate_circuits(g):
-            k = len(c)
+            k = len(c.edge_ids)
             assert c.vertex_seq[0] == min(c.vertex_seq)
             assert c.edge_ids[0] <= c.edge_ids[-1]
             for i, eid in enumerate(c.edge_ids):
@@ -110,18 +110,17 @@ def test_k6_disjoint_pairs():
     pairs = disjoint_circuit_pairs(complete_graph(6))
     assert len(pairs) == 10
     for c1, c2 in pairs:
-        assert len(c1) == 3 and len(c2) == 3
-        assert c1.vertices.isdisjoint(c2.vertices)
-        assert c1.vertices | c2.vertices == frozenset(range(1, 7))
+        assert len(c1.vertex_seq) == 3 and len(c2.vertex_seq) == 3
+        assert set(c1.vertex_seq + c2.vertex_seq) == set(range(1, 7))
 
 
 def test_k331_disjoint_pairs():
     pairs = disjoint_circuit_pairs(k331_graph())
     assert len(pairs) == 9
     for c1, c2 in pairs:
-        assert {len(c1), len(c2)} == {3, 4}
-        tri = c1 if len(c1) == 3 else c2
-        assert 7 in tri.vertices  # every triangle uses the apex
+        assert {len(c1.vertex_seq), len(c2.vertex_seq)} == {3, 4}
+        tri = c1 if len(c1.vertex_seq) == 3 else c2
+        assert 7 in tri.vertex_seq  # every triangle uses the apex
 
 
 def test_k5_has_no_disjoint_pairs():
@@ -165,7 +164,7 @@ def pairs_of_full_enumeration(g):
     """The pairs, in listing order, found among every circuit of ``g``."""
     circuits = enumerate_circuits(g)
     return [(a, b) for i, a in enumerate(circuits) for b in circuits[i + 1:]
-            if a.vertices.isdisjoint(b.vertices)]
+            if set(a.vertex_seq).isdisjoint(b.vertex_seq)]
 
 
 def assert_pairs_match_oracle(g):
@@ -207,7 +206,7 @@ def test_partner_of_exactly_the_bound_length_is_listed(n, short):
     g = graph_from_pairs(short + [(v, rest[(i + 1) % len(rest)])
                                   for i, v in enumerate(rest)])
     pairs = disjoint_circuit_pairs(g)
-    assert [(len(a), len(b)) for a, b in pairs] == [(g_min, n - g_min)]
+    assert [(len(a.edge_ids), len(b.edge_ids)) for a, b in pairs] == [(g_min, n - g_min)]
     assert pairs == pairs_of_full_enumeration(g)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -417,7 +418,9 @@ def test_minor_on_a_large_host_runs_out_of_budget_without_a_traceback(tmp_path, 
     import time
 
     path = tmp_path / "grid34x34+e.graph"
-    path.write_text(format_edge_list(builtin_graph("grid34x34").add_edge(351, 701)))
+    grid = builtin_graph("grid34x34")
+    path.write_text(format_edge_list(graph_from_pairs([(e.u, e.v) for e in grid.edges]
+                                                      + [(351, 701)])))
     start = time.process_time()
     code, out, err = run_cli(capsys, "minor", str(path), "K6", "--budget", "3000")
     assert time.process_time() - start < 5.0
@@ -528,6 +531,42 @@ def test_derived_state_stays_with_the_module_that_builds_it():
                 f"{path.name}:{node.lineno} sorts edges by id")
     for message in PAIR_TEST_MESSAGES:
         assert raised.get(message) == ["projection.py"], (message, raised.get(message))
+
+
+def _named_outside_their_defs(tree) -> set[str]:
+    """The names of imports, variables and attributes in ``tree``, each
+    kept unless it is the name of a function or class that encloses it."""
+    named, todo = set(), [(tree, frozenset())]
+    while todo:
+        node, around = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            around = around | {node.name}
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name is not None and name not in around:
+            named.add(name)
+        todo += [(child, around) for child in ast.iter_child_nodes(node)]
+    return named
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # a function or class of the package (dunders aside) is named in the
+    # package outside its own definition, exported, or named by the
+    # benchmarks; one that only tests call is not kept
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(SRC, "linkless").glob("*.py"))}
+    named = set().union(*map(_named_outside_their_defs, trees.values()))
+    benchmarks = "\n".join(path.read_text()
+                           for path in sorted(Path(SRC).parent.joinpath("benchmarks").glob("*.py")))
+    uncalled = [
+        f"{file}:{node.lineno} {node.name}"
+        for file, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named and node.name not in linkless.__all__
+        and not re.search(rf"\b{node.name}\b", benchmarks)]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("argv", [

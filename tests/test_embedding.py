@@ -44,7 +44,7 @@ TRI_POINTS = {1: (0, 0, 0), 2: (4, 0, 0), 3: (0, 4, 0)}
 
 def test_straight_line_embedding_valid():
     emb = straight_line_embedding(TRI, TRI_POINTS)
-    assert emb.path(0) == ((0, 0, 0), (4, 0, 0))
+    assert emb.edge_paths[0] == ((0, 0, 0), (4, 0, 0))
 
 
 def test_duplicate_vertex_points_rejected():
@@ -213,16 +213,16 @@ def test_random_embedding_retry_limit(monkeypatch):
 
 def test_reroute_identity_allowed():
     emb = straight_line_embedding(TRI, TRI_POINTS)
-    same = reroute_edge(emb, 0, emb.path(0))
+    same = reroute_edge(emb, 0, emb.edge_paths[0])
     assert same.edge_paths == emb.edge_paths
 
 
 def test_reroute_with_waypoint():
     emb = straight_line_embedding(TRI, TRI_POINTS)
     new = reroute_edge(emb, 0, ((0, 0, 0), (2, -3, 5), (4, 0, 0)))
-    assert len(new.path(0)) == 3
+    assert len(new.edge_paths[0]) == 3
     # the other edges are untouched
-    assert new.path(1) == emb.path(1)
+    assert new.edge_paths[1] == emb.edge_paths[1]
 
 
 def test_reroute_must_keep_endpoints():
@@ -241,6 +241,21 @@ def test_reroute_disjointness_enforced():
     # a path crossing edge 2-3
     with pytest.raises(EmbeddingError):
         reroute_edge(emb, 0, ((0, 0, 0), (2, 2, 0), (4, 0, 0)))
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_inexact_coordinates_are_rejected(value):
+    # a coordinate that is not an int or a Fraction, in a vertex point, a
+    # waypoint or a reroute path, is rejected before any check runs on it
+    g = graph_from_pairs([(1, 2)])
+    points = {1: (0, 0, 0), 2: (4, 0, 0)}
+    inexact = "coordinates must be ints or Fractions"
+    with pytest.raises(EmbeddingError, match=inexact):
+        SpatialEmbedding(g, {**points, 2: (4, value, 0)}, {0: ((0, 0, 0), (4, 0, 0))})
+    with pytest.raises(EmbeddingError, match=inexact):
+        SpatialEmbedding(g, points, {0: ((0, 0, 0), (2, 1, value), (4, 0, 0))})
+    with pytest.raises(EmbeddingError, match=inexact):
+        reroute_edge(straight_line_embedding(g, points), 0, ((0, 0, 0), (2, value, 1), (4, 0, 0)))
 
 
 def test_json_roundtrip_straight():
@@ -267,7 +282,7 @@ def test_json_roundtrip_with_waypoints_and_fractions():
     # a file stem naming a builtin graph of another size, and one of the same size
     parse_graph("6 14\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(1, 7), 2)
                                     if (u, v) != (5, 6)), name="K6"),
-    complete_graph(4).relabeled({1: 2, 2: 1, 3: 3, 4: 4}),
+    parse_graph("4 6\n2 1\n2 3\n2 4\n1 3\n1 4\n3 4\n", name="K4"),  # vertices 1, 2 swapped
 ], ids=["tet", "K6-e named K6", "relabelled K4"])
 def test_json_roundtrip_of_graphs_named_by_file_stems(graph):
     emb = random_embedding(graph, 3)
@@ -323,7 +338,7 @@ def test_embedding_maps_are_read_only():
             e.vertex_points[1] = (9, 9, 9)
         with pytest.raises(TypeError):
             e.edge_paths[0] = ((0, 0, 0), (4, 0, 0))
-    assert emb.point(1) == (0, 0, 0) and emb.path(0) == ((0, 0, 0), (4, 0, 0))
+    assert emb.vertex_points[1] == (0, 0, 0) and emb.edge_paths[0] == ((0, 0, 0), (4, 0, 0))
 
 
 def _moment_embedding(g, params):
@@ -363,17 +378,17 @@ def _reroutes(draw):
     g = graph_from_pairs(pairs, vertices=vertices)
     base = _moment_embedding(g, draw(st.permutations(range(len(vertices)))))
     e = draw(st.sampled_from(sorted(g.edges)))
-    u, v = base.point(e.u), base.point(e.v)
+    u, v = base.vertex_points[e.u], base.vertex_points[e.v]
     top = len(vertices)
     waypoints = draw(st.lists(st.tuples(st.integers(-1, top), st.integers(-1, top ** 2),
                                         st.integers(-1, top ** 3)), max_size=2))
     if kind == "contact":
         f = draw(st.sampled_from(sorted(f for f in g.edges if f.id != e.id)))
-        path_f = base.path(f.id)
+        path_f = base.edge_paths[f.id]
         spot = draw(st.sampled_from(_lattice_points(path_f[0], path_f[1])))
         waypoints.insert(draw(st.integers(0, len(waypoints))), spot)
     elif kind == "isolated":
-        spot = base.point(draw(st.sampled_from(g.isolated_vertices)))
+        spot = base.vertex_points[draw(st.sampled_from(g.isolated_vertices))]
         waypoints.insert(draw(st.integers(0, len(waypoints))), spot)
     elif kind == "self-crossing":
         t = draw(_OFFSETS.filter(any))
@@ -436,12 +451,12 @@ def test_reroute_checks_each_other_path_once(monkeypatch):
             assert walks == [(eid, ids[:i]) for i, eid in enumerate(ids)]
             assert sorted(built) == sorted(emb.edge_paths.values())
         for eid in (0, 7, 14):
-            lazy = [emb.path(f) for f in ids] if certified and eid == 0 else []
+            lazy = [emb.edge_paths[f] for f in ids] if certified and eid == 0 else []
             walks.clear()
             built.clear()
-            reroute_edge(emb, eid, emb.path(eid))
+            reroute_edge(emb, eid, emb.edge_paths[eid])
             assert walks == [(eid, [f for f in ids if f != eid])]
-            assert built == lazy + [emb.path(eid)]
+            assert built == lazy + [emb.edge_paths[eid]]
 
 
 def test_a_reroute_checks_against_the_paths_it_stores():
@@ -461,7 +476,7 @@ def test_a_reroute_checks_against_the_paths_it_stores():
     assert emb._records is records
     with pytest.raises(EmbeddingError, match="edges 0 and 1 "):
         reroute_edge(emb, 1, over_old)
-    assert reroute_edge(emb, 1, over_new).path(1) == over_new
+    assert reroute_edge(emb, 1, over_new).edge_paths[1] == over_new
     for e in (emb, moved, moved_twice):
         assert e._records == SpatialEmbedding(g, points, e.edge_paths)._records
 
@@ -504,7 +519,7 @@ def _detours(draw):
     eid = draw(st.sampled_from(g.edges)).id
     midpoints = draw(st.lists(_CUBE_POINTS, min_size=1, max_size=6))
     if draw(st.booleans()):
-        old = emb.path(eid)
+        old = emb.edge_paths[eid]
         on_old = [p for a, b in zip(old, old[1:]) for p in _lattice_points(a, b)]
         midpoints.insert(0, draw(st.sampled_from(on_old)))
     return kind, emb, eid, [c for p in midpoints for c in p]
@@ -547,7 +562,7 @@ def test_random_detour_checks_each_drawn_arc_once(monkeypatch):
     for e in emb.graph.edges:
         checked.clear()
         drawn.clear()
-        pu, pv = emb.point(e.u), emb.point(e.v)
+        pu, pv = emb.vertex_points[e.u], emb.vertex_points[e.v]
         midpoint, _, tries = random_detour(emb, e.id, rng)
         assert checked == [(pu, m, pv) for m in drawn]
         assert drawn[-1] == midpoint and len(drawn) == tries + 1

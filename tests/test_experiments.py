@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import random
 import types
@@ -7,7 +8,6 @@ import pytest
 
 from linkless import cli, embedding, experiments, omega, projection
 from linkless.acceptance import criterion_8_projection_independence
-from linkless.circuits import enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
     RetryLimitExceeded,
@@ -93,11 +93,10 @@ def test_edge_swap_on_graphs_outside_the_family():
     assert not report.passed
 
 
-def test_edge_swap_on_fixed_embedding():
-    from linkless.embedding import random_embedding
-
+def test_edge_swap_on_fixed_embedding(monkeypatch):
     emb = random_embedding(complete_graph(6), 3)
-    report = edge_swap_check(emb, trials=8, seed=0)
+    monkeypatch.setattr(experiments, "random_embedding", lambda g, seed: emb)
+    report = edge_swap_check(emb.graph, trials=8, seed=0)
     assert report.passed
     assert report.preserved == 8
     assert report.pair_identities_checked == 8 * 4
@@ -158,12 +157,13 @@ def test_edge_swap_rejects_midpoint_on_old_waypoint(monkeypatch):
     coords = [5, 7, 1, 5, -3, 40]
     monkeypatch.setattr(experiments, "random",
                         types.SimpleNamespace(Random=lambda seed: _ScriptedRandom(coords)))
-    report = edge_swap_check(emb, trials=1, seed=0)
+    monkeypatch.setattr(experiments, "random_embedding", lambda g, seed: emb)
+    report = edge_swap_check(emb.graph, trials=1, seed=0)
     assert report.reroute_retries == 1
     assert report.passed
 
 
-# -- lk(D, K) of a reroute, read off its check diagram -------------------------
+# -- lk(D, K) of a reroute, read off both of its diagrams ----------------------
 
 def _random_detour(emb, rng, edge=None):
     """(edge, moved): a valid two-segment detour of ``edge`` (default: a
@@ -174,21 +174,23 @@ def _random_detour(emb, rng, edge=None):
     return e, random_detour(emb, e.id, rng)[1]
 
 
-def _check_diagram(emb, e, moved, seed):
-    # the diagram a reroute trial reads lk(D, K) off
-    return omega._reroute_reports(
-        emb, moved, omega.reroute_table(omega.graph_pairs(emb.graph), e.id), seed)[2]
+def _loop_links(emb, e, moved, seed):
+    """The circuits K opposite edge e in the pairs through it, and lk(D, K)
+    of each as a reroute trial reads them."""
+    table = omega.reroute_table(omega.graph_pairs(emb.graph), e.id)
+    links = omega._reroute_reports(emb, moved, table, seed)[2]
+    return [k for _, k in table.after.pairs[len(table.positions):]], links
 
 
 def _detour_links_against_oracles(emb, e, moved, seed):
-    """lk(D, K) from the check diagram for every circuit K avoiding e's ends,
+    """lk(D, K) of a reroute trial for every circuit K opposite edge e,
     checked against one `loop_pair_link` projection per K and the Gauss
     integral of the polylines, D = old path out, new path back."""
-    circuits = [c for c in enumerate_circuits(emb.graph) if not c.vertices & {e.u, e.v}]
-    links = omega._detour_links(_check_diagram(emb, e, moved, seed), e.id, circuits)
+    circuits, links = _loop_links(emb, e, moved, seed)
     assert len(links) == len(circuits) > 0
-    arc = moved.path(e.id)
-    d_loop = [*emb.path(e.id), *arc[-2:0:-1]]
+    assert not any({e.u, e.v} & set(k.vertex_seq) for k in circuits)
+    arc = moved.edge_paths[e.id]
+    d_loop = [*emb.edge_paths[e.id], *arc[-2:0:-1]]
     for k, lk in zip(circuits, links):
         k_loop = circuit_polyline(emb, k)
         assert lk == loop_pair_link(d_loop, k_loop, seed=seed)[0], (e, arc, k)
@@ -223,8 +225,8 @@ def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
     # per trial: exactly two crossing passes, the main and the check pass,
     # each over the graph's edges and the new arc, in two non-parallel
-    # directions; the check diagram also gives every lk(D, K), so no pass
-    # draws D on its own
+    # directions; both diagrams also give every lk(D, K), so no pass draws
+    # D on its own
     passes = []
     real_pass = projection.strand_crossings
 
@@ -243,13 +245,13 @@ def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
 
 
 def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
-    real = experiments._detour_links
+    real = experiments._reroute_reports
 
     def first_off_by_one(*args):
-        links = real(*args)
-        return [links[0] + 1, *links[1:]]
+        before, after, links = real(*args)
+        return before, after, [links[0] + 1, *links[1:]]
 
-    monkeypatch.setattr(experiments, "_detour_links", first_off_by_one)
+    monkeypatch.setattr(experiments, "_reroute_reports", first_off_by_one)
     report = edge_swap_check(complete_graph(6), trials=5, seed=0)
     assert [v.kind for v in report.violations] == ["pair-identity", "even-cover"] * 5
     assert [v.trial for v in report.violations] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
@@ -259,8 +261,8 @@ def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
-    # the table _detour_links reads through its pair index, against the
-    # same pairs indexed afresh and a scan of the crossings
+    # lk(D, K) as the after view reads it on each diagram, against the
+    # loop pairs indexed afresh and a scan of the crossings
     calls = []
     real = omega.link_tables
     monkeypatch.setattr(omega, "link_tables",
@@ -270,18 +272,16 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
     for seed in range(10):
         emb = random_embedding(graph, seed)
         e, moved = _random_detour(emb, rng)
-        circuits = [c for c in enumerate_circuits(graph) if not c.vertices & {e.u, e.v}]
-        diagram = _check_diagram(emb, e, moved, seed)
+        table = omega.reroute_table(omega.graph_pairs(graph), e.id)
         calls.clear()
-        links = omega._detour_links(diagram, e.id, circuits)
-        [(diagrams, index)] = calls
-        table = real(diagrams, index)[0]
-        assert table == links
-        assert real(diagrams, projection.pair_index(diagrams[0].edge_endpoints,
-                                                    index.pairs))[0] == table
-        # the oracle counts its parity apart from the signed sum
-        assert [(lk, lk & 1) for lk in table] == \
-            [scanned_lk(diagrams[0], j, k) for j, k in index.pairs]
+        links = omega._reroute_reports(emb, moved, table, seed)[2]
+        [diagrams] = [diagrams for diagrams, index in calls if index is table.after]
+        loops = table.after.pairs[len(table.positions):]
+        assert len(diagrams) == 2 and len(loops) == len(links) > 0
+        for diagram in diagrams:
+            assert real([diagram], projection.pair_index(diagram.edge_endpoints, loops))[0] == links
+            # the oracle counts its parity apart from the signed sum
+            assert [(lk, lk & 1) for lk in links] == [scanned_lk(diagram, j, k) for j, k in loops]
 
 
 def _plant_odd_count(monkeypatch, e, f):
@@ -323,16 +323,18 @@ def test_loop_pair_link_checks_its_parity(monkeypatch):
 
 
 def test_detour_table_checks_its_parities_against_lk(monkeypatch):
-    # the reroute loop's old edge over the first circuit's first edge
+    # the reroute loop's new path over the first opposite circuit's first
+    # edge, read through an after view that holds the loop pairs alone
     g = complete_graph(6)
     emb, e = random_embedding(g, 0), g.edges[0]
     moved = random_detour(emb, e.id, random.Random(0))[1]
-    circuits = [c for c in enumerate_circuits(g) if not c.vertices & {e.u, e.v}]
-    direction = _check_diagram(emb, e, moved, 0).direction
-    _plant_odd_count(monkeypatch, e.id, circuits[0].edge_ids[0])
-    diagram = projection.project_reroute(emb, moved, e.id, direction)
+    table = omega.reroute_table(omega.graph_pairs(g), e.id)
+    after, through = table.after, len(table.positions)
+    loops_only = dataclasses.replace(table, positions=(), after=dataclasses.replace(
+        after, pairs=after.pairs[through:], slots=after.slots[through:]))
+    _plant_odd_count(monkeypatch, max(after.endpoints), after.pairs[through][1].edge_ids[0])
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
-        omega._detour_links(diagram, e.id, circuits)
+        omega._reroute_reports(emb, moved, loops_only, 0)
 
 
 def test_the_check_projection_catches_an_lk_difference(monkeypatch):

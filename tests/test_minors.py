@@ -208,7 +208,7 @@ def test_returned_models_always_verify():
 )
 def test_oracle_agreement_on_random_small_graphs(target):
     # unit-scale slice of the exhaustive acceptance check
-    rng = random.Random(sum(target.degree_sequence()))
+    rng = random.Random(2 * target.m)  # the degree sum
     for _ in range(60):
         g = random_graph(rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]), rng)
         assert (has_minor(g, target) is not None) == _delete_contract_oracle(g, target)
@@ -306,25 +306,42 @@ def test_classifier_on_disconnected_graph():
     assert verdict.witness_member == "K6"
 
 
+def member_searches(g, budget=minors.DEFAULT_BUDGET):
+    """(verdict, witness member, model, nodes, per-member outcomes) of the
+    seven member searches that the classifier runs below its routes, on
+    one reduction of the simplified host."""
+    members, min_degree, min_n = minors._family_search()
+    work, origin = _reduce_host(g.simplified(), min_degree, min_n)
+    nodes, outcome = 0, {}
+    for name, member in members:
+        try:
+            model, spent = _search_reduced(g, work, origin, member, budget)
+        except SearchBudgetExceeded as exc:
+            nodes += exc.nodes
+            outcome[name] = "budget-exhausted"
+            continue
+        nodes += spent
+        outcome[name] = "none" if model is None else "found"
+        if model is not None:
+            return "linked", name, model, nodes, outcome
+    verdict = "unknown" if "budget-exhausted" in outcome.values() else "unlinked"
+    return verdict, None, None, nodes, outcome
+
+
 def test_prefilter_consistency():
-    # verdicts agree with prefilters disabled on graphs of <= 8 vertices
+    # every route agrees with the member searches on graphs of <= 8 vertices
     rng = random.Random(21)
     graphs = [parse_graph("K6"), parse_graph("K3,3,1"), parse_graph("K3,3"),
               parse_graph("K5"), delta_y(complete_graph(6), (1, 2, 3))]
     graphs += [random_graph(rng.randint(4, 8), 0.5, rng) for _ in range(20)]
     for g in graphs:
-        fast = is_intrinsically_linked(g, prefilter=True).verdict
-        slow = is_intrinsically_linked(g, prefilter=False).verdict
-        assert fast == slow
+        assert is_intrinsically_linked(g).verdict == member_searches(g)[0]
 
 
 def cone(g):
     """g plus a new vertex joined to every vertex: an apex graph when g is planar."""
     top = max(g.vertices) + 1
-    out = g.add_vertex(top)
-    for v in sorted(g.vertices):
-        out = out.add_edge(top, v)
-    return out
+    return graph_from_pairs([e.pair() for e in g.edges] + [(top, v) for v in sorted(g.vertices)])
 
 
 def test_certified_hosts_have_no_family_minor():
@@ -332,9 +349,7 @@ def test_certified_hosts_have_no_family_minor():
     # unlinked from the full search too
     rng = random.Random(77)
     wheel = graph_from_pairs([(i, i % 6 + 1) for i in range(1, 7)] + [(7, i) for i in range(1, 7)])
-    bipyramid = wheel.add_vertex(8)
-    for i in range(1, 7):
-        bipyramid = bipyramid.add_edge(8, i)
+    bipyramid = graph_from_pairs([e.pair() for e in wheel.edges] + [(8, i) for i in range(1, 7)])
     graphs = [bipyramid, cone(wheel), cone(grid_graph(2, 4))]
     graphs += [random_graph(rng.randint(6, 9), rng.choice([0.45, 0.6, 0.75]), rng)
                for _ in range(80)]
@@ -347,7 +362,7 @@ def test_certified_hosts_have_no_family_minor():
         assert verdict.verdict == "unlinked"
         assert verdict.per_member == {} and verdict.nodes == 0
         assert planar_certificate_errors(g, verdict.certificate) == []
-        assert is_intrinsically_linked(g, prefilter=False).verdict == "unlinked"
+        assert member_searches(g)[0] == "unlinked"
     assert routes["planar"] and routes["apex"]
 
 
@@ -369,7 +384,8 @@ def test_decided_by_and_certificate():
     # subdivided it clears the size prefilter
     near = parse_graph("K3,3,1").delete_edge(0)
     split = near.edges_between(2, 5)[0]
-    near = near.delete_edge(split.id).add_vertex(8).add_edge(2, 8).add_edge(8, 5)
+    near = graph_from_pairs([e.pair() for e in near.delete_edge(split.id).edges]
+                            + [(2, 8), (8, 5)])
     # in a cone over grid3x3 with a spoke subdivided by vertex 0, the
     # reduction merges apex 100 into vertex 0, which is not an apex itself
     grid = grid_graph(3, 3)
@@ -430,13 +446,15 @@ def test_classify_computes_no_canonical_form(monkeypatch):
 
 
 def test_shared_host_matches_per_member_search():
-    # node counts and witnesses equal those of the seven member searches
-    # run one by one
+    # on one shared reduction, node counts and witnesses equal those of the
+    # seven member searches run one by one, and so do the classifier's
+    # wherever the searches decide
     rng = random.Random(9)
     hosts = [petersen_graph(), parse_graph("K4,4"), grid_graph(3, 4)]
     hosts += [random_graph(rng.randint(7, 10), 0.55, rng) for _ in range(8)]
+    searched = 0
     for g in hosts:
-        verdict = is_intrinsically_linked(g, budget=20_000, prefilter=False)
+        _, _, witness, shared_nodes, shared_outcome = member_searches(g, 20_000)
         gs = g.simplified()
         nodes, outcome = 0, {}
         for member in petersen_family():
@@ -454,10 +472,15 @@ def test_shared_host_matches_per_member_search():
             nodes += spent
             outcome[member.name] = "none" if model is None else "found"
             if model is not None:
-                assert verdict.witness_model == model
+                assert witness == model
                 break
-        assert verdict.nodes == nodes
-        assert dict(verdict.per_member) == outcome
+        assert (shared_nodes, shared_outcome) == (nodes, outcome)
+        verdict = is_intrinsically_linked(g, budget=20_000)
+        if verdict.decided_by == "search":
+            searched += 1
+            assert (verdict.witness_model, verdict.nodes, dict(verdict.per_member)) == \
+                (witness, nodes, outcome)
+    assert searched >= 2
 
 
 def _reduce_host_reference(gs, h_min_deg, h_n):
@@ -692,12 +715,13 @@ def test_monotone_under_edge_addition():
             (u, v)
             for u in sorted(g.vertices)
             for v in sorted(g.vertices)
-            if u < v and not g.has_edge(u, v)
+            if u < v and not g.edges_between(u, v)
         ]
         if not nonedges:
             continue
         u, v = nonedges[rng.randrange(len(nonedges))]
-        assert is_intrinsically_linked(g.add_edge(u, v)).verdict == "linked"
+        bigger = graph_from_pairs([e.pair() for e in g.edges] + [(u, v)], vertices=g.vertices)
+        assert is_intrinsically_linked(bigger).verdict == "linked"
 
 
 def test_mader_dense_graphs_have_k6_minors():

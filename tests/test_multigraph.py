@@ -10,7 +10,6 @@ from linkless.multigraph import (
     complete_graph,
     format_edge_list,
     graph_from_pairs,
-    k331_graph,
     parse_edge_list,
     parse_graph,
     petersen_graph,
@@ -22,7 +21,7 @@ def test_builtin_k6():
     assert g.n == 6
     assert g.m == 15
     assert g.is_simple
-    assert g.degree_sequence() == (5,) * 6
+    assert {g.degree(v) for v in g.vertices} == {5}
 
 
 def test_builtin_k331():
@@ -30,7 +29,7 @@ def test_builtin_k331():
     assert g.n == 7
     assert g.m == 15
     assert g.degree(7) == 6
-    assert g.degree_sequence() == (4, 4, 4, 4, 4, 4, 6)
+    assert sorted(map(g.degree, g.vertices)) == [4, 4, 4, 4, 4, 4, 6]
     # apex adjacent to everything
     assert g.neighbors(7) == frozenset(range(1, 7))
 
@@ -38,15 +37,15 @@ def test_builtin_k331():
 def test_builtin_bipartite_and_petersen():
     k33 = parse_graph("K3,3")
     assert (k33.n, k33.m) == (6, 9)
-    assert not k33.has_edge(1, 2)
-    assert k33.has_edge(1, 4)
+    assert not k33.edges_between(1, 2)
+    assert k33.edges_between(1, 4)
 
     p = parse_graph("petersen")
     assert (p.n, p.m) == (10, 15)
-    assert p.degree_sequence() == (3,) * 10
-    assert p.has_edge(1, 6)
-    assert p.has_edge(6, 8)
-    assert not p.has_edge(6, 7)
+    assert {p.degree(v) for v in p.vertices} == {3}
+    assert p.edges_between(1, 6)
+    assert p.edges_between(6, 8)
+    assert not p.edges_between(6, 7)
 
 
 def test_builtin_grid():
@@ -175,7 +174,7 @@ def test_contract_k6_gives_k5():
     h = g.contract_edge(0)
     assert (h.n, h.m) == (5, 10)
     assert h.is_simple
-    assert h.degree_sequence() == (4,) * 5
+    assert {h.degree(v) for v in h.vertices} == {4}
 
 
 def test_contract_c4_gives_c3():
@@ -231,12 +230,3 @@ def test_components():
     assert sorted(map(sorted, comps)) == [[1, 2], [3, 4], [5]]
     assert not g.is_connected
     assert complete_graph(4).is_connected
-
-
-def test_relabeled_preserves_structure():
-    g = k331_graph()
-    mapping = {v: v * 10 for v in g.vertices}
-    h = g.relabeled(mapping)
-    assert h.degree(70) == 6
-    with pytest.raises(GraphError):
-        g.relabeled({v: 1 for v in g.vertices})

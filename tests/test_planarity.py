@@ -147,7 +147,8 @@ def test_apex_certificates():
     rotation = planar_rotation(k6.delete_vertex(6))
     assert rotation is None  # K5 is not planar, so K6 is not apex
 
-    k33_plus = complete_bipartite(3, 3).add_vertex(7).add_edge(7, 1).add_edge(7, 4)
+    k33_plus = graph_from_pairs([e.pair() for e in complete_bipartite(3, 3).edges]
+                                + [(7, 1), (7, 4)])
     rotation = planar_rotation(k33_plus.delete_vertex(1))
     assert planar_certificate_errors(k33_plus, PlanarCertificate(1, rotation)) == []
     # the same rotation does not describe the graph with the apex kept

@@ -20,6 +20,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -42,7 +43,6 @@ from linkless.geometry import cross3, is_zero3
 from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
 from linkless.projection import (
     NonRegularProjection,
-    ProjectedDiagram,
     crossing_matrix,
     project,
     project_reroute,
@@ -154,7 +154,7 @@ def compare(emb, moved, eid, direction):
     # the same crossings, in order, and the same integers unless the arc
     # brings a denominator the embedding lacks
     assert [decode(r) for r in before] == [decode(r) for r in fresh[0].crossings]
-    if _scale(emb, moved.path(eid)) == _scale(emb):
+    if _scale(emb, moved.edge_paths[eid]) == _scale(emb):
         assert before == fresh[0].crossings  # record for record
     assert crossing_matrix(after) == fresh[1].crossing_matrix
     return "regular"
@@ -214,10 +214,10 @@ def test_the_reports_read_the_tables_of_fresh_projections():
                 continue
             emb, moved, eid = drawn
             index = omega.graph_pairs(GRAPHS[name])
-            before, after, check = omega._reroute_reports(
-                emb, moved, omega.reroute_table(index, eid), seed)
+            table = omega.reroute_table(index, eid)
+            before, after, links = omega._reroute_reports(emb, moved, table, seed)
             directions = before.direction, before.check_direction
-            assert check.direction == directions[1]
+            assert len(links) == len(table.positions)
             for report, e in [(before, emb), (after, moved)]:
                 assert report == omega._report(e, index, *(project(e, d) for d in directions))
             compared[kind] += 1
@@ -292,10 +292,9 @@ def test_the_check_pass_avoids_the_main_direction():
     for seed in range(5):
         emb = random_embedding(g, seed)
         _, moved, _ = random_detour(emb, seed, random.Random(seed))
-        before, after, check = omega._reroute_reports(
+        before, after, _ = omega._reroute_reports(
             emb, moved, omega.reroute_table(index, seed), seed)
         assert before.direction == after.direction == (0, 0, 1)
-        assert check.direction == before.check_direction
         assert before.check_direction == after.check_direction
         assert not is_zero3(cross3(before.direction, before.check_direction))
 
@@ -305,8 +304,9 @@ def test_the_check_pass_avoids_the_main_direction():
 def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
         monkeypatch, graph, through):
     # per trial, the after table runs on both diagrams over the pairs
-    # through the moved edge (4 of K6's 10, 3 or 5 of K3,3,1's 9), and
-    # every other entry after the reroute is the entry before it
+    # through the moved edge (4 of K6's 10, 3 or 5 of K3,3,1's 9) and as
+    # many pairs of the loop D, and every other entry after the reroute is
+    # the entry before it
     index = omega.graph_pairs(graph)
     calls = []
     real = omega.link_tables
@@ -319,7 +319,7 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
         table = omega.reroute_table(index, seed % graph.m)
         calls.clear()
         before, after, _ = omega._reroute_reports(emb, moved, table, seed)
-        assert calls == [(2, len(index.pairs)), (2, len(table.positions))]
+        assert calls == [(2, len(index.pairs)), (2, 2 * len(table.positions))]
         seen.add(len(table.positions))
         for at, (entry_before, entry_after) in enumerate(zip(before.pairs, after.pairs)):
             assert (entry_after is entry_before) == (at not in table.positions)
@@ -328,22 +328,24 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
 
 
 def test_a_wrong_lk_on_a_pair_through_the_edge_is_caught(monkeypatch):
+    # the check diagram's lk of the first pair through the edge, and of
+    # the last pair of the loop D, off by 2
     g = complete_graph(6)
     index = omega.graph_pairs(g)
     emb = random_embedding(g, 0)
     _, moved, _ = random_detour(emb, 0, random.Random(0))
     table = omega.reroute_table(index, 0)
     real = omega.link_tables
+    for at in (0, -1):
+        def planted(diagrams, index):
+            tables = real(diagrams, index)
+            if index is table.after:
+                tables[1][at] += 2
+            return tables
 
-    def planted(diagrams, index):
-        tables = real(diagrams, index)
-        if index is table.after:  # the check diagram's lk of one pair, off by 2
-            tables[1][0] += 2
-        return tables
-
-    monkeypatch.setattr(omega, "link_tables", planted)
-    with pytest.raises(AssertionError, match="lk differs between projections"):
-        omega._reroute_reports(emb, moved, table, 0)
+        monkeypatch.setattr(omega, "link_tables", planted)
+        with pytest.raises(AssertionError, match="lk differs between projections"):
+            omega._reroute_reports(emb, moved, table, 0)
 
 
 def _detour_above_u(emb, eid, rng):
@@ -386,7 +388,8 @@ def test_an_arc_non_regular_at_the_before_direction_falls_back(
             raise
 
     monkeypatch.setattr(omega, "project_reroute", watched)
-    doc = edge_swap_check(emb, trials=trials, seed=0).to_json_dict()
+    monkeypatch.setattr(experiments, "random_embedding", lambda g, seed: emb)
+    doc = edge_swap_check(graph, trials=trials, seed=0).to_json_dict()
     # both searches of every trial start at (0, 0, 1) and pass it by
     assert raised == [(0, 0, 1)] * (2 * trials)
     assert {v["trial"] for v in doc["violations"]} == failing
@@ -404,7 +407,7 @@ def _rerouted_edge(monkeypatch, g, seed):
     with monkeypatch.context() as m:
         m.setattr(experiments, "random_detour", record)
         with pytest.raises(Drawn) as drawn:
-            edge_swap_check(random_embedding(g, 0), trials=1, seed=seed)
+            edge_swap_check(g, trials=1, seed=seed)
     return g.edge(drawn.value.args[0])
 
 
@@ -423,6 +426,7 @@ def test_a_loop_read_without_the_arcs_crossings_breaks_the_pair_identity(monkeyp
     midpoint = (-10**6, 500000, 0)
     monkeypatch.setattr(experiments, "random_detour", lambda emb, eid, rng: (
         midpoint, reroute_edge(emb, eid, (points[u], midpoint, points[v])), 0))
+    monkeypatch.setattr(experiments, "random_embedding", lambda g, seed: emb)
 
     # the premise: edge uv crosses nothing in either diagram
     drawn = []
@@ -433,19 +437,20 @@ def test_a_loop_read_without_the_arcs_crossings_breaks_the_pair_identity(monkeyp
         return drawn[-1]
 
     monkeypatch.setattr(omega, "project_reroute", recorded)
-    assert edge_swap_check(emb, trials=1, seed=0).passed
+    assert edge_swap_check(g, trials=1, seed=0).passed
     assert len(drawn) == 2  # the main and the check pass
     assert all(e.id not in (r[0], r[4]) for diagram in drawn for r in diagram.crossings)
 
-    real_links = experiments._detour_links
+    real_table = experiments.reroute_table
 
-    def drops_the_arc(diagram, eid, circuits):
-        arc = max(diagram.edge_endpoints)
-        return real_links(ProjectedDiagram(diagram.direction, diagram.edge_endpoints, tuple(
-            r for r in diagram.crossings if arc not in (r[0], r[4]))), eid, circuits)
+    def drops_the_arc(index, eid):
+        # the loop D read along the old edge alone
+        table = real_table(index, eid)
+        *signs, loop = table.after.signs
+        return replace(table, after=replace(table.after, signs=(*signs, loop[:1])))
 
-    monkeypatch.setattr(experiments, "_detour_links", drops_the_arc)
-    report = edge_swap_check(emb, trials=1, seed=0)
+    monkeypatch.setattr(experiments, "reroute_table", drops_the_arc)
+    report = edge_swap_check(g, trials=1, seed=0)
     kinds = Counter(violation.kind for violation in report.violations)
     assert kinds["pair-identity"] > 0
     assert not report.passed

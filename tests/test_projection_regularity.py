@@ -232,9 +232,9 @@ def test_regular_projections_keep_every_vertex_image_apart():
     # project passes only the isolated vertices as markers
     regular = nonregular = 0
     for emb in _small_embeddings(random.Random(15), 150):
-        strands = [(e.id, emb.path(e.id)) for e in sorted(emb.graph.edges)]
-        vertices = [emb.point(v) for v in sorted(emb.graph.vertices)]
-        markers = [emb.point(v) for v in emb.graph.isolated_vertices]
+        strands = [(e.id, emb.edge_paths[e.id]) for e in sorted(emb.graph.edges)]
+        vertices = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
+        markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
         for d in SMALL_DIRECTIONS:
             if _check_regular_picture(strands, vertices, d, markers):
                 assert project(emb, d).crossings == strand_crossings(strands, d, markers)
@@ -254,15 +254,15 @@ def test_detour_pictures_keep_every_vertex_image_apart():
     for emb in _small_embeddings(rng, 150):
         g = emb.graph
         e = rng.choice(sorted(g.edges))
-        arc = (emb.point(e.u), rng.choice(_CUBE), emb.point(e.v))
+        arc = (emb.vertex_points[e.u], rng.choice(_CUBE), emb.vertex_points[e.v])
         try:
-            _check_edge(g, emb.vertex_points, e, arc, [(e, _segments(emb.path(e.id)))])
+            _check_edge(g, emb.vertex_points, e, arc, [(e, _segments(emb.edge_paths[e.id]))])
             moved = reroute_edge(emb, e.id, arc)
         except EmbeddingError:
             continue
-        strands = [(f.id, emb.path(f.id)) for f in g.edges] + [(max(emb.edge_paths) + 1, arc)]
-        vertices = [emb.point(v) for v in sorted(g.vertices)]
-        markers = [emb.point(v) for v in g.isolated_vertices]
+        strands = [(f.id, emb.edge_paths[f.id]) for f in g.edges] + [(max(emb.edge_paths) + 1, arc)]
+        vertices = [emb.vertex_points[v] for v in sorted(g.vertices)]
+        markers = [emb.vertex_points[v] for v in g.isolated_vertices]
         for d in SMALL_DIRECTIONS:
             if _check_regular_picture(strands, vertices, d, markers):
                 assert project_reroute(emb, moved, e.id, d).crossings == \

@@ -22,7 +22,7 @@ from linkless.embedding import (
     reroute_edge,
     straight_line_embedding,
 )
-from linkless.geometry import cross3, is_zero3, segments3_intersect, sub3
+from linkless.geometry import GeometryError, cross3, is_zero3, segments3_intersect, sub3
 from linkless.multigraph import (
     GraphError,
     complete_graph,
@@ -70,8 +70,8 @@ def hopf_embedding():
 
 def triangle_circuits(emb):
     tris = enumerate_circuits(emb.graph)
-    j = next(c for c in tris if c.vertices == frozenset({1, 2, 3}))
-    k = next(c for c in tris if c.vertices == frozenset({4, 5, 6}))
+    j = next(c for c in tris if set(c.vertex_seq) == {1, 2, 3})
+    k = next(c for c in tris if set(c.vertex_seq) == {4, 5, 6})
     return j, k
 
 
@@ -156,8 +156,8 @@ def test_linking_number_rejects_overlapping_circuits():
     g = complete_graph(6)
     emb = random_embedding(g, 0)
     circuits = enumerate_circuits(g)
-    tri = next(c for c in circuits if c.vertices == frozenset({1, 2, 3}))
-    other = next(c for c in circuits if c.vertices == frozenset({1, 2, 4}))
+    tri = next(c for c in circuits if set(c.vertex_seq) == {1, 2, 3})
+    other = next(c for c in circuits if set(c.vertex_seq) == {1, 2, 4})
     d = regular_projection(emb, seed=0)
     with pytest.raises(GraphError):
         linking_number(d, tri, other)
@@ -273,6 +273,14 @@ def test_omega_respects_explicit_direction():
     assert report.to_json_dict()["direction"] == ["0", "0", "1"]
 
 
+@pytest.mark.parametrize("direction", [(0.5, 0, 1), (True, 0, 1), ("1", 0, 1), (0, 1)],
+                         ids=["float", "bool", "str", "two components"])
+def test_inexact_direction_components_are_rejected(direction):
+    emb = random_embedding(complete_graph(6), 0)
+    with pytest.raises(GeometryError, match="a direction needs three ints or Fractions"):
+        omega_graph(emb, direction=direction)
+
+
 def test_k6_minus_edge_omega_depends_on_embedding():
     # a single random K6 embedding (seed 1) has exactly one odd pair,
     # the triangles (1,4,6) and (2,3,5); deleting edge 1-4 kills it,
@@ -307,9 +315,9 @@ def test_reroute_preserves_omega_k6_sample():
     emb = random_embedding(g, 4)
     before = omega_graph(emb, seed=4)
     rerouted = reroute_edge(emb, 0, (
-        emb.path(0)[0],
+        emb.edge_paths[0][0],
         (650000, 720000, -400000),
-        emb.path(0)[-1],
+        emb.edge_paths[0][-1],
     ))
     after = omega_graph(rerouted, seed=4)
     assert before.total == after.total == 1
@@ -324,7 +332,7 @@ def variants(emb, seed):
     rng = random.Random(seed)
     bent = emb
     for eid in sorted(emb.edge_paths):
-        a, b = emb.path(eid)
+        a, b = emb.edge_paths[eid]
         mid = tuple(Fraction(x + y, 2) + rng.randint(-400000, 400000) for x, y in zip(a, b))
         try:
             bent = reroute_edge(bent, eid, (a, mid, b))
@@ -396,7 +404,7 @@ def _small_embeddings(draw):
     g = graph_from_pairs(pairs)
     emb = random_embedding(g, draw(st.integers(0, 10**6)))
     for eid in draw(st.lists(st.sampled_from(sorted(emb.edge_paths)), max_size=6, unique=True)):
-        a, b = emb.path(eid)
+        a, b = emb.edge_paths[eid]
         offset = draw(st.tuples(*[st.integers(-400000, 400000)] * 3))
         den = draw(st.integers(1, 7))
         mid = tuple(Fraction(x + y, 2) + Fraction(o, den) for x, y, o in zip(a, b, offset))

@@ -9,12 +9,13 @@ change that alters stdout on purpose re-records the file with
     PYTHONPATH=src python tests/test_stdout_contract.py
 
 and says why in its change notes; ``--check`` compares instead of
-recording, and exits 1 on a difference.  Neither needs pytest, so both
-run under the oldest supported interpreter.  The ``omega`` cases read the
-embeddings that the ``embed`` cases print, so those files never need to
-be stored.  The other cases on "{...}" names read the edge lists in
-``EDGE_LISTS`` and the embeddings in ``EMBEDDINGS``, written to a
-temporary directory.
+recording, and exits 1 on a difference.  Neither needs pytest or any
+package outside the standard library, so CI runs ``--check`` on the
+oldest supported interpreter with nothing installed.  The ``omega``
+cases read the embeddings that the ``embed`` cases print, so those files
+never need to be stored.  The other cases on "{...}" names read the edge
+lists in ``EDGE_LISTS`` and the embeddings in ``EMBEDDINGS``, written to
+a temporary directory.
 """
 
 from __future__ import annotations
