@@ -32,6 +32,13 @@ def is_exact(x) -> bool:
     return type(x) is int or type(x) is Fraction
 
 
+def check_direction(direction: Point3) -> Point3:
+    """``direction``, or GeometryError if it is not three ints or Fractions."""
+    if len(direction) != 3 or not all(map(is_exact, direction)):
+        raise GeometryError(f"a direction needs three ints or Fractions: {direction!r}")
+    return direction
+
+
 def normalize_rat(x: Rat) -> Rat:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)

@@ -16,11 +16,11 @@ strands and the new path (``projection.project_reroute``), and a
 direction counts as regular only when that whole pass is.  The reports
 before and after it (``_reroute_reports``) read the main and the check
 diagram through the two views of a ``RerouteTable``, built once per
-moved edge.  The second holds only the pairs through the edge, with the
-new path's key in place of its id, and then the pairs (D, K) of the loop
-D, the two-edge circuit of the old and new paths, with the circuit K
-opposite each; every other pair keeps its entry.  So lk(D, K) is read off
-both diagrams and checked between them, as every other lk is.
+moved edge, so lk(D, K) of the loop D of the old and new paths is read
+off both diagrams and checked between them, as every other lk is.  A
+report or a reroute trial builds one strand layout of what it draws
+(``projection.embedding_layout``) and runs all its passes over it: the
+main and the check pass and each non-regular direction passed by.
 
 Every direction search in the package is ``_first_regular`` over
 ``direction_stream``.  Its ``avoid`` lists directions already drawn: the
@@ -38,13 +38,15 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
-from .geometry import GeometryError, Point3, cross3, format_point, is_zero3
+from .geometry import GeometryError, Point3, check_direction, cross3, format_point, is_zero3
 from .multigraph import MultiGraph
 from .projection import (
     NonRegularProjection,
     PairIndex,
     ProjectedDiagram,
+    StrandLayout,
     edge_endpoints,
+    embedding_layout,
     link_tables,
     linking_number,
     pair_index,
@@ -74,9 +76,9 @@ def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
     """``attempt(d)`` for the first of DIRECTION_ATTEMPTS seeded directions d
     where it does not raise NonRegularProjection.  A direction parallel to
     one in ``avoid`` gives a picture already drawn, so it is skipped and not
-    counted; a zero vector in ``avoid``, parallel to every direction, raises
-    GeometryError."""
-    if any(is_zero3(a) for a in avoid):
+    counted.  An entry of ``avoid`` that is not three ints or Fractions, or a
+    zero vector, parallel to every direction, raises GeometryError."""
+    if any(is_zero3(check_direction(a)) for a in avoid):
         raise GeometryError("projection direction must be nonzero")
     directions = (d for d in direction_stream(seed)
                   if not any(is_zero3(cross3(d, a)) for a in avoid))
@@ -92,10 +94,13 @@ def regular_projection(
     emb: SpatialEmbedding,
     seed: int = 0,
     avoid: Sequence[Point3] = (),
+    layout: StrandLayout | None = None,
 ) -> ProjectedDiagram:
     """Project along the first regular direction from the seeded stream that
-    is parallel to none of the directions in ``avoid``."""
-    return _first_regular(lambda d: project(emb, d), seed,
+    is parallel to none of the directions in ``avoid``, each attempt a pass
+    over ``layout`` (`embedding_layout(emb)`, built here if not given)."""
+    layout = layout or embedding_layout(emb)
+    return _first_regular(lambda d: project(emb, d, layout), seed,
                           "no regular projection direction found", avoid)
 
 
@@ -172,11 +177,10 @@ def _diagrams(emb: SpatialEmbedding, direction: Point3 | None,
               seed: int) -> tuple[ProjectedDiagram, ProjectedDiagram]:
     # the main projection (along ``direction`` if given, where non-regular
     # raises) and the check projection, which avoids the main direction
-    if direction is not None:
-        diag = project(emb, direction)
-    else:
-        diag = regular_projection(emb, seed=seed)
-    return diag, regular_projection(emb, seed=seed + 1, avoid=[diag.direction])
+    layout = embedding_layout(emb)
+    diag = (project(emb, direction, layout) if direction is not None
+            else regular_projection(emb, seed, (), layout))
+    return diag, regular_projection(emb, seed + 1, [diag.direction], layout)
 
 
 def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
@@ -236,7 +240,8 @@ def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: Rero
     that is not parallel to the main one.  The report of ``moved``
     recomputes only the pairs through the edge, on both diagrams, and
     shares every other entry with ``emb``'s."""
-    attempt = partial(project_reroute, emb, moved, table.eid)
+    layout = embedding_layout(emb, moved.edge_paths[table.eid])
+    attempt = partial(project_reroute, emb, moved, table.eid, layout=layout)
     failure = "no regular projection direction found"
     main = _first_regular(attempt, seed, failure)
     check = _first_regular(attempt, seed + 1, failure, [main.direction])

@@ -21,27 +21,25 @@ over-strand's image tangent followed by the under-strand's is a positively
 oriented plane basis.  Signs are stored for the strands' own path
 directions; circuit orientations flip them per traversed edge.
 
-The crossing kernel works in integers only.  Rational inputs have their
-denominators cleared once per call: points and direction are each scaled
-by a positive integer, an orientation-preserving affine change that keeps
-every crossing, its segment parameters, over/under and sign.  Each
-distinct point is projected once, and each segment keeps a list of the
-image orientations of all points against its line, off which a segment
-pair reads its four.  Coincident segments are caught first, by one set
-of end pairs.  A pair with a zero orientation is tested for touching or
-overlapping images only when one of the two lists has a zero off its
-segment's own ends; otherwise the zero is a shared end.  Depth order is
-decided by integer cross-multiplication.  Three images meet in a point
-exactly when the first of the segments has two crossings at one
-parameter n/w: a repeat of the correctly rounded float n/w, confirmed in
-exact arithmetic.
+The crossing kernel works in integers only, in two halves.  A
+`strand_layout`, free of the direction, numbers the distinct points,
+clears their denominators by one positive scale (an orientation-preserving
+affine change that keeps every crossing, its parameters, over/under and
+sign), records each segment as two point ids, flags coincident segments
+and lists, per segment, the later ones sharing no end with it.  A
+`crossing_pass` only reads its layout: it projects each point once and
+gives each segment the image orientations of all points against its
+line, off which a pair reads its four.  Only a flat segment, one with a
+zero off its own ends, lets a pair with a zero orientation touch or
+overlap in the image; otherwise the zero is a shared end, so a pass
+visits the pairs sharing an end only when some segment is flat.  Depth
+order is decided by integer cross-multiplication.  Three images meet in
+a point exactly when the first of the segments has two crossings at one
+parameter n/w: a repeat of the correctly rounded float n/w, confirmed exactly.
 
-`strand_crossings` emits each crossing as one record of ten integers,
-(strand_s, segment_s, t_num_s, t_den_s, strand_t, segment_t, t_num_t,
-t_den_t, over, sign): the two segments in segment order, the parameter
-t_num/t_den along each, which of them passes over, and the sign.  A
-`ProjectedDiagram` holds the records as they are, with edge ids as strand
-keys.
+`strand_crossings` emits each crossing as one record of ten integers
+(the two segments, the parameter along each, over/under and sign).  A
+`ProjectedDiagram` holds the records as they are, edge ids as strand keys.
 
 A one-edge reroute is drawn by `project_reroute`, one pass over the
 embedding's strands and, last, the moved edge's new path, keyed one
@@ -52,37 +50,28 @@ circuits with the new path's key in its place see it after, and D is the
 two-edge circuit of both.  The pass tests every segment pair that either
 embedding's `project` tests, so it is regular only when both are.
 
-Over/under is read in one place, `crossing_matrix`: for every strand e
-and every strand f it passes over, the signed sum and the number of those
-crossings.  It rejects a record whose over is not 0 or 1 or whose sign is
-not +-1 as a kernel bug, since a sign times an odd number would keep
-every parity the checks below read.  Each diagram builds that matrix on
-first use.
-`link_tables` computes lk of every circuit pair in one pass: each J gets
-one row, the sum of s_J(e) L[e][f] over the edges e of J (s the
-traversal signs), and lk(J, K) is the sum of s_K(f) row[f] over the edges
-f of K.  It is the one place that checks a pair's crossing parity against
-lk mod 2.  The traversal signs depend only on the graph, so a
+Over/under is read in one place, `crossing_matrix`, which each diagram
+builds on first use.  `link_tables` computes lk of every circuit pair in
+one pass and is the one place that checks a pair's crossing parity
+against lk mod 2.  Its traversal signs depend only on the graph, so a
 `PairIndex` holds them with the pairs, built once per graph
-(``omega.graph_pairs``).  `pair_index` works out each distinct circuit's
-slot, vertex set and traversal signs once (a `Circuit` keeps no vertex
-set), and checks each pair's disjointness against the two vertex sets, so
-a pair costs two lookups and one set test.  `linking_number` and
-`omega_pair` are one-pair calls of it, and so is ``omega.loop_pair_link``,
-which draws two loops as one-edge circuits.
+(``omega.graph_pairs``) at a cost per distinct circuit, not per pair.
+`linking_number` and `omega_pair` are one-pair calls of it, and so is
+``omega.loop_pair_link``, which draws two loops as one-edge circuits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .circuits import Circuit
 from .embedding import EmbeddingError, SpatialEmbedding
-from .geometry import GeometryError, Point3, _overlap_1d, is_exact, projection_frame
+from .geometry import GeometryError, Point3, _overlap_1d, check_direction, projection_frame
 from .multigraph import GraphError, MultiGraph
 
 
@@ -91,17 +80,57 @@ class NonRegularProjection(RuntimeError):
 
 
 def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
-    """[p * q] for the least positive integer q making every point integral;
-    all-integer points are returned as they are."""
+    """[p * q] for the least positive integer q making every point integral
+    (all-int points as they are); GeometryError for a non-int, non-Fraction."""
     points = list(points)
-    if set(map(type, chain.from_iterable(points))) <= {int}:
+    kinds = set(map(type, chain.from_iterable(points)))
+    if kinds <= {int}:
         return points
+    if not kinds <= {int, Fraction}:
+        raise GeometryError("coordinates must be ints or Fractions")
     q = math.lcm(*{c.denominator for p in points for c in p})
     return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
 # One crossing as ten integers; see `strand_crossings`.
 CrossingRecord = tuple
+
+
+class StrandLayout(NamedTuple):
+    """The direction-free half of the crossing kernel: the distinct points
+    (cleared), one (key, index, a, b) record per segment with point ids a,
+    b, and ``apart[i]``, the later segments sharing no end with segment i."""
+
+    points: tuple[tuple[int, int, int], ...]
+    segments: tuple[tuple[object, int, int, int], ...]
+    coincident: bool
+    marker_ids: frozenset[int]
+    apart: tuple[tuple[int, ...], ...]
+
+
+def strand_layout(strands: Sequence[tuple[object, Sequence[Point3]]],
+                  markers: Iterable[Point3] = ()) -> StrandLayout:
+    """The direction-free half of `strand_crossings`, for `crossing_pass`."""
+    ids: dict[Point3, int] = {}
+    segs = []
+    for key, pts in strands:
+        for idx, p in enumerate(pts):
+            b = ids.setdefault(p, len(ids))
+            if idx:
+                segs.append((key, idx - 1, a, b))
+            a = b
+    marker_ids = frozenset(ids.setdefault(m, len(ids)) for m in markers)
+    apart = []
+    for i, (_, _, a, b) in enumerate(segs):
+        later = []
+        for j in range(i + 1, len(segs)):
+            _, _, c, d = segs[j]
+            if a != c and a != d and b != c and b != d:
+                later.append(j)
+        apart.append(tuple(later))
+    return StrandLayout(tuple(_clear_denominators(ids)), tuple(segs),
+                        len({(a, b) if a < b else (b, a) for _, _, a, b in segs}) < len(segs),
+                        marker_ids, tuple(apart))
 
 
 def strand_crossings(
@@ -113,9 +142,8 @@ def strand_crossings(
 
     Strands are (key, points) pairs.  Markers are vertex locations that
     must land on no other marker and on no segment image they are not an
-    endpoint of.  The segment pair tests already rule this out for every
-    point that ends a segment (see the module docstring), so only
-    vertices on no strand need to be passed.
+    endpoint of; only vertices on no strand need to be passed (see the
+    module docstring).
 
     Each crossing is a record (strand_s, segment_s, t_num_s, t_den_s,
     strand_t, segment_t, t_num_t, t_den_t, over, sign): segment s of
@@ -123,66 +151,57 @@ def strand_crossings(
     along each (strictly between 0 and 1, t_den > 0), with s before t in
     segment order.  over is 0 when s is nearer the viewer and 1 when t
     is, and sign is the right-handed sign for the strands' stored
-    directions.  A direction that is not three ints or Fractions raises
-    GeometryError.
+    directions.  A point or direction that is not three ints or Fractions
+    raises GeometryError.  It is a `crossing_pass` over a new `strand_layout`.
     """
-    marker_list = list(markers)
-    # every distinct point once, numbered in order of first appearance
-    ids: dict[Point3, int] = {}
-    for _, pts in strands:
-        for p in pts:
-            ids.setdefault(p, len(ids))
-    for m in marker_list:
-        ids.setdefault(m, len(ids))
-    if len(direction) != 3 or not all(map(is_exact, direction)):
-        raise GeometryError(f"a direction needs three ints or Fractions: {direction!r}")
-    cleared = _clear_denominators(ids)
-    (d,) = _clear_denominators([direction])
+    return crossing_pass(strand_layout(strands, markers), direction)
+
+
+def crossing_pass(layout: StrandLayout, direction: Point3) -> tuple[CrossingRecord, ...]:
+    """`strand_crossings` along ``direction``; the layout is only read."""
+    (d,) = _clear_denominators([check_direction(direction)])
     (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
     dx, dy, dz = d
     xs, ys, hs = [], [], []
-    for x, y, z in cleared:
+    for x, y, z in layout.points:
         xs.append(ux * x + uy * y + uz * z)
         ys.append(vx * x + vy * y + vz * z)
         hs.append(dx * x + dy * y + dz * z)
 
-    # (key, index, a, b, ah, bh) with point ids a, b and depths ah, bh, and per
-    # segment the image orientation of every point against its line
-    segs, rows = [], []
+    # per segment, the image orientation of every point against its line
+    segs, rows = layout.segments, []
     images = list(zip(xs, ys))
-    for key, pts in strands:
-        chain = [ids[p] for p in pts]
-        for idx, (a, b) in enumerate(zip(chain, chain[1:])):
-            ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-            if ax == bx and ay == by:
-                raise NonRegularProjection(
-                    f"segment {idx} of strand {key} is seen end-on")
-            segs.append((key, idx, a, b, hs[a], hs[b]))
-            ex, ey = bx - ax, by - ay
-            c = ex * ay - ey * ax
-            rows.append([ex * y - ey * x - c for x, y in images])
-    if len({(a, b) if a < b else (b, a) for _, _, a, b, _, _ in segs}) < len(segs):
+    for key, idx, a, b in segs:
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        if ax == bx and ay == by:
+            raise NonRegularProjection(
+                f"segment {idx} of strand {key} is seen end-on")
+        ex, ey = bx - ax, by - ay
+        c = ex * ay - ey * ax
+        rows.append([ex * y - ey * x - c for x, y in images])
+    if layout.coincident:
         raise NonRegularProjection("coincident segments")
 
-    marker_ids = {ids[m] for m in marker_list}
-    if len({images[m] for m in marker_ids}) < len(marker_ids):
+    if len({images[m] for m in layout.marker_ids}) < len(layout.marker_ids):
         raise NonRegularProjection("two vertices project to the same point")
-    for m in marker_ids:
+    for m in layout.marker_ids:
         mx, my = images[m]
-        for (_, _, a, b, _, _), row in zip(segs, rows):
+        for (_, _, a, b), row in zip(segs, rows):
             if m != a and m != b and row[m] == 0 and min(xs[a], xs[b]) <= mx <= max(
                     xs[a], xs[b]) and min(ys[a], ys[b]) <= my <= max(ys[a], ys[b]):
                 raise NonRegularProjection("a vertex projects onto an edge")
 
-    # a zero in a segment's list off its own ends: without one on either
-    # segment, a pair with a zero orientation shares an end and is regular
+    # a zero in a segment's list off its own ends: without one on any
+    # segment, a pair with a zero orientation shares an end and is regular,
+    # so only the pairs that share no end are visited
     flat = [row.count(0) > 2 for row in rows]
+    later = [range(i + 1, len(segs)) for i in range(len(segs))] if True in flat else layout.apart
     records: list[CrossingRecord] = []
-    for i, (key_s, idx_s, sa, sb, ah, bh) in enumerate(segs):
+    for i, (key_s, idx_s, sa, sb) in enumerate(segs):
         row_s, flat_s = rows[i], flat[i]
         at: dict = {}  # the parameters of s's crossings so far, by float value
-        for j in range(i + 1, len(segs)):
-            key_t, idx_t, ta, tb, ch, fh = segs[j]
+        for j in later[i]:
+            key_t, idx_t, ta, tb = segs[j]
             o1, o2 = row_s[ta], row_s[tb]
             if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
                 continue
@@ -224,8 +243,9 @@ def strand_crossings(
                 if seen[0] * w_s == n_s * seen[1] or exact in at:
                     raise NonRegularProjection("triple point")
                 at[exact] = exact
-            depth_s = (ah * w_s + n_s * (bh - ah)) * w_t
-            depth_t = (ch * w_t + n_t * (fh - ch)) * w_s
+            ah, ch = hs[sa], hs[ta]
+            depth_s = (ah * w_s + n_s * (hs[sb] - ah)) * w_t
+            depth_t = (ch * w_t + n_t * (hs[tb] - ch)) * w_s
             if depth_s == depth_t:
                 raise EmbeddingError("strand segments intersect in space")
             over = 0 if depth_s > depth_t else 1
@@ -243,7 +263,8 @@ def crossing_matrix(
 
     This is the one place that reads over/under.  Strand pairs with no
     such crossing are absent.  A record whose over is not 0 or 1 or whose
-    sign is not +-1 raises AssertionError (a kernel bug).
+    sign is not +-1 raises AssertionError (a kernel bug): a sign times an
+    odd number would keep every parity that `link_tables` checks.
     """
     matrix: dict[object, dict[object, tuple[int, int]]] = {}
     for key_s, _, _, _, key_t, _, _, _, over, sign in records:
@@ -281,36 +302,42 @@ class ProjectedDiagram:
         return crossing_matrix(self.crossings)
 
 
-def project(emb: SpatialEmbedding, direction: Point3) -> ProjectedDiagram:
-    """Project an embedding along a direction; the projection must be regular."""
+def embedding_layout(emb: SpatialEmbedding, arc: Sequence[Point3] | None = None) -> StrandLayout:
+    """The `strand_layout` of an embedding's edges, keyed by id, and isolated
+    vertices; with ``arc``, one more strand keyed as `project_reroute` keys it."""
     strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
-    markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
-    return ProjectedDiagram(direction, edge_endpoints(emb.graph),
-                            strand_crossings(strands, direction, markers))
+    if arc is not None:
+        strands.append((max(emb.edge_paths) + 1, arc))
+    return strand_layout(strands, [emb.vertex_points[v] for v in emb.graph.isolated_vertices])
+
+
+def project(emb: SpatialEmbedding, direction: Point3,
+            layout: StrandLayout | None = None) -> ProjectedDiagram:
+    """Project an embedding along a direction; the projection must be
+    regular.  ``layout``, when given, must be `embedding_layout(emb)`."""
+    layout = layout or embedding_layout(emb)
+    return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossing_pass(layout, direction))
 
 
 def project_reroute(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
-                    direction: Point3) -> ProjectedDiagram:
+                    direction: Point3, layout: StrandLayout | None = None) -> ProjectedDiagram:
     """One diagram of ``emb`` and of the new path of edge ``eid`` in
     ``moved`` along ``direction``, where ``moved`` differs from ``emb``
     only in that path and the new path meets the old one only at their
-    ends.
+    ends.  ``layout``, when given, must be
+    `embedding_layout(emb, moved.edge_paths[eid])`.
 
     The new path is the last strand, keyed ``max(edge id) + 1`` with the
-    ends of ``eid`` (see the module docstring).  The pass tests every
-    segment pair of both embeddings, so it raises NonRegularProjection
-    whenever either `project` would.  It may also raise when both are
-    regular: where the old and new paths meet irregularly in the image,
-    or where a crossing on one of them has the image of a crossing on the
-    other.
+    ends of ``eid`` (see the module docstring).  The pass raises
+    NonRegularProjection whenever either `project` would, and may also
+    when both are regular: where the old and new paths meet irregularly in
+    the image, or where a crossing on one of them has the image of a
+    crossing on the other.
     """
-    arc = max(emb.edge_paths) + 1
-    strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
-    strands.append((arc, moved.edge_paths[eid]))
-    markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
+    layout = layout or embedding_layout(emb, moved.edge_paths[eid])
     endpoints = edge_endpoints(emb.graph)
-    endpoints[arc] = endpoints[eid]
-    return ProjectedDiagram(direction, endpoints, strand_crossings(strands, direction, markers))
+    endpoints[max(emb.edge_paths) + 1] = endpoints[eid]
+    return ProjectedDiagram(direction, endpoints, crossing_pass(layout, direction))
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],

@@ -10,7 +10,7 @@ import argparse
 
 import pytest
 
-from linkless import omega, projection
+from linkless import projection
 from linkless.acceptance import (
     criterion_1_k6_experiment,
     criterion_2_k331_experiment,
@@ -95,12 +95,11 @@ def test_criterion_8_gives_up_through_the_direction_search(monkeypatch):
     # with no regular direction stops at the search's cap with its error
     tried = []
 
-    def refuse(emb, direction):
+    def refuse(layout, direction):
         tried.append(direction)
         raise projection.NonRegularProjection("forced")
 
-    monkeypatch.setattr(projection, "project", refuse)
-    monkeypatch.setattr(omega, "project", refuse)
+    monkeypatch.setattr(projection, "crossing_pass", refuse)
     with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
         criterion_8_projection_independence(embeddings=1)
     assert len(tried) == 64

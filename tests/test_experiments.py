@@ -221,6 +221,38 @@ def test_detour_links_of_an_edge_with_waypoints(monkeypatch):
     assert any(lk != 0 for lk in links)
 
 
+def _strand_count(layout):
+    return len({key for key, *_ in layout.segments})
+
+
+@pytest.mark.parametrize("run", [conway_gordon_experiment, edge_swap_check],
+                         ids=["experiment", "reroute-check"])
+@pytest.mark.parametrize("refused", [False, True], ids=["regular", "main-refused"])
+def test_a_trial_draws_its_passes_from_one_layout(run, refused, monkeypatch):
+    # N trials build N layouts; each trial runs its main and its check pass
+    # on its own layout, and a main direction refused as non-regular is
+    # retried on that same layout
+    layouts, passes = [], []
+    real_layout, real_pass = projection.strand_layout, projection.crossing_pass
+
+    def built(*args):
+        layouts.append(real_layout(*args))
+        return layouts[-1]
+
+    def counted(layout, direction):
+        passes.append(layout)
+        if refused and sum(drawn is layout for drawn in passes) == 1:
+            raise NonRegularProjection("forced")
+        return real_pass(layout, direction)
+
+    monkeypatch.setattr(projection, "strand_layout", built)
+    monkeypatch.setattr(projection, "crossing_pass", counted)
+    run(complete_graph(6), trials=8, seed=0)
+    per_trial = 3 if refused else 2
+    assert len(layouts) == 8 and len(passes) == per_trial * 8
+    assert all(drawn is layouts[at // per_trial] for at, drawn in enumerate(passes))
+
+
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
     # per trial: exactly two crossing passes, the main and the check pass,
@@ -228,14 +260,13 @@ def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
     # directions; both diagrams also give every lk(D, K), so no pass draws
     # D on its own
     passes = []
-    real_pass = projection.strand_crossings
+    real_pass = projection.crossing_pass
 
-    def counted(strand_list, direction, markers=()):
-        passes.append((len(strand_list), direction))
-        return real_pass(strand_list, direction, markers)
+    def counted(layout, direction):
+        passes.append((_strand_count(layout), direction))
+        return real_pass(layout, direction)
 
-    monkeypatch.setattr(projection, "strand_crossings", counted)
-    monkeypatch.setattr(omega, "strand_crossings", counted)
+    monkeypatch.setattr(projection, "crossing_pass", counted)
     report = edge_swap_check(graph, trials=10, seed=0)
     assert report.passed
     assert len(passes) == 10 * 2
@@ -355,15 +386,15 @@ def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypa
     # every pass that draws the new arc (one strand more than the graph's
     # edges) is non-regular, so the main search gives up
     attempts = []
-    real_pass = projection.strand_crossings
+    real_pass = projection.crossing_pass
 
-    def never_regular_with_the_arc(strands, direction, markers=()):
-        if len(strands) > 15:
+    def never_regular_with_the_arc(layout, direction):
+        if _strand_count(layout) > 15:
             attempts.append(direction)
             raise NonRegularProjection("forced")
-        return real_pass(strands, direction, markers)
+        return real_pass(layout, direction)
 
-    monkeypatch.setattr(projection, "strand_crossings", never_regular_with_the_arc)
+    monkeypatch.setattr(projection, "crossing_pass", never_regular_with_the_arc)
     with pytest.raises(RetryLimitExceeded, match=f"in {DIRECTION_ATTEMPTS} attempts"):
         edge_swap_check(complete_graph(6), trials=1, seed=0)
     assert len(attempts) == len(set(attempts)) == DIRECTION_ATTEMPTS

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import linkless.experiments as experiments
 import linkless.omega as omega
+import linkless.projection as projection
 from linkless import embedding
 from linkless.embedding import (
     EmbeddingError,
@@ -378,16 +379,16 @@ def test_an_arc_non_regular_at_the_before_direction_falls_back(
     emb = random_embedding(graph, emb_seed)
     monkeypatch.setattr(experiments, "random_detour", _detour_above_u)
     raised = []
-    real = omega.project_reroute
+    real = projection.crossing_pass
 
-    def watched(emb, moved, eid, direction):
+    def watched(layout, direction):
         try:
-            return real(emb, moved, eid, direction)
+            return real(layout, direction)
         except NonRegularProjection:
             raised.append(direction)
             raise
 
-    monkeypatch.setattr(omega, "project_reroute", watched)
+    monkeypatch.setattr(projection, "crossing_pass", watched)
     monkeypatch.setattr(experiments, "random_embedding", lambda g, seed: emb)
     doc = edge_swap_check(graph, trials=trials, seed=0).to_json_dict()
     # both searches of every trial start at (0, 0, 1) and pass it by
@@ -430,16 +431,16 @@ def test_a_loop_read_without_the_arcs_crossings_breaks_the_pair_identity(monkeyp
 
     # the premise: edge uv crosses nothing in either diagram
     drawn = []
-    real = omega.project_reroute
+    real = projection.crossing_pass
 
-    def recorded(*args):
-        drawn.append(real(*args))
+    def recorded(layout, direction):
+        drawn.append(real(layout, direction))
         return drawn[-1]
 
-    monkeypatch.setattr(omega, "project_reroute", recorded)
+    monkeypatch.setattr(projection, "crossing_pass", recorded)
     assert edge_swap_check(g, trials=1, seed=0).passed
     assert len(drawn) == 2  # the main and the check pass
-    assert all(e.id not in (r[0], r[4]) for diagram in drawn for r in diagram.crossings)
+    assert all(e.id not in (r[0], r[4]) for records in drawn for r in records)
 
     real_table = experiments.reroute_table
 

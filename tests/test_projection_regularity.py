@@ -13,6 +13,7 @@ from itertools import combinations, count, islice
 import pytest
 
 import linkless.omega as omega
+import linkless.projection as projection
 from linkless.embedding import (
     EmbeddingError,
     RetryLimitExceeded,
@@ -136,12 +137,11 @@ def never_regular(monkeypatch):
     """Every projection is degenerate; returns the directions tried."""
     tried = []
 
-    def refuse(subject, direction):
+    def refuse(layout, direction):
         tried.append(direction)
         raise NonRegularProjection("forced")
 
-    monkeypatch.setattr(omega, "project", refuse)
-    monkeypatch.setattr(omega, "strand_crossings", refuse)
+    monkeypatch.setattr(projection, "crossing_pass", refuse)
     return tried
 
 

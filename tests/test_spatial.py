@@ -46,6 +46,7 @@ from linkless.projection import (
     omega_pair,
     pair_index,
     project,
+    strand_crossings,
 )
 from oracles import (
     circuit_polyline,
@@ -279,6 +280,26 @@ def test_inexact_direction_components_are_rejected(direction):
     emb = random_embedding(complete_graph(6), 0)
     with pytest.raises(GeometryError, match="a direction needs three ints or Fractions"):
         omega_graph(emb, direction=direction)
+
+
+@pytest.mark.parametrize("avoided", [(True, 0, 0), (0.5, 0, 1), (1e20, 0, 1), ("1", 0, 1), (0, 1)],
+                         ids=["bool", "float", "large float", "str", "two components"])
+def test_inexact_directions_to_avoid_are_rejected(avoided):
+    emb = random_embedding(complete_graph(6), 0)
+    with pytest.raises(GeometryError, match="a direction needs three ints or Fractions"):
+        regular_projection(emb, avoid=[(0, 0, 1), avoided])
+
+
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+def test_inexact_strand_points_are_rejected(bad):
+    # the kernel's one check of strand points, as `omega.loop_pair_link`
+    # hands its loops over unchecked
+    loop = [(bad, 0, 0), (-1, 2, 0), (-1, -2, 0)]
+    ring = [(0, 0, -1), (0, 3, 1), (0, -3, 1)]
+    with pytest.raises(GeometryError, match="coordinates must be ints or Fractions"):
+        loop_pair_link(loop, ring)
+    with pytest.raises(GeometryError, match="coordinates must be ints or Fractions"):
+        strand_crossings([(0, ring), (1, [(Fraction(1, 2), 0, 0), *loop])], (0, 0, 1))
 
 
 def test_k6_minus_edge_omega_depends_on_embedding():

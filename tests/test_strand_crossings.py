@@ -13,8 +13,11 @@ the kernel must return the same records.  Wherever the reference finds
 the projection non-regular, so must the kernel; where the reference
 finds strands meeting in space, the kernel may report a non-regularity
 instead, since it catches coincident segments before any pair test.
+The same holds for passes along two directions over one strand layout,
+which must also leave the layout as it was.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkless.embedding import EmbeddingError
-from linkless.projection import NonRegularProjection, strand_crossings
+from linkless.projection import (
+    NonRegularProjection,
+    crossing_pass,
+    strand_crossings,
+    strand_layout,
+)
 from oracles import strand_crossings_reference
 
 DIRECTIONS = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, -2, 3), (2, 1, -1)]
@@ -136,6 +144,31 @@ def test_the_kernel_matches_the_reference(drawn):
         assert got in (EmbeddingError, NonRegularProjection)
     else:
         assert got == expected
+
+
+@st.composite
+def _two_directions(draw):
+    strands, direction, markers = draw(_inputs())
+    return strands, markers, (direction, draw(st.sampled_from(DIRECTIONS)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_two_directions())
+def test_passes_on_one_layout_match_the_reference(drawn):
+    # the first direction again after the second, so each pass follows the
+    # other on the same layout; flat draws (shared-end overlaps, collinear
+    # images) make the passes visit the pairs that share an end
+    strands, markers, (first, second) = drawn
+    layout = strand_layout(strands, markers)
+    kept = copy.deepcopy(layout)
+    for direction in (first, second, first):
+        expected = _outcome(strands, direction, markers, strand_crossings_reference)
+        got = _outcome(strands, direction, markers, lambda *_: crossing_pass(layout, direction))
+        if expected is EmbeddingError:
+            assert got in (EmbeddingError, NonRegularProjection)
+        else:
+            assert got == expected
+    assert layout == kept
 
 
 def test_crossings_at_parameters_with_one_float_are_kept():
