@@ -70,6 +70,7 @@ from .planarity import PlanarCertificate, planar_certificate_errors, planar_rota
 from .projection import (
     NonRegularProjection,
     ProjectedDiagram,
+    embedding_layout,
     linking_number,
     omega_pair,
     project,
@@ -109,6 +110,7 @@ __all__ = [
     "disjoint_circuit_pairs",
     "edge_swap_check",
     "embedding_from_json_dict",
+    "embedding_layout",
     "embedding_to_json_dict",
     "enumerate_circuits",
     "format_edge_list",

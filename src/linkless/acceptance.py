@@ -23,7 +23,7 @@ from .multigraph import (
     k331_graph,
     parse_graph,
 )
-from .projection import link_tables
+from .projection import embedding_layout, link_tables
 from .embedding import random_embedding
 from .omega import graph_pairs, regular_projection
 
@@ -260,11 +260,11 @@ def criterion_8_projection_independence(
         index = graph_pairs(g)
         mismatches = []
         for i in range(embeddings):
-            emb = random_embedding(g, seed ^ i)
+            layout = embedding_layout(random_embedding(g, seed ^ i))
             diagrams = []
             for _ in range(directions):
                 diagrams.append(regular_projection(
-                    emb, seed=1000 + i, avoid=[d.direction for d in diagrams]))
+                    layout, seed=1000 + i, avoid=[d.direction for d in diagrams]))
             tables = link_tables(diagrams, index)
             if any(t != tables[0] for t in tables[1:]):
                 mismatches.append({"embedding_seed": seed ^ i, "tables": tables})

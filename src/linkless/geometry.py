@@ -171,10 +171,6 @@ def shared_endpoint_segments_overlap(s: Point3, a: Point3, b: Point3) -> bool:
 # -- projection frames ---------------------------------------------------------
 
 
-def det3(u: Point3, v: Point3, w: Point3) -> Rat:
-    return dot3(cross3(u, v), w)
-
-
 def projection_frame(direction: Point3) -> tuple[Point3, Point3]:
     """Two vectors u, v spanning the plane across ``direction``.
 
@@ -189,8 +185,5 @@ def projection_frame(direction: Point3) -> tuple[Point3, Point3]:
     if is_zero3(cross3(d, w)):
         w = (0, 1, 0)
     u = cross3(d, w)
-    v = cross3(d, u)
-    if det3(u, v, d) < 0:
-        v = (-v[0], -v[1], -v[2])
-    assert det3(u, v, d) > 0
-    return u, v
+    # det(u, d x u, d) = |u|^2 |d|^2 > 0 for u across d: right-handed
+    return u, cross3(d, u)

@@ -7,23 +7,22 @@ disagreement would mean a bug in the exact kernel, so it raises instead
 of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
 
-Each projection is computed once and carries its edge-pair crossing
-matrix.  Its lk table comes from one checked pass over the pairs
-(``projection.link_tables``), and each omega and the total are read off
-it.  ``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
-reroute is drawn by one crossing pass per direction over the embedding's
-strands and the new path (``projection.project_reroute``), and a
-direction counts as regular only when that whole pass is.  The reports
-before and after it (``_reroute_reports``) read the main and the check
-diagram through the two views of a ``RerouteTable``, built once per
-moved edge, so lk(D, K) of the loop D of the old and new paths is read
-off both diagrams and checked between them, as every other lk is.  A
-report or a reroute trial builds one strand layout of what it draws
-(``projection.embedding_layout``) and runs all its passes over it: the
-main and the check pass and each non-regular direction passed by.
+Each diagram is ``projection.project`` of a strand layout along one
+direction and carries its edge-pair crossing matrix.  Its lk table comes
+from one checked pass over the pairs (``projection.link_tables``), and
+each omega and the total are read off it.  ``graph_pairs`` indexes a
+graph's pairs, listed by ``circuits``.  A report builds one layout of
+the embedding (``projection.embedding_layout``), a reroute trial one of
+the embedding and the new path, so a reroute direction counts as regular
+only when the pass over both is; ``_diagrams`` draws the main and the
+check diagram of either.  The reports before and after a reroute
+(``_reroute_reports``) read those two diagrams through the two views of
+a ``RerouteTable``, built once per moved edge, so lk(D, K) of the loop D
+of the old and new paths is read off both diagrams and checked between
+them, as every other lk is.
 
-Every direction search in the package is ``_first_regular`` over
-``direction_stream``.  Its ``avoid`` lists directions already drawn: the
+``regular_projection`` over ``direction_stream`` is the package's only
+direction search.  Its ``avoid`` lists directions already drawn: the
 check projection avoids the first one, and acceptance criterion 8 avoids
 every direction it has drawn for the same embedding.
 """
@@ -32,9 +31,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import RetryLimitExceeded, SpatialEmbedding
@@ -49,16 +47,14 @@ from .projection import (
     embedding_layout,
     link_tables,
     linking_number,
+    new_path_key,
     pair_index,
     project,
-    project_reroute,
-    strand_crossings,
+    strand_layout,
 )
 
 DEFAULT_DIRECTION: Point3 = (0, 0, 1)
 DIRECTION_ATTEMPTS = 64
-
-T = TypeVar("T")
 
 
 def direction_stream(seed: int) -> Iterator[Point3]:
@@ -71,37 +67,26 @@ def direction_stream(seed: int) -> Iterator[Point3]:
             yield d
 
 
-def _first_regular(attempt: Callable[[Point3], T], seed: int, failure: str,
-                   avoid: Sequence[Point3] = ()) -> T:
-    """``attempt(d)`` for the first of DIRECTION_ATTEMPTS seeded directions d
-    where it does not raise NonRegularProjection.  A direction parallel to
-    one in ``avoid`` gives a picture already drawn, so it is skipped and not
-    counted.  An entry of ``avoid`` that is not three ints or Fractions, or a
-    zero vector, parallel to every direction, raises GeometryError."""
+def regular_projection(layout: StrandLayout, seed: int = 0,
+                       avoid: Sequence[Point3] = ()) -> ProjectedDiagram:
+    """`project` the layout along the first of DIRECTION_ATTEMPTS seeded
+    directions where it is regular; RetryLimitExceeded if there is none.
+    It is the package's only direction search.  A direction parallel to
+    one in ``avoid`` gives a picture already drawn, so it is skipped and
+    not counted.  An entry of ``avoid`` that is not three ints or
+    Fractions, or a zero vector, parallel to every direction, raises
+    GeometryError."""
     if any(is_zero3(check_direction(a)) for a in avoid):
         raise GeometryError("projection direction must be nonzero")
     directions = (d for d in direction_stream(seed)
                   if not any(is_zero3(cross3(d, a)) for a in avoid))
     for d in islice(directions, DIRECTION_ATTEMPTS):
         try:
-            return attempt(d)
+            return project(layout, d)
         except NonRegularProjection:
             continue
-    raise RetryLimitExceeded(f"{failure} in {DIRECTION_ATTEMPTS} attempts")
-
-
-def regular_projection(
-    emb: SpatialEmbedding,
-    seed: int = 0,
-    avoid: Sequence[Point3] = (),
-    layout: StrandLayout | None = None,
-) -> ProjectedDiagram:
-    """Project along the first regular direction from the seeded stream that
-    is parallel to none of the directions in ``avoid``, each attempt a pass
-    over ``layout`` (`embedding_layout(emb)`, built here if not given)."""
-    layout = layout or embedding_layout(emb)
-    return _first_regular(lambda d: project(emb, d, layout), seed,
-                          "no regular projection direction found", avoid)
+    raise RetryLimitExceeded(
+        f"no regular projection direction found in {DIRECTION_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -170,17 +155,16 @@ def _omega_with_pairs(
     direction: Point3 | None = None,
     seed: int = 0,
 ) -> OmegaReport:
-    return _report(emb, index, *_diagrams(emb, direction, seed))
+    return _report(emb, index, *_diagrams(embedding_layout(emb), direction, seed))
 
 
-def _diagrams(emb: SpatialEmbedding, direction: Point3 | None,
+def _diagrams(layout: StrandLayout, direction: Point3 | None,
               seed: int) -> tuple[ProjectedDiagram, ProjectedDiagram]:
     # the main projection (along ``direction`` if given, where non-regular
     # raises) and the check projection, which avoids the main direction
-    layout = embedding_layout(emb)
-    diag = (project(emb, direction, layout) if direction is not None
-            else regular_projection(emb, seed, (), layout))
-    return diag, regular_projection(emb, seed + 1, [diag.direction], layout)
+    diag = (project(layout, direction) if direction is not None
+            else regular_projection(layout, seed))
+    return diag, regular_projection(layout, seed + 1, [diag.direction])
 
 
 def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
@@ -199,11 +183,11 @@ def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
 @dataclass(frozen=True)
 class RerouteTable:
     """A graph's pair index prepared once for reroutes of edge ``eid``:
-    ``before`` reads a `project_reroute` diagram as the embedding, and
-    ``after`` as the moved one for the pairs through the edge only, which
-    sit at ``positions`` among the pairs, followed by one pair (D, K) for
-    each of them: the loop D, out along the edge and back along the new
-    path, and the pair's circuit K opposite the edge."""
+    ``before`` reads a reroute diagram as the embedding, and ``after`` as
+    the moved one for the pairs through the edge only, which sit at
+    ``positions`` among the pairs, followed by one pair (D, K) for each of
+    them: the loop D, out along the edge and back along the new path, and
+    the pair's circuit K opposite the edge."""
 
     eid: int
     before: PairIndex
@@ -213,7 +197,7 @@ class RerouteTable:
 
 def reroute_table(index: PairIndex, eid: int) -> RerouteTable:
     """The `RerouteTable` of edge ``eid`` of the graph ``index`` indexes."""
-    arc = max(index.endpoints) + 1  # the new path's key
+    arc = new_path_key(index.endpoints)
     ends = index.endpoints[eid]
     before = replace(index, endpoints={**index.endpoints, arc: ends})
     positions = tuple(at for at, (j, k) in enumerate(index.pairs)
@@ -234,17 +218,12 @@ def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: Rero
                      seed: int) -> tuple[OmegaReport, OmegaReport, list[int]]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
     only in the path of edge ``table.eid``, and lk(D, K) of the loop pairs
-    of the table's ``after`` view, from two `project_reroute` passes: the main
-    pass along the first direction from ``seed`` where it is regular, the
-    check pass along the first from ``seed + 1`` where it is regular and
-    that is not parallel to the main one.  The report of ``moved``
+    of the table's ``after`` view, read off the two `_diagrams` of one
+    layout of ``emb`` and the new path.  The report of ``moved``
     recomputes only the pairs through the edge, on both diagrams, and
     shares every other entry with ``emb``'s."""
-    layout = embedding_layout(emb, moved.edge_paths[table.eid])
-    attempt = partial(project_reroute, emb, moved, table.eid, layout=layout)
-    failure = "no regular projection direction found"
-    main = _first_regular(attempt, seed, failure)
-    check = _first_regular(attempt, seed + 1, failure, [main.direction])
+    layout = embedding_layout(emb, (table.eid, moved.edge_paths[table.eid]))
+    main, check = _diagrams(layout, None, seed)
     before = _report(emb, table.before, main, check)
     after = _report(moved, table.after, main, check).pairs
     entries = list(before.pairs)
@@ -263,8 +242,6 @@ def loop_pair_link(
     Each loop is drawn as a one-edge circuit on a vertex of its own, and lk
     is read off the checked lk table."""
     strands = [(0, [*loop_a, loop_a[0]]), (1, [*loop_b, loop_b[0]])]  # each loop closed
-    diagram = _first_regular(
-        lambda d: ProjectedDiagram(d, {0: (0, 0), 1: (1, 1)}, strand_crossings(strands, d)),
-        seed, "no regular projection for the loop pair")
+    diagram = regular_projection(strand_layout(strands, {0: (0, 0), 1: (1, 1)}), seed)
     lk = linking_number(diagram, Circuit((0,), (0,)), Circuit((1,), (1,)))
     return lk, lk & 1

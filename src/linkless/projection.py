@@ -37,18 +37,24 @@ order is decided by integer cross-multiplication.  Three images meet in
 a point exactly when the first of the segments has two crossings at one
 parameter n/w: a repeat of the correctly rounded float n/w, confirmed exactly.
 
-`strand_crossings` emits each crossing as one record of ten integers
-(the two segments, the parameter along each, over/under and sign).  A
-`ProjectedDiagram` holds the records as they are, edge ids as strand keys.
+`crossing_pass` emits each crossing as one record of ten integers (the
+two segments, the parameter along each, over/under and sign).  A layout
+also carries each strand key's ends, the (u, v) graph vertices it runs
+between, and a `ProjectedDiagram` is `project(layout, direction)`: the
+records as they are and those ends, edge ids as strand keys.  Every
+diagram in the package is drawn by `project`.
 
-A one-edge reroute is drawn by `project_reroute`, one pass over the
-embedding's strands and, last, the moved edge's new path, keyed one
-above every edge id and given the moved edge's ends.  That one diagram
+A one-edge reroute is drawn from `embedding_layout(emb, (eid, path))`:
+the embedding's strands and, last, the new path, keyed `new_path_key`
+(one above every edge id) with the ends of edge eid.  That one diagram
 holds both embeddings and the loop D of the old and new paths: circuits
 read through the old edge's id see the embedding before the reroute,
 circuits with the new path's key in its place see it after, and D is the
 two-edge circuit of both.  The pass tests every segment pair that either
-embedding's `project` tests, so it is regular only when both are.
+embedding's own pass tests, so it is regular only when both are; it may
+also raise when both are, where the old and new paths meet irregularly
+in the image or a crossing on one has the image of a crossing on the
+other.
 
 Over/under is read in one place, `crossing_matrix`, which each diagram
 builds on first use.  `link_tables` computes lk of every circuit pair in
@@ -92,25 +98,33 @@ def _clear_denominators(points: Iterable[Point3]) -> list[tuple[int, int, int]]:
     return [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
 
 
-# One crossing as ten integers; see `strand_crossings`.
+# One crossing as ten integers; see `crossing_pass`.
 CrossingRecord = tuple
 
 
 class StrandLayout(NamedTuple):
     """The direction-free half of the crossing kernel: the distinct points
     (cleared), one (key, index, a, b) record per segment with point ids a,
-    b, and ``apart[i]``, the later segments sharing no end with segment i."""
+    b, ``apart[i]``, the later segments sharing no end with segment i, and
+    ``ends``, the (u, v) graph ends of each strand key."""
 
     points: tuple[tuple[int, int, int], ...]
     segments: tuple[tuple[object, int, int, int], ...]
     coincident: bool
     marker_ids: frozenset[int]
     apart: tuple[tuple[int, ...], ...]
+    ends: Mapping[object, tuple[int, int]]
 
 
 def strand_layout(strands: Sequence[tuple[object, Sequence[Point3]]],
+                  ends: Mapping[object, tuple[int, int]],
                   markers: Iterable[Point3] = ()) -> StrandLayout:
-    """The direction-free half of `strand_crossings`, for `crossing_pass`."""
+    """The layout of (key, points) strands with these ``ends``, for
+    `crossing_pass`.  Markers are vertex locations that must land on no
+    other marker and on no segment image they are not an endpoint of;
+    only vertices on no strand need to be passed (see the module
+    docstring).  A point that is not three ints or Fractions raises
+    GeometryError."""
     ids: dict[Point3, int] = {}
     segs = []
     for key, pts in strands:
@@ -130,20 +144,12 @@ def strand_layout(strands: Sequence[tuple[object, Sequence[Point3]]],
         apart.append(tuple(later))
     return StrandLayout(tuple(_clear_denominators(ids)), tuple(segs),
                         len({(a, b) if a < b else (b, a) for _, _, a, b in segs}) < len(segs),
-                        marker_ids, tuple(apart))
+                        marker_ids, tuple(apart), ends)
 
 
-def strand_crossings(
-    strands: Sequence[tuple[object, Sequence[Point3]]],
-    direction: Point3,
-    markers: Iterable[Point3] = (),
-) -> tuple[CrossingRecord, ...]:
-    """All transversal crossings between strand images, or NonRegularProjection.
-
-    Strands are (key, points) pairs.  Markers are vertex locations that
-    must land on no other marker and on no segment image they are not an
-    endpoint of; only vertices on no strand need to be passed (see the
-    module docstring).
+def crossing_pass(layout: StrandLayout, direction: Point3) -> tuple[CrossingRecord, ...]:
+    """All transversal crossings between the images of the layout's strands
+    along ``direction``, or NonRegularProjection; the layout is only read.
 
     Each crossing is a record (strand_s, segment_s, t_num_s, t_den_s,
     strand_t, segment_t, t_num_t, t_den_t, over, sign): segment s of
@@ -151,14 +157,9 @@ def strand_crossings(
     along each (strictly between 0 and 1, t_den > 0), with s before t in
     segment order.  over is 0 when s is nearer the viewer and 1 when t
     is, and sign is the right-handed sign for the strands' stored
-    directions.  A point or direction that is not three ints or Fractions
-    raises GeometryError.  It is a `crossing_pass` over a new `strand_layout`.
+    directions.  A direction that is not three ints or Fractions raises
+    GeometryError.
     """
-    return crossing_pass(strand_layout(strands, markers), direction)
-
-
-def crossing_pass(layout: StrandLayout, direction: Point3) -> tuple[CrossingRecord, ...]:
-    """`strand_crossings` along ``direction``; the layout is only read."""
     (d,) = _clear_denominators([check_direction(direction)])
     (ux, uy, uz), (vx, vy, vz) = projection_frame(d)
     dx, dy, dz = d
@@ -288,8 +289,8 @@ def crossing_matrix(
 class ProjectedDiagram:
     """Crossing data of one regular projection of an embedded graph.
 
-    ``crossings`` holds the integer records of `strand_crossings`, with
-    edge ids as strand keys.
+    ``crossings`` holds the integer records of `crossing_pass`, with edge
+    ids as strand keys, and ``edge_endpoints`` the layout's strand ends.
     """
 
     direction: Point3
@@ -302,42 +303,31 @@ class ProjectedDiagram:
         return crossing_matrix(self.crossings)
 
 
-def embedding_layout(emb: SpatialEmbedding, arc: Sequence[Point3] | None = None) -> StrandLayout:
-    """The `strand_layout` of an embedding's edges, keyed by id, and isolated
-    vertices; with ``arc``, one more strand keyed as `project_reroute` keys it."""
+def new_path_key(endpoints: Mapping[int, tuple[int, int]]) -> int:
+    """The strand key of a rerouted edge's new path: one above every edge id."""
+    return max(endpoints) + 1
+
+
+def embedding_layout(emb: SpatialEmbedding,
+                     reroute: tuple[int, Sequence[Point3]] | None = None) -> StrandLayout:
+    """The `strand_layout` of an embedding's edges, keyed by id with their
+    ends, and of its isolated vertices.  With ``reroute`` = (eid, path),
+    a new path of edge eid that meets the old one only at their ends, the
+    path is one more strand, last, keyed `new_path_key` with eid's ends."""
     strands = [(e.id, emb.edge_paths[e.id]) for e in emb.graph.edges]
-    if arc is not None:
-        strands.append((max(emb.edge_paths) + 1, arc))
-    return strand_layout(strands, [emb.vertex_points[v] for v in emb.graph.isolated_vertices])
+    ends = edge_endpoints(emb.graph)
+    if reroute is not None:
+        eid, path = reroute
+        key = new_path_key(ends)
+        strands.append((key, path))
+        ends[key] = ends[eid]
+    return strand_layout(strands, ends,
+                         [emb.vertex_points[v] for v in emb.graph.isolated_vertices])
 
 
-def project(emb: SpatialEmbedding, direction: Point3,
-            layout: StrandLayout | None = None) -> ProjectedDiagram:
-    """Project an embedding along a direction; the projection must be
-    regular.  ``layout``, when given, must be `embedding_layout(emb)`."""
-    layout = layout or embedding_layout(emb)
-    return ProjectedDiagram(direction, edge_endpoints(emb.graph), crossing_pass(layout, direction))
-
-
-def project_reroute(emb: SpatialEmbedding, moved: SpatialEmbedding, eid: int,
-                    direction: Point3, layout: StrandLayout | None = None) -> ProjectedDiagram:
-    """One diagram of ``emb`` and of the new path of edge ``eid`` in
-    ``moved`` along ``direction``, where ``moved`` differs from ``emb``
-    only in that path and the new path meets the old one only at their
-    ends.  ``layout``, when given, must be
-    `embedding_layout(emb, moved.edge_paths[eid])`.
-
-    The new path is the last strand, keyed ``max(edge id) + 1`` with the
-    ends of ``eid`` (see the module docstring).  The pass raises
-    NonRegularProjection whenever either `project` would, and may also
-    when both are regular: where the old and new paths meet irregularly in
-    the image, or where a crossing on one of them has the image of a
-    crossing on the other.
-    """
-    layout = layout or embedding_layout(emb, moved.edge_paths[eid])
-    endpoints = edge_endpoints(emb.graph)
-    endpoints[max(emb.edge_paths) + 1] = endpoints[eid]
-    return ProjectedDiagram(direction, endpoints, crossing_pass(layout, direction))
+def project(layout: StrandLayout, direction: Point3) -> ProjectedDiagram:
+    """The diagram of a layout along ``direction``, which must be regular."""
+    return ProjectedDiagram(direction, layout.ends, crossing_pass(layout, direction))
 
 
 def _traversal_signs(endpoints: Mapping[int, tuple[int, int]],

@@ -275,7 +275,7 @@ def vertex_image_faults(segments, vertices, direction) -> list[tuple]:
 
 
 def decode(record) -> tuple:
-    """A `strand_crossings` record as the (key, index, t, key', index', t',
+    """A `crossing_pass` record as the (key, index, t, key', index', t',
     over, sign) tuple of `crossing_oracle`, with t and t' as Fractions."""
     key_s, idx_s, n_s, w_s, key_t, idx_t, n_t, w_t, over, sign = record
     return (key_s, idx_s, Fraction(n_s, w_s), key_t, idx_t, Fraction(n_t, w_t), over, sign)

@@ -90,6 +90,28 @@ def test_criterion_8_projection_independence():
     assert result.details["mismatches"] == []
 
 
+def test_criterion_8_builds_one_layout_per_embedding(monkeypatch):
+    # every direction drawn for an embedding is a pass over that
+    # embedding's one strand layout
+    layouts, passes = [], []
+    real_layout, real_pass = projection.strand_layout, projection.crossing_pass
+
+    def built(*args):
+        layouts.append(real_layout(*args))
+        return layouts[-1]
+
+    def counted(layout, direction):
+        passes.append(layout)
+        return real_pass(layout, direction)
+
+    monkeypatch.setattr(projection, "strand_layout", built)
+    monkeypatch.setattr(projection, "crossing_pass", counted)
+    result = criterion_8_projection_independence(embeddings=5, directions=10)
+    assert result.passed, result.details
+    assert len(layouts) == 5 and len(passes) >= 50
+    assert all(sum(drawn is layout for drawn in passes) >= 10 for layout in layouts)
+
+
 def test_criterion_8_gives_up_through_the_direction_search(monkeypatch):
     # criterion 8 draws its directions through regular_projection, so a run
     # with no regular direction stops at the search's cap with its error

@@ -493,7 +493,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
     # direction search, only `omega` builds a graph's pair index
     # (`graph_pairs`), only `projection` reads the crossing matrix, checks
     # lk parities and raises the pair test's messages (each in one place),
-    # only `omega` draws a reroute's diagrams (`project_reroute`), no module
+    # only `projection` constructs a `ProjectedDiagram` (in `project`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # no report carries wall-clock timings, only `moves` names the pinned
     # family table, and only `canonical` packs keys and defines the search
@@ -505,10 +505,10 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
               "crossing_matrix": {"projection.py"},
-              "project_reroute": {"projection.py", "omega.py"},
               "_FAMILY": {"moves.py"}, "_pack_key": {"canonical.py"},
               "_canonical_search": {"canonical.py"}}
     raised: dict[str, list[str]] = {}
+    diagrams = set()
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -516,6 +516,9 @@ def test_derived_state_stays_with_the_module_that_builds_it():
                     and node.func.id == "NonRegularProjection" and node.args
                     and isinstance(node.args[0], ast.Constant)):
                 raised.setdefault(node.args[0].value, []).append(path.name)
+            if isinstance(node, ast.Call) and "ProjectedDiagram" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                diagrams.add(path.name)
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
@@ -531,6 +534,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
                 f"{path.name}:{node.lineno} sorts edges by id")
     for message in PAIR_TEST_MESSAGES:
         assert raised.get(message) == ["projection.py"], (message, raised.get(message))
+    assert diagrams == {"projection.py"}, f"a ProjectedDiagram is constructed in {diagrams}"
 
 
 def _named_outside_their_defs(tree) -> set[str]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from linkless.geometry import (
     GeometryError,
-    det3,
+    cross3,
     dot3,
     format_point,
     format_rational,
@@ -199,7 +199,7 @@ def test_projection_frame_right_handed(direction):
     u, v = projection_frame(direction)
     assert dot3(u, direction) == 0
     assert dot3(v, direction) == 0
-    assert det3(u, v, direction) > 0
+    assert dot3(cross3(u, v), direction) > 0
 
 
 def test_projection_frame_rejects_zero():

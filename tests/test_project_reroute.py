@@ -1,12 +1,14 @@
-"""`project_reroute` draws an embedding and a one-edge reroute of it as one
-diagram, with the new path as one more strand: without the new path's
-records it must be `project`'s record for record, without the old path's
-and with the new path's read as the edge it must have the crossing
-matrix of `project` on the moved embedding, its lk tables read through
-the reroute's pair views must be those of `project`, the table after
-the reroute must recompute only the pairs through the moved edge, it
-must raise NonRegularProjection whenever either `project` does, and
-`edge_swap_check` must stay correct with it.
+"""A reroute layout, `embedding_layout(emb, (eid, path))`, draws an
+embedding and a one-edge reroute of it as one diagram, with the new path
+as one more strand: without the new path's records it must be the
+diagram of the embedding's own layout record for record, without the old
+path's and with the new path's read as the edge it must have the
+crossing matrix of the moved embedding's own diagram, its lk tables read
+through the reroute's pair views must be those of the two embeddings'
+own diagrams, the table after the reroute must recompute only the pairs
+through the moved edge, it must raise NonRegularProjection whenever
+either embedding's own diagram does, and `edge_swap_check` must stay
+correct with it.
 
 Embeddings are drawn from a seed: vertex and waypoint coordinates in a
 box whose side is small enough, in some draws, that directions with
@@ -42,12 +44,7 @@ from linkless.embedding import (
 from linkless.experiments import edge_swap_check
 from linkless.geometry import cross3, is_zero3
 from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
-from linkless.projection import (
-    NonRegularProjection,
-    crossing_matrix,
-    project,
-    project_reroute,
-)
+from linkless.projection import NonRegularProjection, crossing_matrix, embedding_layout, project
 from oracles import decode
 
 GRAPHS = {
@@ -111,6 +108,15 @@ def _draw(rng, g, bound, denominators, waypoints, arc_denominators=None):
     return None
 
 
+def _project(emb, direction):
+    return project(embedding_layout(emb), direction)
+
+
+def _reroute_diagram(emb, moved, eid, direction):
+    # one diagram of ``emb`` and of the new path of edge ``eid`` in ``moved``
+    return project(embedding_layout(emb, (eid, moved.edge_paths[eid])), direction)
+
+
 def _outcome(thunk):
     try:
         return thunk()
@@ -139,8 +145,8 @@ def compare(emb, moved, eid, direction):
     embeddings, 'old and new paths' when both are regular but the pass is
     not, else 'regular'.  The pass must raise in the first case and agree
     with `project` in the last."""
-    fresh = [_outcome(lambda: project(e, direction)) for e in (emb, moved)]
-    drawn = _outcome(lambda: project_reroute(emb, moved, eid, direction))
+    fresh = [_outcome(lambda: _project(e, direction)) for e in (emb, moved)]
+    drawn = _outcome(lambda: _reroute_diagram(emb, moved, eid, direction))
     if NonRegularProjection in fresh:
         assert drawn is NonRegularProjection
         return "non-regular"
@@ -220,7 +226,7 @@ def test_the_reports_read_the_tables_of_fresh_projections():
             directions = before.direction, before.check_direction
             assert len(links) == len(table.positions)
             for report, e in [(before, emb), (after, moved)]:
-                assert report == omega._report(e, index, *(project(e, d) for d in directions))
+                assert report == omega._report(e, index, *(_project(e, d) for d in directions))
             compared[kind] += 1
             changed[kind] += before.pairs != after.pairs
     for kind in ("straight", "polyline", "rational", "markers"):
@@ -259,11 +265,11 @@ def test_each_fault_of_the_new_path_is_caught(fault, pairs, points, path):
     g = graph_from_pairs(pairs, vertices=sorted(points))
     emb = SpatialEmbedding(g, points, {e.id: (points[e.u], points[e.v]) for e in g.edges})
     moved = reroute_edge(emb, 0, path)
-    project(emb, (0, 0, 1))
+    _project(emb, (0, 0, 1))
     with pytest.raises(NonRegularProjection, match=fault) as fresh:
-        project(moved, (0, 0, 1))
+        _project(moved, (0, 0, 1))
     with pytest.raises(NonRegularProjection) as both:
-        project_reroute(emb, moved, 0, (0, 0, 1))
+        _reroute_diagram(emb, moved, 0, (0, 0, 1))
     # the pass draws the new path after both edges, as strand 2
     assert str(both.value) == str(fresh.value).replace("strand 0", "strand 2")
 
@@ -274,11 +280,11 @@ def test_a_rational_arc_in_an_integer_embedding():
                            {0: ((0, 0, 0), (10, 0, 0)), 1: ((5, -5, 3), (5, 5, 3))})
     moved = reroute_edge(emb, 0, ((0, 0, 0), (Fraction(9, 2), 1, Fraction(7, 3)), (10, 0, 0)))
     for d in [(0, 0, 1), (1, 2, 3)]:
-        before, after = _split(project_reroute(emb, moved, 0, d), 0)
-        assert crossing_matrix(after) == project(moved, d).crossing_matrix
+        before, after = _split(_reroute_diagram(emb, moved, 0, d), 0)
+        assert crossing_matrix(after) == _project(moved, d).crossing_matrix
         # the pass clears the arc's scale, 6, so each parameter's integers
         # are 6^2 times those of `project` on the integer embedding
-        fresh = project(emb, d).crossings
+        fresh = _project(emb, d).crossings
         assert fresh
         assert before == tuple(
             (*r[:2], 36 * r[2], 36 * r[3], *r[4:6], 36 * r[6], 36 * r[7], *r[8:])

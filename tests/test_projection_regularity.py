@@ -26,7 +26,13 @@ from linkless.embedding import (
 from linkless.geometry import GeometryError
 from linkless.multigraph import graph_from_pairs
 from linkless.omega import DIRECTION_ATTEMPTS, direction_stream, loop_pair_link, regular_projection
-from linkless.projection import NonRegularProjection, project, project_reroute, strand_crossings
+from linkless.projection import (
+    NonRegularProjection,
+    crossing_pass,
+    embedding_layout,
+    project,
+    strand_layout,
+)
 from oracles import crossing_oracle, decode, vertex_image_faults
 
 THREE_EDGES = graph_from_pairs([(1, 2), (3, 4), (5, 6)])
@@ -35,7 +41,7 @@ ONE_EDGE = graph_from_pairs([(1, 2)])
 
 def expect_nonregular(emb, direction, needle):
     with pytest.raises(NonRegularProjection) as err:
-        project(emb, direction)
+        project(embedding_layout(emb), direction)
     assert needle in str(err.value)
 
 
@@ -128,7 +134,7 @@ def test_regular_projection_recovers():
         {1: (0, 0, 0), 2: (0, 0, 5)},
     ]:
         emb = straight_line_embedding(ONE_EDGE, points)
-        diag = regular_projection(emb, seed=0)
+        diag = regular_projection(embedding_layout(emb), seed=0)
         assert diag.crossings == ()
 
 
@@ -149,12 +155,12 @@ def test_direction_search_gives_up_after_the_attempt_cap(never_regular):
     assert DIRECTION_ATTEMPTS == 64
     emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
     with pytest.raises(RetryLimitExceeded, match="no regular projection direction found in 64"):
-        regular_projection(emb, seed=3)
+        regular_projection(embedding_layout(emb), seed=3)
     assert never_regular == list(islice(direction_stream(3), 64))
 
     never_regular.clear()
     loop = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
-    with pytest.raises(RetryLimitExceeded, match="no regular projection for the loop pair in 64"):
+    with pytest.raises(RetryLimitExceeded, match="no regular projection direction found in 64"):
         loop_pair_link(loop, [(x, y, z + 9) for x, y, z in loop], seed=5)
     assert never_regular == list(islice(direction_stream(5), 64))
 
@@ -168,7 +174,7 @@ def test_directions_parallel_to_avoid_are_not_attempts(never_regular, monkeypatc
     monkeypatch.setattr(omega, "direction_stream", stream)
     emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
     with pytest.raises(RetryLimitExceeded, match="in 64 attempts"):
-        regular_projection(emb, seed=0, avoid=[(0, 0, -2)])
+        regular_projection(embedding_layout(emb), seed=0, avoid=[(0, 0, -2)])
     assert never_regular == [(i, 1, 0) for i in range(1, 65)]
 
 
@@ -177,9 +183,9 @@ def test_a_zero_direction_to_avoid_is_refused():
     # never yield one; it refuses the vector as `project` does
     emb = straight_line_embedding(ONE_EDGE, {1: (0, 0, 0), 2: (1, 2, 3)})
     with pytest.raises(GeometryError, match="projection direction must be nonzero"):
-        regular_projection(emb, avoid=[(0, 0, 1), (0, 0, 0)])
+        regular_projection(embedding_layout(emb), avoid=[(0, 0, 1), (0, 0, 0)])
     with pytest.raises(GeometryError, match="projection direction must be nonzero"):
-        project(emb, (0, 0, 0))
+        project(embedding_layout(emb), (0, 0, 0))
 
 
 # axis directions and small integer ones
@@ -209,18 +215,22 @@ def _small_embeddings(rng, count):
     return made
 
 
+def _crossings(strands, direction, markers):
+    return crossing_pass(strand_layout(strands, {}, markers), direction)
+
+
 def _check_regular_picture(strands, vertices, direction, markers):
-    """strand_crossings with only ``markers`` as markers is regular exactly
+    """`_crossings` with only ``markers`` as markers is regular exactly
     when it is with every vertex as a marker; when it is, no vertex image
     lies on a segment it does not end or on another vertex image, and the
     records are the oracle's.  Returns whether it was regular."""
     try:
-        records = strand_crossings(strands, direction, markers)
+        records = _crossings(strands, direction, markers)
     except NonRegularProjection:
         with pytest.raises(NonRegularProjection):
-            strand_crossings(strands, direction, vertices)
+            _crossings(strands, direction, vertices)
         return False
-    assert strand_crossings(strands, direction, vertices) == records
+    assert _crossings(strands, direction, vertices) == records
     segments = [(key, i, a, b) for key, pts in strands
                 for i, (a, b) in enumerate(zip(pts, pts[1:]))]
     assert vertex_image_faults([(a, b) for _, _, a, b in segments], vertices, direction) == []
@@ -229,25 +239,26 @@ def _check_regular_picture(strands, vertices, direction, markers):
 
 
 def test_regular_projections_keep_every_vertex_image_apart():
-    # project passes only the isolated vertices as markers
+    # a layout passes only the isolated vertices as markers
     regular = nonregular = 0
     for emb in _small_embeddings(random.Random(15), 150):
         strands = [(e.id, emb.edge_paths[e.id]) for e in sorted(emb.graph.edges)]
         vertices = [emb.vertex_points[v] for v in sorted(emb.graph.vertices)]
         markers = [emb.vertex_points[v] for v in emb.graph.isolated_vertices]
+        layout = embedding_layout(emb)
         for d in SMALL_DIRECTIONS:
             if _check_regular_picture(strands, vertices, d, markers):
-                assert project(emb, d).crossings == strand_crossings(strands, d, markers)
+                assert project(layout, d).crossings == _crossings(strands, d, markers)
                 regular += 1
             else:
                 with pytest.raises(NonRegularProjection):
-                    project(emb, d)
+                    project(layout, d)
                 nonregular += 1
     assert regular > 300 and nonregular > 300
 
 
 def test_detour_pictures_keep_every_vertex_image_apart():
-    # the strand sets `project_reroute` draws: every edge and, as one more
+    # the strand sets of a reroute's layout: every edge and, as one more
     # strand, a detour arc, with the isolated vertices as markers
     rng = random.Random(16)
     regular = nonregular = 0
@@ -263,13 +274,13 @@ def test_detour_pictures_keep_every_vertex_image_apart():
         strands = [(f.id, emb.edge_paths[f.id]) for f in g.edges] + [(max(emb.edge_paths) + 1, arc)]
         vertices = [emb.vertex_points[v] for v in sorted(g.vertices)]
         markers = [emb.vertex_points[v] for v in g.isolated_vertices]
+        layout = embedding_layout(emb, (e.id, moved.edge_paths[e.id]))
         for d in SMALL_DIRECTIONS:
             if _check_regular_picture(strands, vertices, d, markers):
-                assert project_reroute(emb, moved, e.id, d).crossings == \
-                    strand_crossings(strands, d, markers)
+                assert project(layout, d).crossings == _crossings(strands, d, markers)
                 regular += 1
             else:
                 with pytest.raises(NonRegularProjection):
-                    project_reroute(emb, moved, e.id, d)
+                    project(layout, d)
                 nonregular += 1
     assert regular > 100 and nonregular > 100

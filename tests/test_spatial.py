@@ -40,13 +40,15 @@ from linkless.projection import (
     ProjectedDiagram,
     _clear_denominators,
     _traversal_signs,
+    crossing_pass,
     edge_endpoints,
+    embedding_layout,
     link_tables,
     linking_number,
     omega_pair,
     pair_index,
     project,
-    strand_crossings,
+    strand_layout,
 )
 from oracles import (
     circuit_polyline,
@@ -79,7 +81,7 @@ def triangle_circuits(emb):
 def test_hopf_pair_links_once():
     emb = hopf_embedding()
     j, k = triangle_circuits(emb)
-    diagram = project(emb, (1, 2, 9))
+    diagram = project(embedding_layout(emb), (1, 2, 9))
     assert abs(linking_number(diagram, j, k)) == 1
     assert omega_pair(diagram, j, k) == 1
     # straight triangles cannot cross themselves, so every crossing is between j and k
@@ -97,7 +99,7 @@ def test_hopf_z_projection_is_non_regular():
     # one edge of the second triangle runs along the projection direction
     emb = hopf_embedding()
     with pytest.raises(NonRegularProjection):
-        project(emb, (0, 0, 1))
+        project(embedding_layout(emb), (0, 0, 1))
 
 
 def test_intersecting_triangles_rejected_as_embedding():
@@ -112,7 +114,7 @@ def test_intersecting_triangles_rejected_as_embedding():
 def test_lk_symmetric():
     emb = hopf_embedding()
     j, k = triangle_circuits(emb)
-    d = project(emb, (1, 2, 9))
+    d = project(embedding_layout(emb), (1, 2, 9))
     assert linking_number(d, j, k) == linking_number(d, k, j)
 
 
@@ -121,7 +123,7 @@ def test_split_pair_has_no_crossings():
     b = [(100, 0, 15), (104, 0, 15), (102, 3, 15)]
     emb = straight_line_embedding(
         TWO_TRIANGLES, dict(zip((1, 2, 3), a)) | dict(zip((4, 5, 6), b)))
-    d = project(emb, (0, 0, 1))
+    d = project(embedding_layout(emb), (0, 0, 1))
     assert len(d.crossings) == 0
     j, k = triangle_circuits(emb)
     assert linking_number(d, j, k) == 0
@@ -135,7 +137,7 @@ def test_stacked_overlapping_triangles_have_six_crossings():
     b = [(12, 8, 15), (0, 8, 15), (6, -4, 15)]
     emb = straight_line_embedding(
         TWO_TRIANGLES, dict(zip((1, 2, 3), a)) | dict(zip((4, 5, 6), b)))
-    d = project(emb, (0, 0, 1))
+    d = project(embedding_layout(emb), (0, 0, 1))
     assert len(d.crossings) == 6
     j, k = triangle_circuits(emb)
     assert linking_number(d, j, k) == 0  # stacked, not linked
@@ -143,7 +145,7 @@ def test_stacked_overlapping_triangles_have_six_crossings():
 
 def test_crossings_carry_over_under_and_sign():
     emb = hopf_embedding()
-    d = project(emb, (1, 2, 9))
+    d = project(embedding_layout(emb), (1, 2, 9))
     for record in d.crossings:
         assert len(record) == 10 and all(type(x) is int for x in record)
         _, _, t_s, _, _, t_t, over, sign = decode(record)
@@ -159,7 +161,7 @@ def test_linking_number_rejects_overlapping_circuits():
     circuits = enumerate_circuits(g)
     tri = next(c for c in circuits if set(c.vertex_seq) == {1, 2, 3})
     other = next(c for c in circuits if set(c.vertex_seq) == {1, 2, 4})
-    d = regular_projection(emb, seed=0)
+    d = regular_projection(embedding_layout(emb), seed=0)
     with pytest.raises(GraphError):
         linking_number(d, tri, other)
     with pytest.raises(GraphError):
@@ -169,7 +171,7 @@ def test_linking_number_rejects_overlapping_circuits():
 def test_circuit_edges_missing_from_the_diagram_are_named():
     from linkless.circuits import Circuit
 
-    d = regular_projection(random_embedding(complete_graph(6), 0), seed=0)
+    d = regular_projection(embedding_layout(random_embedding(complete_graph(6), 0)), seed=0)
     j = Circuit((1, 2, 3), (1, 98, 99))  # edges 98 and 99 are not in K6
     k = Circuit((4, 5, 6), (97, 13, 12))
     for kernel in (linking_number, omega_pair):
@@ -184,8 +186,9 @@ def test_lk_independent_of_rational_rotation():
     # crossing counts differ (9 vs 12 here) but every per-pair lk agrees
     emb = random_embedding(complete_graph(6), 0)
     pairs = disjoint_circuit_pairs(complete_graph(6))
-    da = project(emb, (0, 0, 1))
-    db = project(emb, (0, -4, 3))
+    layout = embedding_layout(emb)
+    da = project(layout, (0, 0, 1))
+    db = project(layout, (0, -4, 3))
     assert len(da.crossings) != len(db.crossings)
     for j, k in pairs:
         assert linking_number(da, j, k) == linking_number(db, j, k)
@@ -204,7 +207,7 @@ def test_exact_lk_matches_gauss_on_random_triangle_pairs():
         except EmbeddingError:
             continue
         j, k = triangle_circuits(emb)
-        d = regular_projection(emb, seed=done)
+        d = regular_projection(embedding_layout(emb), seed=done)
         exact = linking_number(d, j, k)
         numeric = gauss_linking_number(
             [points[1], points[2], points[3]], [points[4], points[5], points[6]])
@@ -246,7 +249,7 @@ def test_omega_pair_symmetric_on_random_k6():
     pairs = disjoint_circuit_pairs(g)
     for seed in range(100):
         emb = random_embedding(g, seed)
-        d = regular_projection(emb, seed=seed)
+        d = regular_projection(embedding_layout(emb), seed=seed)
         for j, k in pairs:
             assert omega_pair(d, j, k) == omega_pair(d, k, j)
 
@@ -287,7 +290,7 @@ def test_inexact_direction_components_are_rejected(direction):
 def test_inexact_directions_to_avoid_are_rejected(avoided):
     emb = random_embedding(complete_graph(6), 0)
     with pytest.raises(GeometryError, match="a direction needs three ints or Fractions"):
-        regular_projection(emb, avoid=[(0, 0, 1), avoided])
+        regular_projection(embedding_layout(emb), avoid=[(0, 0, 1), avoided])
 
 
 @pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
@@ -299,7 +302,8 @@ def test_inexact_strand_points_are_rejected(bad):
     with pytest.raises(GeometryError, match="coordinates must be ints or Fractions"):
         loop_pair_link(loop, ring)
     with pytest.raises(GeometryError, match="coordinates must be ints or Fractions"):
-        strand_crossings([(0, ring), (1, [(Fraction(1, 2), 0, 0), *loop])], (0, 0, 1))
+        crossing_pass(strand_layout([(0, ring), (1, [(Fraction(1, 2), 0, 0), *loop])], {}),
+                      (0, 0, 1))
 
 
 def test_k6_minus_edge_omega_depends_on_embedding():
@@ -323,7 +327,7 @@ def test_k6_minus_edge_omega_depends_on_embedding():
 def test_loop_pair_helpers_agree_with_diagram():
     emb = hopf_embedding()
     j, k = triangle_circuits(emb)
-    d = project(emb, (1, 2, 9))
+    d = project(embedding_layout(emb), (1, 2, 9))
     # lk does not depend on the projection, so the loop pair may be read
     # along another direction than the diagram's
     lk_loop, om_loop = loop_pair_link(circuit_polyline(emb, j), circuit_polyline(emb, k), seed=0)
@@ -370,8 +374,9 @@ def test_crossing_matrix_matches_crossing_scan(name, seeds):
     pairs = disjoint_circuit_pairs(g)
     for seed in seeds:
         for emb in variants(random_embedding(g, seed), seed):
-            for diagram in (regular_projection(emb, seed=seed),
-                            regular_projection(emb, seed=seed + 1)):
+            layout = embedding_layout(emb)
+            for diagram in (regular_projection(layout, seed=seed),
+                            regular_projection(layout, seed=seed + 1)):
                 for j, k in pairs:
                     for a, b in ((j, k), (k, j)):
                         lk, om = scanned_lk(diagram, a, b)
@@ -391,8 +396,8 @@ def test_rational_scaling_keeps_crossings_and_lk():
         for factor in (Fraction(2, 3), Fraction(7, 5)):
             scaled = straight_line_embedding(
                 g, {v: tuple(c * factor for c in p) for v, p in emb.vertex_points.items()})
-            da = project(emb, direction)
-            db = project(scaled, rational_direction)
+            da = project(embedding_layout(emb), direction)
+            db = project(embedding_layout(scaled), rational_direction)
             assert len(da.crossings) > 0
             # strands, segments, parameters, over/under and signs, in order
             assert [decode(r) for r in da.crossings] == [decode(r) for r in db.crossings]
@@ -406,7 +411,7 @@ def test_crossings_match_fraction_oracle(name):
     g = parse_graph(name)
     for seed in range(3):
         for emb in variants(random_embedding(g, seed), seed):
-            diagram = regular_projection(emb, seed=seed)
+            diagram = regular_projection(embedding_layout(emb), seed=seed)
             segments = [(eid, i, p, q) for eid, path in sorted(emb.edge_paths.items())
                         for i, (p, q) in enumerate(zip(path, path[1:]))]
             ours = {decode(r) for r in diagram.crossings}
@@ -445,8 +450,9 @@ def test_one_pass_table_matches_per_pair_calls(case):
     rng = random.Random(seed)
     pairs += rng.sample([(k, j) if rng.random() < 0.5 else (j, k) for j, k in pairs],
                         len(pairs))
-    diagram = regular_projection(emb, seed=seed)
-    check = regular_projection(emb, seed=seed + 1, avoid=[diagram.direction])
+    layout = embedding_layout(emb)
+    diagram = regular_projection(layout, seed=seed)
+    check = regular_projection(layout, seed=seed + 1, avoid=[diagram.direction])
     index = pair_index(edge_endpoints(emb.graph), pairs)
     tables = link_tables([diagram, check], index)
     assert tables[0] == link_tables([diagram], index)[0]
@@ -548,8 +554,9 @@ def test_link_tables_read_the_same_with_the_index(graph):
     index = pair_index(edge_endpoints(graph), pairs)
     for seed in range(4):
         emb = random_embedding(graph, seed)
-        diagram = regular_projection(emb, seed=seed)
-        check = regular_projection(emb, seed=seed + 1, avoid=[diagram.direction])
+        layout = embedding_layout(emb)
+        diagram = regular_projection(layout, seed=seed)
+        check = regular_projection(layout, seed=seed + 1, avoid=[diagram.direction])
         tables = link_tables([diagram, check], index)
         assert tables == [link_tables([d], index)[0] for d in (diagram, check)]
         for d, table in zip((diagram, check), tables, strict=True):
@@ -574,8 +581,9 @@ def test_a_record_with_an_odd_sign_or_over_is_a_kernel_bug(field, planted):
     # both projections, so neither the parity check nor the comparison of
     # the two tables could see it; the crossing matrix rejects the record.
     emb = random_embedding(complete_graph(6), 0)
-    main = regular_projection(emb, seed=0)
-    check = regular_projection(emb, seed=1, avoid=[main.direction])
+    layout = embedding_layout(emb)
+    main = regular_projection(layout, seed=0)
+    check = regular_projection(layout, seed=1, avoid=[main.direction])
     bad = [ProjectedDiagram(d.direction, d.edge_endpoints, tuple(
         r[:field] + (planted(r[field]),) + r[field + 1:] for r in d.crossings))
         for d in (main, check)]
@@ -586,8 +594,8 @@ def test_a_record_with_an_odd_sign_or_over_is_a_kernel_bug(field, planted):
 
 
 def test_link_tables_reject_diagrams_of_different_graphs():
-    a = project(random_embedding(complete_graph(6), 1), (3, -2, 7))
-    b = project(random_embedding(k331_graph(), 1), (3, -2, 7))
+    a = project(embedding_layout(random_embedding(complete_graph(6), 1)), (3, -2, 7))
+    b = project(embedding_layout(random_embedding(k331_graph(), 1)), (3, -2, 7))
     with pytest.raises(GraphError, match="different graphs"):
         link_tables([a, b], pair_index(a.edge_endpoints, []))
 
