@@ -17,9 +17,9 @@ as seed XOR index, so results do not depend on execution order.
 
 A trial makes two crossing passes, the main and the check pass, each
 over the embedding and the new arc in one direction.  The omega tables
-before and after the reroute and lk(D, K) are read off both diagrams,
-which must agree pair by pair, so the identity checks how the tables read
-the old edge and the new arc against the loop D.
+before and after the reroute and lk(D, K) are read off both diagrams in
+one table call, and the diagrams must agree pair by pair, so the identity
+checks how the table reads the old edge and the new arc against the loop D.
 """
 
 from __future__ import annotations

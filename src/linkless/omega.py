@@ -8,18 +8,18 @@ of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
 
 Each diagram is ``projection.project`` of a strand layout along one
-direction and carries its edge-pair crossing matrix.  Its lk table comes
-from one checked pass over the pairs (``projection.link_tables``), and
-each omega and the total are read off it.  ``graph_pairs`` indexes a
-graph's pairs, listed by ``circuits``.  A report builds one layout of
-the embedding (``projection.embedding_layout``), a reroute trial one of
-the embedding and the new path, so a reroute direction counts as regular
-only when the pass over both is; ``_diagrams`` draws the main and the
-check diagram of either.  The reports before and after a reroute
-(``_reroute_reports``) read those two diagrams through the two views of
-a ``RerouteTable``, built once per moved edge, so lk(D, K) of the loop D
-of the old and new paths is read off both diagrams and checked between
-them, as every other lk is.
+direction.  Its lk table comes from one checked pass over its crossing
+records (``projection.link_tables``), and each omega and the total are
+read off it.  ``graph_pairs`` indexes a graph's pairs, listed by
+``circuits``.  A report builds one layout of the embedding
+(``projection.embedding_layout``), a reroute trial one of the embedding
+and the new path, so a reroute direction counts as regular only when the
+pass over both is; ``_diagrams`` draws the main and the check diagram of
+either.  The reports before and after a reroute (``_reroute_reports``)
+and lk(D, K) of the loop D of the old and new paths are read off those
+two diagrams in one table call, through the one index of a
+``RerouteTable`` built once per moved edge, and every lk is checked
+between the diagrams.
 
 ``regular_projection`` over ``direction_stream`` is the package's only
 direction search.  Its ``avoid`` lists directions already drawn: the
@@ -155,7 +155,8 @@ def _omega_with_pairs(
     direction: Point3 | None = None,
     seed: int = 0,
 ) -> OmegaReport:
-    return _report(emb, index, *_diagrams(embedding_layout(emb), direction, seed))
+    diag, check = _diagrams(embedding_layout(emb), direction, seed)
+    return _report(emb, index.pairs, _checked_links(index, diag, check), diag, check)
 
 
 def _diagrams(layout: StrandLayout, direction: Point3 | None,
@@ -167,31 +168,39 @@ def _diagrams(layout: StrandLayout, direction: Point3 | None,
     return diag, regular_projection(layout, seed + 1, [diag.direction])
 
 
-def _report(emb: SpatialEmbedding, index: PairIndex, diag: ProjectedDiagram,
-            check: ProjectedDiagram) -> OmegaReport:
-    entries = []
+def _checked_links(index: PairIndex, diag: ProjectedDiagram,
+                   check: ProjectedDiagram) -> list[int]:
+    # lk of every indexed pair, which the two diagrams must give alike
     table, check_table = link_tables([diag, check], index)
-    for (j, k), lk, lk2 in zip(index.pairs, table, check_table):
+    for lk, lk2 in zip(table, check_table):
         if lk2 != lk:
             raise AssertionError(
                 f"lk differs between projections ({lk} vs {lk2}); kernel bug")
-        entries.append(PairEntry(j, k, lk))
+    return table
+
+
+def _report(emb: SpatialEmbedding, pairs: Sequence[tuple[Circuit, Circuit]],
+            links: Sequence[int], diag: ProjectedDiagram,
+            check: ProjectedDiagram) -> OmegaReport:
+    entries = tuple(PairEntry(j, k, lk) for (j, k), lk in zip(pairs, links))
     name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
-    return OmegaReport(name, diag.direction, check.direction, tuple(entries))
+    return OmegaReport(name, diag.direction, check.direction, entries)
 
 
 @dataclass(frozen=True)
 class RerouteTable:
-    """A graph's pair index prepared once for reroutes of edge ``eid``:
-    ``before`` reads a reroute diagram as the embedding, and ``after`` as
-    the moved one for the pairs through the edge only, which sit at
-    ``positions`` among the pairs, followed by one pair (D, K) for each of
-    them: the loop D, out along the edge and back along the new path, and
-    the pair's circuit K opposite the edge."""
+    """A graph's pair index prepared once for reroutes of edge ``eid``.
+
+    ``index`` runs over the graph's edges and the new path's key
+    (`new_path_key`), and holds, in order: the graph's pairs as they
+    are; the pairs through the edge, which sit at ``positions`` among
+    them, each with its circuit through the edge moved onto the new path;
+    and for each of those one pair (D, K) of the loop D, out along the
+    edge and back along the new path, and the pair's circuit K opposite
+    the edge."""
 
     eid: int
-    before: PairIndex
-    after: PairIndex
+    index: PairIndex
     positions: tuple[int, ...]
 
 
@@ -199,38 +208,39 @@ def reroute_table(index: PairIndex, eid: int) -> RerouteTable:
     """The `RerouteTable` of edge ``eid`` of the graph ``index`` indexes."""
     arc = new_path_key(index.endpoints)
     ends = index.endpoints[eid]
-    before = replace(index, endpoints={**index.endpoints, arc: ends})
-    positions = tuple(at for at, (j, k) in enumerate(index.pairs)
-                      if eid in j.edge_ids or eid in k.edge_ids)
-    pairs = [index.pairs[at] for at in positions]
-    slots = [index.slots[at] for at in positions]
-    loop = Circuit(ends, (eid, arc))  # D, in a slot after every circuit of the graph
-    for (j, k), (at_j, at_k) in list(zip(pairs, slots)):
-        pairs.append((loop, k) if eid in j.edge_ids else (loop, j))
-        slots.append((len(index.signs), at_k if eid in j.edge_ids else at_j))
-    after = replace(before, pairs=tuple(pairs), slots=tuple(slots),
-                    signs=(*(tuple((arc if e == eid else e, sign) for e, sign in signs)
-                             for signs in index.signs), ((eid, 1), (arc, -1))))
-    return RerouteTable(eid, before, after, positions)
+    loop = Circuit(ends, (eid, arc))
+    copies: dict[int, Circuit] = {}  # one moved copy per circuit, so it keeps one slot
+    positions, through, loops = [], [], []
+    for at, (j, k) in enumerate(index.pairs):
+        if eid in j.edge_ids or eid in k.edge_ids:
+            c, opposite = (j, k) if eid in j.edge_ids else (k, j)
+            copy = copies.setdefault(id(c), Circuit(
+                c.vertex_seq, tuple(arc if e == eid else e for e in c.edge_ids)))
+            positions.append(at)
+            through.append((copy, k) if c is j else (j, copy))
+            loops.append((loop, opposite))
+    pairs = pair_index({**index.endpoints, arc: ends}, [*index.pairs, *through, *loops])
+    return RerouteTable(eid, pairs, tuple(positions))
 
 
 def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: RerouteTable,
                      seed: int) -> tuple[OmegaReport, OmegaReport, list[int]]:
     """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``table.eid``, and lk(D, K) of the loop pairs
-    of the table's ``after`` view, read off the two `_diagrams` of one
-    layout of ``emb`` and the new path.  The report of ``moved``
-    recomputes only the pairs through the edge, on both diagrams, and
-    shares every other entry with ``emb``'s."""
+    only in the path of edge ``table.eid``, and lk(D, K) of the table's
+    loop pairs, read off the two `_diagrams` of one layout of ``emb`` and
+    the new path in one `link_tables` call.  The report of ``moved`` takes
+    a new entry only for the pairs through the edge and shares every
+    other entry with ``emb``'s."""
     layout = embedding_layout(emb, (table.eid, moved.edge_paths[table.eid]))
     main, check = _diagrams(layout, None, seed)
-    before = _report(emb, table.before, main, check)
-    after = _report(moved, table.after, main, check).pairs
+    links = _checked_links(table.index, main, check)
+    through = len(table.positions)
+    graph = len(links) - 2 * through
+    before = _report(emb, table.index.pairs[:graph], links[:graph], main, check)
     entries = list(before.pairs)
-    for at, entry in zip(table.positions, after):
-        entries[at] = entry
-    loop_links = [entry.lk for entry in after[len(table.positions):]]
-    return before, replace(before, pairs=tuple(entries)), loop_links
+    for at, lk in zip(table.positions, links[graph:graph + through]):
+        entries[at] = PairEntry(entries[at].j, entries[at].k, lk)
+    return before, replace(before, pairs=tuple(entries)), links[graph + through:]
 
 
 def loop_pair_link(

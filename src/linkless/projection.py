@@ -56,10 +56,10 @@ also raise when both are, where the old and new paths meet irregularly
 in the image or a crossing on one has the image of a crossing on the
 other.
 
-Over/under is read in one place, `crossing_matrix`, which each diagram
-builds on first use.  `link_tables` computes lk of every circuit pair in
-one pass and is the one place that checks a pair's crossing parity
-against lk mod 2.  Its traversal signs depend only on the graph, so a
+`link_tables` reads lk of every circuit pair in one pass over each
+diagram's records, and is the one place that reads over/under and signs
+off them and checks a pair's crossing parity against lk mod 2.  Its
+traversal signs depend only on the graph, so a
 `PairIndex` holds them with the pairs, built once per graph
 (``omega.graph_pairs``) at a cost per distinct circuit, not per pair.
 `linking_number` and `omega_pair` are one-pair calls of it, and so is
@@ -71,7 +71,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -257,34 +256,6 @@ def crossing_pass(layout: StrandLayout, direction: Point3) -> tuple[CrossingReco
     return tuple(records)
 
 
-def crossing_matrix(
-    records: Iterable[CrossingRecord],
-) -> dict[object, dict[object, tuple[int, int]]]:
-    """L[e][f] = (signed sum, count) of the crossings where strand e passes over f.
-
-    This is the one place that reads over/under.  Strand pairs with no
-    such crossing are absent.  A record whose over is not 0 or 1 or whose
-    sign is not +-1 raises AssertionError (a kernel bug): a sign times an
-    odd number would keep every parity that `link_tables` checks.
-    """
-    matrix: dict[object, dict[object, tuple[int, int]]] = {}
-    for key_s, _, _, _, key_t, _, _, _, over, sign in records:
-        if over == 0:
-            e, f = key_s, key_t
-        elif over == 1:
-            e, f = key_t, key_s
-        else:
-            raise AssertionError(f"crossing record with over {over!r}; kernel bug")
-        if sign != 1 and sign != -1:
-            raise AssertionError(f"crossing record with sign {sign!r}; kernel bug")
-        row = matrix.get(e)
-        if row is None:
-            row = matrix[e] = {}
-        cell = row.get(f)
-        row[f] = (sign, 1) if cell is None else (cell[0] + sign, cell[1] + 1)
-    return matrix
-
-
 @dataclass(frozen=True)
 class ProjectedDiagram:
     """Crossing data of one regular projection of an embedded graph.
@@ -296,11 +267,6 @@ class ProjectedDiagram:
     direction: Point3
     edge_endpoints: Mapping[int, tuple[int, int]]
     crossings: tuple[CrossingRecord, ...]
-
-    @cached_property
-    def crossing_matrix(self) -> dict[int, dict[int, tuple[int, int]]]:
-        """`crossing_matrix` of the crossings, built on first use."""
-        return crossing_matrix(self.crossings)
 
 
 def new_path_key(endpoints: Mapping[int, tuple[int, int]]) -> int:
@@ -395,37 +361,53 @@ def pair_index(endpoints: Mapping[int, tuple[int, int]],
 
 def link_tables(diagrams: Sequence[ProjectedDiagram],
                 index: PairIndex) -> list[list[int]]:
-    """Per diagram, lk(J, K) of every pair, in one pass.
+    """Per diagram, lk(J, K) of every pair, in one pass over its records.
 
-    The diagrams must be projections of the indexed graph.  Each J gets
-    one signed row per diagram over the edges f it passes over: the sums
-    of s_J(e) L[e][f].signed and of L[e][f].count over the edges e of J,
-    s the traversal signs.  lk(J, K) is then the sum of s_K(f)
-    row[f].signed over the edges f of K.  The parity of the summed counts
-    must equal lk mod 2; AssertionError (a kernel bug) if it does not.
+    The diagrams must be projections of the indexed graph.  Each circuit
+    J that comes first in a pair gets one row per diagram, keyed by the
+    other strand f of each crossing with an edge e of J: the sum of
+    s_J(e) times the sign where e passes over f, and the count of the
+    crossings where f passes over e, s the traversal signs.  lk(J, K) is
+    then the sum of s_K(f) row[f].signed over the edges f of K.  The
+    images of J and K cross an even number of times, so the count of K
+    over J must have lk's parity; AssertionError (a kernel bug) if it
+    does not, or if a record's over is not 0 or 1 or its sign not +-1
+    (a sign times an odd number would keep every parity).
     """
     if any(d.edge_endpoints != index.endpoints for d in diagrams):
         raise GraphError("the diagrams project different graphs")
     signs = index.signs
+    holders: dict[int, list[tuple[int, int]]] = {}  # edge: (J slot, s_J(edge)) per J
+    for j in {j for j, _ in index.slots}:
+        for e, sign_e in signs[j]:
+            holders.setdefault(e, []).append((j, sign_e))
     tables: list[list[int]] = []
     for diagram in diagrams:
-        matrix = diagram.crossing_matrix
-        rows: list[dict[int, list[int]] | None] = [None] * len(signs)
+        rows: list[dict[int, list[int]]] = [{} for _ in signs]
+        for key_s, _, _, _, key_t, _, _, _, over, sign in diagram.crossings:
+            if over == 0:
+                e, f = key_s, key_t
+            elif over == 1:
+                e, f = key_t, key_s
+            else:
+                raise AssertionError(f"crossing record with over {over!r}; kernel bug")
+            if sign != 1 and sign != -1:
+                raise AssertionError(f"crossing record with sign {sign!r}; kernel bug")
+            for j, sign_e in holders.get(e, ()):
+                acc = rows[j].get(f)
+                if acc is None:
+                    rows[j][f] = [sign_e * sign, 0]
+                else:
+                    acc[0] += sign_e * sign
+            for j, _ in holders.get(f, ()):
+                acc = rows[j].get(e)
+                if acc is None:
+                    rows[j][e] = [0, 1]
+                else:
+                    acc[1] += 1
         table = []
         for j, k in index.slots:
             row = rows[j]
-            if row is None:
-                row = rows[j] = {}
-                for e, sign_e in signs[j]:
-                    cells = matrix.get(e)
-                    if cells:
-                        for f, (signed, count) in cells.items():
-                            acc = row.get(f)
-                            if acc is None:
-                                row[f] = [sign_e * signed, count]
-                            else:
-                                acc[0] += sign_e * signed
-                                acc[1] += count
             lk = count = 0
             for f, sign_f in signs[k]:
                 acc = row.get(f)

@@ -48,6 +48,11 @@ table must equal this closure of {K6, K3,3,1}.
 before it kept each circuit's vertex set: per pair it reads both
 circuits' cached ``vertices`` and looks each circuit up twice.  The
 package's index must hold the same pairs, signs, slots and endpoints.
+``link_tables_reference`` is the lk table as it was written before it was
+one pass over each diagram's crossing records: a crossing matrix per
+diagram (``crossing_matrix_reference``, the signed sum and count of the
+crossings of each strand over each other), then per circuit J a merge of
+its edges' matrix rows.  The package's tables must equal its tables.
 ``strand_crossings_reference`` is the crossing kernel as it was written
 before it kept one orientation list per segment: every segment pair runs
 the full pair body, shared ends first, and triple points are found by
@@ -1240,6 +1245,65 @@ def pair_index_reference(endpoints, pairs) -> PairIndex:
                 signs.append(tuple(_traversal_signs_reference(endpoints, c)))
         slots.append((position[id(j)], position[id(k)]))
     return PairIndex(endpoints, pairs, tuple(signs), tuple(slots))
+
+
+# -- the lk table by way of a crossing matrix (reference) ----------------------
+
+
+def crossing_matrix_reference(records) -> dict:
+    """L[e][f] = (signed sum, count) of the crossings where strand e passes
+    over f; strand pairs with no such crossing are absent."""
+    matrix: dict = {}
+    for key_s, _, _, _, key_t, _, _, _, over, sign in records:
+        if over == 0:
+            e, f = key_s, key_t
+        elif over == 1:
+            e, f = key_t, key_s
+        else:
+            raise AssertionError(f"crossing record with over {over!r}; kernel bug")
+        if sign != 1 and sign != -1:
+            raise AssertionError(f"crossing record with sign {sign!r}; kernel bug")
+        row = matrix.get(e)
+        if row is None:
+            row = matrix[e] = {}
+        cell = row.get(f)
+        row[f] = (sign, 1) if cell is None else (cell[0] + sign, cell[1] + 1)
+    return matrix
+
+
+def link_tables_reference(diagrams, index: PairIndex) -> list[list[int]]:
+    """Per diagram, lk(J, K) of every pair: each J's rows of its crossing
+    matrix merged into one signed row, and lk(J, K) summed over K's edges
+    in it; AssertionError if a pair's count of J over K is not of lk's
+    parity."""
+    if any(d.edge_endpoints != index.endpoints for d in diagrams):
+        raise GraphError("the diagrams project different graphs")
+    signs = index.signs
+    tables = []
+    for diagram in diagrams:
+        matrix = crossing_matrix_reference(diagram.crossings)
+        rows: list = [None] * len(signs)
+        table = []
+        for j, k in index.slots:
+            row = rows[j]
+            if row is None:
+                row = rows[j] = {}
+                for e, sign_e in signs[j]:
+                    for f, (signed, count) in matrix.get(e, {}).items():
+                        acc = row.setdefault(f, [0, 0])
+                        acc[0] += sign_e * signed
+                        acc[1] += count
+            lk = count = 0
+            for f, sign_f in signs[k]:
+                acc = row.get(f)
+                if acc is not None:
+                    lk += sign_f * acc[0]
+                    count += acc[1]
+            if (lk ^ count) & 1:
+                raise AssertionError("omega parity disagrees with lk; kernel bug")
+            table.append(lk)
+        tables.append(table)
+    return tables
 
 
 # -- the crossing kernel with a full test per segment pair (reference) ---------

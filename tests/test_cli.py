@@ -486,13 +486,16 @@ def _sorts_edges_by_id(node) -> bool:
 # the NonRegularProjection messages of the crossing kernel's pair test
 PAIR_TEST_MESSAGES = ("tangential contact between segments", "triple point",
                       "segments sharing an endpoint overlap in projection")
+# the AssertionError messages of the lk table's checks
+TABLE_MESSAGES = ("parity disagrees", "crossing record with over", "crossing record with sign")
 
 
 def test_derived_state_stays_with_the_module_that_builds_it():
     # only `embedding` names its validation internals and only `omega` its
     # direction search, only `omega` builds a graph's pair index
-    # (`graph_pairs`), only `projection` reads the crossing matrix, checks
-    # lk parities and raises the pair test's messages (each in one place),
+    # (`graph_pairs`), only `projection` reads over/under and signs off the
+    # crossing records, checks lk parities and raises the pair test's
+    # messages (each in one place),
     # only `projection` constructs a `ProjectedDiagram` (in `project`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # no report carries wall-clock timings, only `moves` names the pinned
@@ -504,10 +507,10 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "disjoint_circuit_pairs": {"circuits.py", "omega.py", "__init__.py"},
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
-              "crossing_matrix": {"projection.py"},
               "_FAMILY": {"moves.py"}, "_pack_key": {"canonical.py"},
               "_canonical_search": {"canonical.py"}}
     raised: dict[str, list[str]] = {}
+    checked: dict[str, list[str]] = {}
     diagrams = set()
     for path in sorted(Path(SRC, "linkless").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -527,13 +530,15 @@ def test_derived_state_stays_with_the_module_that_builds_it():
                 f"{path.name}:{node.lineno} names {name}, owned by {sorted(owners[name])}")
             text = node.value if isinstance(node, ast.Constant) else None
             assert text != "_timings", f"{path.name}:{node.lineno} names a _timings key"
-            assert not (isinstance(text, str) and "parity disagrees" in text
-                        and path.name != "projection.py"), (
-                f"{path.name}:{node.lineno} checks lk parities outside projection.py")
+            for message in TABLE_MESSAGES:
+                if isinstance(text, str) and message in text:
+                    checked.setdefault(message, []).append(path.name)
             assert not _sorts_edges_by_id(node), (
                 f"{path.name}:{node.lineno} sorts edges by id")
     for message in PAIR_TEST_MESSAGES:
         assert raised.get(message) == ["projection.py"], (message, raised.get(message))
+    for message in TABLE_MESSAGES:
+        assert checked.get(message) == ["projection.py"], (message, checked.get(message))
     assert diagrams == {"projection.py"}, f"a ProjectedDiagram is constructed in {diagrams}"
 
 

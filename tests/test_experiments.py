@@ -179,7 +179,13 @@ def _loop_links(emb, e, moved, seed):
     of each as a reroute trial reads them."""
     table = omega.reroute_table(omega.graph_pairs(emb.graph), e.id)
     links = omega._reroute_reports(emb, moved, table, seed)[2]
-    return [k for _, k in table.after.pairs[len(table.positions):]], links
+    return [k for _, k in _loop_pairs(table)], links
+
+
+def _loop_pairs(table):
+    # the last part of a reroute table's pairs, one (D, K) per pair through the edge
+    pairs = table.index.pairs
+    return pairs[len(pairs) - len(table.positions):]
 
 
 def _detour_links_against_oracles(emb, e, moved, seed):
@@ -254,6 +260,38 @@ def test_a_trial_draws_its_passes_from_one_layout(run, refused, monkeypatch):
 
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
+def test_a_reroute_trial_makes_one_lk_table_call(graph, monkeypatch):
+    # per trial, one `link_tables` call (wherever it is looked up) over the
+    # two diagrams of the trial's passes, both over the trial's one layout
+    layouts, passes, calls = [], [], []
+    real_layout, real_pass = projection.strand_layout, projection.crossing_pass
+    real_tables = projection.link_tables
+
+    def built(*args):
+        layouts.append(real_layout(*args))
+        return layouts[-1]
+
+    def drawn(layout, direction):
+        passes.append((layout, real_pass(layout, direction)))
+        return passes[-1][1]
+
+    def counted(diagrams, index):
+        records = [records for layout, records in passes if layout is layouts[-1]]
+        calls.append((len(layouts), [d.crossings for d in diagrams] == records,
+                      [d.direction for d in diagrams]))
+        return real_tables(diagrams, index)
+
+    monkeypatch.setattr(projection, "strand_layout", built)
+    monkeypatch.setattr(projection, "crossing_pass", drawn)
+    for module in (projection, omega):
+        monkeypatch.setattr(module, "link_tables", counted)
+    assert edge_swap_check(graph, trials=8, seed=0).passed
+    assert [(trial, same) for trial, same, _ in calls] == [(t, True) for t in range(1, 9)]
+    for _, _, (main, check) in calls:
+        assert not is_zero3(cross3(main, check))
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
     # per trial: exactly two crossing passes, the main and the check pass,
     # each over the graph's edges and the new arc, in two non-parallel
@@ -292,7 +330,7 @@ def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
 
 @pytest.mark.parametrize("graph", [complete_graph(6), k331_graph()], ids=["K6", "K3,3,1"])
 def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
-    # lk(D, K) as the after view reads it on each diagram, against the
+    # lk(D, K) as the reroute table reads it on each diagram, against the
     # loop pairs indexed afresh and a scan of the crossings
     calls = []
     real = omega.link_tables
@@ -306,8 +344,9 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
         table = omega.reroute_table(omega.graph_pairs(graph), e.id)
         calls.clear()
         links = omega._reroute_reports(emb, moved, table, seed)[2]
-        [diagrams] = [diagrams for diagrams, index in calls if index is table.after]
-        loops = table.after.pairs[len(table.positions):]
+        [(diagrams, index)] = calls
+        assert index is table.index
+        loops = _loop_pairs(table)
         assert len(diagrams) == 2 and len(loops) == len(links) > 0
         for diagram in diagrams:
             assert real([diagram], projection.pair_index(diagram.edge_endpoints, loops))[0] == links
@@ -315,18 +354,19 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
             assert [(lk, lk & 1) for lk in links] == [scanned_lk(diagram, j, k) for j, k in loops]
 
 
-def _plant_odd_count(monkeypatch, e, f):
-    """Count one more crossing of strand e over strand f in every crossing
-    matrix, leaving its signed sum as it is."""
-    real = projection.crossing_matrix
+def _plant_crossing(monkeypatch, e, f):
+    """One more crossing record of strand e over strand f in every pass
+    that draws both, so that the images of two closed curves through e
+    and f cross an odd number of times."""
+    real = projection.crossing_pass
 
-    def planted(records):
-        matrix = real(records)
-        signed, count = matrix.setdefault(e, {}).get(f, (0, 0))
-        matrix[e][f] = (signed, count + 1)
-        return matrix
+    def planted(layout, direction):
+        records = real(layout, direction)
+        if e in layout.ends and f in layout.ends:
+            records += ((e, 0, 1, 2, f, 0, 1, 2, 0, 1),)
+        return records
 
-    monkeypatch.setattr(projection, "crossing_matrix", planted)
+    monkeypatch.setattr(projection, "crossing_pass", planted)
 
 
 @pytest.mark.parametrize("run", [
@@ -338,7 +378,7 @@ def test_every_lk_table_checks_its_parities(monkeypatch, run):
     # the first J's first edge over the first K's first edge
     g = complete_graph(6)
     j, k = omega.graph_pairs(g).pairs[0]
-    _plant_odd_count(monkeypatch, j.edge_ids[0], k.edge_ids[0])
+    _plant_crossing(monkeypatch, j.edge_ids[0], k.edge_ids[0])
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
         run(g, random_embedding(g, 0))
 
@@ -348,22 +388,23 @@ def test_loop_pair_link_checks_its_parity(monkeypatch):
     loop_a = [(2, 0, 0), (-1, 2, 0), (-1, -2, 0)]
     loop_b = [(0, 3, 0), (0, 1, 2), (0, 1, -2)]
     assert abs(omega.loop_pair_link(loop_a, loop_b)[0]) == 1
-    _plant_odd_count(monkeypatch, 0, 1)
+    _plant_crossing(monkeypatch, 0, 1)
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
         omega.loop_pair_link(loop_a, loop_b)
 
 
 def test_detour_table_checks_its_parities_against_lk(monkeypatch):
     # the reroute loop's new path over the first opposite circuit's first
-    # edge, read through an after view that holds the loop pairs alone
+    # edge, read through a table that holds the loop pairs alone
     g = complete_graph(6)
     emb, e = random_embedding(g, 0), g.edges[0]
     moved = random_detour(emb, e.id, random.Random(0))[1]
     table = omega.reroute_table(omega.graph_pairs(g), e.id)
-    after, through = table.after, len(table.positions)
-    loops_only = dataclasses.replace(table, positions=(), after=dataclasses.replace(
-        after, pairs=after.pairs[through:], slots=after.slots[through:]))
-    _plant_odd_count(monkeypatch, max(after.endpoints), after.pairs[through][1].edge_ids[0])
+    loops = _loop_pairs(table)
+    loops_only = dataclasses.replace(table, positions=(), index=projection.pair_index(
+        table.index.endpoints, loops))
+    assert omega._reroute_reports(emb, moved, loops_only, 0)[0].pairs
+    _plant_crossing(monkeypatch, max(table.index.endpoints), loops[0][1].edge_ids[0])
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
         omega._reroute_reports(emb, moved, loops_only, 0)
 

@@ -3,9 +3,9 @@ embedding and a one-edge reroute of it as one diagram, with the new path
 as one more strand: without the new path's records it must be the
 diagram of the embedding's own layout record for record, without the old
 path's and with the new path's read as the edge it must have the
-crossing matrix of the moved embedding's own diagram, its lk tables read
-through the reroute's pair views must be those of the two embeddings'
-own diagrams, the table after the reroute must recompute only the pairs
+crossing matrix of the moved embedding's own diagram, the reports read
+off it through the reroute table must be those of the two embeddings'
+own diagrams, the report after the reroute must recompute only the pairs
 through the moved edge, it must raise NonRegularProjection whenever
 either embedding's own diagram does, and `edge_swap_check` must stay
 correct with it.
@@ -44,8 +44,8 @@ from linkless.embedding import (
 from linkless.experiments import edge_swap_check
 from linkless.geometry import cross3, is_zero3
 from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
-from linkless.projection import NonRegularProjection, crossing_matrix, embedding_layout, project
-from oracles import decode
+from linkless.projection import NonRegularProjection, embedding_layout, project
+from oracles import crossing_matrix_reference, decode
 
 GRAPHS = {
     "K6": complete_graph(6),
@@ -163,7 +163,7 @@ def compare(emb, moved, eid, direction):
     assert [decode(r) for r in before] == [decode(r) for r in fresh[0].crossings]
     if _scale(emb, moved.edge_paths[eid]) == _scale(emb):
         assert before == fresh[0].crossings  # record for record
-    assert crossing_matrix(after) == fresh[1].crossing_matrix
+    assert crossing_matrix_reference(after) == crossing_matrix_reference(fresh[1].crossings)
     return "regular"
 
 
@@ -207,8 +207,8 @@ def test_the_sweep_covers_regular_and_non_regular_passes():
 
 def test_the_reports_read_the_tables_of_fresh_projections():
     # the reports before and after a reroute, read off two passes through
-    # the pair views, against reports of `project` on each embedding along
-    # the same two directions, on every kind of draw
+    # the reroute table, against reports of `project` on each embedding
+    # along the same two directions, on every kind of draw
     compared, changed = Counter(), Counter()
     rng = random.Random(6)
     for kind, bound, denominators, waypoints in [
@@ -226,7 +226,9 @@ def test_the_reports_read_the_tables_of_fresh_projections():
             directions = before.direction, before.check_direction
             assert len(links) == len(table.positions)
             for report, e in [(before, emb), (after, moved)]:
-                assert report == omega._report(e, index, *(_project(e, d) for d in directions))
+                diagrams = [_project(e, d) for d in directions]
+                links = omega._checked_links(index, *diagrams)
+                assert report == omega._report(e, index.pairs, links, *diagrams)
             compared[kind] += 1
             changed[kind] += before.pairs != after.pairs
     for kind in ("straight", "polyline", "rational", "markers"):
@@ -281,7 +283,8 @@ def test_a_rational_arc_in_an_integer_embedding():
     moved = reroute_edge(emb, 0, ((0, 0, 0), (Fraction(9, 2), 1, Fraction(7, 3)), (10, 0, 0)))
     for d in [(0, 0, 1), (1, 2, 3)]:
         before, after = _split(_reroute_diagram(emb, moved, 0, d), 0)
-        assert crossing_matrix(after) == _project(moved, d).crossing_matrix
+        assert crossing_matrix_reference(after) == \
+            crossing_matrix_reference(_project(moved, d).crossings)
         # the pass clears the arc's scale, 6, so each parameter's integers
         # are 6^2 times those of `project` on the integer embedding
         fresh = _project(emb, d).crossings
@@ -310,10 +313,10 @@ def test_the_check_pass_avoids_the_main_direction():
                          ids=["K6", "K3,3,1"])
 def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
         monkeypatch, graph, through):
-    # per trial, the after table runs on both diagrams over the pairs
-    # through the moved edge (4 of K6's 10, 3 or 5 of K3,3,1's 9) and as
-    # many pairs of the loop D, and every other entry after the reroute is
-    # the entry before it
+    # per trial, one table call runs on both diagrams over the graph's
+    # pairs, the pairs through the moved edge (4 of K6's 10, 3 or 5 of
+    # K3,3,1's 9) and as many pairs of the loop D, and every other entry
+    # after the reroute is the entry before it
     index = omega.graph_pairs(graph)
     calls = []
     real = omega.link_tables
@@ -326,7 +329,7 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
         table = omega.reroute_table(index, seed % graph.m)
         calls.clear()
         before, after, _ = omega._reroute_reports(emb, moved, table, seed)
-        assert calls == [(2, len(index.pairs)), (2, 2 * len(table.positions))]
+        assert calls == [(2, len(index.pairs) + 2 * len(table.positions))]
         seen.add(len(table.positions))
         for at, (entry_before, entry_after) in enumerate(zip(before.pairs, after.pairs)):
             assert (entry_after is entry_before) == (at not in table.positions)
@@ -335,18 +338,19 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
 
 
 def test_a_wrong_lk_on_a_pair_through_the_edge_is_caught(monkeypatch):
-    # the check diagram's lk of the first pair through the edge, and of
-    # the last pair of the loop D, off by 2
+    # the check diagram's lk of the first moved pair through the edge, and
+    # of the last pair of the loop D, off by 2
     g = complete_graph(6)
     index = omega.graph_pairs(g)
     emb = random_embedding(g, 0)
     _, moved, _ = random_detour(emb, 0, random.Random(0))
     table = omega.reroute_table(index, 0)
     real = omega.link_tables
-    for at in (0, -1):
+    assert table.positions
+    for at in (len(index.pairs), -1):
         def planted(diagrams, index):
             tables = real(diagrams, index)
-            if index is table.after:
+            if index is table.index:
                 tables[1][at] += 2
             return tables
 
@@ -451,10 +455,11 @@ def test_a_loop_read_without_the_arcs_crossings_breaks_the_pair_identity(monkeyp
     real_table = experiments.reroute_table
 
     def drops_the_arc(index, eid):
-        # the loop D read along the old edge alone
+        # the loop D, first of the last pair, read along the old edge alone
         table = real_table(index, eid)
-        *signs, loop = table.after.signs
-        return replace(table, after=replace(table.after, signs=(*signs, loop[:1])))
+        signs, at = list(table.index.signs), table.index.slots[-1][0]
+        signs[at] = signs[at][:1]
+        return replace(table, index=replace(table.index, signs=tuple(signs)))
 
     monkeypatch.setattr(experiments, "reroute_table", drops_the_arc)
     report = edge_swap_check(g, trials=1, seed=0)

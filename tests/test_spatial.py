@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from linkless.circuits import Circuit, disjoint_circuit_pairs, enumerate_circuits
 from linkless.embedding import (
     EmbeddingError,
+    RetryLimitExceeded,
+    random_detour,
     random_embedding,
     reroute_edge,
     straight_line_embedding,
@@ -31,9 +33,11 @@ from linkless.multigraph import (
     parse_graph,
 )
 from linkless.omega import (
+    graph_pairs,
     loop_pair_link,
     omega_graph,
     regular_projection,
+    reroute_table,
 )
 from linkless.projection import (
     NonRegularProjection,
@@ -55,6 +59,7 @@ from oracles import (
     crossing_oracle,
     decode,
     gauss_linking_number,
+    link_tables_reference,
     pair_index_reference,
     scanned_lk,
 )
@@ -370,18 +375,21 @@ def variants(emb, seed):
 
 @pytest.mark.parametrize("name,seeds", [("K6", range(4)), ("K3,3,1", range(4)), ("K7", range(2))])
 def test_crossing_matrix_matches_crossing_scan(name, seeds):
+    # every pair in both orders, through the table pass and its one-pair calls
     g = parse_graph(name)
     pairs = disjoint_circuit_pairs(g)
+    pairs += [(k, j) for j, k in pairs]
+    index = pair_index(edge_endpoints(g), pairs)
     for seed in seeds:
         for emb in variants(random_embedding(g, seed), seed):
             layout = embedding_layout(emb)
-            for diagram in (regular_projection(layout, seed=seed),
-                            regular_projection(layout, seed=seed + 1)):
-                for j, k in pairs:
-                    for a, b in ((j, k), (k, j)):
-                        lk, om = scanned_lk(diagram, a, b)
-                        assert linking_number(diagram, a, b) == lk
-                        assert omega_pair(diagram, a, b) == om
+            diagrams = [regular_projection(layout, seed=seed),
+                        regular_projection(layout, seed=seed + 1)]
+            for diagram, table in zip(diagrams, link_tables(diagrams, index), strict=True):
+                for (j, k), lk in zip(pairs, table, strict=True):
+                    assert (lk, lk & 1) == scanned_lk(diagram, j, k)
+                    assert (linking_number(diagram, j, k), omega_pair(diagram, j, k)) \
+                        == (lk, lk & 1)
 
 
 def test_rational_scaling_keeps_crossings_and_lk():
@@ -420,13 +428,13 @@ def test_crossings_match_fraction_oracle(name):
 
 
 @st.composite
-def _small_embeddings(draw):
-    """A random straight embedding of a graph on 5-8 vertices, with some
-    edges bent through a rational waypoint (bends that would meet another
-    edge are skipped)."""
-    n = draw(st.integers(5, 8))
+def _small_embeddings(draw, min_vertices=5, min_edges=6):
+    """A random straight embedding of a graph on ``min_vertices``-8
+    vertices and ``min_edges``-20 edges, with some edges bent through a
+    rational waypoint (bends that would meet another edge are skipped)."""
+    n = draw(st.integers(min_vertices, 8))
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
-                          min_size=6, max_size=20, unique=True))
+                          min_size=min_edges, max_size=20, unique=True))
     g = graph_from_pairs(pairs)
     emb = random_embedding(g, draw(st.integers(0, 10**6)))
     for eid in draw(st.lists(st.sampled_from(sorted(emb.edge_paths)), max_size=6, unique=True)):
@@ -463,6 +471,39 @@ def test_one_pass_table_matches_per_pair_calls(case):
             assert (lk, lk & 1) == (linking_number(d, j, k), omega_pair(d, j, k)) \
                 == scanned_lk(d, j, k)
     # lk is a topological invariant: the two projections agree
+    assert tables[0] == tables[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_embeddings(min_vertices=6, min_edges=12))
+def test_the_table_pass_matches_the_reference(case):
+    # on the graph's pairs, and on the three parts of a reroute table of a
+    # random edge: the graph's pairs, those through the edge with the
+    # moved circuit, and the loop pairs (D, K), drawn in one diagram
+    emb, seed = case
+    index = graph_pairs(emb.graph)
+    layout = embedding_layout(emb)
+    diagrams = [regular_projection(layout, seed=seed),
+                regular_projection(layout, seed=seed + 1)]
+    assert link_tables(diagrams, index) == link_tables_reference(diagrams, index)
+
+    # an edge of some pair's circuit, if the graph has pairs
+    edges = sorted({e for pair in index.pairs for c in pair for e in c.edge_ids})
+    rng = random.Random(seed)
+    eid = rng.choice(edges or [e.id for e in emb.graph.edges])
+    try:
+        path = random_detour(emb, eid, rng)[1].edge_paths[eid]
+        layout = embedding_layout(emb, (eid, path))
+        diagrams = [regular_projection(layout, seed=seed),
+                    regular_projection(layout, seed=seed + 1)]
+    except RetryLimitExceeded:
+        return
+    table = reroute_table(index, eid)
+    through = len(table.positions)
+    assert len(table.index.pairs) == len(index.pairs) + 2 * through
+    assert table.index.pairs[:len(index.pairs)] == index.pairs
+    tables = link_tables(diagrams, table.index)
+    assert tables == link_tables_reference(diagrams, table.index)
     assert tables[0] == tables[1]
 
 
@@ -579,7 +620,7 @@ def test_clearing_denominators_keeps_integer_points_as_they_are():
 def test_a_record_with_an_odd_sign_or_over_is_a_kernel_bug(field, planted):
     # A sign times 3 keeps each count's parity and scales every lk alike in
     # both projections, so neither the parity check nor the comparison of
-    # the two tables could see it; the crossing matrix rejects the record.
+    # the two tables could see it; the table pass rejects the record.
     emb = random_embedding(complete_graph(6), 0)
     layout = embedding_layout(emb)
     main = regular_projection(layout, seed=0)
@@ -589,7 +630,7 @@ def test_a_record_with_an_odd_sign_or_over_is_a_kernel_bug(field, planted):
         for d in (main, check)]
     assert all(d.crossings for d in bad)
     index = pair_index(main.edge_endpoints, disjoint_circuit_pairs(emb.graph))
-    with pytest.raises(AssertionError, match="kernel bug"):
+    with pytest.raises(AssertionError, match="crossing record with (sign|over)"):
         link_tables(bad, index)
 
 
