@@ -15,11 +15,15 @@ which is even on the family; an odd sum on another graph is reported as
 ``even-cover`` and ``omega-changed``.  Trials use per-trial seeds derived
 as seed XOR index, so results do not depend on execution order.
 
-A trial makes two crossing passes, the main and the check pass, each
-over the embedding and the new arc in one direction.  The omega tables
-before and after the reroute and lk(D, K) are read off both diagrams in
-one table call, and the diagrams must agree pair by pair, so the identity
-checks how the table reads the old edge and the new arc against the loop D.
+Trials read their counts straight off the checked lk list of
+``omega.checked_links``; no omega report is built.  A reroute trial makes
+two crossing passes, the main and the check pass, each over the embedding
+and the new arc in one direction, and one table call over both, through
+the moved edge's ``omega.RerouteTable``.  Its lk list holds three slices:
+the graph's pairs before the reroute, the pairs through the edge after it
+(at the table's ``positions`` among the first), and the loop pairs (D, K).
+The diagrams must agree pair by pair, so the identity checks how the table
+reads the old edge and the new arc against the loop D.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from dataclasses import dataclass
 from .embedding import random_detour, random_embedding
 from .geometry import format_point
 from .multigraph import GraphError, MultiGraph
-from .omega import _omega_with_pairs, _reroute_reports, graph_pairs, reroute_table
+from .omega import checked_links, graph_pairs, reroute_table
+from .projection import embedding_layout
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,10 @@ def conway_gordon_experiment(
     odd_counts: Counter[int] = Counter()
     for t in range(trials):
         trial_seed = seed ^ t
-        emb = random_embedding(graph, trial_seed)
-        report = _omega_with_pairs(emb, index, seed=trial_seed)
-        omega_counts[report.total] += 1
-        odd_counts[report.odd_pair_count] += 1
+        layout = embedding_layout(random_embedding(graph, trial_seed))
+        odd = sum(lk & 1 for lk in checked_links(layout, index, trial_seed)[2])
+        omega_counts[odd & 1] += 1
+        odd_counts[odd] += 1
     return ExperimentReport(
         graph.name or "graph", trials, seed, dict(omega_counts), dict(odd_counts))
 
@@ -140,8 +145,8 @@ def edge_swap_check(
     GraphError).  The detour is `random_detour`'s, so a trial that finds no
     valid midpoint within its retry limit raises RetryLimitExceeded.  A
     trial makes two full crossing passes, the main and the check pass, and
-    reads the omega tables before and after the reroute and lk(D, K) off
-    both (see `_reroute_reports`).
+    reads the lk of the pairs before and after the reroute and lk(D, K)
+    off both in one `checked_links` call.
     """
     if not graph.edges:
         raise GraphError("reroute check needs a graph with at least one edge")
@@ -163,7 +168,13 @@ def edge_swap_check(
         retries += rejected
 
         table = tables.get(e.id) or tables.setdefault(e.id, reroute_table(index, e.id))
-        before, after, loop_links = _reroute_reports(emb, emb2, table, trial_seed)
+        links = checked_links(embedding_layout(emb, (e.id, emb2.edge_paths[e.id])),
+                              table.index, trial_seed)[2]
+        through = len(table.positions)
+        n_graph = len(links) - 2 * through
+        moved_links, loop_links = links[n_graph:n_graph + through], links[n_graph + through:]
+        before = sum(links[:n_graph]) & 1
+        after = (before + sum(moved_links) - sum(links[at] for at in table.positions)) & 1
 
         def violate(kind: str, detail: str) -> None:
             violations.append(RerouteViolation(t, kind, detail, (e.u, e.v), {
@@ -172,21 +183,21 @@ def edge_swap_check(
                 "midpoint": format_point(midpoint),
             }))
 
-        if before.total == after.total:
+        if before == after:
             preserved += 1
         else:
             violate("omega-changed",
-                    f"omega went {before.total} -> {after.total} rerouting edge {e.id}")
+                    f"omega went {before} -> {after} rerouting edge {e.id}")
 
         cover_parity = 0
-        for at, lk_dk in zip(table.positions, loop_links):
+        for at, lk_after, lk_dk in zip(table.positions, moved_links, loop_links):
             om_dk = lk_dk % 2
             cover_parity ^= om_dk
-            change = after.pairs[at].omega - before.pairs[at].omega
+            change = (lk_after & 1) - (links[at] & 1)
             if change % 2 != om_dk:
                 violate("pair-identity",
                         f"omega(J',K)-omega(J,K)={change} but omega(D,K)={om_dk}")
-        identities += len(table.positions)
+        identities += through
         covers += 1
         if cover_parity != 0:
             violate("even-cover", "sum of omega(K_i, D) over complementary circuits is odd")

@@ -8,18 +8,19 @@ of being smoothed over.  A nonzero total certifies the embedding is
 linked; a zero total is inconclusive.
 
 Each diagram is ``projection.project`` of a strand layout along one
-direction.  Its lk table comes from one checked pass over its crossing
-records (``projection.link_tables``), and each omega and the total are
-read off it.  ``graph_pairs`` indexes a graph's pairs, listed by
-``circuits``.  A report builds one layout of the embedding
-(``projection.embedding_layout``), a reroute trial one of the embedding
-and the new path, so a reroute direction counts as regular only when the
-pass over both is; ``_diagrams`` draws the main and the check diagram of
-either.  The reports before and after a reroute (``_reroute_reports``)
-and lk(D, K) of the loop D of the old and new paths are read off those
-two diagrams in one table call, through the one index of a
-``RerouteTable`` built once per moved edge, and every lk is checked
-between the diagrams.
+direction.  ``checked_links`` draws a layout's main diagram and the check
+diagram that avoids it, reads the lk of every pair of a pair index off
+both in one checked pass over their crossing records
+(``projection.link_tables``) and returns the one lk list; every caller
+reads its omega values and totals off that list, and only `omega_graph`
+builds an `OmegaReport`.  ``graph_pairs`` indexes a graph's pairs, listed
+by ``circuits``.  A report lays out the embedding
+(``projection.embedding_layout``), a reroute trial the embedding and the
+new path, so a reroute direction counts as regular only when the pass
+over both is.  The lk list of a reroute trial, read through the
+``RerouteTable`` built once per moved edge, holds in order the graph's
+pairs before the reroute, the pairs through the edge after it, and the
+pairs (D, K) of the loop D of the old and new paths.
 
 ``regular_projection`` over ``direction_stream`` is the package's only
 direction search.  Its ``avoid`` lists directions already drawn: the
@@ -30,13 +31,21 @@ every direction it has drawn for the same embedding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 from .circuits import Circuit, disjoint_circuit_pairs
-from .embedding import RetryLimitExceeded, SpatialEmbedding
-from .geometry import GeometryError, Point3, check_direction, cross3, format_point, is_zero3
+from .embedding import EmbeddingError, RetryLimitExceeded, SpatialEmbedding
+from .geometry import (
+    GeometryError,
+    Point3,
+    check_direction,
+    cross3,
+    format_point,
+    is_zero3,
+    segments3_intersect,
+)
 from .multigraph import MultiGraph
 from .projection import (
     NonRegularProjection,
@@ -46,7 +55,6 @@ from .projection import (
     edge_endpoints,
     embedding_layout,
     link_tables,
-    linking_number,
     new_path_key,
     pair_index,
     project,
@@ -141,7 +149,11 @@ def omega_graph(
     seed: int = 0,
 ) -> OmegaReport:
     """Per-pair lk/omega table and the mod-2 total for an embedding."""
-    return _omega_with_pairs(emb, graph_pairs(emb.graph), direction=direction, seed=seed)
+    index = graph_pairs(emb.graph)
+    diag, check, links = checked_links(embedding_layout(emb), index, seed, direction)
+    entries = tuple(PairEntry(j, k, lk) for (j, k), lk in zip(index.pairs, links))
+    name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
+    return OmegaReport(name, diag.direction, check.direction, entries)
 
 
 def graph_pairs(graph: MultiGraph) -> PairIndex:
@@ -149,57 +161,37 @@ def graph_pairs(graph: MultiGraph) -> PairIndex:
     return pair_index(edge_endpoints(graph), disjoint_circuit_pairs(graph))
 
 
-def _omega_with_pairs(
-    emb: SpatialEmbedding,
-    index: PairIndex,
-    direction: Point3 | None = None,
-    seed: int = 0,
-) -> OmegaReport:
-    diag, check = _diagrams(embedding_layout(emb), direction, seed)
-    return _report(emb, index.pairs, _checked_links(index, diag, check), diag, check)
-
-
-def _diagrams(layout: StrandLayout, direction: Point3 | None,
-              seed: int) -> tuple[ProjectedDiagram, ProjectedDiagram]:
-    # the main projection (along ``direction`` if given, where non-regular
-    # raises) and the check projection, which avoids the main direction
+def checked_links(layout: StrandLayout, index: PairIndex, seed: int,
+                  direction: Point3 | None = None,
+                  ) -> tuple[ProjectedDiagram, ProjectedDiagram, list[int]]:
+    """(main, check, lk of every indexed pair) for one layout.  The main
+    diagram is drawn along ``direction`` if given (non-regular raises),
+    else by `regular_projection`; the check diagram avoids its direction.
+    Both are read in one `link_tables` call, and a pair whose lk differs
+    between them raises AssertionError (a kernel bug)."""
     diag = (project(layout, direction) if direction is not None
             else regular_projection(layout, seed))
-    return diag, regular_projection(layout, seed + 1, [diag.direction])
-
-
-def _checked_links(index: PairIndex, diag: ProjectedDiagram,
-                   check: ProjectedDiagram) -> list[int]:
-    # lk of every indexed pair, which the two diagrams must give alike
+    check = regular_projection(layout, seed + 1, [diag.direction])
     table, check_table = link_tables([diag, check], index)
     for lk, lk2 in zip(table, check_table):
         if lk2 != lk:
             raise AssertionError(
                 f"lk differs between projections ({lk} vs {lk2}); kernel bug")
-    return table
-
-
-def _report(emb: SpatialEmbedding, pairs: Sequence[tuple[Circuit, Circuit]],
-            links: Sequence[int], diag: ProjectedDiagram,
-            check: ProjectedDiagram) -> OmegaReport:
-    entries = tuple(PairEntry(j, k, lk) for (j, k), lk in zip(pairs, links))
-    name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
-    return OmegaReport(name, diag.direction, check.direction, entries)
+    return diag, check, table
 
 
 @dataclass(frozen=True)
 class RerouteTable:
-    """A graph's pair index prepared once for reroutes of edge ``eid``.
+    """A graph's pair index prepared once for reroutes of one edge.
 
     ``index`` runs over the graph's edges and the new path's key
-    (`new_path_key`), and holds, in order: the graph's pairs as they
-    are; the pairs through the edge, which sit at ``positions`` among
-    them, each with its circuit through the edge moved onto the new path;
-    and for each of those one pair (D, K) of the loop D, out along the
-    edge and back along the new path, and the pair's circuit K opposite
-    the edge."""
+    (`new_path_key`), and holds, in order, the three slices of a trial's
+    lk list: the graph's pairs as they are; the pairs through the edge,
+    which sit at ``positions`` among them, each with its circuit through
+    the edge moved onto the new path; and for each of those one pair
+    (D, K) of the loop D, out along the edge and back along the new
+    path, and the pair's circuit K opposite the edge."""
 
-    eid: int
     index: PairIndex
     positions: tuple[int, ...]
 
@@ -220,27 +212,7 @@ def reroute_table(index: PairIndex, eid: int) -> RerouteTable:
             through.append((copy, k) if c is j else (j, copy))
             loops.append((loop, opposite))
     pairs = pair_index({**index.endpoints, arc: ends}, [*index.pairs, *through, *loops])
-    return RerouteTable(eid, pairs, tuple(positions))
-
-
-def _reroute_reports(emb: SpatialEmbedding, moved: SpatialEmbedding, table: RerouteTable,
-                     seed: int) -> tuple[OmegaReport, OmegaReport, list[int]]:
-    """The omega reports of ``emb`` and of ``moved``, which differs from it
-    only in the path of edge ``table.eid``, and lk(D, K) of the table's
-    loop pairs, read off the two `_diagrams` of one layout of ``emb`` and
-    the new path in one `link_tables` call.  The report of ``moved`` takes
-    a new entry only for the pairs through the edge and shares every
-    other entry with ``emb``'s."""
-    layout = embedding_layout(emb, (table.eid, moved.edge_paths[table.eid]))
-    main, check = _diagrams(layout, None, seed)
-    links = _checked_links(table.index, main, check)
-    through = len(table.positions)
-    graph = len(links) - 2 * through
-    before = _report(emb, table.index.pairs[:graph], links[:graph], main, check)
-    entries = list(before.pairs)
-    for at, lk in zip(table.positions, links[graph:graph + through]):
-        entries[at] = PairEntry(entries[at].j, entries[at].k, lk)
-    return before, replace(before, pairs=tuple(entries)), links[graph + through:]
+    return RerouteTable(pairs, tuple(positions))
 
 
 def loop_pair_link(
@@ -250,8 +222,15 @@ def loop_pair_link(
 ) -> tuple[int, int]:
     """(lk, lk mod 2) for two disjoint closed polylines, retrying directions.
     Each loop is drawn as a one-edge circuit on a vertex of its own, and lk
-    is read off the checked lk table."""
-    strands = [(0, [*loop_a, loop_a[0]]), (1, [*loop_b, loop_b[0]])]  # each loop closed
-    diagram = regular_projection(strand_layout(strands, {0: (0, 0), 1: (1, 1)}), seed)
-    lk = linking_number(diagram, Circuit((0,), (0,)), Circuit((1,), (1,)))
+    is read through `checked_links`.  Loops that meet raise EmbeddingError
+    before any projection: the layout would merge a shared point into one
+    point id, which the pass takes for a common end, and a point on the
+    other loop's segment is non-regular along every direction."""
+    closed = [[*loop_a, loop_a[0]], [*loop_b, loop_b[0]]]
+    layout = strand_layout(list(enumerate(closed)), {0: (0, 0), 1: (1, 1)})
+    segs_a, segs_b = (list(zip(loop, loop[1:])) for loop in closed)
+    if any(segments3_intersect(*s, *t) for s in segs_a for t in segs_b):
+        raise EmbeddingError("the loops meet")
+    index = pair_index(layout.ends, [(Circuit((0,), (0,)), Circuit((1,), (1,)))])
+    (lk,) = checked_links(layout, index, seed)[2]
     return lk, lk & 1

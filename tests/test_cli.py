@@ -493,10 +493,11 @@ TABLE_MESSAGES = ("parity disagrees", "crossing record with over", "crossing rec
 def test_derived_state_stays_with_the_module_that_builds_it():
     # only `embedding` names its validation internals and only `omega` its
     # direction search, only `omega` builds a graph's pair index
-    # (`graph_pairs`), only `projection` reads over/under and signs off the
-    # crossing records, checks lk parities and raises the pair test's
-    # messages (each in one place),
-    # only `projection` constructs a `ProjectedDiagram` (in `project`), no module
+    # (`graph_pairs`), only `omega` and acceptance criterion 8 call
+    # `link_tables` (so no trial loop reads tables on its own), only
+    # `projection` reads over/under and signs off the crossing records,
+    # checks lk parities and raises the pair test's messages (each in one
+    # place), only `projection` constructs a `ProjectedDiagram` (in `project`), no module
     # sorts a graph's edges by id (a MultiGraph stores them in id order),
     # no report carries wall-clock timings, only `moves` names the pinned
     # family table, and only `canonical` packs keys and defines the search
@@ -507,6 +508,7 @@ def test_derived_state_stays_with_the_module_that_builds_it():
               "disjoint_circuit_pairs": {"circuits.py", "omega.py", "__init__.py"},
               "pair_index": {"projection.py", "omega.py"},
               "edge_endpoints": {"projection.py", "omega.py"},
+              "link_tables": {"projection.py", "omega.py", "acceptance.py"},
               "_FAMILY": {"moves.py"}, "_pack_key": {"canonical.py"},
               "_canonical_search": {"canonical.py"}}
     raised: dict[str, list[str]] = {}

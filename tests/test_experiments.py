@@ -1,10 +1,12 @@
 import contextlib
-import dataclasses
 import io
 import random
 import types
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkless import cli, embedding, experiments, omega, projection
 from linkless.acceptance import criterion_8_projection_independence
@@ -18,7 +20,7 @@ from linkless.embedding import (
 from linkless.experiments import conway_gordon_experiment, edge_swap_check
 from linkless.geometry import cross3, is_zero3
 from linkless.moves import petersen_family
-from linkless.multigraph import complete_graph, k331_graph
+from linkless.multigraph import complete_graph, graph_from_pairs, k331_graph
 from linkless.omega import DIRECTION_ATTEMPTS, loop_pair_link
 from linkless.projection import NonRegularProjection
 from oracles import circuit_polyline, gauss_linking_number, scanned_lk
@@ -174,12 +176,20 @@ def _random_detour(emb, rng, edge=None):
     return e, random_detour(emb, e.id, rng)[1]
 
 
+def _trial_links(emb, e, moved, index, seed):
+    """The lk list of a reroute trial of edge e through ``index``, read off
+    one layout of ``emb`` and the new path as `edge_swap_check` reads it."""
+    layout = projection.embedding_layout(emb, (e.id, moved.edge_paths[e.id]))
+    return omega.checked_links(layout, index, seed)[2]
+
+
 def _loop_links(emb, e, moved, seed):
     """The circuits K opposite edge e in the pairs through it, and lk(D, K)
     of each as a reroute trial reads them."""
     table = omega.reroute_table(omega.graph_pairs(emb.graph), e.id)
-    links = omega._reroute_reports(emb, moved, table, seed)[2]
-    return [k for _, k in _loop_pairs(table)], links
+    loops = _loop_pairs(table)
+    links = _trial_links(emb, e, moved, table.index, seed)
+    return [k for _, k in loops], links[len(links) - len(loops):]
 
 
 def _loop_pairs(table):
@@ -314,13 +324,17 @@ def test_one_projection_serves_every_detour_pair(graph, monkeypatch):
 
 
 def test_a_wrong_detour_parity_is_a_pair_identity_violation(monkeypatch):
-    real = experiments._reroute_reports
+    # lk(D, K) of the first loop pair off by one: the loop pairs follow
+    # K6's 10 pairs and as many pairs through the edge
+    real = experiments.checked_links
+    n_graph = len(omega.graph_pairs(complete_graph(6)).pairs)
 
-    def first_off_by_one(*args):
-        before, after, links = real(*args)
-        return before, after, [links[0] + 1, *links[1:]]
+    def first_off_by_one(layout, index, seed):
+        main, check, links = real(layout, index, seed)
+        links[n_graph + (len(links) - n_graph) // 2] += 1
+        return main, check, links
 
-    monkeypatch.setattr(experiments, "_reroute_reports", first_off_by_one)
+    monkeypatch.setattr(experiments, "checked_links", first_off_by_one)
     report = edge_swap_check(complete_graph(6), trials=5, seed=0)
     assert [v.kind for v in report.violations] == ["pair-identity", "even-cover"] * 5
     assert [v.trial for v in report.violations] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
@@ -343,10 +357,11 @@ def test_detour_table_reads_the_same_with_the_index(monkeypatch, graph):
         e, moved = _random_detour(emb, rng)
         table = omega.reroute_table(omega.graph_pairs(graph), e.id)
         calls.clear()
-        links = omega._reroute_reports(emb, moved, table, seed)[2]
+        links = _trial_links(emb, e, moved, table.index, seed)
         [(diagrams, index)] = calls
         assert index is table.index
         loops = _loop_pairs(table)
+        links = links[len(links) - len(loops):]
         assert len(diagrams) == 2 and len(loops) == len(links) > 0
         for diagram in diagrams:
             assert real([diagram], projection.pair_index(diagram.edge_endpoints, loops))[0] == links
@@ -401,12 +416,11 @@ def test_detour_table_checks_its_parities_against_lk(monkeypatch):
     moved = random_detour(emb, e.id, random.Random(0))[1]
     table = omega.reroute_table(omega.graph_pairs(g), e.id)
     loops = _loop_pairs(table)
-    loops_only = dataclasses.replace(table, positions=(), index=projection.pair_index(
-        table.index.endpoints, loops))
-    assert omega._reroute_reports(emb, moved, loops_only, 0)[0].pairs
+    loops_only = projection.pair_index(table.index.endpoints, loops)
+    assert _trial_links(emb, e, moved, loops_only, 0)
     _plant_crossing(monkeypatch, max(table.index.endpoints), loops[0][1].edge_ids[0])
     with pytest.raises(AssertionError, match="omega parity disagrees with lk; kernel bug"):
-        omega._reroute_reports(emb, moved, loops_only, 0)
+        _trial_links(emb, e, moved, loops_only, 0)
 
 
 def test_the_check_projection_catches_an_lk_difference(monkeypatch):
@@ -421,6 +435,80 @@ def test_the_check_projection_catches_an_lk_difference(monkeypatch):
     monkeypatch.setattr(omega, "link_tables", check_off_by_two)
     with pytest.raises(AssertionError, match="lk differs between projections"):
         omega.omega_graph(random_embedding(complete_graph(6), 0))
+
+
+def test_loop_pair_link_checks_lk_between_its_two_projections(monkeypatch):
+    # the Hopf link above, with the check diagram's lk off by 2 (so every
+    # parity holds): only the comparison of the two projections sees it
+    loop_a = [(2, 0, 0), (-1, 2, 0), (-1, -2, 0)]
+    loop_b = [(0, 3, 0), (0, 1, 2), (0, 1, -2)]
+    real = omega.link_tables
+
+    def check_off_by_two(diagrams, index):
+        tables = real(diagrams, index)
+        tables[1][0] += 2
+        return tables
+
+    monkeypatch.setattr(omega, "link_tables", check_off_by_two)
+    with pytest.raises(AssertionError, match="lk differs between projections"):
+        omega.loop_pair_link(loop_a, loop_b)
+
+
+@pytest.mark.parametrize("loop_b", [
+    [(0, 0, 0), (3, 1, 10), (2, 3, -10)],
+    [(0, 0, 0), (2, 2, 5), (2, 2, -5)],
+    [(-1, 0, -1), (1, 0, 1), (3, -7, 20)],
+], ids=["shares-a-corner", "shares-a-corner-and-pierces", "runs-through-a-corner"])
+def test_loop_pair_link_refuses_loops_that_meet(loop_b):
+    # every loop B meets the origin, a corner of loop A's triangle: the
+    # first two at a corner of their own (the second also pierces A, so a
+    # pass over the merged point reads an odd crossing count against an
+    # even lk), the third inside a segment (non-regular along every direction)
+    loop_a = [(0, 0, 0), (10, 0, 0), (0, 10, 0)]
+    with pytest.raises(EmbeddingError, match="the loops meet"):
+        loop_pair_link(loop_a, loop_b)
+    with pytest.raises(EmbeddingError, match="the loops meet"):
+        loop_pair_link(loop_b, loop_a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 7), keep=st.integers(0, 2**21 - 1), trials=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_the_experiment_counts_are_the_histograms_of_omega_reports(n, keep, trials, seed):
+    # a simple graph on n vertices keeping the edges set in ``keep``; each
+    # trial's counts are those of the omega report of the trial's embedding
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    g = graph_from_pairs([p for at, p in enumerate(pairs) if keep >> at & 1] or pairs[:1],
+                         vertices=range(1, n + 1))
+    report = conway_gordon_experiment(g, trials, seed)
+    reports = [omega.omega_graph(random_embedding(g, seed ^ t), seed=seed ^ t)
+               for t in range(trials)]
+    assert report.omega_counts == dict(Counter(r.total for r in reports))
+    assert report.odd_pair_counts == dict(Counter(r.odd_pair_count for r in reports))
+
+
+@pytest.mark.parametrize("argv", [["experiment", "K6", "--trials", "3"],
+                                  ["reroute-check", "K3,3,1", "--trials", "3"]],
+                         ids=["experiment", "reroute-check"])
+def test_trials_build_no_omega_report(argv, monkeypatch, capsys):
+    built = Counter()
+
+    def counting(cls):
+        real = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            real(self, *args, **kwargs)
+        return counted
+
+    for cls in (omega.OmegaReport, omega.PairEntry):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    omega.omega_graph(random_embedding(complete_graph(6), 0))
+    assert built == {"OmegaReport": 1, "PairEntry": 10}
+    built.clear()
+    assert cli.main(argv) == 0
+    assert f'"command": "{argv[0]}"' in capsys.readouterr().out
+    assert not built
 
 
 def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypatch, capsys):

@@ -112,9 +112,24 @@ def _project(emb, direction):
     return project(embedding_layout(emb), direction)
 
 
+def _reroute_layout(emb, moved, eid):
+    # one layout of ``emb`` and of the new path of edge ``eid`` in ``moved``
+    return embedding_layout(emb, (eid, moved.edge_paths[eid]))
+
+
 def _reroute_diagram(emb, moved, eid, direction):
-    # one diagram of ``emb`` and of the new path of edge ``eid`` in ``moved``
-    return project(embedding_layout(emb, (eid, moved.edge_paths[eid])), direction)
+    return project(_reroute_layout(emb, moved, eid), direction)
+
+
+def _before_and_after(index, table, links):
+    """The lk lists of the graph's pairs before and after a reroute, read
+    off a trial's lk list through the reroute table: the after list is the
+    before list with the pairs through the edge replaced."""
+    before = links[:len(index.pairs)]
+    after = list(before)
+    for at, lk in zip(table.positions, links[len(before):]):
+        after[at] = lk
+    return before, after
 
 
 def _outcome(thunk):
@@ -206,9 +221,10 @@ def test_the_sweep_covers_regular_and_non_regular_passes():
 
 
 def test_the_reports_read_the_tables_of_fresh_projections():
-    # the reports before and after a reroute, read off two passes through
-    # the reroute table, against reports of `project` on each embedding
-    # along the same two directions, on every kind of draw
+    # the lk lists before and after a reroute, read off two passes through
+    # the reroute table, against `checked_links` of each embedding's own
+    # layout with its main diagram along each of the same two directions,
+    # on every kind of draw
     compared, changed = Counter(), Counter()
     rng = random.Random(6)
     for kind, bound, denominators, waypoints in [
@@ -222,15 +238,17 @@ def test_the_reports_read_the_tables_of_fresh_projections():
             emb, moved, eid = drawn
             index = omega.graph_pairs(GRAPHS[name])
             table = omega.reroute_table(index, eid)
-            before, after, links = omega._reroute_reports(emb, moved, table, seed)
-            directions = before.direction, before.check_direction
-            assert len(links) == len(table.positions)
-            for report, e in [(before, emb), (after, moved)]:
-                diagrams = [_project(e, d) for d in directions]
-                links = omega._checked_links(index, *diagrams)
-                assert report == omega._report(e, index.pairs, links, *diagrams)
+            main, check, links = omega.checked_links(
+                _reroute_layout(emb, moved, eid), table.index, seed)
+            before, after = _before_and_after(index, table, links)
+            assert len(links) == len(index.pairs) + 2 * len(table.positions)
+            for expected, e in [(before, emb), (after, moved)]:
+                for d in (main.direction, check.direction):
+                    fresh, _, fresh_links = omega.checked_links(embedding_layout(e), index, seed, d)
+                    assert fresh.direction == d
+                    assert fresh_links == expected
             compared[kind] += 1
-            changed[kind] += before.pairs != after.pairs
+            changed[kind] += before != after
     for kind in ("straight", "polyline", "rational", "markers"):
         assert compared[kind] >= 8 and changed[kind] >= 2, (compared, changed)
 
@@ -295,18 +313,19 @@ def test_a_rational_arc_in_an_integer_embedding():
 
 
 def test_the_check_pass_avoids_the_main_direction():
-    # both searches start at (0, 0, 1); the reports before and after share
-    # the two directions, and the check direction is not parallel to the main one
+    # both searches start at (0, 0, 1); the lists before and after are read
+    # off the same two diagrams, and the check direction is not parallel to
+    # the main one
     g = complete_graph(6)
     index = omega.graph_pairs(g)
     for seed in range(5):
         emb = random_embedding(g, seed)
         _, moved, _ = random_detour(emb, seed, random.Random(seed))
-        before, after, _ = omega._reroute_reports(
-            emb, moved, omega.reroute_table(index, seed), seed)
-        assert before.direction == after.direction == (0, 0, 1)
-        assert before.check_direction == after.check_direction
-        assert not is_zero3(cross3(before.direction, before.check_direction))
+        table = omega.reroute_table(index, seed)
+        main, check, _ = omega.checked_links(
+            _reroute_layout(emb, moved, seed), table.index, seed)
+        assert main.direction == (0, 0, 1)
+        assert not is_zero3(cross3(main.direction, check.direction))
 
 
 @pytest.mark.parametrize("graph, through", [(complete_graph(6), {4}), (k331_graph(), {3, 5})],
@@ -315,8 +334,9 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
         monkeypatch, graph, through):
     # per trial, one table call runs on both diagrams over the graph's
     # pairs, the pairs through the moved edge (4 of K6's 10, 3 or 5 of
-    # K3,3,1's 9) and as many pairs of the loop D, and every other entry
-    # after the reroute is the entry before it
+    # K3,3,1's 9) and as many pairs of the loop D; exactly the pairs
+    # through the edge are recomputed, with the new path's key in the
+    # edge's place, and every other pair keeps its one entry
     index = omega.graph_pairs(graph)
     calls = []
     real = omega.link_tables
@@ -325,15 +345,24 @@ def test_the_after_table_recomputes_only_the_pairs_through_the_edge(
     seen = set()
     for seed in range(12):
         emb = random_embedding(graph, seed)
-        _, moved, _ = random_detour(emb, seed % graph.m, random.Random(seed))
-        table = omega.reroute_table(index, seed % graph.m)
+        eid = seed % graph.m
+        _, moved, _ = random_detour(emb, eid, random.Random(seed))
+        table = omega.reroute_table(index, eid)
         calls.clear()
-        before, after, _ = omega._reroute_reports(emb, moved, table, seed)
+        omega.checked_links(_reroute_layout(emb, moved, eid), table.index, seed)
         assert calls == [(2, len(index.pairs) + 2 * len(table.positions))]
         seen.add(len(table.positions))
-        for at, (entry_before, entry_after) in enumerate(zip(before.pairs, after.pairs)):
-            assert (entry_after is entry_before) == (at not in table.positions)
-            assert (entry_after.j, entry_after.k) == index.pairs[at]
+        arc = projection.new_path_key(index.endpoints)
+        assert table.index.pairs[:len(index.pairs)] == index.pairs
+        moved_pairs = iter(table.index.pairs[len(index.pairs):])
+        for at, (j, k) in enumerate(index.pairs):
+            through_edge = eid in j.edge_ids + k.edge_ids
+            assert (at in table.positions) == through_edge
+            if through_edge:
+                j2, k2 = next(moved_pairs)
+                assert (j2.vertex_seq, k2.vertex_seq) == (j.vertex_seq, k.vertex_seq)
+                assert j2.edge_ids + k2.edge_ids == tuple(
+                    arc if f == eid else f for f in j.edge_ids + k.edge_ids)
     assert seen == through
 
 
@@ -356,7 +385,7 @@ def test_a_wrong_lk_on_a_pair_through_the_edge_is_caught(monkeypatch):
 
         monkeypatch.setattr(omega, "link_tables", planted)
         with pytest.raises(AssertionError, match="lk differs between projections"):
-            omega._reroute_reports(emb, moved, table, 0)
+            omega.checked_links(_reroute_layout(emb, moved, 0), table.index, 0)
 
 
 def _detour_above_u(emb, eid, rng):
