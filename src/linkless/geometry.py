@@ -33,9 +33,12 @@ def is_exact(x) -> bool:
 
 
 def check_direction(direction: Point3) -> Point3:
-    """``direction``, or GeometryError if it is not three ints or Fractions."""
+    """``direction``, or GeometryError if it is not three ints or
+    Fractions, or if it is the zero vector.  It is the one direction check."""
     if len(direction) != 3 or not all(map(is_exact, direction)):
         raise GeometryError(f"a direction needs three ints or Fractions: {direction!r}")
+    if not any(direction):
+        raise GeometryError("projection direction must be nonzero")
     return direction
 
 
@@ -172,18 +175,15 @@ def shared_endpoint_segments_overlap(s: Point3, a: Point3, b: Point3) -> bool:
 
 
 def projection_frame(direction: Point3) -> tuple[Point3, Point3]:
-    """Two vectors u, v spanning the plane across ``direction``.
+    """Two vectors u, v spanning the plane across the nonzero ``direction``
+    (see `check_direction`).
 
     Both are orthogonal to the direction and (u, v, direction) is a
     right-handed frame, so "nearer the viewer" means a larger component
     along the direction.
     """
-    d = tuple(normalize_rat(c) for c in direction)
-    if is_zero3(d):
-        raise GeometryError("projection direction must be nonzero")
-    w = (1, 0, 0)
-    if is_zero3(cross3(d, w)):
-        w = (0, 1, 0)
-    u = cross3(d, w)
+    dx, dy, dz = direction
+    # u = d x (1, 0, 0), or d x (0, 1, 0) when d lies along the x axis
+    u = (0, dz, -dy) if dy or dz else (-dz, 0, dx)
     # det(u, d x u, d) = |u|^2 |d|^2 > 0 for u across d: right-handed
-    return u, cross3(d, u)
+    return u, cross3(direction, u)

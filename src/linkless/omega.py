@@ -12,12 +12,13 @@ direction.  ``checked_links`` draws a layout's main diagram and the check
 diagram that avoids it, reads the lk of every pair of a pair index off
 both in one checked pass over their crossing records
 (``projection.link_tables``) and returns the one lk list; every caller
-reads its omega values and totals off that list, and only `omega_graph`
-builds an `OmegaReport`.  ``graph_pairs`` indexes a graph's pairs, listed
-by ``circuits``.  A report lays out the embedding
-(``projection.embedding_layout``), a reroute trial the embedding and the
-new path, so a reroute direction counts as regular only when the pass
-over both is.  The lk list of a reroute trial, read through the
+reads its omega values and totals off that list.  Only `omega_graph`
+builds an `OmegaReport`, which keeps the pair index's pairs and that
+list as they are and writes each pair's row from the two.
+``graph_pairs`` indexes a graph's pairs, listed by ``circuits``.  A
+report lays out the embedding (``projection.embedding_layout``), a
+reroute trial the embedding and the new path, so a reroute direction
+counts as regular only when the pass over both is.  The lk list of a reroute trial, read through the
 ``RerouteTable`` built once per moved edge, holds in order the graph's
 pairs before the reroute, the pairs through the edge after it, and the
 pairs (D, K) of the loop D of the old and new paths.
@@ -38,7 +39,6 @@ from typing import Iterator, Sequence
 from .circuits import Circuit, disjoint_circuit_pairs
 from .embedding import EmbeddingError, RetryLimitExceeded, SpatialEmbedding
 from .geometry import (
-    GeometryError,
     Point3,
     check_direction,
     cross3,
@@ -83,9 +83,9 @@ def regular_projection(layout: StrandLayout, seed: int = 0,
     one in ``avoid`` gives a picture already drawn, so it is skipped and
     not counted.  An entry of ``avoid`` that is not three ints or
     Fractions, or a zero vector, parallel to every direction, raises
-    GeometryError."""
-    if any(is_zero3(check_direction(a)) for a in avoid):
-        raise GeometryError("projection direction must be nonzero")
+    GeometryError (`check_direction`)."""
+    for a in avoid:
+        check_direction(a)
     directions = (d for d in direction_stream(seed)
                   if not any(is_zero3(cross3(d, a)) for a in avoid))
     for d in islice(directions, DIRECTION_ATTEMPTS):
@@ -98,34 +98,21 @@ def regular_projection(layout: StrandLayout, seed: int = 0,
 
 
 @dataclass(frozen=True)
-class PairEntry:
-    j: Circuit
-    k: Circuit
-    lk: int
-
-    @property
-    def omega(self) -> int:
-        return self.lk & 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "j": list(self.j.vertex_seq),
-            "k": list(self.k.vertex_seq),
-            "lk": self.lk,
-            "omega": self.omega,
-        }
-
-
-@dataclass(frozen=True)
 class OmegaReport:
+    """An embedding's omega table as `checked_links` read it: ``pairs``
+    are the graph's disjoint circuit pairs (J, K), in its pair index's
+    order, and ``links`` their lk values.  A pair's omega is its lk mod 2,
+    and the total is the odd-pair count mod 2; neither is stored."""
+
     graph_name: str
     direction: Point3
     check_direction: Point3
-    pairs: tuple[PairEntry, ...]
+    pairs: tuple[tuple[Circuit, Circuit], ...]
+    links: list[int]
 
     @property
     def odd_pair_count(self) -> int:
-        return sum(p.omega for p in self.pairs)
+        return sum(lk & 1 for lk in self.links)
 
     @property
     def total(self) -> int:
@@ -136,7 +123,8 @@ class OmegaReport:
             "graph": self.graph_name,
             "direction": format_point(self.direction),
             "check_direction": format_point(self.check_direction),
-            "pairs": [p.to_json_dict() for p in self.pairs],
+            "pairs": [{"j": list(j.vertex_seq), "k": list(k.vertex_seq), "lk": lk, "omega": lk & 1}
+                      for (j, k), lk in zip(self.pairs, self.links)],
             "pair_count": len(self.pairs),
             "omega": self.total,
             "interpretation": "linked" if self.total else "omega=0 (inconclusive)",
@@ -148,12 +136,11 @@ def omega_graph(
     direction: Point3 | None = None,
     seed: int = 0,
 ) -> OmegaReport:
-    """Per-pair lk/omega table and the mod-2 total for an embedding."""
+    """The pairs, their checked lk values and the mod-2 total of an embedding."""
     index = graph_pairs(emb.graph)
     diag, check, links = checked_links(embedding_layout(emb), index, seed, direction)
-    entries = tuple(PairEntry(j, k, lk) for (j, k), lk in zip(index.pairs, links))
     name = emb.graph.name or f"graph<n={emb.graph.n},m={emb.graph.m}>"
-    return OmegaReport(name, diag.direction, check.direction, entries)
+    return OmegaReport(name, diag.direction, check.direction, index.pairs, links)
 
 
 def graph_pairs(graph: MultiGraph) -> PairIndex:

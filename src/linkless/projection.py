@@ -156,8 +156,8 @@ def crossing_pass(layout: StrandLayout, direction: Point3) -> tuple[CrossingReco
     along each (strictly between 0 and 1, t_den > 0), with s before t in
     segment order.  over is 0 when s is nearer the viewer and 1 when t
     is, and sign is the right-handed sign for the strands' stored
-    directions.  A direction that is not three ints or Fractions raises
-    GeometryError.
+    directions.  A direction that is not three ints or Fractions, or is
+    zero, raises GeometryError (`check_direction`).
     """
     (d,) = _clear_denominators([check_direction(direction)])
     (ux, uy, uz), (vx, vy, vz) = projection_frame(d)

@@ -596,6 +596,24 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert "must be at least" in err or "not an integer" in err
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["deltay", "K6", "--triangle", "1,2"], {}, "triangle must be three integers A,B,C"),
+    (["deltay", "K6", "--triangle", "a,b,c"], {}, "triangle must be three integers A,B,C"),
+    (["omega", "e.json", "--direction", "1,2"], {"e.json": None},
+     "direction must be three comma-separated rationals"),
+    (["classify", "g.txt"], {"g.txt": "2 1\n1 x\n"}, "malformed edge line '1 x'"),
+    (["classify", "g.txt"], {"g.txt": "2 2\n1 2\n3 4\n"},
+     "4 distinct vertices in edges but header says 2"),
+], ids=["triangle of two", "triangle of letters", "direction of two", "edge line",
+        "more vertices than the header"])
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, files, message):
+    # a file given as None is a valid K6 embedding
+    for name, text in files.items():
+        (tmp_path / name).write_text(json.dumps(_k6_embedding_doc()) if text is None else text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_zero_budget_is_valid(capsys):
     code, out, _ = run_cli(capsys, "classify", "K6", "--budget", "0")
     assert code == 0

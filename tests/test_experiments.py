@@ -491,24 +491,33 @@ def test_the_experiment_counts_are_the_histograms_of_omega_reports(n, keep, tria
                                   ["reroute-check", "K3,3,1", "--trials", "3"]],
                          ids=["experiment", "reroute-check"])
 def test_trials_build_no_omega_report(argv, monkeypatch, capsys):
-    built = Counter()
+    built = []
+    real = omega.OmegaReport.__init__
 
-    def counting(cls):
-        real = cls.__init__
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
 
-        def counted(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            real(self, *args, **kwargs)
-        return counted
-
-    for cls in (omega.OmegaReport, omega.PairEntry):
-        monkeypatch.setattr(cls, "__init__", counting(cls))
+    monkeypatch.setattr(omega.OmegaReport, "__init__", counted)
     omega.omega_graph(random_embedding(complete_graph(6), 0))
-    assert built == {"OmegaReport": 1, "PairEntry": 10}
+    assert len(built) == 1
     built.clear()
     assert cli.main(argv) == 0
     assert f'"command": "{argv[0]}"' in capsys.readouterr().out
     assert not built
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), k331_graph(), complete_graph(7)],
+                         ids=["K6", "K3,3,1", "K7"])
+def test_an_omega_report_holds_the_pairs_and_the_checked_lk_list(graph):
+    for seed in range(3):
+        emb = random_embedding(graph, seed)
+        index = omega.graph_pairs(emb.graph)
+        report = omega.omega_graph(emb, seed=seed)
+        layout = projection.embedding_layout(emb)
+        assert report.links == omega.checked_links(layout, index, seed)[2]
+        assert report.pairs == index.pairs
+        assert report.odd_pair_count == sum(lk % 2 for lk in report.links)
 
 
 def test_reroute_check_exits_2_when_the_detour_has_no_regular_direction(monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from linkless.geometry import (
     GeometryError,
+    check_direction,
     cross3,
     dot3,
     format_point,
@@ -202,6 +203,9 @@ def test_projection_frame_right_handed(direction):
     assert dot3(cross3(u, v), direction) > 0
 
 
-def test_projection_frame_rejects_zero():
-    with pytest.raises(GeometryError):
-        projection_frame((0, 0, 0))
+def test_check_direction_rejects_zero():
+    # the one direction check; `projection_frame` takes what it passed
+    for zero in ((0, 0, 0), (Fraction(0), 0, 0)):
+        with pytest.raises(GeometryError, match="projection direction must be nonzero"):
+            check_direction(zero)
+    assert check_direction((0, Fraction(1, 3), 0)) == (0, Fraction(1, 3), 0)

@@ -181,6 +181,70 @@ def test_verify_rejects_bad_models():
     assert any("connected" in msg for msg in minor_model_errors(grid, tri, disconnected))
 
 
+# single-field mutants of the model of K6 in K7, each with the first
+# message `minor_model_errors` gives it
+_MODEL_MUTANTS = {
+    "uncovered": (lambda sets, edges: ({hv: sets[hv] for hv in sets if hv != 1}, edges),
+                  "branch sets must cover exactly the H vertices"),
+    "empty": (lambda sets, edges: ({**sets, 1: frozenset()}, edges),
+              "branch set of 1 is empty"),
+    "outside": (lambda sets, edges: ({**sets, 1: frozenset({99})}, edges),
+                "branch set of 1 uses vertices outside G"),
+    "unassigned": (lambda sets, edges: (sets, {he: edges[he] for he in edges if he != 0}),
+                   "H edge 0 has no assigned G edge"),
+    "used-twice": (lambda sets, edges: (sets, {**edges, 1: edges[0]}),
+                   "G edge {0} assigned to more than one H edge"),
+    "missing": (lambda sets, edges: (sets, {**edges, 0: 999}),
+                "assigned edge 999 does not exist in G"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MODEL_MUTANTS))
+def test_a_mutated_model_is_rejected_with_its_own_message(mutant):
+    g, h = complete_graph(7), complete_graph(6)
+    good = has_minor(g, h)
+    assert minor_model_errors(g, h, good) == []
+    mutate, message = _MODEL_MUTANTS[mutant]
+    errors = minor_model_errors(g, h, MinorModel(*mutate(dict(good.branch_sets),
+                                                         dict(good.edge_map))))
+    assert errors[0] == message.format(good.edge_map[0])
+    others = {m.format(good.edge_map[0]) for name, (_, m) in _MODEL_MUTANTS.items()
+              if name != mutant}
+    assert not others & set(errors)
+
+
+def test_a_search_that_returns_overlapping_branch_sets_raises(monkeypatch):
+    real = minors._search_branch_sets
+
+    def overlapping(work, member, budget):
+        sets = real(work, member, budget)
+        first, second = sorted(sets)[:2]
+        return {**sets, second: sets[second] | sets[first]}
+
+    monkeypatch.setattr(minors, "_search_branch_sets", overlapping)
+    with pytest.raises(AssertionError, match="search produced an invalid minor model"):
+        has_minor(complete_graph(7), complete_graph(6))
+    with pytest.raises(AssertionError, match="search produced an invalid minor model"):
+        is_intrinsically_linked(complete_graph(7))
+
+
+def test_a_planar_route_with_a_wrong_rotation_raises(monkeypatch):
+    # one transposition in one vertex's rotation leaves no plane embedding
+    real = minors.planar_rotation
+
+    def transposed(g):
+        rotation = real(g)
+        if rotation is not None:
+            v = min(v for v, order in rotation.items() if len(order) >= 3)
+            a, b, *rest = rotation[v]
+            rotation = {**rotation, v: (b, a, *rest)}
+        return rotation
+
+    monkeypatch.setattr(minors, "planar_rotation", transposed)
+    with pytest.raises(AssertionError, match="planar route produced an invalid certificate"):
+        is_intrinsically_linked(grid_graph(4, 4))
+
+
 def test_returned_models_always_verify():
     rng = random.Random(11)
     targets = [complete_graph(4), complete_bipartite(3, 3),

@@ -270,8 +270,10 @@ def test_omega_total_is_parity_of_pair_bits():
     for seed in range(5):
         emb = random_embedding(k331_graph(), seed)
         report = omega_graph(emb, seed=seed)
-        assert report.total == sum(p.omega for p in report.pairs) % 2
-        assert all(p.omega == p.lk % 2 for p in report.pairs)
+        assert report.total == sum(lk % 2 for lk in report.links) % 2
+        rows = report.to_json_dict()["pairs"]
+        assert len(rows) == len(report.pairs) == len(report.links)
+        assert all(row["omega"] == row["lk"] % 2 for row in rows)
         assert report.total in (0, 1)
 
 
@@ -318,7 +320,8 @@ def test_k6_minus_edge_omega_depends_on_embedding():
     g = complete_graph(6)
     emb = random_embedding(g, 1)
     report = omega_graph(emb, seed=1)
-    odd = [(p.j.vertex_seq, p.k.vertex_seq) for p in report.pairs if p.omega == 1]
+    odd = [(j.vertex_seq, k.vertex_seq)
+           for (j, k), lk in zip(report.pairs, report.links) if lk % 2 == 1]
     assert odd == [((1, 4, 6), (2, 3, 5))]
 
     inside = g.edges_between(1, 4)[0].id
